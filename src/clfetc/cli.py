@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -24,9 +24,9 @@ from jsonschema import Draft202012Validator
 
 from . import dwell as dwellmod
 from . import svgplot
-from .certificates import (bound_sublevel_box, estimate_big_m, estimate_constants,
-                           estimate_kappa, estimate_nu, estimate_rho,
-                           sample_in_region)
+from .certificates import (bound_sublevel_box, compute_mu, estimate_big_m,
+                           estimate_constants, estimate_kappa, estimate_nu,
+                           estimate_rho, sample_in_region)
 from .core import verify_clf_pointwise
 from .dwell import DwellInputs, admissible_period, tau_min_over_sublevel
 from .engine import (IntegratorConfig, check_rate_certificate, run_closed_loop,
@@ -80,7 +80,6 @@ _SCHEMA = {
                 "rel_tol": {"type": "number", "exclusiveMinimum": 0},
                 "abs_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_step": {"type": "number", "exclusiveMinimum": 0},
-                "event_time_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_events": {"type": "integer", "minimum": 1},
                 "zeno_floor": {"type": "number", "exclusiveMinimum": 0},
                 "output_points": {"type": "integer", "minimum": 2},
@@ -219,22 +218,28 @@ def build_model_from_config(cfg: ExperimentConfig):
     return build_model(cfg.model_name, params)
 
 
-def _estimation_bundle(cfg: ExperimentConfig, model, x0):
+def _region(cfg: ExperimentConfig, model, x0):
+    """The sublevel box through ``x0``, or through a state on the config's
+    ``region_level`` when it names one."""
+    level = cfg.data.get("region_level")
+    anchor = x0 if level is None else _state_at_level(model, level)
+    return bound_sublevel_box(model.certificate, anchor, seed=cfg.seed)
+
+
+def _estimation_bundle(cfg: ExperimentConfig, model, x0,
+                       allow_degenerate: bool = False):
     """Region + constants used by derived policies and the dwell report."""
     est = cfg.estimation
-    level = cfg.data.get("region_level")
-    anchor = x0 if level is None else None
-    if anchor is None:
-        # an anchor on the requested level: scale the default along its ray
-        anchor = _state_at_level(model, level)
-    region = bound_sublevel_box(model.certificate, anchor, seed=cfg.seed)
-    constants, reports = estimate_constants(
+    region = _region(cfg, model, x0)
+    constants, _ = estimate_constants(
         model.system, model.certificate, region,
-        n=est["n_samples"], seed=cfg.seed, safety=est["safety_factor"])
-    return region, constants, reports
+        n=est["n_samples"], seed=cfg.seed, safety=est["safety_factor"],
+        allow_degenerate=allow_degenerate)
+    return region, constants
 
 
 def _state_at_level(model, level: float) -> np.ndarray:
+    """The default initial state scaled along its ray onto ``level``."""
     cert = model.certificate
     x = np.asarray(model.default_x0, dtype=float)
     if not np.any(x):
@@ -263,10 +268,6 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
     sigma = _resolve_sigma(cfg)
     info = {"policy": kind, "sigma": sigma}
 
-    def bundle():
-        region, constants, _ = _estimation_bundle(cfg, model, x0)
-        return region, constants
-
     if kind == "event":
         return EventTriggered(sigma=sigma), info
 
@@ -275,15 +276,14 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
             tau = float(spec["tau"])
             info["tau"] = tau
             return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
-        region, constants = bundle()
+        region, constants = _estimation_bundle(cfg, model, x0)
         cert = model.certificate
         gamma_mode = ("nondecreasing" if cert.rate.monotone_nondecreasing else "c1")
 
         def tau_fn(x):
             rho = constants.rho if gamma_mode == "nondecreasing" else \
                 estimate_rho(cert, cert.v(x))
-            from dataclasses import replace as _rep
-            inp = DwellInputs(constants=_rep(constants, rho=rho), sigma=sigma,
+            inp = DwellInputs(constants=replace(constants, rho=rho), sigma=sigma,
                               gamma_mode=gamma_mode)
             return dwellmod.tau_select(inp).value
 
@@ -296,7 +296,7 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
         if "period" in spec:
             info["period"] = float(spec["period"])
             return TimeTriggered(period=float(spec["period"])), info
-        region, constants = bundle()
+        region, constants = _estimation_bundle(cfg, model, x0)
         rep = tau_min_over_sublevel(
             model.system, model.certificate, region, sigma,
             n_anchors=cfg.estimation["n_anchors"], seed=cfg.seed,
@@ -309,7 +309,7 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
     sigma_tilde = float(spec.get("sigma_tilde", 0.5 * (1.0 + sigma)))
     k_big = float(spec.get("K", 2.0))
     info.update({"sigma_tilde": sigma_tilde, "K": k_big})
-    region, constants = bundle()
+    region, constants = _estimation_bundle(cfg, model, x0)
     info["big_m"] = constants.big_m
     if "h" in spec:
         h = float(spec["h"])
@@ -337,7 +337,7 @@ def integrator_from_config(cfg: ExperimentConfig) -> IntegratorConfig:
 # subcommands
 
 
-def _simulate_once(cfg: ExperimentConfig, out_dir, plot: bool):
+def _simulate_once(cfg: ExperimentConfig):
     model = build_model_from_config(cfg)
     x0 = np.asarray(cfg.data.get("x0", model.default_x0), dtype=float)
     policy, pol_info = resolve_policy(cfg, model, x0)
@@ -350,7 +350,7 @@ def _simulate_once(cfg: ExperimentConfig, out_dir, plot: bool):
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    model, traj, pol_info = _simulate_once(cfg, out_dir, plot)
+    model, traj, pol_info = _simulate_once(cfg)
     label = cfg.label
     csv_path = os.path.join(out_dir, f"{label}_trajectory.csv")
     write_trajectory_csv(traj, csv_path)
@@ -420,9 +420,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
               model.expected_assumption_status, "config": cfg.to_dict()}
     code = 0
     try:
-        level = cfg.data.get("region_level")
-        anchor = x0 if level is None else _state_at_level(model, level)
-        region = bound_sublevel_box(cert, anchor, seed=cfg.seed)
+        region = _region(cfg, model, x0)
         report["region"] = {"level": region.level,
                             "lo": list(region.lo), "hi": list(region.hi)}
         rep_k = estimate_kappa(sys_, cert, region, est["n_samples"],
@@ -436,7 +434,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
             rho = estimate_rho(cert, region.level)
         except ConfigurationError as exc:
             report["rho_error"] = str(exc)
-        from .certificates import compute_mu
         report["estimates"] = {
             "kappa": rep_k.to_json_dict(),
             "nu": rep_n.to_json_dict(),
@@ -478,14 +475,9 @@ def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
               "sigma_tilde": sigma_tilde, "K": k_big, "config": cfg.to_dict(),
               "global_constants_declared": est["global_constants_declared"]}
 
-    level = cfg.data.get("region_level")
-    anchor = x0 if level is None else _state_at_level(model, level)
     try:
-        region = bound_sublevel_box(model.certificate, anchor, seed=cfg.seed)
-        constants, _ = estimate_constants(
-            model.system, model.certificate, region, n=est["n_samples"],
-            seed=cfg.seed, safety=est["safety_factor"],
-            allow_degenerate=force)
+        region, constants = _estimation_bundle(cfg, model, x0,
+                                               allow_degenerate=force)
     except (NonDegeneracyError, PropernessError) as exc:
         report["assumption_failure"] = str(exc)
         _write_json(os.path.join(out_dir, f"{label}_dwell.json"), report)
@@ -598,15 +590,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     values = cfg.data["sweep"]["values"]
     base = cfg.to_dict()
     base.pop("sweep")
-    jobs = [(i, axis, v, _apply_axis(base, axis, v)) for i, v in enumerate(values)]
-
-    threads = os.environ.get("CLF_ETC_THREADS")
-    workers = max(1, int(threads)) if threads else min(4, os.cpu_count() or 1)
-    if workers == 1:
-        rows = [_sweep_row(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda job: _sweep_row(*job), jobs))
+    rows = [_sweep_row(i, axis, v, _apply_axis(base, axis, v))
+            for i, v in enumerate(values)]
 
     def cell(v):
         if isinstance(v, bool):

@@ -25,10 +25,7 @@ __all__ = [
     "ClfCertificate",
     "ClfCheckReport",
     "lyapunov_derivative",
-    "gamma_big",
-    "gamma_big_inverse",
     "convergence_bound",
-    "decay_envelope",
     "verify_clf_pointwise",
     "finite_difference_gradient",
     "finite_difference_jacobian",
@@ -329,18 +326,6 @@ def lyapunov_derivative(cert: ClfCertificate, sys: ControlSystem, x, u) -> float
         raise DimensionMismatchError(
             f"gradient returned shape {g.shape}, expected ({sys.state_dim},)")
     return float(g @ sys.f(x, u))
-
-
-def gamma_big(emap: EnergyTimeMap, s: float) -> float:
-    return emap.gamma_big(s)
-
-
-def gamma_big_inverse(emap: EnergyTimeMap, r: float) -> float:
-    return emap.gamma_big_inverse(r)
-
-
-def decay_envelope(emap: EnergyTimeMap, v0: float, t: float, sigma: float = 1.0) -> float:
-    return emap.bound_after(v0, t, sigma)
 
 
 def convergence_bound(cert: ClfCertificate, v0: float, t: float) -> float:

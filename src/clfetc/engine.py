@@ -13,11 +13,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import ClfCertificate, ControlSystem
-from .errors import (BlowupError, ConfigurationError, DomainError,
-                     IntegrationError)
-from .triggers import (EventTriggered, PeriodicEventTriggered, SelfTriggered,
-                       TimeTriggered, TriggerPolicy, equilibrium_threshold,
-                       policy_sigma, predicate_p)
+from .errors import BlowupError, DomainError, IntegrationError
+from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
+                       equilibrium_threshold, frozen_guard, policy_sigma,
+                       predicate_p)
 
 __all__ = [
     "IntegratorConfig",
@@ -58,16 +57,15 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 class IntegratorConfig:
     """Tolerances and safeguards for one closed-loop run.
 
-    ``max_step`` defaults to ``horizon/1000`` and ``event_time_tol`` to
-    ``1e-12 * horizon`` when left unset.  ``output_points`` sets the dense
-    recording grid; event instants are always recorded exactly, in addition.
+    ``max_step`` defaults to ``horizon/1000`` when left unset.
+    ``output_points`` sets the dense recording grid; event instants are
+    always recorded exactly, in addition.
     """
 
     horizon: float
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     max_step: Optional[float] = None
-    event_time_tol: Optional[float] = None
     max_events: int = 1_000_000
     zeno_floor: float = 1e-9
     output_points: int = 1001
@@ -80,20 +78,15 @@ class IntegratorConfig:
                 raise DomainError(f"{name} must be positive")
         if self.max_step is not None and self.max_step <= 0:
             raise DomainError("max_step must be positive")
-        if self.event_time_tol is not None and self.event_time_tol <= 0:
-            raise DomainError("event_time_tol must be positive")
         if self.max_events < 1:
             raise DomainError("max_events must be at least 1")
         if self.output_points < 2:
             raise DomainError("output_points must be at least 2")
 
     def resolved(self) -> "IntegratorConfig":
-        out = self
-        if out.max_step is None:
-            out = replace(out, max_step=out.horizon / 1000.0)
-        if out.event_time_tol is None:
-            out = replace(out, event_time_tol=1e-12 * out.horizon)
-        return out
+        if self.max_step is None:
+            return replace(self, max_step=self.horizon / 1000.0)
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +151,21 @@ class _Hermite:
                 + self.h * (h10 * self.f0 + h11 * self.f1))
 
 
+def _frozen(sys: ControlSystem, u: np.ndarray):
+    """The field ``y -> F(y, u)`` with the control held; unchecked."""
+    return lambda y: np.asarray(sys.rhs(y, u), dtype=float)
+
+
 def _advance(f, t, y, f0, t_end, cfg, on_step, first_h=None):
     """Drive the stepper from (t, y) to t_end.
 
     ``on_step`` receives each accepted :class:`_Hermite` piece; returning
-    ``None`` continues, anything else stops immediately.  Returns
-    ``("reached", t_end, y_end, f_end)`` or ``("stopped", result)``.
+    ``None`` continues, anything else stops the drive and is returned.  A
+    drive that reaches ``t_end`` returns the state there, an array, which
+    ``on_step`` must therefore never return.
     """
     if t_end <= t:
-        return "reached", t_end, y, f0
+        return y
     if first_h is not None:
         h = first_h
     else:
@@ -177,9 +176,7 @@ def _advance(f, t, y, f0, t_end, cfg, on_step, first_h=None):
             # the remaining span is below time resolution; snap to the target
             piece = _Hermite(t, y, f0, t_end, y, f0)
             res = on_step(piece)
-            if res is not None:
-                return "stopped", res
-            return "reached", t_end, y, f0
+            return y if res is None else res
         attempts = 0
         while True:
             y1, f1, err = _rk_step(f, y, f0, h)
@@ -196,7 +193,7 @@ def _advance(f, t, y, f0, t_end, cfg, on_step, first_h=None):
         piece = _Hermite(t, y, f0, t + h, y1, f1)
         res = on_step(piece)
         if res is not None:
-            return "stopped", res
+            return res
         t, y, f0 = t + h, y1, f1
         if float(np.linalg.norm(y)) > BLOWUP_NORM:
             raise BlowupError(t, y)
@@ -204,7 +201,7 @@ def _advance(f, t, y, f0, t_end, cfg, on_step, first_h=None):
             h *= 5.0
         else:
             h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-    return "reached", t_end, y, f0
+    return y
 
 
 @dataclass
@@ -246,10 +243,8 @@ def integrate_frozen(sys: ControlSystem, x0, u, t_span,
         raise DomainError("t_span must be increasing")
     x0 = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
-    sys.f(x0, u)  # validate dimensions once
-    f = lambda y: np.asarray(sys.rhs(y, u), dtype=float)  # noqa: E731
-
-    ts, ys, fs = [t0], [x0], [f(x0)]
+    f = _frozen(sys, u)
+    ts, ys, fs = [t0], [x0], [sys.f(x0, u)]  # dimensions validated once
     if t1 == t0:
         return DenseSegment(np.array(ts), np.array(ys), np.array(fs))
 
@@ -374,17 +369,15 @@ def _guarded_until(sys, cert, x, u, t, t_end, sigma, cfg, rec):
     """Integrate the frozen loop while the guard stays negative.
 
     Fills grid rows along the way (strictly before the event time when a
-    crossing is found).  Returns ``("event", t_root, x_event, g_at_fire)``
-    or ``("end", t_end, x_end)``.
+    crossing is found).  Returns ``(t_root, x_event, g_at_fire)`` at an
+    event, or the state at ``t_end`` when there is none.
     """
-    f = lambda y: np.asarray(sys.rhs(y, u), dtype=float)  # noqa: E731
-
-    def guard_of_state(y) -> float:
-        return float(cert.grad(y) @ f(y)) + sigma * cert.rate(cert.v(y))
-
-    g_start = guard_of_state(x)
+    f = _frozen(sys, u)
+    y_cur = np.asarray(x, dtype=float)
+    f_cur = sys.f(y_cur, u)  # the segment's state and control, checked once
+    g_start = frozen_guard(cert, f, y_cur, sigma)
     if g_start >= 0.0:
-        return "event", t, np.asarray(x, dtype=float), g_start
+        return t, y_cur, g_start
 
     thetas = [(j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES)]
     state = {"g": g_start, "halved": 0}
@@ -392,8 +385,8 @@ def _guarded_until(sys, cert, x, u, t, t_end, sigma, cfg, rec):
     def monitor(piece: _Hermite):
         gs = [state["g"]]
         for th in thetas:
-            gs.append(guard_of_state(piece(piece.t0 + th * piece.h)))
-        gs.append(guard_of_state(piece.y1))
+            gs.append(frozen_guard(cert, f, piece(piece.t0 + th * piece.h), sigma))
+        gs.append(frozen_guard(cert, f, piece.y1, sigma))
         crossings = sum(1 for a, b in zip(gs, gs[1:])
                         if (a < 0.0 <= b) or (b < 0.0 <= a))
         if crossings == 0:
@@ -403,50 +396,43 @@ def _guarded_until(sys, cert, x, u, t, t_end, sigma, cfg, rec):
             return None
         if crossings > 1 and state["halved"] < 60 and \
                 piece.h > 1e-13 * max(1.0, abs(piece.t0)):
-            # more than one crossing inside one step: halve and retry so the
-            # earliest root cannot be skipped
+            # more than one crossing inside one step: the piece is retried
+            # at half the size so the earliest root cannot be skipped
             state["halved"] += 1
-            return ("halve", piece)
+            return piece
         j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
         grid_t = [piece.t0] + [piece.t0 + th * piece.h for th in thetas] + [piece.t1]
-        t_root = locate_event(lambda tt: guard_of_state(piece(tt)),
+        t_root = locate_event(lambda tt: frozen_guard(cert, f, piece(tt), sigma),
                               grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
-        return ("event", piece, t_root)
+        return piece, t_root
 
     t_cur = t
-    y_cur = np.asarray(x, dtype=float)
-    f_cur = f(y_cur)
     first_h = None
     while True:
         out = _advance(f, t_cur, y_cur, f_cur, t_end, cfg, monitor, first_h)
-        if out[0] == "reached":
-            return "end", out[1], out[2]
-        kind = out[1]
-        if kind[0] == "halve":
-            piece = kind[1]
-            t_cur, y_cur, f_cur = piece.t0, piece.y0, piece.f0
-            first_h = piece.h / 2.0
-            continue
-        _, piece, t_root = kind
-        rec.fill_grid(t_root, piece, u, inclusive=False)
-        # re-anchor exactly at the root: one tolerance-checked corrector
-        # integration from the previous mesh point replaces the interpolant
-        sub = integrate_frozen(sys, piece.y0, u, (piece.t0, t_root), cfg)
-        x_event = sub.ys[-1]
-        return "event", t_root, x_event, guard_of_state(x_event)
+        if not isinstance(out, _Hermite):
+            break
+        t_cur, y_cur, f_cur, first_h = out.t0, out.y0, out.f0, out.h / 2.0
+    if isinstance(out, np.ndarray):
+        return out
+    piece, t_root = out
+    rec.fill_grid(t_root, piece, u, inclusive=False)
+    # re-anchor exactly at the root: one tolerance-checked corrector
+    # integration from the previous mesh point replaces the interpolant
+    sub = integrate_frozen(sys, piece.y0, u, (piece.t0, t_root), cfg)
+    x_event = sub.ys[-1]
+    return t_root, x_event, frozen_guard(cert, f, x_event, sigma)
 
 
 def _plain_until(sys, x, u, t, t_end, cfg, rec):
-    """Integrate the frozen loop to an exact target time, recording rows."""
-    f = lambda y: np.asarray(sys.rhs(y, u), dtype=float)  # noqa: E731
-
+    """Integrate the frozen loop to an exact target time, recording rows;
+    returns the state there."""
     def on_step(piece: _Hermite):
         rec.fill_grid(piece.t1, piece, u, inclusive=True)
         return None
 
-    out = _advance(f, t, np.asarray(x, dtype=float), f(np.asarray(x, dtype=float)),
-                   t_end, cfg, on_step)
-    return out[2]
+    x = np.asarray(x, dtype=float)
+    return _advance(_frozen(sys, u), t, x, sys.f(x, u), t_end, cfg, on_step)
 
 
 def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPolicy,
@@ -455,9 +441,12 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     """Alternate frozen-input integration with the policy's update decisions
     until the horizon, the equilibrium, or a safeguard ends the run.
 
-    The control is recomputed at every recorded event and is bitwise
-    constant between events.  Dense rows land on the configured output
-    grid; every event instant is recorded exactly.
+    The event-triggered policy refreshes the control at the guard's zeros.
+    The others refresh it at their clock instants, except that the periodic
+    policy keeps it wherever its predicate still holds.  The control is
+    recomputed at every recorded event and is bitwise constant between
+    events.  Dense rows land on the configured output grid; every event
+    instant is recorded exactly.
     """
     cfg = config.resolved()
     sigma = policy_sigma(policy, cert)
@@ -470,11 +459,8 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     v0 = cert.v(x0)
     eps_eq = equilibrium_threshold(v0)
     events: list = []
-    termination = None
+    termination = "horizon"
     zeno_run = 0
-
-    def guard_val(x, u) -> float:
-        return float(cert.grad(x) @ sys.f(x, u)) + sigma * cert.rate(cert.v(x))
 
     def push_event(t, x, u, gval, reason):
         dwell = None if not events else t - events[-1].time
@@ -491,77 +477,47 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         rec.fill_grid_const(horizon, x, u)
         return rec.finalize(events, "equilibrium", sigma, meta or {})
     u = cert.u(x)
-    push_event(0.0, x, u, guard_val(x, u), "init")
+    push_event(0.0, x, u, frozen_guard(cert, _frozen(sys, u), x, sigma), "init")
 
-    sched_index = 0  # time-triggered: schedule instants consumed so far
-    k_check = 0      # periodic: index of the last h-multiple reached
+    guarded = isinstance(policy, EventTriggered)
+    periodic = isinstance(policy, PeriodicEventTriggered)
+    reason = ("guard_zero" if guarded
+              else "predicate_false" if periodic else "clock")
+    k = 0  # clock instants reached so far
 
-    while t < horizon and termination is None:
+    while t < horizon:
         if len(events) >= cfg.max_events:
             termination = "event_cap"
             break
         try:
-            fired = None  # (t_e, x_e, guard_at_fire, reason)
-            if isinstance(policy, EventTriggered):
+            if guarded:
                 res = _guarded_until(sys, cert, x, u, t, horizon, sigma, cfg, rec)
-                if res[0] == "event":
-                    fired = (res[1], res[2], res[3], "guard_zero")
-                else:
-                    t, x = res[1], res[2]
-            elif isinstance(policy, SelfTriggered):
-                dwell = float(policy.tau_fn(x))
-                if dwell <= 0.0:
-                    raise ConfigurationError(
-                        f"self-triggered dwell function returned {dwell}")
-                t_next = t + dwell
-                if t_next > horizon * (1.0 + 1e-12):
-                    x = _plain_until(sys, x, u, t, horizon, cfg, rec)
-                    t = horizon
-                else:
-                    t_next = min(t_next, horizon)
-                    x_e = _plain_until(sys, x, u, t, t_next, cfg, rec)
-                    fired = (t_next, x_e, guard_val(x_e, u), "clock")
-            elif isinstance(policy, TimeTriggered):
-                t_next = policy.instant_after(sched_index)
+                if isinstance(res, np.ndarray):
+                    t, x = horizon, res
+                    continue
+                t, x, g_fire = res
+            else:
+                t_next = policy.next_instant(k, t, x)
                 if t_next is None or t_next > horizon * (1.0 + 1e-12):
                     x = _plain_until(sys, x, u, t, horizon, cfg, rec)
                     t = horizon
-                else:
-                    sched_index += 1
-                    t_next = min(t_next, horizon)
-                    x_e = _plain_until(sys, x, u, t, t_next, cfg, rec)
-                    fired = (t_next, x_e, guard_val(x_e, u), "clock")
-            elif isinstance(policy, PeriodicEventTriggered):
-                while True:
-                    k_check += 1
-                    t_chk = k_check * policy.h
-                    if t_chk > horizon * (1.0 + 1e-12):
-                        x = _plain_until(sys, x, u, t, horizon, cfg, rec)
-                        t = horizon
-                        break
-                    t_chk = min(t_chk, horizon)
-                    x = _plain_until(sys, x, u, t, t_chk, cfg, rec)
-                    t = t_chk
-                    if not predicate_p(cert, sys, policy.big_m, x, u,
-                                       policy.sigma_tilde, policy.k_big):
-                        fired = (t, x, guard_val(x, u), "predicate_false")
-                        break
-                    # predicate passed: control stays frozen, keep checking
-            else:
-                raise ConfigurationError(f"unknown policy {policy!r}")
+                    continue
+                k += 1
+                t_next = min(t_next, horizon)
+                x = _plain_until(sys, x, u, t, t_next, cfg, rec)
+                t = t_next
+                if periodic and predicate_p(cert, sys, policy.big_m, x, u,
+                                            policy.sigma_tilde, policy.k_big):
+                    continue  # the predicate holds: the control stays frozen
+                g_fire = frozen_guard(cert, _frozen(sys, u), x, sigma)
         except BlowupError as exc:
             rec.add_row(exc.t, exc.state, u, 0)
             t, x = exc.t, exc.state
             termination = "blowup"
             break
 
-        if fired is None:
-            continue
-
-        t_e, x_e, g_fire, reason = fired
-        dwell = t_e - events[-1].time
+        dwell = t - events[-1].time
         zeno_run = zeno_run + 1 if dwell < cfg.zeno_floor else 0
-        t, x = t_e, x_e
         if cert.v(x) <= eps_eq:
             u = cert.u(np.zeros(sys.state_dim))
             push_event(t, x, u, g_fire, "equilibrium_frozen")
@@ -577,8 +533,6 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
             termination = "event_cap"
             break
 
-    if termination is None:
-        termination = "horizon"
     return rec.finalize(events, termination, sigma, meta or {})
 
 

@@ -44,13 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Model:
-    """A named system/certificate pair ready for simulation and audits.
-
-    ``known_constants`` may carry closed-form sublevel constants when a
-    model has them; the shipped models leave it unset and rely on the
-    sampled estimators (even the affine one: its Lipschitz constant depends
-    on the operating region's frozen input).
-    """
+    """A named system/certificate pair ready for simulation and audits."""
 
     name: str
     system: ControlSystem
@@ -58,7 +52,6 @@ class Model:
     params: dict
     default_x0: np.ndarray
     expected_assumption_status: str  # 'satisfies_all' | 'violates_nondegeneracy'
-    known_constants: object = None
     extras: dict = field(default_factory=dict)
 
 

@@ -1,8 +1,8 @@
-"""The four sampling policies and their pure decision functions.
+"""The four sampling policies, the event guard and the periodic predicate.
 
-A policy never integrates anything; it answers "should the control be
-recomputed here?" given the current segment (last update time, state and
-frozen control) and a query point.  The simulation engine owns time.
+A policy never integrates anything.  The event-triggered policy is watched
+through the guard; the other three name their next clock instant, and the
+simulation engine integrates to it and refreshes the control there.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ClfCertificate, ControlSystem, lyapunov_derivative
+from .core import ClfCertificate, ControlSystem
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -21,12 +21,10 @@ __all__ = [
     "TimeTriggered",
     "PeriodicEventTriggered",
     "TriggerPolicy",
-    "TriggerDecision",
-    "SegmentState",
     "equilibrium_threshold",
+    "frozen_guard",
     "event_guard",
     "predicate_p",
-    "next_decision",
 ]
 
 # the exact equilibrium test V = 0 is unattainable in floating point
@@ -48,8 +46,6 @@ class EventTriggered:
         if not 0.0 < self.sigma < 1.0:
             raise DomainError(f"sigma must lie in (0, 1), got {self.sigma}")
 
-    kind = "event"
-
 
 @dataclass(frozen=True)
 class SelfTriggered:
@@ -62,7 +58,13 @@ class SelfTriggered:
         if not 0.0 < self.sigma < 1.0:
             raise DomainError(f"sigma must lie in (0, 1), got {self.sigma}")
 
-    kind = "self"
+    def next_instant(self, k: int, t: float, x) -> float:
+        """The last update time ``t`` plus the dwell chosen at its state."""
+        dwell = float(self.tau_fn(x))
+        if dwell <= 0.0:
+            raise ConfigurationError(
+                f"self-triggered dwell function returned {dwell}")
+        return t + dwell
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,6 @@ class TimeTriggered:
                 raise DomainError("instants must be strictly increasing and positive")
             object.__setattr__(self, "instants", inst)
 
-    kind = "time"
-
     def instant_after(self, index: int) -> Optional[float]:
         """The (index+1)-th update instant after t=0, or None when the
         explicit list is exhausted."""
@@ -98,6 +98,10 @@ class TimeTriggered:
         if index < len(self.instants):
             return self.instants[index]
         return None
+
+    def next_instant(self, k: int, t: float, x) -> Optional[float]:
+        """The schedule's instant after the ``k`` already reached."""
+        return self.instant_after(k)
 
 
 @dataclass(frozen=True)
@@ -126,40 +130,33 @@ class PeriodicEventTriggered:
         if self.big_m <= 0.0:
             raise DomainError("big_m must be positive")
 
-    kind = "periodic-event"
+    def next_instant(self, k: int, t: float, x) -> float:
+        """The check after the ``k``-th, always an integer multiple of ``h``
+        so that rounding does not accumulate over many checks."""
+        return (k + 1) * self.h
 
 
 TriggerPolicy = Union[EventTriggered, SelfTriggered, TimeTriggered, PeriodicEventTriggered]
 
 
-@dataclass(frozen=True)
-class TriggerDecision:
-    fire: bool
-    guard_value: float
-    reason: str  # guard_zero | clock | predicate_false | equilibrium_frozen | hold
+def frozen_guard(cert: ClfCertificate, f: Callable[[np.ndarray], np.ndarray],
+                 x: np.ndarray, sigma: float) -> float:
+    """Signed margin ``g = W(x, u) + sigma*gamma(V(x))`` along the frozen
+    field ``f(y) = F(y, u)``.
 
-
-@dataclass(frozen=True)
-class SegmentState:
-    """What a policy may look at: the last update and the run's initial level."""
-
-    index: int
-    t_n: float
-    x_n: np.ndarray
-    u_n: np.ndarray
-    v0: float
+    Negative means the retained-decrease condition holds strictly; the event
+    surface is ``g = 0``.  Nothing is validated here: the engine checks the
+    state once per segment and calls this at every guard probe.
+    """
+    return float(cert.grad(x) @ f(x)) + sigma * cert.rate(cert.v(x))
 
 
 def event_guard(cert: ClfCertificate, sys: ControlSystem, x, u_frozen,
                 sigma: Optional[float] = None) -> float:
-    """Signed margin ``g = W(x, u) + sigma*gamma(V(x))``.
-
-    Negative means the retained-decrease condition holds strictly; the event
-    surface is ``g = 0``.
-    """
+    """:func:`frozen_guard` with the state and control dimensions checked."""
     s = cert.sigma if sigma is None else sigma
-    w = lyapunov_derivative(cert, sys, x, u_frozen)
-    return w + s * cert.rate(cert.v(np.asarray(x, dtype=float)))
+    return frozen_guard(cert, lambda y: sys.f(y, u_frozen),
+                        np.asarray(x, dtype=float), s)
 
 
 def predicate_p(cert: ClfCertificate, sys: ControlSystem, big_m: float, x, u,
@@ -182,53 +179,6 @@ def predicate_p(cert: ClfCertificate, sys: ControlSystem, big_m: float, x, u,
     fn = float(np.linalg.norm(fx))
     ratio = (float(np.linalg.norm(g)) * fn + fn * fn) / (big_m * abs(w))
     return ratio <= k_big
-
-
-def next_decision(policy: TriggerPolicy, cert: ClfCertificate, sys: ControlSystem,
-                  seg: SegmentState, t: float, x) -> TriggerDecision:
-    """Evaluate the policy's firing rule at the query point ``(t, x)``.
-
-    The engine localizes event times itself; this function states, for any
-    queried instant, whether the rule holds there — and with which reason.
-    """
-    x = np.asarray(x, dtype=float)
-    if cert.v(seg.x_n) <= equilibrium_threshold(seg.v0):
-        return TriggerDecision(fire=False, guard_value=0.0, reason="equilibrium_frozen")
-
-    if isinstance(policy, EventTriggered):
-        g = event_guard(cert, sys, x, seg.u_n, policy.sigma)
-        return TriggerDecision(fire=g >= 0.0, guard_value=g,
-                               reason="guard_zero" if g >= 0.0 else "hold")
-
-    if isinstance(policy, SelfTriggered):
-        dwell = float(policy.tau_fn(seg.x_n))
-        if dwell <= 0.0:
-            raise ConfigurationError("self-triggered dwell function returned a "
-                                     f"non-positive dwell {dwell}")
-        g = event_guard(cert, sys, x, seg.u_n, policy.sigma)
-        return TriggerDecision(fire=t >= seg.t_n + dwell, guard_value=g,
-                               reason="clock" if t >= seg.t_n + dwell else "hold")
-
-    if isinstance(policy, TimeTriggered):
-        nxt = policy.instant_after(seg.index)
-        g = event_guard(cert, sys, x, seg.u_n)
-        if nxt is None:
-            return TriggerDecision(fire=False, guard_value=g, reason="hold")
-        return TriggerDecision(fire=t >= nxt, guard_value=g,
-                               reason="clock" if t >= nxt else "hold")
-
-    if isinstance(policy, PeriodicEventTriggered):
-        g = event_guard(cert, sys, x, seg.u_n, policy.sigma)
-        k = t / policy.h
-        on_grid = abs(k - round(k)) <= 1e-9 * max(1.0, abs(k)) and round(k) >= 1
-        if not on_grid:
-            return TriggerDecision(fire=False, guard_value=g, reason="hold")
-        ok = predicate_p(cert, sys, policy.big_m, x, seg.u_n,
-                         policy.sigma_tilde, policy.k_big)
-        return TriggerDecision(fire=not ok, guard_value=g,
-                               reason="predicate_false" if not ok else "hold")
-
-    raise ConfigurationError(f"unknown policy {policy!r}")
 
 
 def policy_sigma(policy: TriggerPolicy, cert: ClfCertificate) -> float:

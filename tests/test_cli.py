@@ -298,13 +298,6 @@ class TestSweepCommand:
         out = _apply_axis(base, "policy", "time")
         assert out["policy"]["policy"] == "time"
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLF_ETC_THREADS", "1")
-        rc = run_cli("sweep", "--config", "zeno_sweep", "--out", str(tmp_path))
-        assert rc == 0
-        lines = (tmp_path / "zeno_sweep_sweep.csv").read_text().splitlines()
-        assert len(lines) == 5
-
 
 class TestStatsCommand:
     def test_recompute_from_csv(self, tmp_path, capsys):

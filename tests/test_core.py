@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfetc import (ClfCertificate, ControlSystem, DomainError, EnergyTimeMap,
-                    RateFunction, convergence_bound, decay_envelope, gamma_big,
-                    gamma_big_inverse, lyapunov_derivative,
+                    RateFunction, convergence_bound, lyapunov_derivative,
                     verify_clf_pointwise)
 from clfetc.core import finite_difference_gradient
 from clfetc.errors import DimensionMismatchError
@@ -20,41 +19,41 @@ def emap(rate):
 class TestEnergyTimeMap:
     def test_linear_closed_form(self):
         m = emap(RateFunction.linear(1.0))
-        assert gamma_big(m, math.e ** 2) == pytest.approx(2.0, rel=1e-12)
+        assert m.gamma_big(math.e ** 2) == pytest.approx(2.0, rel=1e-12)
 
     def test_empty_integral(self):
         for rate in (RateFunction.linear(0.7), RateFunction.power(2.0, 0.5),
                      RateFunction.custom(lambda v: 1.0 + v * v)):
-            assert gamma_big(emap(rate), 1.0) == 0.0
+            assert emap(rate).gamma_big(1.0) == 0.0
 
     def test_power_closed_form(self):
         m = emap(RateFunction.power(1.0, 2.0))
-        assert gamma_big(m, 2.0) == pytest.approx(0.5, rel=1e-12)
+        assert m.gamma_big(2.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_linear_inverse(self):
         m = emap(RateFunction.linear(1.0))
-        assert gamma_big_inverse(m, 2.0) == pytest.approx(math.e ** 2, rel=1e-12)
+        assert m.gamma_big_inverse(2.0) == pytest.approx(math.e ** 2, rel=1e-12)
 
     def test_inverse_round_trip(self):
         m = emap(RateFunction.linear(2.0))
-        assert gamma_big_inverse(m, gamma_big(m, 5.0)) == pytest.approx(5.0, rel=1e-10)
+        assert m.gamma_big_inverse(m.gamma_big(5.0)) == pytest.approx(5.0, rel=1e-10)
 
     def test_clamp_below_lower_limit(self):
         # sqrt-rate: the map has a finite lower limit, below which the
         # inverse is defined to vanish
         m = emap(RateFunction.power(2.0, 0.5))
         assert m.lower_limit == pytest.approx(-1.0)
-        assert gamma_big_inverse(m, m.lower_limit - 1.0) == 0.0
+        assert m.gamma_big_inverse(m.lower_limit - 1.0) == 0.0
 
     def test_domain_errors(self):
         m = emap(RateFunction.power(1.0, 2.0))
         with pytest.raises(DomainError):
-            gamma_big(m, 0.0)
+            m.gamma_big(0.0)
         with pytest.raises(DomainError):
-            gamma_big(m, -1.0)
+            m.gamma_big(-1.0)
         assert m.upper_limit == pytest.approx(1.0)
         with pytest.raises(DomainError):
-            gamma_big_inverse(m, 1.0)
+            m.gamma_big_inverse(1.0)
 
     def test_strict_monotonicity(self):
         for rate in (RateFunction.linear(0.5), RateFunction.power(2.0, 3.0),
@@ -62,7 +61,7 @@ class TestEnergyTimeMap:
                      RateFunction.custom(lambda v: 2.0 + math.sin(v))):
             m = emap(rate)
             grid = np.logspace(-3, 3, 25)
-            vals = [gamma_big(m, s) for s in grid]
+            vals = [m.gamma_big(s) for s in grid]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     @settings(max_examples=40, deadline=None)
@@ -70,7 +69,7 @@ class TestEnergyTimeMap:
     def test_round_trip_property(self, log_s):
         s = 10.0 ** log_s
         m = emap(RateFunction.power(1.5, 2.0))
-        assert abs(gamma_big_inverse(m, gamma_big(m, s)) - s) <= 1e-8 * max(1.0, s)
+        assert abs(m.gamma_big_inverse(m.gamma_big(s)) - s) <= 1e-8 * max(1.0, s)
 
     def test_quadrature_matches_closed_forms(self):
         # identical gamma evaluated through the custom (quadrature) path
@@ -85,29 +84,29 @@ class TestEnergyTimeMap:
             closed = emap(rate)
             quad = emap(RateFunction.custom(g))
             for s in np.logspace(-2, 2, 17):
-                a = gamma_big(closed, s)
-                b = gamma_big(quad, s)
+                a = closed.gamma_big(s)
+                b = quad.gamma_big(s)
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
     def test_custom_inverse_bisection(self):
         rate = RateFunction.custom(lambda v: 2.0 + math.sin(v))
         m = emap(rate)
         for s in (0.02, 0.7, 1.0, 3.0, 40.0):
-            r = gamma_big(m, s)
-            assert gamma_big_inverse(m, r) == pytest.approx(s, rel=1e-8)
+            r = m.gamma_big(s)
+            assert m.gamma_big_inverse(r) == pytest.approx(s, rel=1e-8)
 
     def test_custom_declared_lower_limit_clamps(self):
         m = EnergyTimeMap.from_rate(
             RateFunction.custom(lambda v: 2.0 * math.sqrt(v)), lower_limit=-1.0)
-        assert gamma_big_inverse(m, -2.0) == 0.0
-        assert gamma_big_inverse(m, 1.0) == pytest.approx(4.0, rel=1e-8)
+        assert m.gamma_big_inverse(-2.0) == 0.0
+        assert m.gamma_big_inverse(1.0) == pytest.approx(4.0, rel=1e-8)
 
 
 class TestConvergenceBound:
     def test_exponential_decay(self):
         # sigma=1 is the continuous-time envelope
         m = emap(RateFunction.linear(1.0))
-        assert decay_envelope(m, 4.0, 1.0, sigma=1.0) == pytest.approx(
+        assert m.bound_after(4.0, 1.0, sigma=1.0) == pytest.approx(
             4.0 * math.exp(-1.0), rel=1e-12)
 
     def test_zero_time(self):

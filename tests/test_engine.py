@@ -118,10 +118,10 @@ class TestRunClosedLoop:
                                    EventTriggered(sigma=0.9), [1.0], cfg)
             t1[rtol] = traj.events[1].time
         assert abs(t1[1e-9] - t1[5e-10]) < 10 * (1e-12 * 3.0)
-        # smooth nonlinear flow: explicit event tolerance
+        # smooth nonlinear flow
         t1 = {}
         for rtol in (1e-9, 5e-10):
-            cfg = IntegratorConfig(horizon=20.0, rel_tol=rtol, event_time_tol=1e-9)
+            cfg = IntegratorConfig(horizon=20.0, rel_tol=rtol)
             traj = run_closed_loop(homog.system, homog.certificate,
                                    EventTriggered(sigma=0.9), homog.default_x0, cfg)
             t1[rtol] = traj.events[1].time
@@ -337,7 +337,6 @@ class TestIntegratorConfig:
     def test_defaults_resolved(self):
         cfg = IntegratorConfig(horizon=50.0).resolved()
         assert cfg.max_step == pytest.approx(0.05)
-        assert cfg.event_time_tol == pytest.approx(5e-11)
 
     def test_validation(self):
         with pytest.raises(DomainError):

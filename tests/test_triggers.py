@@ -4,14 +4,10 @@ import pytest
 from clfetc import (ConfigurationError, DomainError, EventTriggered,
                     IntegratorConfig, PeriodicEventTriggered, SelfTriggered,
                     TimeTriggered, bound_sublevel_box, estimate_constants,
-                    event_guard, next_decision, predicate_p, run_closed_loop)
+                    event_guard, integrate_frozen, predicate_p,
+                    run_closed_loop)
 from clfetc.core import ClfCertificate, ControlSystem, RateFunction
-from clfetc.triggers import SegmentState, equilibrium_threshold
-
-
-def segment(cert, x, index=0, t=0.0, v0=None):
-    return SegmentState(index=index, t_n=t, x_n=np.asarray(x, dtype=float),
-                        u_n=cert.u(x), v0=v0 if v0 is not None else cert.v(x))
+from clfetc.triggers import equilibrium_threshold
 
 
 class TestEventGuard:
@@ -99,8 +95,11 @@ class TestPolicyValidation:
         assert pol.instant_after(0) == 0.5
         assert pol.instant_after(2) == 4.0
         assert pol.instant_after(3) is None
+        assert pol.next_instant(1, 0.5, np.zeros(1)) == 1.5
+        assert pol.next_instant(3, 4.0, np.zeros(1)) is None
         per = TimeTriggered(period=0.25)
         assert per.instant_after(3) == pytest.approx(1.0)
+        assert per.next_instant(3, 0.75, np.zeros(1)) == per.instant_after(3)
 
     def test_periodic_parameters(self):
         with pytest.raises(DomainError):
@@ -112,33 +111,39 @@ class TestPolicyValidation:
 
 
 class TestNextDecision:
-    def test_event_policy_fires_on_guard_sign(self, relay):
+    def test_event_policy_fires_on_guard_sign(self, relay, homog):
+        # the event policy has no clock: it fires where the guard along the
+        # frozen control stops being negative
         cert, sysm = relay.certificate, relay.system
         pol = EventTriggered(sigma=0.9)
-        seg = segment(cert, [1.0])
-        hold = next_decision(pol, cert, sysm, seg, 0.5, np.array([0.5]))
-        assert not hold.fire and hold.reason == "hold"
-        fire = next_decision(pol, cert, sysm, seg, 1.2, np.array([-0.2]))
-        assert fire.fire and fire.reason == "guard_zero"
-        assert fire.guard_value >= 0.0
+        assert not hasattr(pol, "next_instant")
+        u_n = cert.u(np.array([1.0]))
+        assert event_guard(cert, sysm, np.array([0.5]), u_n, pol.sigma) < 0.0
+        assert event_guard(cert, sysm, np.array([-0.2]), u_n, pol.sigma) >= 0.0
+        traj = run_closed_loop(homog.system, homog.certificate, pol,
+                               homog.default_x0, IntegratorConfig(horizon=10.0))
+        assert traj.events[1].reason == "guard_zero"
 
-    def test_self_policy_clock(self, relay):
-        cert, sysm = relay.certificate, relay.system
-        pol = SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.3)
-        seg = segment(cert, [1.0])
-        assert not next_decision(pol, cert, sysm, seg, 0.29, np.array([0.71])).fire
-        dec = next_decision(pol, cert, sysm, seg, 0.3, np.array([0.7]))
-        assert dec.fire and dec.reason == "clock"
+    def test_self_policy_clock(self):
+        pol = SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.3 * abs(x[0]))
+        assert pol.next_instant(0, 0.0, np.array([1.0])) == pytest.approx(0.3)
+        # the dwell is chosen at the state of the last update
+        assert pol.next_instant(4, 0.5, np.array([2.0])) == pytest.approx(1.1)
         with pytest.raises(ConfigurationError):
-            next_decision(SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.0),
-                          cert, sysm, seg, 0.1, np.array([0.9]))
+            SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.0).next_instant(
+                0, 0.0, np.array([0.9]))
 
     def test_equilibrium_frozen(self, relay):
-        cert, sysm = relay.certificate, relay.system
-        pol = EventTriggered(sigma=0.9)
-        seg = segment(cert, [1e-13], v0=1.0)
-        dec = next_decision(pol, cert, sysm, seg, 0.1, np.array([1e-13]))
-        assert not dec.fire and dec.reason == "equilibrium_frozen"
+        # x(t) = 1 - t reaches the origin at the second clock instant; the
+        # control freezes there and nothing fires afterwards
+        cert = relay.certificate
+        pol = SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.5)
+        traj = run_closed_loop(relay.system, cert, pol, [1.0],
+                               IntegratorConfig(horizon=3.0))
+        assert [e.time for e in traj.events] == [0.0, 0.5, 1.0]
+        assert traj.events[2].reason == "equilibrium_frozen"
+        assert traj.termination == "equilibrium"
+        np.testing.assert_array_equal(traj.events[2].control, cert.u(np.zeros(1)))
 
     def test_periodic_checks_only_on_grid(self, acc):
         cert, sysm = acc.certificate, acc.system
@@ -147,16 +152,17 @@ class TestNextDecision:
         pol = PeriodicEventTriggered(sigma=0.9, sigma_tilde=0.95, k_big=2.0,
                                      h=0.01, big_m=consts.big_m)
         x0 = np.array([1.0, 2.0, -1.0])
-        seg = segment(cert, x0)
-        off = next_decision(pol, cert, sysm, seg, 0.0137, x0)
-        assert not off.fire and off.reason == "hold"
+        # checks land on integer multiples of h, never at an off-grid time
+        assert pol.next_instant(0, 0.0, x0) == 0.01
+        assert pol.next_instant(1, 0.0137, x0) == 2 * 0.01
+        assert pol.next_instant(99, 0.99, x0) == 100 * 0.01
         # a fresh sample satisfies the predicate, so the very next check
         # cannot fire: simulate one h-step and evaluate there
         cfg = IntegratorConfig(horizon=1.0)
-        from clfetc.engine import integrate_frozen
-        segm = integrate_frozen(sysm, x0, seg.u_n, (0.0, 0.01), cfg)
-        dec = next_decision(pol, cert, sysm, seg, 0.01, segm.ys[-1])
-        assert not dec.fire and dec.reason == "hold"
+        u_n = cert.u(x0)
+        segm = integrate_frozen(sysm, x0, u_n, (0.0, 0.01), cfg)
+        assert predicate_p(cert, sysm, pol.big_m, segm.ys[-1], u_n,
+                           pol.sigma_tilde, pol.k_big)
 
 
 class TestRunLevelInvariants:
@@ -194,3 +200,20 @@ class TestRunLevelInvariants:
         traj = run_closed_loop(relay.system, relay.certificate, pol, [1.0], cfg)
         times = [e.time for e in traj.events]
         np.testing.assert_allclose(times, [0.0, 0.3, 0.6, 0.9], atol=1e-12)
+        assert [e.reason for e in traj.events[1:]] == ["clock"] * 3
+
+    def test_self_triggered_zero_dwell_rejected(self, relay):
+        pol = SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.0)
+        with pytest.raises(ConfigurationError):
+            run_closed_loop(relay.system, relay.certificate, pol, [1.0],
+                            IntegratorConfig(horizon=1.0))
+
+    def test_time_triggered_list_exhausted(self, relay):
+        # after the last listed instant the loop runs to the horizon frozen
+        pol = TimeTriggered(instants=(0.2, 0.5))
+        traj = run_closed_loop(relay.system, relay.certificate, pol, [1.0],
+                               IntegratorConfig(horizon=1.0))
+        assert [e.time for e in traj.events] == [0.0, 0.2, 0.5]
+        assert [e.reason for e in traj.events[1:]] == ["clock", "clock"]
+        assert traj.termination == "horizon"
+        assert traj.t[-1] == 1.0
