@@ -10,8 +10,7 @@ from .certificates import (CertificateConstants, EstimateReport, SublevelRegion,
                            estimate_constants, estimate_kappa, estimate_nu,
                            estimate_rho, sample_in_region)
 from .dwell import (DwellEstimate, DwellInputs, admissible_period, c_bound,
-                    tau_bar, tau_breve, tau_hat, tau_min_over_sublevel,
-                    tau_select, tau_tilde, tau0_select)
+                    tau_min_over_sublevel, tau_select, tau0_select)
 from .engine import (IntegratorConfig, Trajectory, check_rate_certificate,
                      integrate_frozen, locate_event, run_closed_loop,
                      run_stats, write_trajectory_csv)

@@ -43,6 +43,11 @@ DEFAULT_SAFETY = 1.25
 # estimates; the ratio is 0/0 at the equilibrium even for healthy systems
 EQUILIBRIUM_LEVEL_FRACTION = 1e-12
 RHO_GRID = 10_000
+BOX_MAX_DOUBLINGS = 200  # per axis ray, starting from radius 1
+BOX_CHECK_POINTS = 512   # sampled points per widening and boundary check
+BOX_INFLATE = 0.05       # relative widening of the final box
+SAMPLE_MAX_BATCHES = 64
+DIVERGENCE_GROWTH = 100.0  # ratio growth toward the origin that counts as divergence
 
 
 @dataclass(frozen=True)
@@ -72,9 +77,6 @@ class SublevelRegion:
     @property
     def box_scale(self) -> float:
         return float(np.max(self.hi - self.lo))
-
-    def contains_box(self, x) -> bool:
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,12 @@ def compute_mu(kappa: float, nu: float) -> float:
 # region construction and sampling
 
 
-def bound_sublevel_box(cert: ClfCertificate, anchor, *, initial_radius: float = 1.0,
-                       growth: float = 2.0, max_doublings: int = 200,
-                       n_check: int = 512, seed: int = 0,
-                       inflate: float = 0.05) -> SublevelRegion:
+def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> SublevelRegion:
     """Build an axis-aligned box containing ``{x : V(x) <= V(anchor)}``.
 
-    Per-axis rays from the origin are expanded geometrically until V exceeds
-    the level and then bisected; the box is widened to cover any sampled
-    sublevel point it misses and finally inflated by ``inflate``.
+    Per-axis rays from the origin are doubled until V exceeds the level and
+    then bisected; the box is widened to cover any sampled sublevel point it
+    misses and finally inflated by ``BOX_INFLATE``.
     """
     anchor = np.asarray(anchor, dtype=float)
     level = cert.v(anchor)
@@ -172,18 +171,18 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, initial_radius: float = 
         for sign, store in ((1.0, hi), (-1.0, lo)):
             e = np.zeros(d)
             e[i] = sign
-            r = initial_radius
+            r = 1.0
             # make sure the inner end of the bracket is inside the set
             for _ in range(200):
                 if cert.v(r * e) <= level:
                     break
-                r /= growth
+                r /= 2.0
                 if r < 1e-14:
                     break
             r_in = r
             r_out = None
-            for _ in range(max_doublings):
-                r *= growth
+            for _ in range(BOX_MAX_DOUBLINGS):
+                r *= 2.0
                 if cert.v(r * e) > level:
                     r_out = r
                     break
@@ -191,7 +190,7 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, initial_radius: float = 
             if r_out is None:
                 raise PropernessError(
                     f"V did not exceed level {level} along axis {i} "
-                    f"(direction {sign:+.0f}) within {max_doublings} doublings")
+                    f"(direction {sign:+.0f}) within {BOX_MAX_DOUBLINGS} doublings")
             for _ in range(80):
                 mid = 0.5 * (r_in + r_out)
                 if cert.v(mid * e) <= level:
@@ -206,7 +205,7 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, initial_radius: float = 
     for _ in range(3):
         span_lo = 1.5 * lo
         span_hi = 1.5 * hi
-        pts = span_lo + sob.random(n_check) * (span_hi - span_lo)
+        pts = span_lo + sob.random(BOX_CHECK_POINTS) * (span_hi - span_lo)
         grew = False
         for p in pts:
             if cert.v(p) <= level:
@@ -219,9 +218,9 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, initial_radius: float = 
         if not grew:
             break
     center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * (1.0 + inflate)
+    half = 0.5 * (hi - lo) * (1.0 + BOX_INFLATE)
     region = SublevelRegion(anchor=anchor, level=level, lo=center - half, hi=center + half)
-    _check_boundary(cert, region, n_check, seed)
+    _check_boundary(cert, region, BOX_CHECK_POINTS, seed)
     return region
 
 
@@ -241,7 +240,7 @@ def _check_boundary(cert: ClfCertificate, region: SublevelRegion, n: int, seed: 
 
 
 def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
-                     seed: int = 0, max_batches: int = 64) -> np.ndarray:
+                     seed: int = 0) -> np.ndarray:
     """First ``n`` points of a scrambled Sobol stream over the box that fall
     inside the sublevel set.  Prefix-stable: a larger ``n`` with the same
     seed extends the smaller sample."""
@@ -252,7 +251,7 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
     accepted = []
     span = region.hi - region.lo
     batch = 1 << max(6, (max(n, 2) - 1).bit_length())  # power of 2 keeps Sobol balanced
-    for _ in range(max_batches):
+    for _ in range(SAMPLE_MAX_BATCHES):
         pts = region.lo + sob.random(batch) * span
         for p in pts:
             if cert.v(p) <= region.level:
@@ -260,7 +259,7 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
                 if len(accepted) == n:
                     return np.array(accepted)
     raise DomainError(
-        f"could not draw {n} sublevel samples in {max_batches} batches; "
+        f"could not draw {n} sublevel samples in {SAMPLE_MAX_BATCHES} batches; "
         "the sublevel set occupies too little of its bounding box")
 
 
@@ -335,13 +334,12 @@ def estimate_nu(cert: ClfCertificate, region: SublevelRegion, n: int,
 
 
 def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelRegion,
-                   n: int, seed: int = 0, safety: float = DEFAULT_SAFETY,
-                   divergence_growth: float = 100.0) -> EstimateReport:
+                   n: int, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
     """Bound on ``(|V'||Fbar| + |Fbar|^2) / |V' Fbar|`` over the region, with
     ``Fbar(x) = F(x, U(x))`` the closed-loop field.
 
     Beyond the sampled maximum, the ratio is probed along rays shrinking
-    toward the origin; monotone growth by more than ``divergence_growth``
+    toward the origin; monotone growth by more than ``DIVERGENCE_GROWTH``
     (or any non-finite sample) marks the pair as non-degenerate-violating,
     reported via ``diverging`` rather than raised.
     """
@@ -393,7 +391,7 @@ def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
         diverging = True
     elif len(finite) == len(per_scale) and len(finite) >= 2:
         increasing = all(b >= a for a, b in zip(finite, finite[1:]))
-        if increasing and finite[-1] > divergence_growth * finite[0]:
+        if increasing and finite[-1] > DIVERGENCE_GROWTH * finite[0]:
             diverging = True
     if finite:
         best = max(best, max(finite))
@@ -404,7 +402,7 @@ def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
         seed=seed, diverging=diverging)
 
 
-def estimate_rho(cert: ClfCertificate, level: float, grid: int = RHO_GRID) -> float:
+def estimate_rho(cert: ClfCertificate, level: float) -> float:
     """Max over ``[0, level]`` of ``max(0, -gamma'(v))``: the penalty a
     decreasing stretch of the rate inflicts on the dwell time.
 
@@ -427,14 +425,14 @@ def estimate_rho(cert: ClfCertificate, level: float, grid: int = RHO_GRID) -> fl
     def neg_slope(v: float) -> float:
         return max(0.0, -float(rate.gamma_prime(v)))
 
-    vs = np.linspace(0.0, level, grid)
+    vs = np.linspace(0.0, level, RHO_GRID)
     vals = np.array([neg_slope(v) for v in vs])
     k = int(np.argmax(vals))
     best = float(vals[k])
     # golden-section refinement around the grid arg max; the running max can
     # only grow, so a non-unimodal bracket cannot corrupt the estimate
     a = vs[max(0, k - 1)]
-    b = vs[min(grid - 1, k + 1)]
+    b = vs[min(RHO_GRID - 1, k + 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)

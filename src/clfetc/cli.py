@@ -93,6 +93,8 @@ _SCHEMA = {
             "properties": {
                 "n_samples": {"type": "integer", "minimum": 2},
                 "safety_factor": {"type": "number", "minimum": 1},
+                # accepted but unused: the dwell infimum is attained at the
+                # region's own level, so no anchors are sampled
                 "n_anchors": {"type": "integer", "minimum": 1},
                 "n_clf_samples": {"type": "integer", "minimum": 1},
                 "global_constants_declared": {"type": "boolean"},
@@ -160,7 +162,6 @@ class ExperimentConfig:
         est = dict(self.data.get("estimation", {}))
         est.setdefault("n_samples", 192)
         est.setdefault("safety_factor", 1.25)
-        est.setdefault("n_anchors", 256)
         est.setdefault("n_clf_samples", 2000)
         est.setdefault("global_constants_declared", False)
         return est
@@ -276,15 +277,19 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
             tau = float(spec["tau"])
             info["tau"] = tau
             return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
-        region, constants = _estimation_bundle(cfg, model, x0)
+        _, constants = _estimation_bundle(cfg, model, x0)
         cert = model.certificate
-        gamma_mode = ("nondecreasing" if cert.rate.monotone_nondecreasing else "c1")
+        if cert.rate.monotone_nondecreasing:
+            # rho is 0 at every level, so every update gets the same dwell
+            tau = dwellmod.tau_select(DwellInputs(constants=constants,
+                                                  sigma=sigma)).value
+            info["tau_at_x0"] = tau
+            return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
 
         def tau_fn(x):
-            rho = constants.rho if gamma_mode == "nondecreasing" else \
-                estimate_rho(cert, cert.v(x))
+            rho = estimate_rho(cert, cert.v(x))
             inp = DwellInputs(constants=replace(constants, rho=rho), sigma=sigma,
-                              gamma_mode=gamma_mode)
+                              gamma_mode="c1")
             return dwellmod.tau_select(inp).value
 
         info["tau_at_x0"] = tau_fn(x0)
@@ -298,8 +303,7 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
             return TimeTriggered(period=float(spec["period"])), info
         region, constants = _estimation_bundle(cfg, model, x0)
         rep = tau_min_over_sublevel(
-            model.system, model.certificate, region, sigma,
-            n_anchors=cfg.estimation["n_anchors"], seed=cfg.seed,
+            model.system, model.certificate, region, sigma, seed=cfg.seed,
             constants=constants)
         info["period"] = rep.value
         info["derived_from"] = "tau_min"
@@ -315,8 +319,7 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
         h = float(spec["h"])
     else:
         rep = tau_min_over_sublevel(
-            model.system, model.certificate, region, sigma,
-            n_anchors=cfg.estimation["n_anchors"], seed=cfg.seed,
+            model.system, model.certificate, region, sigma, seed=cfg.seed,
             which="tau0", sigma_tilde=sigma_tilde, k_big=k_big,
             constants=constants)
         h = admissible_period(rep.value)
@@ -485,12 +488,11 @@ def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
         return 1
 
     rep_tau = tau_min_over_sublevel(
-        model.system, model.certificate, region, sigma,
-        n_anchors=est["n_anchors"], seed=cfg.seed, constants=constants)
+        model.system, model.certificate, region, sigma, seed=cfg.seed,
+        constants=constants)
     rep_tau0 = tau_min_over_sublevel(
-        model.system, model.certificate, region, sigma,
-        n_anchors=est["n_anchors"], seed=cfg.seed, which="tau0",
-        sigma_tilde=sigma_tilde, k_big=k_big, constants=constants)
+        model.system, model.certificate, region, sigma, seed=cfg.seed,
+        which="tau0", sigma_tilde=sigma_tilde, k_big=k_big, constants=constants)
     h = admissible_period(rep_tau0.value)
     report["tau_min"] = rep_tau.to_json_dict()
     report["tau0_min"] = rep_tau0.to_json_dict()

@@ -1,24 +1,25 @@
-"""Dwell-time calculus: every closed-form lower bound on the time between
-control updates, plus the sampled infimum of those bounds over a sublevel set
-and the admissible checking period for periodic event-triggered control.
+"""Dwell-time calculus: the closed-form lower bound on the time between
+control updates, its infimum over a sublevel set, and the admissible
+checking period for periodic event-triggered control.
 
-All bounds are built from the constants of :mod:`clfetc.certificates` and a
-retention fraction ``sigma``.  Two families exist: the same-anchor bounds
-(``tau_tilde``/``tau_hat``/``tau_select``) used by event-, self- and
-time-triggered schemes, and the perturbed-anchor bounds
-(``tau_bar``/``tau_breve``/``tau0_select``) used by the periodic scheme,
-which additionally depend on a stricter margin ``sigma_tilde`` and a ratio
-cap ``k_big``.
+The bound is built from the constants of :mod:`clfetc.certificates` and a
+retention fraction ``sigma``.  It has two readings: the same-anchor bound
+(``tau_select``) used by event-, self- and time-triggered schemes, and the
+perturbed-anchor bound (``tau0_select``) used by the periodic scheme, which
+additionally depends on a stricter margin ``sigma_tilde`` and a ratio cap
+``k_big``.  The first is the second with ``sigma_tilde = 1`` and
+``k_big = 1``, so one function computes both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .certificates import (CertificateConstants, SublevelRegion, estimate_constants,
-                           estimate_rho, bound_sublevel_box, sample_in_region)
+from .certificates import CertificateConstants, SublevelRegion, estimate_constants
+# imported for the benchmark tracer, which patches them on this module
+from .certificates import bound_sublevel_box, estimate_rho, sample_in_region  # noqa: F401
 from .core import ClfCertificate, ControlSystem
 from .errors import ConfigurationError, DomainError
 
@@ -27,17 +28,14 @@ __all__ = [
     "DwellEstimate",
     "TauMinReport",
     "c_bound",
-    "tau_tilde",
-    "tau_hat",
     "tau_select",
-    "tau_bar",
-    "tau_breve",
     "tau0_select",
     "tau_min_over_sublevel",
     "admissible_period",
 ]
 
 GAMMA_MODES = ("nondecreasing", "c1")
+TAU_SAFETY = 1.1  # divides the dwell infimum
 
 
 @dataclass(frozen=True)
@@ -99,111 +97,53 @@ def c_bound(kappa: float, t: float) -> float:
     return math.sqrt(math.expm1(z) / (2.0 * kappa + 1.0))
 
 
-def _tau_tilde_parts(sigma: float, mu: float, big_m: float, kappa: float):
-    cap = 1.0 / (1.0 + 2.0 * kappa)
-    mm = mu * big_m
-    rate_term = math.inf if mm == 0.0 else (1.0 - sigma) ** 2 / (mm * mm)
-    if rate_term <= cap:
-        return rate_term, "rate"
-    return cap, "cap"
+def _dwell(inp: DwellInputs, sigma_tilde: float, k_big: float) -> DwellEstimate:
+    """The one dwell formula
+    ``min((st-s)^2/(K^2 mu^2 M^2 st^2), 1/(1+2 kappa))``.
 
-
-def tau_tilde(inp: DwellInputs) -> DwellEstimate:
-    """Same-anchor bound ``min((1-sigma)^2/(mu M)^2, 1/(1+2 kappa))``."""
-    c = inp.constants
-    value, branch = _tau_tilde_parts(inp.sigma, c.mu, c.big_m, c.kappa)
-    return DwellEstimate(value=value, formula_branch=branch, inputs_echo=inp)
-
-
-def tau_hat(inp: DwellInputs) -> DwellEstimate:
-    """Same-anchor bound for differentiable, possibly non-monotone rates.
-
-    Evaluates ``tau_tilde`` at ``sigma0 = (1+sigma)/2`` and caps it by the
-    rate-derivative term ``(sigma0-sigma)/(sigma (2-sigma0) rho)``.
+    With ``st = 1`` and ``K = 1`` it is the same-anchor bound (tau-tilde);
+    with the scheduler's ``sigma_tilde`` and ``k_big`` it is the
+    perturbed-anchor bound (tau-bar).  For a ``c1`` rate, ``s`` moves to the
+    midpoint ``s1 = (st+s)/2`` and the value is capped by the
+    rate-derivative term ``(s1-s)/(s (2 st - s1) rho)``, which gives tau-hat
+    and tau-breve respectively.
     """
-    if inp.gamma_mode != "c1":
-        raise ConfigurationError(
-            "tau_hat applies to the C1 branch; use tau_select for dispatch")
     c = inp.constants
-    sigma0 = 0.5 * (1.0 + inp.sigma)
-    value, branch = _tau_tilde_parts(sigma0, c.mu, c.big_m, c.kappa)
-    if c.rho > 0.0:
-        rho_term = (sigma0 - inp.sigma) / (inp.sigma * (2.0 - sigma0) * c.rho)
+    c1 = inp.gamma_mode == "c1"
+    s = 0.5 * (sigma_tilde + inp.sigma) if c1 else inp.sigma
+    cap = 1.0 / (1.0 + 2.0 * c.kappa)
+    mm = k_big * c.mu * c.big_m * sigma_tilde
+    rate_term = math.inf if mm == 0.0 else (sigma_tilde - s) ** 2 / (mm * mm)
+    value, branch = (rate_term, "rate") if rate_term <= cap else (cap, "cap")
+    if c1 and c.rho > 0.0:
+        rho_term = (s - inp.sigma) / (inp.sigma * (2.0 * sigma_tilde - s) * c.rho)
         if rho_term < value:
             value, branch = rho_term, "rho"
     return DwellEstimate(value=value, formula_branch=branch, inputs_echo=inp)
 
 
 def tau_select(inp: DwellInputs) -> DwellEstimate:
-    """Dispatch on the rate's shape: monotone rates use ``tau_tilde``,
-    differentiable non-monotone ones use ``tau_hat``."""
-    if inp.gamma_mode == "nondecreasing":
-        return tau_tilde(inp)
-    return tau_hat(inp)
-
-
-def _require_periodic_fields(inp: DwellInputs):
-    if inp.sigma_tilde is None or inp.k_big is None:
-        raise ConfigurationError(
-            "periodic dwell bounds need sigma_tilde in (sigma, 1) and k_big > 1")
-
-
-def _tau_bar_parts(sigma: float, sigma_tilde: float, k_big: float,
-                   mu: float, big_m: float, kappa: float):
-    cap = 1.0 / (1.0 + 2.0 * kappa)
-    mm = k_big * mu * big_m * sigma_tilde
-    rate_term = math.inf if mm == 0.0 else (sigma_tilde - sigma) ** 2 / (mm * mm)
-    if rate_term <= cap:
-        return rate_term, "rate"
-    return cap, "cap"
-
-
-def tau_bar(inp: DwellInputs) -> DwellEstimate:
-    """Perturbed-anchor bound
-    ``min((st-s)^2/(K^2 mu^2 M^2 st^2), 1/(1+2 kappa))``."""
-    _require_periodic_fields(inp)
-    c = inp.constants
-    value, branch = _tau_bar_parts(inp.sigma, inp.sigma_tilde, inp.k_big,
-                                   c.mu, c.big_m, c.kappa)
-    return DwellEstimate(value=value, formula_branch=branch, inputs_echo=inp)
-
-
-def tau_breve(inp: DwellInputs) -> DwellEstimate:
-    """Perturbed-anchor bound for the C1 branch: ``tau_bar`` at
-    ``sigma1 = (sigma_tilde+sigma)/2`` capped by the rate-derivative term
-    ``(sigma1-sigma)/(sigma (2 sigma_tilde - sigma1) rho)``."""
-    if inp.gamma_mode != "c1":
-        raise ConfigurationError(
-            "tau_breve applies to the C1 branch; use tau0_select for dispatch")
-    _require_periodic_fields(inp)
-    c = inp.constants
-    sigma1 = 0.5 * (inp.sigma_tilde + inp.sigma)
-    value, branch = _tau_bar_parts(sigma1, inp.sigma_tilde, inp.k_big,
-                                   c.mu, c.big_m, c.kappa)
-    if c.rho > 0.0:
-        rho_term = (sigma1 - inp.sigma) / (
-            inp.sigma * (2.0 * inp.sigma_tilde - sigma1) * c.rho)
-        if rho_term < value:
-            value, branch = rho_term, "rho"
-    return DwellEstimate(value=value, formula_branch=branch, inputs_echo=inp)
+    """Same-anchor bound: tau-tilde for a non-decreasing rate, tau-hat for a
+    differentiable non-monotone one."""
+    return _dwell(inp, 1.0, 1.0)
 
 
 def tau0_select(inp: DwellInputs) -> DwellEstimate:
-    """Perturbed-anchor dispatch: monotone rates use ``tau_bar``,
-    differentiable non-monotone ones use ``tau_breve``."""
-    if inp.gamma_mode == "nondecreasing":
-        return tau_bar(inp)
-    return tau_breve(inp)
+    """Perturbed-anchor bound: tau-bar for a non-decreasing rate, tau-breve
+    for a differentiable non-monotone one.  Needs ``sigma_tilde`` and
+    ``k_big``."""
+    if inp.sigma_tilde is None or inp.k_big is None:
+        raise ConfigurationError(
+            "periodic dwell bounds need sigma_tilde in (sigma, 1) and k_big > 1")
+    return _dwell(inp, inp.sigma_tilde, inp.k_big)
 
 
 @dataclass(frozen=True)
 class TauMinReport:
-    """Sampled infimum of a dwell bound over a sublevel set."""
+    """Estimated infimum of a dwell bound over a sublevel set."""
 
     value: float
     which: str  # 'tau' or 'tau0'
-    n_anchors: int
-    per_anchor: bool
     tau_safety: float
     argmin_anchor: tuple
     constants: CertificateConstants
@@ -212,8 +152,6 @@ class TauMinReport:
         return {
             "value": self.value,
             "which": self.which,
-            "n_anchors": self.n_anchors,
-            "per_anchor": self.per_anchor,
             "tau_safety": self.tau_safety,
             "argmin_anchor": list(self.argmin_anchor),
             "constants": self.constants.to_json_dict(),
@@ -222,58 +160,33 @@ class TauMinReport:
 
 def tau_min_over_sublevel(sys: ControlSystem, cert: ClfCertificate,
                           region: SublevelRegion, sigma: float, *,
-                          n_anchors: int = 256, seed: int = 0,
-                          which: str = "tau",
+                          seed: int = 0, which: str = "tau",
                           sigma_tilde: Optional[float] = None,
                           k_big: Optional[float] = None,
                           constants: Optional[CertificateConstants] = None,
-                          per_anchor: bool = False,
-                          n_estimate: int = 192,
-                          sample_safety: float = 1.25,
-                          tau_safety: float = 1.1) -> TauMinReport:
-    """Sampled estimate of ``inf`` of the dwell bound over the sublevel set.
+                          n_estimate: int = 192) -> TauMinReport:
+    """Estimate of ``inf`` of the dwell bound over the sublevel set, divided
+    by ``TAU_SAFETY``.
 
-    The infimum over the (uncountable) set is approximated by the minimum
-    over ``n_anchors`` sampled anchors, divided by ``tau_safety``.  By
-    default one set of constants estimated over the whole region serves
-    every anchor; that is conservative, since suprema over an anchor's own
-    (smaller) sublevel set can only be smaller.  ``per_anchor=True`` instead
-    estimates constants on each anchor's own region.
+    The constants are suprema over the whole region, so they serve every
+    anchor in it.  The one anchor-dependent input, ``rho``, is a supremum of
+    ``-gamma'`` over ``[0, V(anchor)]`` and can only grow with the level, and
+    the bound only shrinks as ``rho`` grows.  The infimum is therefore the
+    bound at the region's own level: the bound at ``constants``, which must
+    be estimated on ``region`` (they are when left unset).
     """
     if which not in ("tau", "tau0"):
         raise DomainError("which must be 'tau' or 'tau0'")
     if constants is None:
         constants, _ = estimate_constants(sys, cert, region, n=n_estimate,
-                                          seed=seed, safety=sample_safety)
+                                          seed=seed)
     gamma_mode = "nondecreasing" if cert.rate.monotone_nondecreasing else "c1"
-    anchors = [region.anchor]
-    if n_anchors > 1 and not region.degenerate:
-        anchors.extend(sample_in_region(cert, region, n_anchors - 1, seed=seed))
-
-    best = math.inf
-    best_anchor = anchors[0]
-    for anchor in anchors:
-        if per_anchor and not region.degenerate:
-            sub = bound_sublevel_box(cert, anchor, seed=seed)
-            consts_a, _ = estimate_constants(sys, cert, sub, n=n_estimate,
-                                             seed=seed, safety=sample_safety)
-        else:
-            level_a = cert.v(anchor)
-            rho_a = constants.rho if gamma_mode == "nondecreasing" else \
-                estimate_rho(cert, level_a)
-            consts_a = replace(constants, rho=rho_a)
-        inp = DwellInputs(constants=consts_a, sigma=sigma,
-                          sigma_tilde=sigma_tilde, k_big=k_big,
-                          gamma_mode=gamma_mode)
-        est = tau_select(inp) if which == "tau" else tau0_select(inp)
-        if est.value < best:
-            best = est.value
-            best_anchor = anchor
-
-    return TauMinReport(value=best / tau_safety, which=which,
-                        n_anchors=len(anchors), per_anchor=per_anchor,
-                        tau_safety=tau_safety,
-                        argmin_anchor=tuple(float(c) for c in best_anchor),
+    inp = DwellInputs(constants=constants, sigma=sigma, sigma_tilde=sigma_tilde,
+                      k_big=k_big, gamma_mode=gamma_mode)
+    est = tau_select(inp) if which == "tau" else tau0_select(inp)
+    return TauMinReport(value=est.value / TAU_SAFETY, which=which,
+                        tau_safety=TAU_SAFETY,
+                        argmin_anchor=tuple(float(c) for c in region.anchor),
                         constants=constants)
 
 

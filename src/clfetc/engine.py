@@ -37,6 +37,7 @@ __all__ = [
 BLOWUP_NORM = 1e12
 ZENO_CONSECUTIVE = 10
 GUARD_PROBES = 8  # interior guard evaluations per accepted step
+BISECT_MAX_ITER = 200  # far more than floating-point resolution needs
 
 # Dormand-Prince 5(4) tableau; the 7th stage is evaluated at the 5th-order
 # solution (FSAL), so each step costs six fresh evaluations.
@@ -259,8 +260,7 @@ def integrate_frozen(sys: ControlSystem, x0, u, t_span,
 
 
 def locate_event(guard: Callable[[float], float], a: float, b: float,
-                 ga: Optional[float] = None, gb: Optional[float] = None,
-                 max_iter: int = 200) -> float:
+                 ga: Optional[float] = None, gb: Optional[float] = None) -> float:
     """Earliest zero of a scalar guard on [a, b] by bisection.
 
     Requires ``guard(a) < 0 <= guard(b)``; converges to floating-point time
@@ -271,7 +271,7 @@ def locate_event(guard: Callable[[float], float], a: float, b: float,
     if not (ga < 0.0 <= gb):
         raise DomainError(f"bracket does not straddle the event surface: "
                           f"g({a})={ga}, g({b})={gb}")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -365,19 +365,21 @@ class _Recorder:
 # the closed-loop driver
 
 
-def _guarded_until(sys, cert, x, u, t, t_end, sigma, cfg, rec):
-    """Integrate the frozen loop while the guard stays negative.
+def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
+    """Integrate the frozen loop from ``x``, with checked field value ``fx``,
+    while the guard stays negative.
 
     Fills grid rows along the way (strictly before the event time when a
     crossing is found).  Returns ``(t_root, x_event, g_at_fire)`` at an
     event, or the state at ``t_end`` when there is none.
     """
     f = _frozen(sys, u)
-    y_cur = np.asarray(x, dtype=float)
-    f_cur = sys.f(y_cur, u)  # the segment's state and control, checked once
-    g_start = frozen_guard(cert, f, y_cur, sigma)
+    g_start = frozen_guard(cert, x, fx, sigma)
     if g_start >= 0.0:
-        return t, y_cur, g_start
+        return t, x, g_start
+
+    def guard_at(y):
+        return frozen_guard(cert, y, f(y), sigma)
 
     thetas = [(j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES)]
     state = {"g": g_start, "halved": 0}
@@ -385,8 +387,8 @@ def _guarded_until(sys, cert, x, u, t, t_end, sigma, cfg, rec):
     def monitor(piece: _Hermite):
         gs = [state["g"]]
         for th in thetas:
-            gs.append(frozen_guard(cert, f, piece(piece.t0 + th * piece.h), sigma))
-        gs.append(frozen_guard(cert, f, piece.y1, sigma))
+            gs.append(guard_at(piece(piece.t0 + th * piece.h)))
+        gs.append(frozen_guard(cert, piece.y1, piece.f1, sigma))
         crossings = sum(1 for a, b in zip(gs, gs[1:])
                         if (a < 0.0 <= b) or (b < 0.0 <= a))
         if crossings == 0:
@@ -402,11 +404,11 @@ def _guarded_until(sys, cert, x, u, t, t_end, sigma, cfg, rec):
             return piece
         j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
         grid_t = [piece.t0] + [piece.t0 + th * piece.h for th in thetas] + [piece.t1]
-        t_root = locate_event(lambda tt: frozen_guard(cert, f, piece(tt), sigma),
+        t_root = locate_event(lambda tt: guard_at(piece(tt)),
                               grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
         return piece, t_root
 
-    t_cur = t
+    t_cur, y_cur, f_cur = t, x, fx
     first_h = None
     while True:
         out = _advance(f, t_cur, y_cur, f_cur, t_end, cfg, monitor, first_h)
@@ -421,18 +423,17 @@ def _guarded_until(sys, cert, x, u, t, t_end, sigma, cfg, rec):
     # integration from the previous mesh point replaces the interpolant
     sub = integrate_frozen(sys, piece.y0, u, (piece.t0, t_root), cfg)
     x_event = sub.ys[-1]
-    return t_root, x_event, frozen_guard(cert, f, x_event, sigma)
+    return t_root, x_event, frozen_guard(cert, x_event, sub.fs[-1], sigma)
 
 
-def _plain_until(sys, x, u, t, t_end, cfg, rec):
-    """Integrate the frozen loop to an exact target time, recording rows;
-    returns the state there."""
+def _plain_until(sys, x, fx, u, t, t_end, cfg, rec):
+    """Integrate the frozen loop from ``x``, with checked field value ``fx``,
+    to an exact target time, recording rows; returns the state there."""
     def on_step(piece: _Hermite):
         rec.fill_grid(piece.t1, piece, u, inclusive=True)
         return None
 
-    x = np.asarray(x, dtype=float)
-    return _advance(_frozen(sys, u), t, x, sys.f(x, u), t_end, cfg, on_step)
+    return _advance(_frozen(sys, u), t, x, fx, t_end, cfg, on_step)
 
 
 def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPolicy,
@@ -451,7 +452,8 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     cfg = config.resolved()
     sigma = policy_sigma(policy, cert)
     x0 = np.asarray(x0, dtype=float)
-    sys.f(x0, cert.u(x0))  # dimension check up front
+    u = cert.u(x0)
+    fx = sys.f(x0, u)  # dimension check up front
     horizon = cfg.horizon
     grid = np.linspace(0.0, horizon, cfg.output_points)
     rec = _Recorder(cert, sys, grid)
@@ -476,8 +478,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         push_event(0.0, x, u, 0.0, "equilibrium_frozen")
         rec.fill_grid_const(horizon, x, u)
         return rec.finalize(events, "equilibrium", sigma, meta or {})
-    u = cert.u(x)
-    push_event(0.0, x, u, frozen_guard(cert, _frozen(sys, u), x, sigma), "init")
+    push_event(0.0, x, u, frozen_guard(cert, x, fx, sigma), "init")
 
     guarded = isinstance(policy, EventTriggered)
     periodic = isinstance(policy, PeriodicEventTriggered)
@@ -489,9 +490,12 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         if len(events) >= cfg.max_events:
             termination = "event_cap"
             break
+        if fx is None:
+            fx = sys.f(x, u)  # the segment's state and control, checked once
         try:
             if guarded:
-                res = _guarded_until(sys, cert, x, u, t, horizon, sigma, cfg, rec)
+                res = _guarded_until(sys, cert, x, fx, u, t, horizon, sigma,
+                                     cfg, rec)
                 if isinstance(res, np.ndarray):
                     t, x = horizon, res
                     continue
@@ -499,17 +503,18 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
             else:
                 t_next = policy.next_instant(k, t, x)
                 if t_next is None or t_next > horizon * (1.0 + 1e-12):
-                    x = _plain_until(sys, x, u, t, horizon, cfg, rec)
+                    x = _plain_until(sys, x, fx, u, t, horizon, cfg, rec)
                     t = horizon
                     continue
                 k += 1
                 t_next = min(t_next, horizon)
-                x = _plain_until(sys, x, u, t, t_next, cfg, rec)
+                x = _plain_until(sys, x, fx, u, t, t_next, cfg, rec)
                 t = t_next
-                if periodic and predicate_p(cert, sys, policy.big_m, x, u,
+                fx = sys.f(x, u)  # one evaluation serves the check and what follows
+                if periodic and predicate_p(cert, policy.big_m, x, fx,
                                             policy.sigma_tilde, policy.k_big):
                     continue  # the predicate holds: the control stays frozen
-                g_fire = frozen_guard(cert, _frozen(sys, u), x, sigma)
+                g_fire = frozen_guard(cert, x, fx, sigma)
         except BlowupError as exc:
             rec.add_row(exc.t, exc.state, u, 0)
             t, x = exc.t, exc.state
@@ -525,6 +530,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
             termination = "equilibrium"
             break
         u = cert.u(x)
+        fx = None
         push_event(t, x, u, g_fire, reason)
         if zeno_run >= ZENO_CONSECUTIVE:
             termination = "zeno_abort"

@@ -133,10 +133,6 @@ def acc_backstepping(k: float = 1.01, tau_lag: Union[float, Callable] = 0.3,
                  extras={
                      "case1_x0": x0.copy(),
                      "case2_x0": np.array([0.0, -2.0, -4.0 * kk]),
-                     "state_from_physical": lambda d, v, a: acc_state_from_physical(
-                         d, v, a, kk, v0, d0),
-                     "physical_from_state": lambda x: acc_physical_from_state(
-                         x, kk, v0, d0),
                  })
 
 
@@ -218,9 +214,7 @@ def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0,
     return Model(name="zeno-polar", system=system, certificate=cert,
                  params={"r_star": r_star, "phi_star": phi_star, "sigma": sigma},
                  default_x0=x0,
-                 expected_assumption_status="violates_nondegeneracy",
-                 extras={"first_event_bound": zeno_first_event_bound,
-                         "r_star": r_star})
+                 expected_assumption_status="violates_nondegeneracy")
 
 
 # ---------------------------------------------------------------------------

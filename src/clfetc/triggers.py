@@ -139,38 +139,38 @@ class PeriodicEventTriggered:
 TriggerPolicy = Union[EventTriggered, SelfTriggered, TimeTriggered, PeriodicEventTriggered]
 
 
-def frozen_guard(cert: ClfCertificate, f: Callable[[np.ndarray], np.ndarray],
-                 x: np.ndarray, sigma: float) -> float:
-    """Signed margin ``g = W(x, u) + sigma*gamma(V(x))`` along the frozen
-    field ``f(y) = F(y, u)``.
+def frozen_guard(cert: ClfCertificate, x: np.ndarray, fx: np.ndarray,
+                 sigma: float) -> float:
+    """Signed margin ``g = W(x, u) + sigma*gamma(V(x))``, given the field
+    value ``fx = F(x, u)`` under the frozen control.
 
     Negative means the retained-decrease condition holds strictly; the event
     surface is ``g = 0``.  Nothing is validated here: the engine checks the
-    state once per segment and calls this at every guard probe.
+    state once per segment and calls this at every guard probe, passing
+    the field values its stepper already has where it can.
     """
-    return float(cert.grad(x) @ f(x)) + sigma * cert.rate(cert.v(x))
+    return float(cert.grad(x) @ fx) + sigma * cert.rate(cert.v(x))
 
 
 def event_guard(cert: ClfCertificate, sys: ControlSystem, x, u_frozen,
                 sigma: Optional[float] = None) -> float:
     """:func:`frozen_guard` with the state and control dimensions checked."""
     s = cert.sigma if sigma is None else sigma
-    return frozen_guard(cert, lambda y: sys.f(y, u_frozen),
-                        np.asarray(x, dtype=float), s)
+    x = np.asarray(x, dtype=float)
+    return frozen_guard(cert, x, sys.f(x, u_frozen), s)
 
 
-def predicate_p(cert: ClfCertificate, sys: ControlSystem, big_m: float, x, u,
+def predicate_p(cert: ClfCertificate, big_m: float, x, fx,
                 sigma_tilde: float, k_big: float) -> bool:
-    """Periodic-check predicate: keep the current control iff the decrease
-    still has margin ``sigma_tilde`` and the speed-to-decrease ratio stays
-    within ``k_big`` times the regional bound.
+    """Periodic-check predicate at state ``x`` with field value
+    ``fx = F(x, u)`` under the current control: keep the control iff the
+    decrease still has margin ``sigma_tilde`` and the speed-to-decrease
+    ratio stays within ``k_big`` times the regional bound.
 
     ``W = 0`` away from the origin makes the ratio infinite: the predicate
     is false, not an error.
     """
-    x = np.asarray(x, dtype=float)
     g = cert.grad(x)
-    fx = sys.f(x, u)
     w = float(g @ fx)
     if not w < -sigma_tilde * cert.rate(cert.v(x)):
         return False

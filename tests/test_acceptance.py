@@ -117,10 +117,10 @@ def property_runs():
             region = bound_sublevel_box(cert, x0, seed=seed)
             constants, _ = estimate_constants(sysm, cert, region, n=128, seed=seed)
             tau_min = tau_min_over_sublevel(
-                sysm, cert, region, SIGMA, n_anchors=64, seed=seed,
+                sysm, cert, region, SIGMA, seed=seed,
                 constants=constants).value
             tau0_min = tau_min_over_sublevel(
-                sysm, cert, region, SIGMA, n_anchors=64, seed=seed, which="tau0",
+                sysm, cert, region, SIGMA, seed=seed, which="tau0",
                 sigma_tilde=SIGMA_TILDE, k_big=K_BIG, constants=constants).value
             tau_anchor = tau_select(DwellInputs(
                 constants=constants, sigma=SIGMA,
@@ -223,7 +223,7 @@ def test_accept_05_guard_holds_below_dwell_bounds(factory, spread):
             x_bar = x_star * (1.0 - 0.05 * rng.random()) + \
                 0.01 * np.linalg.norm(x_star) * rng.standard_normal(x_star.size)
             if cert.v(x_bar) <= cert.v(x_star) and predicate_p(
-                    cert, sysm, constants.big_m, x_bar, u_star,
+                    cert, constants.big_m, x_bar, sysm.f(x_bar, u_star),
                     SIGMA_TILDE, K_BIG):
                 break
         else:

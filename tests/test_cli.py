@@ -211,8 +211,7 @@ class TestDwellCommand:
         consts, _ = estimate_constants(homog.system, homog.certificate, region,
                                        n=96, seed=0)
         vals = [tau_min_over_sublevel(homog.system, homog.certificate, region,
-                                      s, n_anchors=8, seed=0,
-                                      constants=consts).value
+                                      s, seed=0, constants=consts).value
                 for s in (0.5, 0.7, 0.9, 0.99)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -223,8 +222,7 @@ class TestDwellCommand:
                                        n=96, seed=0)
         vals = [tau_min_over_sublevel(homog.system, homog.certificate, region,
                                       0.9, which="tau0", sigma_tilde=0.95,
-                                      k_big=k, n_anchors=8, seed=0,
-                                      constants=consts).value
+                                      k_big=k, seed=0, constants=consts).value
                 for k in (1.5, 5.0, 50.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 

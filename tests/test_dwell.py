@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 from clfetc import (CertificateConstants, ConfigurationError, DomainError,
                     DwellInputs, NonDegeneracyError, admissible_period,
                     bound_sublevel_box, c_bound, estimate_constants,
-                    tau_bar, tau_breve, tau_hat, tau_min_over_sublevel,
-                    tau_select, tau_tilde, tau0_select)
-from clfetc.dwell import DwellEstimate
+                    sample_in_region, tau_min_over_sublevel, tau_select,
+                    tau0_select)
+from clfetc.certificates import estimate_rho
+from clfetc.core import RateFunction
+from clfetc.dwell import DwellEstimate, _dwell
 
 
 def consts(kappa=0.0, nu=0.0, big_m=1.0, rho=0.0):
@@ -69,18 +73,18 @@ class TestCBound:
 
 class TestTauTilde:
     def test_formula_value(self):
-        est = tau_tilde(inputs(sigma=0.9, mu=1.0, big_m=1.0, kappa=0.0))
+        est = tau_select(inputs(sigma=0.9, mu=1.0, big_m=1.0, kappa=0.0))
         assert est.value == pytest.approx(0.01, rel=1e-12)
         assert est.formula_branch == "rate"
 
     def test_vanishes_as_sigma_tends_to_one(self):
-        vals = [tau_tilde(inputs(sigma=s, mu=1.0, big_m=1.0)).value
+        vals = [tau_select(inputs(sigma=s, mu=1.0, big_m=1.0)).value
                 for s in (0.9, 0.99, 0.999)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] == pytest.approx(1e-6, rel=1e-9)
 
     def test_mu_zero_returns_cap(self):
-        est = tau_tilde(inputs(sigma=0.9, mu=None, big_m=1.0, kappa=0.0))
+        est = tau_select(inputs(sigma=0.9, mu=None, big_m=1.0, kappa=0.0))
         assert est.value == 1.0
         assert est.formula_branch == "cap"
 
@@ -97,82 +101,83 @@ class TestTauTilde:
            st.floats(min_value=0, max_value=10))
     def test_positive_and_capped(self, sigma, mu, big_m, kappa):
         mu = max(mu, math.sqrt(math.e) * kappa)  # feasibility floor
-        est = tau_tilde(inputs(sigma=sigma, mu=mu, big_m=big_m, kappa=kappa))
+        est = tau_select(inputs(sigma=sigma, mu=mu, big_m=big_m, kappa=kappa))
         assert est.value > 0
         assert est.value <= 1.0 / (1.0 + 2.0 * kappa) + 1e-15
 
     def test_monotone_in_each_argument(self):
-        # formula-level check: the API couples mu to kappa/nu, so growing
-        # kappa alone is only expressible on the raw min-parts
-        from clfetc.dwell import _tau_tilde_parts
-        ref = _tau_tilde_parts(0.5, 2.0, 2.0, 1.0)[0]
+        # formula-level check: CertificateConstants couples mu to kappa/nu,
+        # so growing kappa alone is only expressible on a stand-in record
+        def bound(sigma, mu, big_m, kappa):
+            cc = SimpleNamespace(kappa=kappa, mu=mu, big_m=big_m, rho=0.0)
+            return _dwell(DwellInputs(constants=cc, sigma=sigma), 1.0, 1.0).value
+        ref = bound(0.5, 2.0, 2.0, 1.0)
         for sigma, mu, big_m, kappa in ((0.8, 2.0, 2.0, 1.0), (0.5, 4.0, 2.0, 1.0),
                                         (0.5, 2.0, 3.0, 1.0), (0.5, 2.0, 2.0, 2.0)):
-            assert _tau_tilde_parts(sigma, mu, big_m, kappa)[0] <= ref + 1e-15
+            assert bound(sigma, mu, big_m, kappa) <= ref + 1e-15
 
 
 class TestTauHat:
     def test_rho_zero_reduces_to_sigma0_variant(self):
-        est = tau_hat(inputs(sigma=0.9, mu=1.0, big_m=1.0, rho=0.0, gamma_mode="c1"))
+        est = tau_select(inputs(sigma=0.9, mu=1.0, big_m=1.0, rho=0.0, gamma_mode="c1"))
         sigma0 = 0.95
         assert est.value == pytest.approx((1 - sigma0) ** 2, rel=1e-12)
 
     def test_first_worked_example(self):
         # sigma=0.5 -> sigma0=0.75; rate term 0.0625 beats the rho term 0.4
-        est = tau_hat(inputs(sigma=0.5, mu=1.0, big_m=1.0, rho=1.0, gamma_mode="c1"))
+        est = tau_select(inputs(sigma=0.5, mu=1.0, big_m=1.0, rho=1.0, gamma_mode="c1"))
         assert est.value == pytest.approx(0.0625, rel=1e-12)
         rho_term = (0.75 - 0.5) / (0.5 * (2 - 0.75) * 1.0)
         assert rho_term == pytest.approx(0.4)
 
     def test_second_worked_example(self):
-        est = tau_hat(inputs(sigma=0.9, mu=1.0, big_m=1.0, rho=10.0, gamma_mode="c1"))
+        est = tau_select(inputs(sigma=0.9, mu=1.0, big_m=1.0, rho=10.0, gamma_mode="c1"))
         rho_term = (0.95 - 0.9) / (0.9 * (2 - 0.95) * 10.0)
         assert rho_term == pytest.approx(0.005291, abs=1e-6)
         assert est.value == pytest.approx(0.0025, rel=1e-12)
 
     def test_rho_branch_taken(self):
-        est = tau_hat(inputs(sigma=0.5, mu=0.1, big_m=0.1, rho=100.0, gamma_mode="c1"))
+        est = tau_select(inputs(sigma=0.5, mu=0.1, big_m=0.1, rho=100.0, gamma_mode="c1"))
         assert est.formula_branch == "rho"
-
-    def test_rejects_monotone_mode(self):
-        with pytest.raises(ConfigurationError):
-            tau_hat(inputs(sigma=0.5, gamma_mode="nondecreasing"))
 
 
 class TestTauSelect:
     def test_dispatch(self):
+        # a monotone rate takes the rate term at sigma, a C1 rate at
+        # sigma0 = (1+sigma)/2, here 0.75 (its rho term 0.8 does not bind)
         mono = inputs(sigma=0.5, mu=1.0, big_m=1.0, gamma_mode="nondecreasing")
-        assert tau_select(mono).value == tau_tilde(mono).value
+        assert tau_select(mono).value == pytest.approx(0.25, rel=1e-12)
         smooth = inputs(sigma=0.5, mu=1.0, big_m=1.0, rho=0.5, gamma_mode="c1")
-        assert tau_select(smooth).value == tau_hat(smooth).value
+        assert tau_select(smooth).value == pytest.approx(0.0625, rel=1e-12)
+        assert tau_select(smooth).formula_branch == "rate"
 
     def test_monotone_branch_never_smaller(self):
         # with rho >= 0 the C1 branch can only shrink the bound
         for sigma in (0.3, 0.5, 0.9):
             for mu in (0.5, 2.0):
                 for rho in (0.0, 0.5, 5.0):
-                    a = tau_tilde(inputs(sigma=sigma, mu=mu, big_m=1.0)).value
-                    b = tau_hat(inputs(sigma=sigma, mu=mu, big_m=1.0, rho=rho,
-                                       gamma_mode="c1")).value
+                    a = tau_select(inputs(sigma=sigma, mu=mu, big_m=1.0)).value
+                    b = tau_select(inputs(sigma=sigma, mu=mu, big_m=1.0, rho=rho,
+                                          gamma_mode="c1")).value
                     assert a >= b - 1e-15
 
 
 class TestTauBarBreve:
     def test_bar_worked_example(self):
-        est = tau_bar(inputs(sigma=0.8, mu=1.0, big_m=1.0, kappa=0.0,
-                             sigma_tilde=0.9, k_big=2.0))
+        est = tau0_select(inputs(sigma=0.8, mu=1.0, big_m=1.0, kappa=0.0,
+                                 sigma_tilde=0.9, k_big=2.0))
         assert est.value == pytest.approx(0.01 / (4 * 0.81), rel=1e-12)
         assert est.value == pytest.approx(0.003086, abs=1e-6)
 
     def test_bar_vanishes_with_large_k(self):
-        vals = [tau_bar(inputs(sigma=0.8, mu=1.0, big_m=1.0,
-                               sigma_tilde=0.9, k_big=k)).value
+        vals = [tau0_select(inputs(sigma=0.8, mu=1.0, big_m=1.0,
+                                   sigma_tilde=0.9, k_big=k)).value
                 for k in (2.0, 20.0, 200.0)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_bar_vanishes_as_margins_close(self):
-        vals = [tau_bar(inputs(sigma=0.8, mu=1.0, big_m=1.0,
-                               sigma_tilde=s, k_big=2.0)).value
+        vals = [tau0_select(inputs(sigma=0.8, mu=1.0, big_m=1.0,
+                                   sigma_tilde=s, k_big=2.0)).value
                 for s in (0.9, 0.82, 0.801)]
         assert vals[0] > vals[1] > vals[2]
 
@@ -182,29 +187,33 @@ class TestTauBarBreve:
         with pytest.raises(DomainError):
             inputs(sigma=0.8, sigma_tilde=0.9, k_big=1.0)
         with pytest.raises(ConfigurationError):
-            tau_bar(inputs(sigma=0.8))
+            tau0_select(inputs(sigma=0.8))
 
     def test_breve_worked_example(self):
-        est = tau_breve(inputs(sigma=0.8, mu=1.0, big_m=1.0, rho=1.0,
-                               sigma_tilde=0.9, k_big=2.0, gamma_mode="c1"))
+        est = tau0_select(inputs(sigma=0.8, mu=1.0, big_m=1.0, rho=1.0,
+                                 sigma_tilde=0.9, k_big=2.0, gamma_mode="c1"))
         assert est.value == pytest.approx(0.0025 / (4 * 0.81), rel=1e-12)
         assert est.value == pytest.approx(7.716e-4, abs=1e-7)
         rho_term = (0.85 - 0.8) / (0.8 * (2 * 0.9 - 0.85) * 1.0)
         assert rho_term == pytest.approx(0.0658, abs=1e-4)
 
     def test_breve_rho_zero(self):
-        est = tau_breve(inputs(sigma=0.8, mu=1.0, big_m=1.0, rho=0.0,
-                               sigma_tilde=0.9, k_big=2.0, gamma_mode="c1"))
-        bar_at_sigma1 = tau_bar(inputs(sigma=0.85, mu=1.0, big_m=1.0,
-                                       sigma_tilde=0.9, k_big=2.0))
+        est = tau0_select(inputs(sigma=0.8, mu=1.0, big_m=1.0, rho=0.0,
+                                 sigma_tilde=0.9, k_big=2.0, gamma_mode="c1"))
+        bar_at_sigma1 = tau0_select(inputs(sigma=0.85, mu=1.0, big_m=1.0,
+                                           sigma_tilde=0.9, k_big=2.0))
         assert est.value == pytest.approx(bar_at_sigma1.value, rel=1e-12)
 
     def test_tau0_dispatch(self):
+        # a monotone rate takes the rate term at sigma, a C1 rate at
+        # sigma1 = (sigma_tilde+sigma)/2, here 0.85 (its rho term does not bind)
         mono = inputs(sigma=0.8, mu=1.0, big_m=1.0, sigma_tilde=0.9, k_big=2.0)
-        assert tau0_select(mono).value == tau_bar(mono).value
+        assert tau0_select(mono).value == pytest.approx(0.01 / (4 * 0.81), rel=1e-12)
         smooth = inputs(sigma=0.8, mu=1.0, big_m=1.0, rho=1.0,
                         sigma_tilde=0.9, k_big=2.0, gamma_mode="c1")
-        assert tau0_select(smooth).value == tau_breve(smooth).value
+        assert tau0_select(smooth).value == pytest.approx(0.0025 / (4 * 0.81),
+                                                          rel=1e-12)
+        assert tau0_select(smooth).formula_branch == "rate"
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.1, max_value=0.8),
@@ -216,7 +225,7 @@ class TestTauBarBreve:
         mu = max(mu, math.sqrt(math.e) * kappa)  # feasibility floor
         inp = inputs(sigma=sigma, mu=mu, big_m=1.0, kappa=kappa,
                      sigma_tilde=min(sigma + gap, 0.999), k_big=k_big)
-        assert tau_bar(inp).value <= 1.0 / (1.0 + 2.0 * kappa) + 1e-15
+        assert tau0_select(inp).value <= 1.0 / (1.0 + 2.0 * kappa) + 1e-15
 
 
 class TestDwellEstimate:
@@ -234,7 +243,7 @@ class TestTauMinOverSublevel:
         constants, _ = estimate_constants(acc.system, acc.certificate, region,
                                           n=128, seed=0)
         rep = tau_min_over_sublevel(acc.system, acc.certificate, region, 0.9,
-                                    n_anchors=64, seed=0, constants=constants)
+                                    seed=0, constants=constants)
         direct = tau_select(DwellInputs(constants=constants, sigma=0.9,
                                         gamma_mode="nondecreasing"))
         assert rep.value == pytest.approx(direct.value / 1.1, rel=1e-12)
@@ -244,15 +253,41 @@ class TestTauMinOverSublevel:
         for scale in (1.0, 0.6, 0.3):
             region = bound_sublevel_box(homog.certificate, scale * homog.default_x0)
             rep = tau_min_over_sublevel(homog.system, homog.certificate, region,
-                                        0.9, n_anchors=32, seed=0, n_estimate=96)
+                                        0.9, seed=0, n_estimate=96)
             vals.append(rep.value)
         assert vals[0] <= vals[1] <= vals[2]
+
+    def test_c1_infimum_attained_at_region_level(self, homog):
+        # rho grows with the level, so the minimum over sampled anchors of
+        # the bound at each anchor's own rho (the reference route below) is
+        # the bound at the region's level
+        cert = replace(homog.certificate, rate=RateFunction.custom(
+            lambda v: 2.0 + math.sin(v), gamma_prime=math.cos))
+        periodic = {"sigma_tilde": 0.95, "k_big": 2.0}
+        for scale in (6.0, 7.0, 8.0):
+            region = bound_sublevel_box(cert, scale * homog.default_x0)
+            constants, _ = estimate_constants(homog.system, cert, region,
+                                              n=96, seed=0)
+            if scale == 6.0:
+                assert region.level == pytest.approx(3.06, rel=1e-12)
+                assert constants.rho == pytest.approx(0.9967, abs=1e-4)
+            anchors = [region.anchor, *sample_in_region(cert, region, 64, seed=0)]
+            for which, select, kw in (("tau", tau_select, {}),
+                                      ("tau0", tau0_select, periodic)):
+                reference = min(select(DwellInputs(
+                    constants=replace(constants, rho=estimate_rho(cert, cert.v(a))),
+                    sigma=0.9, gamma_mode="c1", **kw)).value for a in anchors)
+                rep = tau_min_over_sublevel(homog.system, cert, region, 0.9,
+                                            seed=0, which=which,
+                                            constants=constants, **kw)
+                assert rep.value == reference / 1.1
+                assert rep.argmin_anchor == tuple(region.anchor)
 
     def test_relay_nondegeneracy_propagates(self, relay):
         region = bound_sublevel_box(relay.certificate, np.array([1.0]))
         with pytest.raises(NonDegeneracyError):
             tau_min_over_sublevel(relay.system, relay.certificate, region, 0.9,
-                                  n_anchors=16, seed=0)
+                                  seed=0)
 
     def test_admissible_period_strictly_inside(self):
         assert 0.0 < admissible_period(1e-3) < 1e-3

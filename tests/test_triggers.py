@@ -42,13 +42,14 @@ class TestPredicateP:
         consts, _ = estimate_constants(sysm, cert, region, n=96, seed=0)
         for x in ([1.0, 2.0, -1.0], [3.0, 0.5, 0.1]):
             x = np.array(x)
-            assert predicate_p(cert, sysm, consts.big_m, x, cert.u(x),
+            assert predicate_p(cert, consts.big_m, x, sysm.f(x, cert.u(x)),
                                sigma_tilde=0.95, k_big=2.0)
 
     def test_false_when_decrease_lost(self, relay):
         # pushing away from the origin violates the first conjunct
         cert, sysm = relay.certificate, relay.system
-        assert not predicate_p(cert, sysm, 1.0, np.array([1.0]), np.array([1.0]),
+        x = np.array([1.0])
+        assert not predicate_p(cert, 1.0, x, sysm.f(x, np.array([1.0])),
                                sigma_tilde=0.95, k_big=2.0)
 
     def test_ratio_boundary_inclusive(self):
@@ -60,10 +61,9 @@ class TestPredicateP:
                               rate=RateFunction.linear(0.1),
                               feedback=lambda x: -np.asarray(x, dtype=float))
         x = np.array([1.0, 0.0])
-        assert predicate_p(cert, sysm, 1.0, x, cert.u(x),
-                           sigma_tilde=0.95, k_big=2.0)
-        assert not predicate_p(cert, sysm, 1.0, x, cert.u(x),
-                               sigma_tilde=0.95, k_big=1.999)
+        fx = sysm.f(x, cert.u(x))
+        assert predicate_p(cert, 1.0, x, fx, sigma_tilde=0.95, k_big=2.0)
+        assert not predicate_p(cert, 1.0, x, fx, sigma_tilde=0.95, k_big=1.999)
 
     def test_zero_derivative_is_false(self):
         sysm = ControlSystem(1, 1, rhs=lambda x, u: np.zeros(1))
@@ -71,7 +71,8 @@ class TestPredicateP:
                               gradient=lambda x: 2.0 * np.asarray(x),
                               rate=RateFunction.linear(1.0),
                               feedback=lambda x: np.zeros(1))
-        assert not predicate_p(cert, sysm, 1.0, np.array([1.0]), np.zeros(1),
+        x = np.array([1.0])
+        assert not predicate_p(cert, 1.0, x, sysm.f(x, np.zeros(1)),
                                sigma_tilde=0.95, k_big=2.0)
 
 
@@ -161,7 +162,8 @@ class TestNextDecision:
         cfg = IntegratorConfig(horizon=1.0)
         u_n = cert.u(x0)
         segm = integrate_frozen(sysm, x0, u_n, (0.0, 0.01), cfg)
-        assert predicate_p(cert, sysm, pol.big_m, segm.ys[-1], u_n,
+        x1 = segm.ys[-1]
+        assert predicate_p(cert, pol.big_m, x1, sysm.f(x1, u_n),
                            pol.sigma_tilde, pol.k_big)
 
 
@@ -181,7 +183,8 @@ class TestRunLevelInvariants:
                 continue
             g = event_guard(cert, sysm, e.state, e.control, sigma=0.9)
             assert g < 0.0
-            assert predicate_p(cert, sysm, consts.big_m, e.state, e.control,
+            assert predicate_p(cert, consts.big_m, e.state,
+                               sysm.f(e.state, e.control),
                                sigma_tilde=0.95, k_big=2.0)
 
     def test_relay_event_schedule(self, relay):
