@@ -91,17 +91,6 @@ class EstimateReport:
     seed: int
     diverging: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "value": self.value,
-            "n_samples": self.n_samples,
-            "safety_factor": self.safety_factor,
-            "argmax_point": list(self.argmax_point) if self.argmax_point is not None else None,
-            "seed": self.seed,
-            "diverging": self.diverging,
-        }
-
 
 @dataclass(frozen=True)
 class CertificateConstants:
@@ -133,10 +122,6 @@ class CertificateConstants:
                        provenance: str = "sampled") -> "CertificateConstants":
         return CertificateConstants(kappa=kappa, nu=nu, big_m=big_m, rho=rho,
                                     mu=compute_mu(kappa, nu), provenance=provenance)
-
-    def to_json_dict(self) -> dict:
-        return {"kappa": self.kappa, "nu": self.nu, "big_m": self.big_m,
-                "rho": self.rho, "mu": self.mu, "provenance": self.provenance}
 
 
 def compute_mu(kappa: float, nu: float) -> float:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
 import sys as _sys
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -24,9 +24,10 @@ from jsonschema import Draft202012Validator
 
 from . import dwell as dwellmod
 from . import svgplot
-from .certificates import (bound_sublevel_box, compute_mu, estimate_big_m,
-                           estimate_constants, estimate_kappa, estimate_nu,
-                           estimate_rho, sample_in_region)
+from .certificates import (bound_sublevel_box, estimate_constants, estimate_rho,
+                           sample_in_region)
+# kept for the tracer: the benchmark patches these names on this module
+from .certificates import estimate_big_m, estimate_kappa, estimate_nu  # noqa: F401
 from .core import verify_clf_pointwise
 from .dwell import DwellInputs, admissible_period, tau_min_over_sublevel
 from .engine import (IntegratorConfig, check_rate_certificate, run_closed_loop,
@@ -191,6 +192,8 @@ def _jsonable(obj):
         return f if math.isfinite(f) else repr(f)
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 
@@ -219,6 +222,20 @@ def build_model_from_config(cfg: ExperimentConfig):
     return build_model(cfg.model_name, params)
 
 
+def _model_and_x0(cfg: ExperimentConfig):
+    """The config's model and its initial state (the model's default when
+    the config names none)."""
+    model = build_model_from_config(cfg)
+    return model, np.asarray(cfg.data.get("x0", model.default_x0), dtype=float)
+
+
+def _periodic_params(cfg: ExperimentConfig, sigma: float):
+    """``(sigma_tilde, K)`` of the periodic check, with their defaults."""
+    spec = cfg.policy_spec
+    return (float(spec.get("sigma_tilde", 0.5 * (1.0 + sigma))),
+            float(spec.get("K", 2.0)))
+
+
 def _region(cfg: ExperimentConfig, model, x0):
     """The sublevel box through ``x0``, or through a state on the config's
     ``region_level`` when it names one."""
@@ -229,14 +246,15 @@ def _region(cfg: ExperimentConfig, model, x0):
 
 def _estimation_bundle(cfg: ExperimentConfig, model, x0,
                        allow_degenerate: bool = False):
-    """Region + constants used by derived policies and the dwell report."""
+    """Region, constants and the per-constant ``EstimateReport``s: the one
+    estimate that derived policies and the verify and dwell reports read."""
     est = cfg.estimation
     region = _region(cfg, model, x0)
-    constants, _ = estimate_constants(
+    constants, reports = estimate_constants(
         model.system, model.certificate, region,
         n=est["n_samples"], seed=cfg.seed, safety=est["safety_factor"],
         allow_degenerate=allow_degenerate)
-    return region, constants
+    return region, constants, reports
 
 
 def _state_at_level(model, level: float) -> np.ndarray:
@@ -277,7 +295,7 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
             tau = float(spec["tau"])
             info["tau"] = tau
             return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
-        _, constants = _estimation_bundle(cfg, model, x0)
+        _, constants, _ = _estimation_bundle(cfg, model, x0)
         cert = model.certificate
         if cert.rate.monotone_nondecreasing:
             # rho is 0 at every level, so every update gets the same dwell
@@ -288,8 +306,8 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
 
         def tau_fn(x):
             rho = estimate_rho(cert, cert.v(x))
-            inp = DwellInputs(constants=replace(constants, rho=rho), sigma=sigma,
-                              gamma_mode="c1")
+            inp = DwellInputs(constants=dataclasses.replace(constants, rho=rho),
+                              sigma=sigma, gamma_mode="c1")
             return dwellmod.tau_select(inp).value
 
         info["tau_at_x0"] = tau_fn(x0)
@@ -301,27 +319,23 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
         if "period" in spec:
             info["period"] = float(spec["period"])
             return TimeTriggered(period=float(spec["period"])), info
-        region, constants = _estimation_bundle(cfg, model, x0)
-        rep = tau_min_over_sublevel(
-            model.system, model.certificate, region, sigma, seed=cfg.seed,
-            constants=constants)
+        region, constants, _ = _estimation_bundle(cfg, model, x0)
+        rep = tau_min_over_sublevel(model.certificate, region, constants, sigma)
         info["period"] = rep.value
         info["derived_from"] = "tau_min"
         return TimeTriggered(period=rep.value), info
 
     # periodic-event
-    sigma_tilde = float(spec.get("sigma_tilde", 0.5 * (1.0 + sigma)))
-    k_big = float(spec.get("K", 2.0))
+    sigma_tilde, k_big = _periodic_params(cfg, sigma)
     info.update({"sigma_tilde": sigma_tilde, "K": k_big})
-    region, constants = _estimation_bundle(cfg, model, x0)
+    region, constants, _ = _estimation_bundle(cfg, model, x0)
     info["big_m"] = constants.big_m
     if "h" in spec:
         h = float(spec["h"])
     else:
         rep = tau_min_over_sublevel(
-            model.system, model.certificate, region, sigma, seed=cfg.seed,
-            which="tau0", sigma_tilde=sigma_tilde, k_big=k_big,
-            constants=constants)
+            model.certificate, region, constants, sigma, which="tau0",
+            sigma_tilde=sigma_tilde, k_big=k_big)
         h = admissible_period(rep.value)
         info["derived_from"] = "tau0_min"
     info["h"] = h
@@ -341,19 +355,23 @@ def integrator_from_config(cfg: ExperimentConfig) -> IntegratorConfig:
 
 
 def _simulate_once(cfg: ExperimentConfig):
-    model = build_model_from_config(cfg)
-    x0 = np.asarray(cfg.data.get("x0", model.default_x0), dtype=float)
+    model, x0 = _model_and_x0(cfg)
     policy, pol_info = resolve_policy(cfg, model, x0)
     icfg = integrator_from_config(cfg)
     traj = run_closed_loop(model.system, model.certificate, policy, x0, icfg,
                            meta={"model": model.name, "seed": cfg.seed,
                                  "policy": pol_info})
-    return model, traj, pol_info
+    return model, x0, traj, pol_info
+
+
+def _first_dwell(traj):
+    """The time from the initial update to the first fired one, or None."""
+    return traj.events[1].dwell if len(traj.events) > 1 else None
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    model, traj, pol_info = _simulate_once(cfg)
+    model, x0, traj, pol_info = _simulate_once(cfg)
     label = cfg.label
     csv_path = os.path.join(out_dir, f"{label}_trajectory.csv")
     write_trajectory_csv(traj, csv_path)
@@ -361,7 +379,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int
     stats = run_stats(traj)
     rate_ok, rate_excess = check_rate_certificate(traj, model.certificate)
     payload = {
-        "stats": stats.to_json_dict(),
+        "stats": stats,
         "termination": traj.termination,
         "rate_certificate_ok": bool(rate_ok),
         "rate_certificate_excess": rate_excess,
@@ -370,14 +388,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int
         "seed": cfg.seed,
         "model": model.name,
         "model_params": model.params,
-        "x0": list(np.asarray(cfg.data.get("x0", model.default_x0), dtype=float)),
+        "x0": x0,
         "events": [{"index": e.index, "time": e.time, "dwell": e.dwell,
                     "reason": e.reason, "guard_value": e.guard_value,
                     "control": list(e.control)} for e in traj.events[:1000]],
         "config": cfg.to_dict(),
     }
     if model.name == "zeno-polar":
-        first_dwell = traj.events[1].dwell if len(traj.events) > 1 else None
+        first_dwell = _first_dwell(traj)
         bound = zeno_first_event_bound(model.params["r_star"])
         payload["zeno_bound_comparison"] = {
             "first_dwell": first_dwell,
@@ -414,38 +432,23 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    model = build_model_from_config(cfg)
-    cert, sys_ = model.certificate, model.system
-    est = cfg.estimation
-    x0 = np.asarray(cfg.data.get("x0", model.default_x0), dtype=float)
+    model, x0 = _model_and_x0(cfg)
+    cert = model.certificate
     label = cfg.label
     report = {"model": model.name, "seed": cfg.seed, "expected_status":
               model.expected_assumption_status, "config": cfg.to_dict()}
     code = 0
     try:
-        region = _region(cfg, model, x0)
+        region, constants, reports = _estimation_bundle(
+            cfg, model, x0, allow_degenerate=True)
+        rep_m = reports["big_m"]
         report["region"] = {"level": region.level,
-                            "lo": list(region.lo), "hi": list(region.hi)}
-        rep_k = estimate_kappa(sys_, cert, region, est["n_samples"],
-                               seed=cfg.seed, safety=est["safety_factor"])
-        rep_n = estimate_nu(cert, region, est["n_samples"],
-                            seed=cfg.seed, safety=est["safety_factor"])
-        rep_m = estimate_big_m(sys_, cert, region, est["n_samples"],
-                               seed=cfg.seed, safety=est["safety_factor"])
-        rho = None
-        try:
-            rho = estimate_rho(cert, region.level)
-        except ConfigurationError as exc:
-            report["rho_error"] = str(exc)
-        report["estimates"] = {
-            "kappa": rep_k.to_json_dict(),
-            "nu": rep_n.to_json_dict(),
-            "big_m": rep_m.to_json_dict(),
-            "rho": rho,
-            "mu": compute_mu(rep_k.value, rep_n.value),
-        }
-        samples = sample_in_region(cert, region, est["n_clf_samples"], seed=cfg.seed)
-        clf = verify_clf_pointwise(cert, sys_, samples)
+                            "lo": region.lo, "hi": region.hi}
+        report["estimates"] = {**reports, "rho": constants.rho,
+                               "mu": constants.mu}
+        samples = sample_in_region(cert, region, cfg.estimation["n_clf_samples"],
+                                   seed=cfg.seed)
+        clf = verify_clf_pointwise(cert, model.system, samples)
         report["clf_check"] = {
             "n_samples": clf.n_samples,
             "n_skipped": clf.n_skipped,
@@ -466,41 +469,36 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    model = build_model_from_config(cfg)
+    model, x0 = _model_and_x0(cfg)
     est = cfg.estimation
-    x0 = np.asarray(cfg.data.get("x0", model.default_x0), dtype=float)
     sigma = _resolve_sigma(cfg)
-    spec = cfg.policy_spec
-    sigma_tilde = float(spec.get("sigma_tilde", 0.5 * (1.0 + sigma)))
-    k_big = float(spec.get("K", 2.0))
+    sigma_tilde, k_big = _periodic_params(cfg, sigma)
     label = cfg.label
     report = {"model": model.name, "seed": cfg.seed, "sigma": sigma,
               "sigma_tilde": sigma_tilde, "K": k_big, "config": cfg.to_dict(),
               "global_constants_declared": est["global_constants_declared"]}
 
     try:
-        region, constants = _estimation_bundle(cfg, model, x0,
-                                               allow_degenerate=force)
+        region, constants, _ = _estimation_bundle(cfg, model, x0,
+                                                  allow_degenerate=force)
     except (NonDegeneracyError, PropernessError) as exc:
         report["assumption_failure"] = str(exc)
         _write_json(os.path.join(out_dir, f"{label}_dwell.json"), report)
         print(f"{label}: assumption failure ({exc})")
         return 1
 
-    rep_tau = tau_min_over_sublevel(
-        model.system, model.certificate, region, sigma, seed=cfg.seed,
-        constants=constants)
+    rep_tau = tau_min_over_sublevel(model.certificate, region, constants, sigma)
     rep_tau0 = tau_min_over_sublevel(
-        model.system, model.certificate, region, sigma, seed=cfg.seed,
-        which="tau0", sigma_tilde=sigma_tilde, k_big=k_big, constants=constants)
+        model.certificate, region, constants, sigma, which="tau0",
+        sigma_tilde=sigma_tilde, k_big=k_big)
     h = admissible_period(rep_tau0.value)
-    report["tau_min"] = rep_tau.to_json_dict()
-    report["tau0_min"] = rep_tau0.to_json_dict()
+    report["tau_min"] = rep_tau
+    report["tau0_min"] = rep_tau0
     report["recommended_time_triggered_period"] = rep_tau.value
     report["recommended_periodic_check_period"] = h
     # user schedules are never blocked; the bound is sufficient, not
     # necessary, so a too-large period only earns a warning
-    user_period = spec.get("period")
+    user_period = cfg.policy_spec.get("period")
     if user_period is not None and user_period > rep_tau.value:
         report["period_warning"] = (
             f"configured period {user_period} exceeds the estimated "
@@ -556,12 +554,7 @@ def _sweep_row(index, axis, value, data) -> dict:
     row = {c: "" for c in _SWEEP_COLUMNS}
     row.update({"index": index, "axis": axis, "value": value})
     try:
-        cfg = ExperimentConfig(data)
-        model = build_model_from_config(cfg)
-        x0 = np.asarray(cfg.data.get("x0", model.default_x0), dtype=float)
-        policy, pol_info = resolve_policy(cfg, model, x0)
-        icfg = integrator_from_config(cfg)
-        traj = run_closed_loop(model.system, model.certificate, policy, x0, icfg)
+        model, _, traj, pol_info = _simulate_once(ExperimentConfig(data))
         stats = run_stats(traj)
         ok, _excess = check_rate_certificate(traj, model.certificate)
         row.update({
@@ -573,7 +566,7 @@ def _sweep_row(index, axis, value, data) -> dict:
             "max_dwell": stats.max_dwell,
             "max_dwell_post_first": stats.max_dwell_post_first,
             "mean_event_frequency": stats.mean_event_frequency,
-            "first_dwell": traj.events[1].dwell if len(traj.events) > 1 else "",
+            "first_dwell": _first_dwell(traj),
             "termination": traj.termination,
             "rate_certificate_ok": ok,
         })
@@ -596,6 +589,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             for i, v in enumerate(values)]
 
     def cell(v):
+        if v is None:
+            return ""
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, float):
@@ -621,7 +616,7 @@ def cmd_stats(csv_path: str, out_path=None) -> int:
         print("no events found in trajectory", file=_sys.stderr)
         return 1
     stats = stats_from_event_times(events)
-    text = json.dumps(_jsonable(stats.to_json_dict()), indent=2, sort_keys=True)
+    text = json.dumps(_jsonable(stats), indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")

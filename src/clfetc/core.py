@@ -75,11 +75,11 @@ class ControlSystem:
 class RateFunction:
     """Decrease rate ``gamma`` with ``gamma(v) > 0`` for ``v > 0``.
 
-    ``form`` tags the analytic family when one is known:
-    ``("linear", ae)`` for ``gamma(v) = ae*v`` and ``("power", ae, a)`` for
-    ``gamma(v) = ae*v**a``; ``None`` means a custom rate evaluated only
-    pointwise.  ``gamma_prime`` is optional and only needed for rates that
-    are not non-decreasing.
+    ``form`` tags the analytic family when one is known: ``("power", ae, a)``
+    for ``gamma(v) = ae*v**a``, of which the linear rate ``ae*v`` is the
+    case ``a = 1``; ``None`` means a custom rate evaluated only pointwise.
+    ``gamma_prime`` is optional and only needed for rates that are not
+    non-decreasing.
     """
 
     gamma: Callable[[float], float]
@@ -89,14 +89,8 @@ class RateFunction:
 
     @staticmethod
     def linear(ae: float) -> "RateFunction":
-        if ae <= 0:
-            raise DomainError("linear rate requires ae > 0")
-        return RateFunction(
-            gamma=lambda v, _a=ae: _a * v,
-            gamma_prime=lambda v, _a=ae: _a,
-            monotone_nondecreasing=True,
-            form=("linear", float(ae)),
-        )
+        """``gamma(v) = ae*v``: the power rate with exponent 1."""
+        return RateFunction.power(ae, 1.0)
 
     @staticmethod
     def power(ae: float, a: float) -> "RateFunction":
@@ -187,14 +181,11 @@ class EnergyTimeMap:
     def from_rate(rate: RateFunction, lower_limit=None, upper_limit=None) -> "EnergyTimeMap":
         lo, hi = -math.inf, math.inf
         if rate.form is not None:
-            if rate.form[0] == "linear":
-                lo, hi = -math.inf, math.inf
-            elif rate.form[0] == "power":
-                _, ae, a = rate.form
-                if a > 1.0:
-                    lo, hi = -math.inf, 1.0 / (ae * (a - 1.0))
-                elif a < 1.0:
-                    lo, hi = 1.0 / (ae * (a - 1.0)), math.inf
+            _, ae, a = rate.form
+            if a > 1.0:
+                lo, hi = -math.inf, 1.0 / (ae * (a - 1.0))
+            elif a < 1.0:
+                lo, hi = 1.0 / (ae * (a - 1.0)), math.inf
         if lower_limit is not None:
             lo = float(lower_limit)
         if upper_limit is not None:
@@ -207,13 +198,10 @@ class EnergyTimeMap:
             raise DomainError(f"energy-time map needs s > 0, got {s}")
         form = self.rate.form
         if form is not None:
-            if form[0] == "linear":
-                return math.log(s) / form[1]
-            if form[0] == "power":
-                _, ae, a = form
-                if a == 1.0:
-                    return math.log(s) / ae
-                return (1.0 - s ** (1.0 - a)) / (ae * (a - 1.0))
+            _, ae, a = form
+            if a == 1.0:
+                return math.log(s) / ae
+            return (1.0 - s ** (1.0 - a)) / (ae * (a - 1.0))
         if s == 1.0:
             return 0.0
         return _quad_chunked(lambda v: 1.0 / self.rate(v), s)
@@ -226,14 +214,11 @@ class EnergyTimeMap:
             return 0.0
         form = self.rate.form
         if form is not None:
-            if form[0] == "linear":
-                return math.exp(form[1] * r)
-            if form[0] == "power":
-                _, ae, a = form
-                if a == 1.0:
-                    return math.exp(ae * r)
-                base = 1.0 - ae * (a - 1.0) * r
-                return base ** (1.0 / (1.0 - a))
+            _, ae, a = form
+            if a == 1.0:
+                return math.exp(ae * r)
+            base = 1.0 - ae * (a - 1.0) * r
+            return base ** (1.0 / (1.0 - a))
         return self._inverse_by_bisection(r)
 
     def _inverse_by_bisection(self, r: float) -> float:

@@ -17,10 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .certificates import CertificateConstants, SublevelRegion, estimate_constants
-# imported for the benchmark tracer, which patches them on this module
-from .certificates import bound_sublevel_box, estimate_rho, sample_in_region  # noqa: F401
-from .core import ClfCertificate, ControlSystem
+from .certificates import CertificateConstants, SublevelRegion
+# kept for the tracer: the benchmark patches these names on this module
+from .certificates import (bound_sublevel_box, estimate_constants,  # noqa: F401
+                           estimate_rho, sample_in_region)
+from .core import ClfCertificate
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -148,23 +149,12 @@ class TauMinReport:
     argmin_anchor: tuple
     constants: CertificateConstants
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "which": self.which,
-            "tau_safety": self.tau_safety,
-            "argmin_anchor": list(self.argmin_anchor),
-            "constants": self.constants.to_json_dict(),
-        }
 
-
-def tau_min_over_sublevel(sys: ControlSystem, cert: ClfCertificate,
-                          region: SublevelRegion, sigma: float, *,
-                          seed: int = 0, which: str = "tau",
+def tau_min_over_sublevel(cert: ClfCertificate, region: SublevelRegion,
+                          constants: CertificateConstants, sigma: float, *,
+                          which: str = "tau",
                           sigma_tilde: Optional[float] = None,
-                          k_big: Optional[float] = None,
-                          constants: Optional[CertificateConstants] = None,
-                          n_estimate: int = 192) -> TauMinReport:
+                          k_big: Optional[float] = None) -> TauMinReport:
     """Estimate of ``inf`` of the dwell bound over the sublevel set, divided
     by ``TAU_SAFETY``.
 
@@ -173,13 +163,10 @@ def tau_min_over_sublevel(sys: ControlSystem, cert: ClfCertificate,
     ``-gamma'`` over ``[0, V(anchor)]`` and can only grow with the level, and
     the bound only shrinks as ``rho`` grows.  The infimum is therefore the
     bound at the region's own level: the bound at ``constants``, which must
-    be estimated on ``region`` (they are when left unset).
+    be estimated on ``region``.
     """
     if which not in ("tau", "tau0"):
         raise DomainError("which must be 'tau' or 'tau0'")
-    if constants is None:
-        constants, _ = estimate_constants(sys, cert, region, n=n_estimate,
-                                          seed=seed)
     gamma_mode = "nondecreasing" if cert.rate.monotone_nondecreasing else "c1"
     inp = DwellInputs(constants=constants, sigma=sigma, sigma_tilde=sigma_tilde,
                       k_big=k_big, gamma_mode=gamma_mode)

@@ -566,17 +566,6 @@ class RunStats:
     mean_event_frequency: Optional[float]
     termination: Optional[str] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_events": self.n_events,
-            "first_event_time": self.first_event_time,
-            "min_dwell": self.min_dwell,
-            "max_dwell": self.max_dwell,
-            "max_dwell_post_first": self.max_dwell_post_first,
-            "mean_event_frequency": self.mean_event_frequency,
-            "termination": self.termination,
-        }
-
 
 def stats_from_event_times(times, termination=None) -> RunStats:
     times = [float(t) for t in times]

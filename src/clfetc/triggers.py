@@ -90,18 +90,14 @@ class TimeTriggered:
                 raise DomainError("instants must be strictly increasing and positive")
             object.__setattr__(self, "instants", inst)
 
-    def instant_after(self, index: int) -> Optional[float]:
-        """The (index+1)-th update instant after t=0, or None when the
-        explicit list is exhausted."""
-        if self.period is not None:
-            return (index + 1) * self.period
-        if index < len(self.instants):
-            return self.instants[index]
-        return None
-
     def next_instant(self, k: int, t: float, x) -> Optional[float]:
-        """The schedule's instant after the ``k`` already reached."""
-        return self.instant_after(k)
+        """The schedule's instant after the ``k`` already reached, or None
+        when the explicit list is exhausted."""
+        if self.period is not None:
+            return (k + 1) * self.period
+        if k < len(self.instants):
+            return self.instants[k]
+        return None
 
 
 @dataclass(frozen=True)

@@ -116,12 +116,11 @@ def property_runs():
                 x0 = x0 + 0.1
             region = bound_sublevel_box(cert, x0, seed=seed)
             constants, _ = estimate_constants(sysm, cert, region, n=128, seed=seed)
-            tau_min = tau_min_over_sublevel(
-                sysm, cert, region, SIGMA, seed=seed,
-                constants=constants).value
+            tau_min = tau_min_over_sublevel(cert, region, constants,
+                                            SIGMA).value
             tau0_min = tau_min_over_sublevel(
-                sysm, cert, region, SIGMA, seed=seed, which="tau0",
-                sigma_tilde=SIGMA_TILDE, k_big=K_BIG, constants=constants).value
+                cert, region, constants, SIGMA, which="tau0",
+                sigma_tilde=SIGMA_TILDE, k_big=K_BIG).value
             tau_anchor = tau_select(DwellInputs(
                 constants=constants, sigma=SIGMA,
                 gamma_mode="nondecreasing")).value

@@ -10,6 +10,7 @@ from clfetc import (CertificateConstants, ClfCertificate, ControlSystem,
                     RateFunction, bound_sublevel_box, compute_mu,
                     estimate_big_m, estimate_constants, estimate_kappa,
                     estimate_nu, estimate_rho, sample_in_region)
+from clfetc.cli import _jsonable
 from oracles import acc_frozen_matrices, grid_pairwise_lipschitz, grid_ratio_max
 
 SQRT_E = math.sqrt(math.e)
@@ -260,7 +261,7 @@ class TestEstimateConstants:
     def test_report_json_shape(self, homog):
         region = bound_sublevel_box(homog.certificate, homog.default_x0)
         rep = estimate_kappa(homog.system, homog.certificate, region, 64, seed=2)
-        blob = rep.to_json_dict()
+        blob = _jsonable(rep)
         assert blob["constant"] == "kappa"
         assert blob["seed"] == 2
         assert blob["n_samples"] == 64

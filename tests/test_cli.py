@@ -147,6 +147,17 @@ class TestVerifyCommand:
         assert rep["nondegeneracy_ok"] is False
         assert rep["expected_status"] == "violates_nondegeneracy"
 
+    def test_verify_and_dwell_read_the_same_constants(self, tmp_path):
+        assert run_cli("verify", "--config", "acc_case1", "--out", str(tmp_path)) == 0
+        assert run_cli("dwell", "--config", "acc_case1", "--out", str(tmp_path)) == 0
+        est = json.loads((tmp_path / "acc_case1_verify.json").read_text())["estimates"]
+        dwell = json.loads((tmp_path / "acc_case1_dwell.json").read_text())
+        constants = dwell["tau_min"]["constants"]
+        for name in ("kappa", "nu", "big_m"):
+            assert est[name]["value"] == constants[name]
+        assert est["mu"] == constants["mu"]
+        assert est["rho"] == constants["rho"]
+
 
 class TestDwellCommand:
     def test_homog_report_and_cross_check(self, tmp_path):
@@ -210,8 +221,7 @@ class TestDwellCommand:
         region = bound_sublevel_box(homog.certificate, homog.default_x0)
         consts, _ = estimate_constants(homog.system, homog.certificate, region,
                                        n=96, seed=0)
-        vals = [tau_min_over_sublevel(homog.system, homog.certificate, region,
-                                      s, seed=0, constants=consts).value
+        vals = [tau_min_over_sublevel(homog.certificate, region, consts, s).value
                 for s in (0.5, 0.7, 0.9, 0.99)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -220,9 +230,9 @@ class TestDwellCommand:
         region = bound_sublevel_box(homog.certificate, homog.default_x0)
         consts, _ = estimate_constants(homog.system, homog.certificate, region,
                                        n=96, seed=0)
-        vals = [tau_min_over_sublevel(homog.system, homog.certificate, region,
-                                      0.9, which="tau0", sigma_tilde=0.95,
-                                      k_big=k, seed=0, constants=consts).value
+        vals = [tau_min_over_sublevel(homog.certificate, region, consts, 0.9,
+                                      which="tau0", sigma_tilde=0.95,
+                                      k_big=k).value
                 for k in (1.5, 5.0, 50.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -285,6 +295,28 @@ class TestSweepCommand:
         t1s = [float(r["first_event_time"]) for r in rows]
         assert all(b <= a for a, b in zip(t1s, t1s[1:]))
         assert all(r["error"] == "" for r in rows)
+
+    def test_missing_values_are_empty_cells(self, tmp_path):
+        # one event in the horizon: every dwell and frequency column is unset
+        cfg = write_config(tmp_path, {
+            "model": {"name": "homog2d"},
+            "policy": {"policy": "event", "sigma": 0.9},
+            "x0": [0.1, 0.4],
+            "horizon": 1.0,
+            "seed": 0,
+            "sweep": {"axis": "sigma", "values": [0.5, 0.9]},
+            "label": "homog_short",
+        })
+        rc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path))
+        assert rc == 0
+        lines = (tmp_path / "homog_short_sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        assert [r["n_events"] for r in rows] == ["1", "1"]
+        for r in rows:
+            assert "None" not in r.values()
+            assert r["min_dwell"] == r["first_dwell"] == ""
+            assert r["error"] == ""
 
     def test_axis_application(self):
         base = {"model": {"name": "zeno-polar", "params": {"r_star": 0.5}},

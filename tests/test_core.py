@@ -20,6 +20,15 @@ class TestEnergyTimeMap:
     def test_linear_closed_form(self):
         m = emap(RateFunction.linear(1.0))
         assert m.gamma_big(math.e ** 2) == pytest.approx(2.0, rel=1e-12)
+        # the linear rate is the power rate with exponent 1, bit for bit
+        for ae in (0.7, 1.0, 2.02):
+            rate = RateFunction.linear(ae)
+            m = emap(rate)
+            assert (m.lower_limit, m.upper_limit) == (-math.inf, math.inf)
+            for v in (1e-3, 0.4, 1.0, 7.5):
+                assert rate(v) == ae * v
+                assert rate.gamma_prime(v) == ae
+                assert m.gamma_big(v) == math.log(v) / ae
 
     def test_empty_integral(self):
         for rate in (RateFunction.linear(0.7), RateFunction.power(2.0, 0.5),
@@ -33,6 +42,10 @@ class TestEnergyTimeMap:
     def test_linear_inverse(self):
         m = emap(RateFunction.linear(1.0))
         assert m.gamma_big_inverse(2.0) == pytest.approx(math.e ** 2, rel=1e-12)
+        for ae in (0.7, 1.0, 2.02):
+            m = emap(RateFunction.linear(ae))
+            for r in (-3.0, -0.2, 0.0, 1.3):
+                assert m.gamma_big_inverse(r) == math.exp(ae * r)
 
     def test_inverse_round_trip(self):
         m = emap(RateFunction.linear(2.0))

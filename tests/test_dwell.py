@@ -242,8 +242,7 @@ class TestTauMinOverSublevel:
         region = bound_sublevel_box(acc.certificate, np.array([4.0, 1.0, -2.0]))
         constants, _ = estimate_constants(acc.system, acc.certificate, region,
                                           n=128, seed=0)
-        rep = tau_min_over_sublevel(acc.system, acc.certificate, region, 0.9,
-                                    seed=0, constants=constants)
+        rep = tau_min_over_sublevel(acc.certificate, region, constants, 0.9)
         direct = tau_select(DwellInputs(constants=constants, sigma=0.9,
                                         gamma_mode="nondecreasing"))
         assert rep.value == pytest.approx(direct.value / 1.1, rel=1e-12)
@@ -252,8 +251,9 @@ class TestTauMinOverSublevel:
         vals = []
         for scale in (1.0, 0.6, 0.3):
             region = bound_sublevel_box(homog.certificate, scale * homog.default_x0)
-            rep = tau_min_over_sublevel(homog.system, homog.certificate, region,
-                                        0.9, seed=0, n_estimate=96)
+            constants, _ = estimate_constants(homog.system, homog.certificate,
+                                              region, n=96, seed=0)
+            rep = tau_min_over_sublevel(homog.certificate, region, constants, 0.9)
             vals.append(rep.value)
         assert vals[0] <= vals[1] <= vals[2]
 
@@ -277,17 +277,17 @@ class TestTauMinOverSublevel:
                 reference = min(select(DwellInputs(
                     constants=replace(constants, rho=estimate_rho(cert, cert.v(a))),
                     sigma=0.9, gamma_mode="c1", **kw)).value for a in anchors)
-                rep = tau_min_over_sublevel(homog.system, cert, region, 0.9,
-                                            seed=0, which=which,
-                                            constants=constants, **kw)
+                rep = tau_min_over_sublevel(cert, region, constants, 0.9,
+                                            which=which, **kw)
                 assert rep.value == reference / 1.1
                 assert rep.argmin_anchor == tuple(region.anchor)
 
     def test_relay_nondegeneracy_propagates(self, relay):
         region = bound_sublevel_box(relay.certificate, np.array([1.0]))
+        # the dwell bound needs constants, and the relay has none to give
         with pytest.raises(NonDegeneracyError):
-            tau_min_over_sublevel(relay.system, relay.certificate, region, 0.9,
-                                  seed=0)
+            estimate_constants(relay.system, relay.certificate, region,
+                               n=192, seed=0)
 
     def test_admissible_period_strictly_inside(self):
         assert 0.0 < admissible_period(1e-3) < 1e-3

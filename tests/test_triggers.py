@@ -93,14 +93,15 @@ class TestPolicyValidation:
         with pytest.raises(DomainError):
             TimeTriggered(instants=(0.3, 0.2))
         pol = TimeTriggered(instants=(0.5, 1.5, 4.0))
-        assert pol.instant_after(0) == 0.5
-        assert pol.instant_after(2) == 4.0
-        assert pol.instant_after(3) is None
+        assert pol.next_instant(0, 0.0, np.zeros(1)) == 0.5
         assert pol.next_instant(1, 0.5, np.zeros(1)) == 1.5
+        assert pol.next_instant(2, 1.5, np.zeros(1)) == 4.0
         assert pol.next_instant(3, 4.0, np.zeros(1)) is None
         per = TimeTriggered(period=0.25)
-        assert per.instant_after(3) == pytest.approx(1.0)
-        assert per.next_instant(3, 0.75, np.zeros(1)) == per.instant_after(3)
+        assert per.next_instant(3, 0.75, np.zeros(1)) == pytest.approx(1.0)
+        # the schedule ignores the time and state it is called with
+        assert per.next_instant(3, 0.0, np.ones(1)) == per.next_instant(
+            3, 0.75, np.zeros(1))
 
     def test_periodic_parameters(self):
         with pytest.raises(DomainError):
