@@ -3,8 +3,7 @@ event-triggered stabilization from control Lyapunov functions, with
 dwell-time estimates and reproducible numerical experiments."""
 
 from .core import (ClfCertificate, ControlSystem, EnergyTimeMap, RateFunction,
-                   convergence_bound, lyapunov_derivative,
-                   verify_clf_pointwise)
+                   lyapunov_derivative, verify_clf_pointwise)
 from .certificates import (CertificateConstants, EstimateReport, SublevelRegion,
                            bound_sublevel_box, compute_mu, estimate_big_m,
                            estimate_constants, estimate_kappa, estimate_nu,
@@ -21,6 +20,6 @@ from .models import (MODEL_NAMES, Model, acc_backstepping, build_model,
                      homogeneous_planar, relay_1d, zeno_first_event_bound,
                      zeno_polar)
 from .triggers import (EventTriggered, PeriodicEventTriggered, SelfTriggered,
-                       TimeTriggered, event_guard, predicate_p)
+                       TimeTriggered, frozen_guard, predicate_p)
 
 __version__ = "0.1.0"

@@ -438,7 +438,7 @@ def estimate_rho(cert: ClfCertificate, level: float) -> float:
 
 
 def estimate_constants(sys: ControlSystem, cert: ClfCertificate, region: SublevelRegion,
-                       n: int = 256, seed: int = 0, safety: float = DEFAULT_SAFETY,
+                       n: int, seed: int, safety: float = DEFAULT_SAFETY,
                        allow_degenerate: bool = False):
     """Estimate every constant on one region.
 

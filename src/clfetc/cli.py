@@ -24,8 +24,8 @@ from jsonschema import Draft202012Validator
 
 from . import dwell as dwellmod
 from . import svgplot
-from .certificates import (bound_sublevel_box, estimate_constants, estimate_rho,
-                           sample_in_region)
+from .certificates import (DEFAULT_SAFETY, bound_sublevel_box, estimate_constants,
+                           estimate_rho, sample_in_region)
 # kept for the tracer: the benchmark patches these names on this module
 from .certificates import estimate_big_m, estimate_kappa, estimate_nu  # noqa: F401
 from .core import verify_clf_pointwise
@@ -162,7 +162,7 @@ class ExperimentConfig:
     def estimation(self) -> dict:
         est = dict(self.data.get("estimation", {}))
         est.setdefault("n_samples", 192)
-        est.setdefault("safety_factor", 1.25)
+        est.setdefault("safety_factor", DEFAULT_SAFETY)
         est.setdefault("n_clf_samples", 2000)
         est.setdefault("global_constants_declared", False)
         return est
@@ -522,8 +522,7 @@ def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
             "n_events": stats.n_events,
         }
     _write_json(os.path.join(out_dir, f"{label}_dwell.json"), report)
-    print(f"{label}: tau_min={rep_tau.value:.6g} "
-          f"(branch via {rep_tau.which}), h={h:.6g}")
+    print(f"{label}: tau_min={rep_tau.value:.6g}, h={h:.6g}")
     return 0
 
 

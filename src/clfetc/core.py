@@ -25,7 +25,6 @@ __all__ = [
     "ClfCertificate",
     "ClfCheckReport",
     "lyapunov_derivative",
-    "convergence_bound",
     "verify_clf_pointwise",
     "finite_difference_gradient",
     "finite_difference_jacobian",
@@ -33,6 +32,10 @@ __all__ = [
 
 _QUAD_REL_TOL = 1e-10
 _BISECT_REL_TOL = 1e-10
+# verify_clf_pointwise: a margin counts as a violation above this fraction
+# of 1 + |W|, and samples at or below the level are skipped
+CLF_CHECK_REL_TOL = 1e-9
+CLF_CHECK_SKIP_LEVEL = 1e-24
 
 
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
@@ -313,11 +316,6 @@ def lyapunov_derivative(cert: ClfCertificate, sys: ControlSystem, x, u) -> float
     return float(g @ sys.f(x, u))
 
 
-def convergence_bound(cert: ClfCertificate, v0: float, t: float) -> float:
-    """Level bound after time ``t`` under the certificate's own ``sigma``."""
-    return cert.energy_map.bound_after(v0, t, cert.sigma)
-
-
 @dataclass(frozen=True)
 class ClfCheckReport:
     """Outcome of a pointwise decrease check over a sample set.
@@ -337,13 +335,13 @@ class ClfCheckReport:
 
 
 def verify_clf_pointwise(cert: ClfCertificate, sys: ControlSystem,
-                         samples: Sequence, rel_tol: float = 1e-9,
-                         skip_level: float = 1e-24) -> ClfCheckReport:
+                         samples: Sequence) -> ClfCheckReport:
     """Check ``W(x, U(x)) <= -gamma(V(x))`` at each sample.
 
-    Samples with ``V(x) <= skip_level`` are skipped (the decrease condition
-    is vacuous at the equilibrium).  Results are accumulated in sample order,
-    so the report is deterministic regardless of any parallel fan-out.
+    Samples with ``V(x) <= CLF_CHECK_SKIP_LEVEL`` are skipped (the decrease
+    condition is vacuous at the equilibrium).  Results are accumulated in
+    sample order, so the report is deterministic regardless of any parallel
+    fan-out.
     """
     if len(samples) == 0:
         raise DomainError("verify_clf_pointwise needs a non-empty sample list")
@@ -353,13 +351,13 @@ def verify_clf_pointwise(cert: ClfCertificate, sys: ControlSystem,
     for i, x in enumerate(samples):
         x = _as_vector(x, sys.state_dim, "sample")
         v = cert.v(x)
-        if v <= skip_level:
+        if v <= CLF_CHECK_SKIP_LEVEL:
             n_skipped += 1
             continue
         w = lyapunov_derivative(cert, sys, x, cert.u(x))
         margin = cert.rate(v) + w
         worst = max(worst, margin)
-        if margin > rel_tol * (1.0 + abs(w)):
+        if margin > CLF_CHECK_REL_TOL * (1.0 + abs(w)):
             violations.append((i, tuple(float(c) for c in x), float(margin)))
     return ClfCheckReport(
         n_samples=len(samples),

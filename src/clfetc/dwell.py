@@ -37,6 +37,7 @@ __all__ = [
 
 GAMMA_MODES = ("nondecreasing", "c1")
 TAU_SAFETY = 1.1  # divides the dwell infimum
+PERIOD_MARGIN = 0.95  # the admissible checking period's fraction of inf tau0
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,8 @@ def tau_min_over_sublevel(cert: ClfCertificate, region: SublevelRegion,
                         constants=constants)
 
 
-def admissible_period(tau0_min_value: float, margin: float = 0.95) -> float:
+def admissible_period(tau0_min_value: float) -> float:
     """A checking period strictly inside ``(0, inf tau0)``."""
     if tau0_min_value <= 0:
         raise DomainError("tau0 infimum must be positive")
-    if not 0.0 < margin < 1.0:
-        raise DomainError("margin must lie in (0, 1)")
-    return margin * tau0_min_value
+    return PERIOD_MARGIN * tau0_min_value

@@ -38,6 +38,7 @@ BLOWUP_NORM = 1e12
 ZENO_CONSECUTIVE = 10
 GUARD_PROBES = 8  # interior guard evaluations per accepted step
 BISECT_MAX_ITER = 200  # far more than floating-point resolution needs
+RATE_SLACK = 1e-6  # check_rate_certificate's slack, relative to 1 + V0
 
 # Dormand-Prince 5(4) tableau; the 7th stage is evaluated at the 5th-order
 # solution (FSAL), so each step costs six fresh evaluations.
@@ -157,27 +158,23 @@ def _frozen(sys: ControlSystem, u: np.ndarray):
     return lambda y: np.asarray(sys.rhs(y, u), dtype=float)
 
 
-def _advance(f, t, y, f0, t_end, cfg, on_step, first_h=None):
-    """Drive the stepper from (t, y) to t_end.
+def _steps(f, t, y, f0, t_end, cfg, h=None):
+    """Yield the accepted :class:`_Hermite` pieces that carry (t, y) to t_end.
 
-    ``on_step`` receives each accepted :class:`_Hermite` piece; returning
-    ``None`` continues, anything else stops the drive and is returned.  A
-    drive that reaches ``t_end`` returns the state there, an array, which
-    ``on_step`` must therefore never return.
+    The first attempt has size ``h``, or the automatic initial step when
+    ``h`` is None.  Raises :class:`BlowupError` once the state norm passes
+    the blow-up cap.
     """
     if t_end <= t:
-        return y
-    if first_h is not None:
-        h = first_h
-    else:
+        return
+    if h is None:
         h = _initial_step(f, y, f0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, t_end - t)
     while t < t_end:
         h = min(h, cfg.max_step, t_end - t)
         if h <= 4.0 * np.finfo(float).eps * max(1.0, abs(t)):
             # the remaining span is below time resolution; snap to the target
-            piece = _Hermite(t, y, f0, t_end, y, f0)
-            res = on_step(piece)
-            return y if res is None else res
+            yield _Hermite(t, y, f0, t_end, y, f0)
+            return
         attempts = 0
         while True:
             y1, f1, err = _rk_step(f, y, f0, h)
@@ -191,10 +188,7 @@ def _advance(f, t, y, f0, t_end, cfg, on_step, first_h=None):
             if attempts > 200 or h < 1e-15 * max(1.0, abs(t)):
                 raise IntegrationError(
                     f"step size underflow at t={t} (error norm {enorm})")
-        piece = _Hermite(t, y, f0, t + h, y1, f1)
-        res = on_step(piece)
-        if res is not None:
-            return res
+        yield _Hermite(t, y, f0, t + h, y1, f1)
         t, y, f0 = t + h, y1, f1
         if float(np.linalg.norm(y)) > BLOWUP_NORM:
             raise BlowupError(t, y)
@@ -202,7 +196,6 @@ def _advance(f, t, y, f0, t_end, cfg, on_step, first_h=None):
             h *= 5.0
         else:
             h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-    return y
 
 
 @dataclass
@@ -246,16 +239,10 @@ def integrate_frozen(sys: ControlSystem, x0, u, t_span,
     u = np.asarray(u, dtype=float)
     f = _frozen(sys, u)
     ts, ys, fs = [t0], [x0], [sys.f(x0, u)]  # dimensions validated once
-    if t1 == t0:
-        return DenseSegment(np.array(ts), np.array(ys), np.array(fs))
-
-    def collect(piece: _Hermite):
+    for piece in _steps(f, t0, x0, fs[0], t1, cfg):
         ts.append(piece.t1)
         ys.append(piece.y1)
         fs.append(piece.f1)
-        return None
-
-    _advance(f, t0, x0, fs[0], t1, cfg, collect)
     return DenseSegment(np.array(ts), np.array(ys), np.array(fs))
 
 
@@ -371,69 +358,61 @@ def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
 
     Fills grid rows along the way (strictly before the event time when a
     crossing is found).  Returns ``(t_root, x_event, g_at_fire)`` at an
-    event, or the state at ``t_end`` when there is none.
+    event, or ``(t_end, x_end, None)`` when there is none.
     """
     f = _frozen(sys, u)
-    g_start = frozen_guard(cert, x, fx, sigma)
-    if g_start >= 0.0:
-        return t, x, g_start
+    g = frozen_guard(cert, x, fx, sigma)
+    if g >= 0.0:
+        return t, x, g
 
     def guard_at(y):
         return frozen_guard(cert, y, f(y), sigma)
 
     thetas = [(j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES)]
-    state = {"g": g_start, "halved": 0}
-
-    def monitor(piece: _Hermite):
-        gs = [state["g"]]
-        for th in thetas:
-            gs.append(guard_at(piece(piece.t0 + th * piece.h)))
-        gs.append(frozen_guard(cert, piece.y1, piece.f1, sigma))
-        crossings = sum(1 for a, b in zip(gs, gs[1:])
-                        if (a < 0.0 <= b) or (b < 0.0 <= a))
-        if crossings == 0:
-            rec.fill_grid(piece.t1, piece, u, inclusive=True)
-            state["g"] = gs[-1]
-            state["halved"] = 0
-            return None
-        if crossings > 1 and state["halved"] < 60 and \
-                piece.h > 1e-13 * max(1.0, abs(piece.t0)):
-            # more than one crossing inside one step: the piece is retried
-            # at half the size so the earliest root cannot be skipped
-            state["halved"] += 1
-            return piece
-        j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
-        grid_t = [piece.t0] + [piece.t0 + th * piece.h for th in thetas] + [piece.t1]
-        t_root = locate_event(lambda tt: guard_at(piece(tt)),
-                              grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
-        return piece, t_root
-
-    t_cur, y_cur, f_cur = t, x, fx
-    first_h = None
+    h = None  # the stepper picks its first step unless a retry halves it
+    halved = 0
     while True:
-        out = _advance(f, t_cur, y_cur, f_cur, t_end, cfg, monitor, first_h)
-        if not isinstance(out, _Hermite):
-            break
-        t_cur, y_cur, f_cur, first_h = out.t0, out.y0, out.f0, out.h / 2.0
-    if isinstance(out, np.ndarray):
-        return out
-    piece, t_root = out
-    rec.fill_grid(t_root, piece, u, inclusive=False)
-    # re-anchor exactly at the root: one tolerance-checked corrector
-    # integration from the previous mesh point replaces the interpolant
-    sub = integrate_frozen(sys, piece.y0, u, (piece.t0, t_root), cfg)
-    x_event = sub.ys[-1]
-    return t_root, x_event, frozen_guard(cert, x_event, sub.fs[-1], sigma)
+        for piece in _steps(f, t, x, fx, t_end, cfg, h):
+            gs = [g]
+            for th in thetas:
+                gs.append(guard_at(piece(piece.t0 + th * piece.h)))
+            gs.append(frozen_guard(cert, piece.y1, piece.f1, sigma))
+            crossings = sum(1 for a, b in zip(gs, gs[1:])
+                            if (a < 0.0 <= b) or (b < 0.0 <= a))
+            if crossings == 0:
+                rec.fill_grid(piece.t1, piece, u, inclusive=True)
+                t, x, fx, g = piece.t1, piece.y1, piece.f1, gs[-1]
+                halved = 0
+                continue
+            if crossings > 1 and halved < 60 and \
+                    piece.h > 1e-13 * max(1.0, abs(piece.t0)):
+                # more than one crossing inside one step: the stepper restarts
+                # from the piece start at half the size, so that the earliest
+                # root cannot be skipped
+                halved += 1
+                h = piece.h / 2.0
+                break
+            j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
+            grid_t = [piece.t0] + [piece.t0 + th * piece.h for th in thetas] + [piece.t1]
+            t_root = locate_event(lambda tt: guard_at(piece(tt)),
+                                  grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
+            rec.fill_grid(t_root, piece, u, inclusive=False)
+            # re-anchor exactly at the root: one tolerance-checked corrector
+            # integration from the previous mesh point replaces the interpolant
+            sub = integrate_frozen(sys, piece.y0, u, (piece.t0, t_root), cfg)
+            x_event = sub.ys[-1]
+            return t_root, x_event, frozen_guard(cert, x_event, sub.fs[-1], sigma)
+        else:  # the stepper reached t_end with no crossing
+            return t_end, x, None
 
 
 def _plain_until(sys, x, fx, u, t, t_end, cfg, rec):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     to an exact target time, recording rows; returns the state there."""
-    def on_step(piece: _Hermite):
+    for piece in _steps(_frozen(sys, u), t, x, fx, t_end, cfg):
         rec.fill_grid(piece.t1, piece, u, inclusive=True)
-        return None
-
-    return _advance(_frozen(sys, u), t, x, fx, t_end, cfg, on_step)
+        x = piece.y1
+    return x
 
 
 def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPolicy,
@@ -494,12 +473,10 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
             fx = sys.f(x, u)  # the segment's state and control, checked once
         try:
             if guarded:
-                res = _guarded_until(sys, cert, x, fx, u, t, horizon, sigma,
-                                     cfg, rec)
-                if isinstance(res, np.ndarray):
-                    t, x = horizon, res
-                    continue
-                t, x, g_fire = res
+                t, x, g_fire = _guarded_until(sys, cert, x, fx, u, t, horizon,
+                                              sigma, cfg, rec)
+                if g_fire is None:
+                    continue  # the horizon, with no crossing
             else:
                 t_next = policy.next_instant(k, t, x)
                 if t_next is None or t_next > horizon * (1.0 + 1e-12):
@@ -592,17 +569,14 @@ def run_stats(traj: Trajectory) -> RunStats:
     return stats_from_event_times([e.time for e in traj.events], traj.termination)
 
 
-def check_rate_certificate(traj: Trajectory, cert: ClfCertificate,
-                           sigma: Optional[float] = None,
-                           slack_scale: float = 1e-6):
+def check_rate_certificate(traj: Trajectory, cert: ClfCertificate):
     """Verify ``V(x(t)) <= Ginv(G(V0) - sigma t) + slack`` at every recorded
-    point; returns ``(ok, max_excess)``."""
-    s = traj.sigma if sigma is None else sigma
+    point, with the run's own ``sigma``; returns ``(ok, max_excess)``."""
     v0 = float(traj.v[0])
-    slack = slack_scale * (1.0 + v0)
+    slack = RATE_SLACK * (1.0 + v0)
     worst = -math.inf
     for ti, vi in zip(traj.t, traj.v):
-        bound = cert.energy_map.bound_after(v0, float(ti), s)
+        bound = cert.energy_map.bound_after(v0, float(ti), traj.sigma)
         worst = max(worst, float(vi) - bound)
     return worst <= slack, worst
 

@@ -20,7 +20,7 @@ which actually delivers the stated decrease and the stated event schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -52,7 +52,6 @@ class Model:
     params: dict
     default_x0: np.ndarray
     expected_assumption_status: str  # 'satisfies_all' | 'violates_nondegeneracy'
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +128,7 @@ def acc_backstepping(k: float = 1.01, tau_lag: Union[float, Callable] = 0.3,
               "v0": v0, "d0": d0, "sigma": sigma}
     x0 = np.array([10.0, 10.0 * kk, 10.0 * kk * kk])  # close a 10 m gap
     return Model(name="acc", system=system, certificate=cert, params=params,
-                 default_x0=x0, expected_assumption_status="satisfies_all",
-                 extras={
-                     "case1_x0": x0.copy(),
-                     "case2_x0": np.array([0.0, -2.0, -4.0 * kk]),
-                 })
+                 default_x0=x0, expected_assumption_status="satisfies_all")
 
 
 # ---------------------------------------------------------------------------

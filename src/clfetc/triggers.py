@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ClfCertificate, ControlSystem
+from .core import ClfCertificate
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "TriggerPolicy",
     "equilibrium_threshold",
     "frozen_guard",
-    "event_guard",
     "predicate_p",
 ]
 
@@ -146,14 +145,6 @@ def frozen_guard(cert: ClfCertificate, x: np.ndarray, fx: np.ndarray,
     the field values its stepper already has where it can.
     """
     return float(cert.grad(x) @ fx) + sigma * cert.rate(cert.v(x))
-
-
-def event_guard(cert: ClfCertificate, sys: ControlSystem, x, u_frozen,
-                sigma: Optional[float] = None) -> float:
-    """:func:`frozen_guard` with the state and control dimensions checked."""
-    s = cert.sigma if sigma is None else sigma
-    x = np.asarray(x, dtype=float)
-    return frozen_guard(cert, x, sys.f(x, u_frozen), s)
 
 
 def predicate_p(cert: ClfCertificate, big_m: float, x, fx,

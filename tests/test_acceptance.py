@@ -22,7 +22,7 @@ from clfetc import (DwellInputs, EventTriggered, IntegratorConfig,
                     PeriodicEventTriggered, SelfTriggered, TimeTriggered,
                     acc_backstepping, admissible_period, bound_sublevel_box,
                     c_bound, check_rate_certificate, estimate_constants,
-                    event_guard, homogeneous_planar, integrate_frozen,
+                    frozen_guard, homogeneous_planar, integrate_frozen,
                     predicate_p, relay_1d, run_closed_loop, run_stats,
                     tau_min_over_sublevel, tau_select, tau0_select,
                     zeno_first_event_bound, zeno_polar)
@@ -148,8 +148,7 @@ def property_runs():
 def test_accept_03_rate_certificate(property_runs):
     failures = []
     for run in property_runs:
-        ok, excess = check_rate_certificate(run["traj"], run["cert"],
-                                            slack_scale=1e-6)
+        ok, excess = check_rate_certificate(run["traj"], run["cert"])
         if not ok:
             failures.append((run["model"], run["policy"], run["seed"], excess))
     assert not failures, f"rate certificate violated on: {failures}"
@@ -214,7 +213,7 @@ def test_accept_05_guard_holds_below_dwell_bounds(factory, spread):
         for j in range(64):
             t = tau * j / 64.0
             xi = seg.eval(t)
-            if not event_guard(cert, sysm, xi, u_star, SIGMA) < 0.0:
+            if not frozen_guard(cert, xi, sysm.f(xi, u_star), SIGMA) < 0.0:
                 same_anchor_viol += 1
         # perturbed start inside the anchor's sublevel set with the
         # periodic predicate true
@@ -232,7 +231,7 @@ def test_accept_05_guard_holds_below_dwell_bounds(factory, spread):
         for j in range(64):
             t = tau0 * j / 64.0
             xi = seg.eval(t)
-            if not event_guard(cert, sysm, xi, u_star, SIGMA) < 0.0:
+            if not frozen_guard(cert, xi, sysm.f(xi, u_star), SIGMA) < 0.0:
                 perturbed_viol += 1
 
     assert same_anchor_viol == 0
@@ -267,7 +266,8 @@ def test_accept_06_flow_envelopes(factory, spread):
         t_end = cap
         scan = np.linspace(0.0, cap, 257)
         for t in scan[1:]:
-            if event_guard(cert, sysm, seg.eval(float(t)), u_star, SIGMA) >= 0.0:
+            xi = seg.eval(float(t))
+            if frozen_guard(cert, xi, sysm.f(xi, u_star), SIGMA) >= 0.0:
                 t_end = float(t) * (1.0 - 1e-9)
                 break
         f0 = sysm.f(x_star, u_star)

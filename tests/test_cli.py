@@ -178,6 +178,18 @@ class TestDwellCommand:
         assert rep["cross_check"]["ok"] is True
         assert rep["cross_check"]["min_observed_dwell"] >= rep["tau_min"]["value"]
 
+    def test_status_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": {"name": "homog2d"},
+            "seed": 0,
+            "estimation": {"n_samples": 96},
+            "label": "homog_line",
+        })
+        assert run_cli("dwell", "--config", cfg, "--out", str(tmp_path)) == 0
+        rep = json.loads((tmp_path / "homog_line_dwell.json").read_text())
+        tau, h = rep["tau_min"]["value"], rep["recommended_periodic_check_period"]
+        assert capsys.readouterr().out == f"homog_line: tau_min={tau:.6g}, h={h:.6g}\n"
+
     def test_relay_fails_without_force(self, tmp_path):
         cfg = write_config(tmp_path, {
             "model": {"name": "relay1d"},

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfetc import (ClfCertificate, ControlSystem, DomainError, EnergyTimeMap,
-                    RateFunction, convergence_bound, lyapunov_derivative,
-                    verify_clf_pointwise)
+                    RateFunction, lyapunov_derivative, verify_clf_pointwise)
 from clfetc.core import finite_difference_gradient
 from clfetc.errors import DimensionMismatchError
 
@@ -124,7 +123,8 @@ class TestConvergenceBound:
 
     def test_zero_time(self):
         cert = _quadratic_cert(RateFunction.power(1.0, 2.0), sigma=0.9)
-        assert convergence_bound(cert, 0.085, 0.0) == pytest.approx(0.085)
+        assert cert.energy_map.bound_after(0.085, 0.0, cert.sigma) == \
+            pytest.approx(0.085)
 
     def test_quadratic_rate_against_ode_solution(self):
         # independent oracle: Vdot = -sigma V^2 integrates to
@@ -132,21 +132,22 @@ class TestConvergenceBound:
         cert = _quadratic_cert(RateFunction.power(1.0, 2.0), sigma=0.9)
         v0, t = 0.085, 10.0
         expected = 1.0 / (1.0 / v0 + 0.9 * t)
-        assert convergence_bound(cert, v0, t) == pytest.approx(expected, rel=1e-10)
+        assert cert.energy_map.bound_after(v0, t, cert.sigma) == pytest.approx(
+            expected, rel=1e-10)
         assert expected == pytest.approx(0.04816, abs=1e-5)
 
     def test_monotone_nonincreasing_in_time(self):
         cert = _quadratic_cert(RateFunction.power(2.0, 0.5), sigma=0.5)
         ts = np.linspace(0.0, 5.0, 40)
-        vals = [convergence_bound(cert, 3.0, t) for t in ts]
+        vals = [cert.energy_map.bound_after(3.0, t, cert.sigma) for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(3.0)
 
     def test_equilibrium_short_circuit(self):
         cert = _quadratic_cert(RateFunction.linear(1.0), sigma=0.5)
-        assert convergence_bound(cert, 0.0, 3.0) == 0.0
+        assert cert.energy_map.bound_after(0.0, 3.0, cert.sigma) == 0.0
         with pytest.raises(DomainError):
-            convergence_bound(cert, -1.0, 3.0)
+            cert.energy_map.bound_after(-1.0, 3.0, cert.sigma)
 
 
 def _quadratic_cert(rate, sigma=0.9):

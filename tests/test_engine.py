@@ -166,8 +166,9 @@ class TestRunClosedLoop:
 
     def test_earliest_root_with_oscillating_guard(self):
         # the second state is a clock driving a fast oscillation of the
-        # first; with a coarse max_step several guard crossings can land in
-        # one accepted step, exercising the halve-and-retry rule
+        # first; the earliest crossing must match a fine-scan reference.  The
+        # guard probes resolve this oscillation in every step, so the
+        # halve-and-retry rule never fires here (see the next test)
         def rhs(x, u):
             return np.array([u[0] * (1.0 + 0.9 * math.sin(40.0 * x[1])), 1.0])
 
@@ -205,6 +206,37 @@ class TestRunClosedLoop:
         cfg = IntegratorConfig(horizon=3.0, max_step=0.5)
         traj = run_closed_loop(sysm, cert, EventTriggered(sigma=0.5), x0, cfg)
         assert traj.events[1].time == pytest.approx(t_ref, abs=1e-7)
+
+    def test_halving_finds_a_root_between_probes(self):
+        # a unit-speed clock, so the exact steps grow to max_step and the
+        # frozen flow is known in closed form.  In one full step the guard
+        # has a positive bump between two probes, which the probes miss, and
+        # a positive window around a later probe: two detected crossings.
+        # Only a retry at half the step puts a probe inside the bump.
+        sysm = ControlSystem(2, 1, rhs=lambda x, u: np.array([0.0, 1.0]))
+        x0 = np.array([1.0, 0.0])
+        cfg = IntegratorConfig(horizon=10.0, max_step=1.0, max_events=2)
+        # with no crossing the guarded run takes exactly these steps
+        mesh = integrate_frozen(sysm, x0, [0.0], (0.0, 10.0), cfg).ts
+        i = next(i for i in range(len(mesh) - 1)
+                 if mesh[i] > 2.0 and mesh[i + 1] - mesh[i] == 1.0)
+        a = mesh[i]
+        # full-step probes sit at a + j/9: the bump lies between j = 4 and
+        # 5, the window holds j = 7 only, and a + 1/2 ends the half step
+        bump = (a + 0.45, a + 0.53)
+        window = (a + 0.73, a + 0.82)
+
+        def gradient(x):
+            inside = bump[0] <= x[1] <= bump[1] or window[0] <= x[1] <= window[1]
+            return np.array([x[0], 0.5 if inside else -0.5])
+
+        # guard = gradient . F + sigma*V = -0.25 outside both, 0.75 inside
+        cert = ClfCertificate(value=lambda x: 0.5 * x[0] ** 2, gradient=gradient,
+                              rate=RateFunction.linear(1.0),
+                              feedback=lambda x: np.zeros(1), sigma=0.5)
+        traj = run_closed_loop(sysm, cert, EventTriggered(sigma=0.5), x0, cfg)
+        assert traj.termination == "event_cap"
+        assert traj.events[1].time == pytest.approx(bump[0], abs=1e-12)
 
     def test_periodic_event_mechanics_with_coarse_checks(self, homog):
         # a deliberately oversized check interval: the predicate eventually

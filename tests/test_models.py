@@ -32,10 +32,13 @@ class TestAccBacksteppingModel:
             assert w + 2 * (k - 1) * cert.v(x) == pytest.approx(-q, rel=1e-9, abs=1e-9)
 
     def test_case_initial_conditions(self, acc):
-        k = acc.params["k"]
-        np.testing.assert_allclose(acc.extras["case1_x0"],
-                                   [10.0, 10.0 * k, 10.0 * k * k])
-        np.testing.assert_allclose(acc.extras["case2_x0"], [0.0, -2.0, -4.0 * k])
+        from clfetc.cli import load_config
+        case1, case2 = load_config("acc_case1"), load_config("acc_case2")
+        k = case1.model_params["k"]
+        assert case2.model_params["k"] == k == acc.params["k"]
+        np.testing.assert_allclose(case1.data["x0"], [10.0, 10.0 * k, 10.0 * k * k])
+        np.testing.assert_allclose(acc.default_x0, [10.0, 10.0 * k, 10.0 * k * k])
+        np.testing.assert_allclose(case2.data["x0"], [0.0, -2.0, -4.0 * k])
 
     def test_coordinate_round_trip(self, rng):
         k, v0, d0 = 1.01, 20.0, 10.0

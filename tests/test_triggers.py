@@ -4,7 +4,7 @@ import pytest
 from clfetc import (ConfigurationError, DomainError, EventTriggered,
                     IntegratorConfig, PeriodicEventTriggered, SelfTriggered,
                     TimeTriggered, bound_sublevel_box, estimate_constants,
-                    event_guard, integrate_frozen, predicate_p,
+                    frozen_guard, integrate_frozen, predicate_p,
                     run_closed_loop)
 from clfetc.core import ClfCertificate, ControlSystem, RateFunction
 from clfetc.triggers import equilibrium_threshold
@@ -15,7 +15,7 @@ class TestEventGuard:
         cert, sysm = homog.certificate, homog.system
         for x in ([0.1, 0.4], [0.3, -0.2], [-0.5, 0.1]):
             x = np.array(x)
-            g = event_guard(cert, sysm, x, cert.u(x))
+            g = frozen_guard(cert, x, sysm.f(x, cert.u(x)), cert.sigma)
             assert g <= -(1.0 - cert.sigma) * cert.rate(cert.v(x)) + 1e-15
             assert g < 0.0
 
@@ -25,13 +25,14 @@ class TestEventGuard:
         u0 = np.array([-1.0])
         for t in (0.0, 0.3, 0.9):
             x = np.array([1.0 - t])
-            g = event_guard(cert, sysm, x, u0, sigma=0.9)
+            g = frozen_guard(cert, x, sysm.f(x, u0), 0.9)
             assert g == pytest.approx(-0.2 * (1.0 - t), rel=1e-12)
 
     def test_sigma_override(self, relay):
         cert, sysm = relay.certificate, relay.system
-        g_low = event_guard(cert, sysm, np.array([1.0]), np.array([-1.0]), sigma=0.5)
-        g_high = event_guard(cert, sysm, np.array([1.0]), np.array([-1.0]), sigma=0.99)
+        x, u = np.array([1.0]), np.array([-1.0])
+        g_low = frozen_guard(cert, x, sysm.f(x, u), 0.5)
+        g_high = frozen_guard(cert, x, sysm.f(x, u), 0.99)
         assert g_low < g_high < 0.0
 
 
@@ -120,8 +121,9 @@ class TestNextDecision:
         pol = EventTriggered(sigma=0.9)
         assert not hasattr(pol, "next_instant")
         u_n = cert.u(np.array([1.0]))
-        assert event_guard(cert, sysm, np.array([0.5]), u_n, pol.sigma) < 0.0
-        assert event_guard(cert, sysm, np.array([-0.2]), u_n, pol.sigma) >= 0.0
+        x_in, x_out = np.array([0.5]), np.array([-0.2])
+        assert frozen_guard(cert, x_in, sysm.f(x_in, u_n), pol.sigma) < 0.0
+        assert frozen_guard(cert, x_out, sysm.f(x_out, u_n), pol.sigma) >= 0.0
         traj = run_closed_loop(homog.system, homog.certificate, pol,
                                homog.default_x0, IntegratorConfig(horizon=10.0))
         assert traj.events[1].reason == "guard_zero"
@@ -182,7 +184,7 @@ class TestRunLevelInvariants:
         for e in traj.events:
             if cert.v(e.state) <= eps:
                 continue
-            g = event_guard(cert, sysm, e.state, e.control, sigma=0.9)
+            g = frozen_guard(cert, e.state, sysm.f(e.state, e.control), 0.9)
             assert g < 0.0
             assert predicate_p(cert, consts.big_m, e.state,
                                sysm.f(e.state, e.control),
