@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.stats import qmc
 
-from .core import (ClfCertificate, ControlSystem, finite_difference_jacobian)
+from .core import ClfCertificate, ControlSystem, finite_difference_jacobian, velocity_ratio
 from .errors import (ConfigurationError, DomainError, NonDegeneracyError,
                      PropernessError)
 
@@ -253,7 +253,10 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
 
 
 def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
-                        n: int, seed: int, safety: float, constant: str) -> EstimateReport:
+                        n: int, seed: int, safety: float, constant: str,
+                        checked_map=None) -> EstimateReport:
+    """Sampled Lipschitz bound of ``map_fn``; ``checked_map``, when given,
+    takes the first sample and so validates what ``map_fn`` takes on trust."""
     if n < 2:
         raise DomainError("Lipschitz estimation needs n >= 2")
     if region.degenerate:
@@ -268,7 +271,8 @@ def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
 
     best = 0.0
     best_point = pts[0]
-    vals = [np.asarray(map_fn(p), dtype=float) for p in pts]
+    vals = [np.asarray((checked_map or map_fn)(pts[0]), dtype=float)]
+    vals += [np.asarray(map_fn(p), dtype=float) for p in pts[1:]]
 
     def consider(quotient, point):
         nonlocal best, best_point
@@ -304,12 +308,14 @@ def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
                    n: int, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
     """Lipschitz constant of ``x -> F(x, U(anchor))`` over the region.
 
-    The control is frozen at the anchor's feedback value throughout.  A
-    degenerate region (anchor at the equilibrium) returns 0 by convention.
+    The control is frozen at the anchor's feedback value throughout; the
+    first field evaluation checks it and the field's shape.  A degenerate
+    region (anchor at the equilibrium) returns 0 by convention.
     """
     u_star = cert.u(region.anchor)
-    return _lipschitz_estimate(lambda x: sys.f(x, u_star), cert, region, n, seed,
-                               safety, "kappa")
+    return _lipschitz_estimate(sys.frozen(u_star), cert, region, n, seed,
+                               safety, "kappa",
+                               checked_map=lambda x: sys.f(x, u_star))
 
 
 def estimate_nu(cert: ClfCertificate, region: SublevelRegion, n: int,
@@ -326,17 +332,12 @@ def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
     Beyond the sampled maximum, the ratio is probed along rays shrinking
     toward the origin; monotone growth by more than ``DIVERGENCE_GROWTH``
     (or any non-finite sample) marks the pair as non-degenerate-violating,
-    reported via ``diverging`` rather than raised.
+    reported via ``diverging`` rather than raised.  Each point's field
+    evaluation is checked, since each brings a new feedback control.
     """
 
     def ratio_at(x) -> float:
-        g = cert.grad(x)
-        fbar = sys.f(x, cert.u(x))
-        w = float(g @ fbar)
-        num = float(np.linalg.norm(g) * np.linalg.norm(fbar) + np.linalg.norm(fbar) ** 2)
-        if w == 0.0:
-            return math.inf if num > 0.0 else 0.0
-        return num / abs(w)
+        return velocity_ratio(cert.grad(x), sys.f(x, cert.u(x)))
 
     if region.degenerate:
         raise DomainError("ratio bound is undefined on a degenerate region")

@@ -25,9 +25,10 @@ from jsonschema import Draft202012Validator
 from . import dwell as dwellmod
 from . import svgplot
 from .certificates import (DEFAULT_SAFETY, bound_sublevel_box, estimate_constants,
-                           estimate_rho, sample_in_region)
+                           sample_in_region)
 # kept for the tracer: the benchmark patches these names on this module
-from .certificates import estimate_big_m, estimate_kappa, estimate_nu  # noqa: F401
+from .certificates import (estimate_big_m, estimate_kappa, estimate_nu,  # noqa: F401
+                           estimate_rho)
 from .core import verify_clf_pointwise
 from .dwell import DwellInputs, admissible_period, tau_min_over_sublevel
 from .engine import (IntegratorConfig, check_rate_certificate, run_closed_loop,
@@ -295,23 +296,14 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
             tau = float(spec["tau"])
             info["tau"] = tau
             return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
+        # the region's constants bound those at every state in it, rho
+        # included, so every update gets the same dwell
         _, constants, _ = _estimation_bundle(cfg, model, x0)
-        cert = model.certificate
-        if cert.rate.monotone_nondecreasing:
-            # rho is 0 at every level, so every update gets the same dwell
-            tau = dwellmod.tau_select(DwellInputs(constants=constants,
-                                                  sigma=sigma)).value
-            info["tau_at_x0"] = tau
-            return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
-
-        def tau_fn(x):
-            rho = estimate_rho(cert, cert.v(x))
-            inp = DwellInputs(constants=dataclasses.replace(constants, rho=rho),
-                              sigma=sigma, gamma_mode="c1")
-            return dwellmod.tau_select(inp).value
-
-        info["tau_at_x0"] = tau_fn(x0)
-        return SelfTriggered(sigma=sigma, tau_fn=tau_fn), info
+        tau = dwellmod.tau_select(DwellInputs(
+            constants=constants, sigma=sigma,
+            gamma_mode=dwellmod.gamma_mode(model.certificate))).value
+        info["tau_at_x0"] = tau
+        return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
 
     if kind == "time":
         if "instants" in spec:

@@ -24,18 +24,19 @@ __all__ = [
     "EnergyTimeMap",
     "ClfCertificate",
     "ClfCheckReport",
-    "lyapunov_derivative",
+    "velocity_ratio",
     "verify_clf_pointwise",
-    "finite_difference_gradient",
     "finite_difference_jacobian",
 ]
 
 _QUAD_REL_TOL = 1e-10
 _BISECT_REL_TOL = 1e-10
 # verify_clf_pointwise: a margin counts as a violation above this fraction
-# of 1 + |W|, and samples at or below the level are skipped
+# of 1 + |W|
 CLF_CHECK_REL_TOL = 1e-9
-CLF_CHECK_SKIP_LEVEL = 1e-24
+# levels at or below this count as the equilibrium, where the decrease
+# condition is vacuous: the exact test V = 0 is unattainable in floating point
+EQ_ABS_FLOOR = 1e-24
 
 
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
@@ -47,12 +48,28 @@ def _as_vector(x, dim: int, what: str) -> np.ndarray:
     return v
 
 
+def _as_points(xs, dim: int, what: str) -> np.ndarray:
+    """``xs`` as an ``(n, dim)`` array of finite points, checked in one pass."""
+    try:
+        pts = np.asarray(xs, dtype=float)
+    except ValueError:  # rows of unequal length: name the first bad one
+        return np.array([_as_vector(x, dim, what) for x in xs])
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"each {what} must have length {dim}, got an array of shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError(f"a {what} contains non-finite entries")
+    return pts
+
+
 @dataclass(frozen=True)
 class ControlSystem:
     """A controlled vector field ``xdot = F(x, u)`` with fixed dimensions.
 
     ``rhs`` must be deterministic: identical inputs produce bitwise-identical
-    outputs.  Validation of dimensions happens in :meth:`f`.
+    outputs.  :meth:`f` is the checked entry; :meth:`frozen` checks nothing.
+    A pass checks each point, or each held control, once where it enters,
+    and its loops then evaluate the unchecked field.
     """
 
     state_dim: int
@@ -72,6 +89,10 @@ class ControlSystem:
             raise DimensionMismatchError(
                 f"rhs returned shape {out.shape}, expected ({self.state_dim},)")
         return out
+
+    def frozen(self, u) -> Callable[[np.ndarray], np.ndarray]:
+        """The field ``y -> F(y, u)`` with the control held; unchecked."""
+        return lambda y: np.asarray(self.rhs(y, u), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -305,15 +326,16 @@ class ClfCertificate:
         return np.atleast_1d(np.asarray(self.feedback(np.asarray(x, dtype=float)), dtype=float))
 
 
-def lyapunov_derivative(cert: ClfCertificate, sys: ControlSystem, x, u) -> float:
-    """``W(x, u) = V'(x) F(x, u)``, the derivative of V along the field."""
-    x = _as_vector(x, sys.state_dim, "state")
-    u = _as_vector(u, sys.input_dim, "control")
-    g = cert.grad(x)
-    if g.shape != (sys.state_dim,):
-        raise DimensionMismatchError(
-            f"gradient returned shape {g.shape}, expected ({sys.state_dim},)")
-    return float(g @ sys.f(x, u))
+def velocity_ratio(g: np.ndarray, fx: np.ndarray) -> float:
+    """The velocity-to-decrease ratio ``(|g||F| + |F|^2) / |W|`` of a
+    gradient ``g`` and a field value ``fx``, with ``W = g F``.  ``W = 0``
+    gives infinity, or 0 where the field vanishes too."""
+    w = float(g @ fx)
+    fn = float(np.linalg.norm(fx))
+    num = float(np.linalg.norm(g)) * fn + fn ** 2
+    if w == 0.0:
+        return math.inf if num > 0.0 else 0.0
+    return num / abs(w)
 
 
 @dataclass(frozen=True)
@@ -338,23 +360,26 @@ def verify_clf_pointwise(cert: ClfCertificate, sys: ControlSystem,
                          samples: Sequence) -> ClfCheckReport:
     """Check ``W(x, U(x)) <= -gamma(V(x))`` at each sample.
 
-    Samples with ``V(x) <= CLF_CHECK_SKIP_LEVEL`` are skipped (the decrease
-    condition is vacuous at the equilibrium).  Results are accumulated in
-    sample order, so the report is deterministic regardless of any parallel
-    fan-out.
+    The samples are checked once, on entry, and each feedback control where
+    ``W`` uses it.  Samples with ``V(x) <= EQ_ABS_FLOOR`` are skipped (the
+    decrease condition is vacuous at the equilibrium).  Results are
+    accumulated in sample order, so the report is deterministic.
     """
     if len(samples) == 0:
         raise DomainError("verify_clf_pointwise needs a non-empty sample list")
+    samples = _as_points(samples, sys.state_dim, "sample")
     violations = []
     worst = -math.inf
     n_skipped = 0
     for i, x in enumerate(samples):
-        x = _as_vector(x, sys.state_dim, "sample")
         v = cert.v(x)
-        if v <= CLF_CHECK_SKIP_LEVEL:
+        if v <= EQ_ABS_FLOOR:
             n_skipped += 1
             continue
-        w = lyapunov_derivative(cert, sys, x, cert.u(x))
+        g = cert.grad(x)
+        if g.shape != x.shape:
+            raise DimensionMismatchError(f"gradient returned shape {g.shape}, expected {x.shape}")
+        w = float(g @ sys.f(x, cert.u(x)))
         margin = cert.rate(v) + w
         worst = max(worst, margin)
         if margin > CLF_CHECK_REL_TOL * (1.0 + abs(w)):
@@ -367,30 +392,15 @@ def verify_clf_pointwise(cert: ClfCertificate, sys: ControlSystem,
     )
 
 
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                               scale: float = 1e-6) -> np.ndarray:
-    """Central differences with per-coordinate step ``scale*(1+|x_i|)``."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        h = scale * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (float(f(xp)) - float(f(xm))) / (2.0 * h)
-    return out
-
-
 def finite_difference_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                                scale: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, same stepping rule as the gradient."""
+    """Central-difference Jacobian with per-coordinate step ``scale*(1+|x_j|)``."""
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
+    cols = []
     for j in range(x.size):
         h = scale * (1.0 + abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h)
-    return jac
+        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
+    return np.stack(cols, axis=1)

@@ -140,6 +140,11 @@ def tau0_select(inp: DwellInputs) -> DwellEstimate:
     return _dwell(inp, inp.sigma_tilde, inp.k_big)
 
 
+def gamma_mode(cert: ClfCertificate) -> str:
+    """The dwell formulas' reading of the certificate's rate."""
+    return "nondecreasing" if cert.rate.monotone_nondecreasing else "c1"
+
+
 @dataclass(frozen=True)
 class TauMinReport:
     """Estimated infimum of a dwell bound over a sublevel set."""
@@ -168,9 +173,8 @@ def tau_min_over_sublevel(cert: ClfCertificate, region: SublevelRegion,
     """
     if which not in ("tau", "tau0"):
         raise DomainError("which must be 'tau' or 'tau0'")
-    gamma_mode = "nondecreasing" if cert.rate.monotone_nondecreasing else "c1"
     inp = DwellInputs(constants=constants, sigma=sigma, sigma_tilde=sigma_tilde,
-                      k_big=k_big, gamma_mode=gamma_mode)
+                      k_big=k_big, gamma_mode=gamma_mode(cert))
     est = tau_select(inp) if which == "tau" else tau0_select(inp)
     return TauMinReport(value=est.value / TAU_SAFETY, which=which,
                         tau_safety=TAU_SAFETY,

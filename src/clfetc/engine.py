@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClfCertificate, ControlSystem
+from .core import ClfCertificate, ControlSystem, _as_points
 from .errors import BlowupError, DomainError, IntegrationError
 from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
                        equilibrium_threshold, frozen_guard, policy_sigma,
@@ -153,11 +153,6 @@ class _Hermite:
                 + self.h * (h10 * self.f0 + h11 * self.f1))
 
 
-def _frozen(sys: ControlSystem, u: np.ndarray):
-    """The field ``y -> F(y, u)`` with the control held; unchecked."""
-    return lambda y: np.asarray(sys.rhs(y, u), dtype=float)
-
-
 def _steps(f, t, y, f0, t_end, cfg, h=None):
     """Yield the accepted :class:`_Hermite` pieces that carry (t, y) to t_end.
 
@@ -237,7 +232,7 @@ def integrate_frozen(sys: ControlSystem, x0, u, t_span,
         raise DomainError("t_span must be increasing")
     x0 = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
-    f = _frozen(sys, u)
+    f = sys.frozen(u)
     ts, ys, fs = [t0], [x0], [sys.f(x0, u)]  # dimensions validated once
     for piece in _steps(f, t0, x0, fs[0], t1, cfg):
         ts.append(piece.t1)
@@ -337,10 +332,11 @@ class _Recorder:
 
     def finalize(self, events, termination, sigma, meta) -> Trajectory:
         t = np.array(self.rows_t)
-        x = np.array(self.rows_x)
-        u = np.array(self.rows_u)
+        # the rows are checked once here; W then takes the unchecked field
+        x = _as_points(self.rows_x, self.sys.state_dim, "state")
+        u = _as_points(self.rows_u, self.sys.input_dim, "control")
         v = np.array([self.cert.v(xi) for xi in x])
-        w = np.array([float(self.cert.grad(xi) @ self.sys.f(xi, ui))
+        w = np.array([float(self.cert.grad(xi) @ self.sys.frozen(ui)(xi))
                       for xi, ui in zip(x, u)])
         return Trajectory(t=t, x=x, u=u, v=v, w=w,
                           event_flag=np.array(self.rows_flag, dtype=int),
@@ -360,7 +356,7 @@ def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
     crossing is found).  Returns ``(t_root, x_event, g_at_fire)`` at an
     event, or ``(t_end, x_end, None)`` when there is none.
     """
-    f = _frozen(sys, u)
+    f = sys.frozen(u)
     g = frozen_guard(cert, x, fx, sigma)
     if g >= 0.0:
         return t, x, g
@@ -409,7 +405,7 @@ def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
 def _plain_until(sys, x, fx, u, t, t_end, cfg, rec):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     to an exact target time, recording rows; returns the state there."""
-    for piece in _steps(_frozen(sys, u), t, x, fx, t_end, cfg):
+    for piece in _steps(sys.frozen(u), t, x, fx, t_end, cfg):
         rec.fill_grid(piece.t1, piece, u, inclusive=True)
         x = piece.y1
     return x

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ClfCertificate
+from .core import EQ_ABS_FLOOR, ClfCertificate, velocity_ratio
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "predicate_p",
 ]
 
-# the exact equilibrium test V = 0 is unattainable in floating point
-EQ_ABS_FLOOR = 1e-24
 EQ_REL_FLOOR = 1e-12
 
 
@@ -158,14 +156,9 @@ def predicate_p(cert: ClfCertificate, big_m: float, x, fx,
     is false, not an error.
     """
     g = cert.grad(x)
-    w = float(g @ fx)
-    if not w < -sigma_tilde * cert.rate(cert.v(x)):
+    if not float(g @ fx) < -sigma_tilde * cert.rate(cert.v(x)):
         return False
-    if w == 0.0:
-        return False
-    fn = float(np.linalg.norm(fx))
-    ratio = (float(np.linalg.norm(g)) * fn + fn * fn) / (big_m * abs(w))
-    return ratio <= k_big
+    return velocity_ratio(g, fx) <= k_big * big_m
 
 
 def policy_sigma(policy: TriggerPolicy, cert: ClfCertificate) -> float:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from clfetc import (CertificateConstants, ClfCertificate, ControlSystem,
                     estimate_big_m, estimate_constants, estimate_kappa,
                     estimate_nu, estimate_rho, sample_in_region)
 from clfetc.cli import _jsonable
+from clfetc.errors import DimensionMismatchError
 from oracles import acc_frozen_matrices, grid_pairwise_lipschitz, grid_ratio_max
 
 SQRT_E = math.sqrt(math.e)
@@ -97,6 +99,20 @@ class TestEstimateKappa:
         region = bound_sublevel_box(acc.certificate, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(DomainError):
             estimate_kappa(acc.system, acc.certificate, region, 1, seed=0)
+
+    def test_wrong_field_shape_rejected(self, acc):
+        # the first field evaluation is checked, and it vouches for the rest
+        bad = ControlSystem(3, 1, rhs=lambda x, u: np.zeros(2))
+        region = bound_sublevel_box(acc.certificate, np.array([3.0, 1.0, -2.0]))
+        with pytest.raises(DimensionMismatchError):
+            estimate_kappa(bad, acc.certificate, region, 64, seed=0)
+
+    def test_non_finite_anchor_control_rejected(self):
+        sys = ControlSystem(2, 2, rhs=lambda x, u: np.asarray(u, dtype=float))
+        cert = replace(quad_cert(), feedback=lambda x: np.full(2, np.inf))
+        region = bound_sublevel_box(cert, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="control"):
+            estimate_kappa(sys, cert, region, 64, seed=0)
 
     def test_monotone_in_samples_and_deterministic(self, homog):
         region = bound_sublevel_box(homog.certificate, homog.default_x0)

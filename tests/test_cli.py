@@ -1,9 +1,15 @@
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from clfetc import ConfigurationError
-from clfetc.cli import (ExperimentConfig, load_config, main, _apply_axis)
+from clfetc import (ConfigurationError, DwellInputs, RateFunction,
+                    bound_sublevel_box, build_model, estimate_constants,
+                    estimate_rho, tau_select)
+from clfetc.cli import (ExperimentConfig, load_config, main, resolve_policy,
+                        _apply_axis, _state_at_level)
 
 
 def run_cli(*argv):
@@ -157,6 +163,32 @@ class TestVerifyCommand:
             assert est[name]["value"] == constants[name]
         assert est["mu"] == constants["mu"]
         assert est["rho"] == constants["rho"]
+
+
+class TestResolvePolicy:
+    def test_derived_self_dwell_for_c1_rate(self):
+        # a rate that is not non-decreasing gets one dwell, at the region's
+        # constants in c1 mode; the region's rho bounds the per-state rho
+        model = build_model("homog2d", {"sigma": 0.9})
+        cert = replace(model.certificate, rate=RateFunction.custom(
+            lambda v: 2.0 + math.sin(v), gamma_prime=math.cos))
+        model = replace(model, certificate=cert)
+        x0 = 6.0 * model.default_x0
+        cfg = ExperimentConfig({
+            "model": {"name": "homog2d"}, "policy": {"policy": "self", "sigma": 0.9},
+            "x0": list(x0), "region_level": 4.0, "estimation": {"n_samples": 96}})
+        region = bound_sublevel_box(cert, _state_at_level(model, 4.0), seed=0)
+        constants, _ = estimate_constants(model.system, cert, region, n=96, seed=0)
+        policy, info = resolve_policy(cfg, model, x0)
+        derived = tau_select(DwellInputs(constants=constants, sigma=0.9,
+                                         gamma_mode="c1")).value
+        assert info["tau_at_x0"] == derived
+        assert policy.tau_fn(x0) == policy.tau_fn(np.zeros(2)) == derived
+        per_state = tau_select(DwellInputs(
+            constants=replace(constants, rho=estimate_rho(cert, cert.v(x0))),
+            sigma=0.9, gamma_mode="c1")).value
+        assert constants.rho == 1.0 > estimate_rho(cert, cert.v(x0))
+        assert derived <= per_state
 
 
 class TestDwellCommand:

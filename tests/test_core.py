@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfetc import (ClfCertificate, ControlSystem, DomainError, EnergyTimeMap,
-                    RateFunction, lyapunov_derivative, verify_clf_pointwise)
-from clfetc.core import finite_difference_gradient
+                    RateFunction, verify_clf_pointwise)
+from clfetc.core import finite_difference_jacobian, velocity_ratio
 from clfetc.errors import DimensionMismatchError
 
 
@@ -160,10 +161,14 @@ def _quadratic_cert(rate, sigma=0.9):
     )
 
 
+def _w(cert, sys, x, u) -> float:
+    """``W(x, u) = V'(x) F(x, u)`` through the checked field."""
+    return float(cert.grad(x) @ sys.f(x, u))
+
+
 class TestLyapunovDerivative:
     def test_relay_value(self, relay):
-        w = lyapunov_derivative(relay.certificate, relay.system,
-                                np.array([0.5]), np.array([-1.0]))
+        w = _w(relay.certificate, relay.system, np.array([0.5]), np.array([-1.0]))
         assert w == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_field(self):
@@ -172,19 +177,31 @@ class TestLyapunovDerivative:
                               gradient=lambda x: 2.0 * np.asarray(x),
                               rate=RateFunction.linear(1.0),
                               feedback=lambda x: np.zeros(1))
-        assert lyapunov_derivative(cert, sys, np.array([3.0]), np.zeros(1)) == 0.0
+        assert _w(cert, sys, np.array([3.0]), np.zeros(1)) == 0.0
+        # the pointwise check sees the same W: its margin is gamma(V) + 0
+        report = verify_clf_pointwise(cert, sys, [np.array([3.0])])
+        assert report.worst_margin == 9.0
 
     def test_homogeneous_identity_point(self, homog):
         x = np.array([0.1, 0.4])
         u = homog.certificate.u(x)
-        w = lyapunov_derivative(homog.certificate, homog.system, x, u)
+        w = _w(homog.certificate, homog.system, x, u)
         assert w == pytest.approx(-(0.1 ** 4 + 0.4 ** 4), rel=1e-12)
         assert w == pytest.approx(-0.0257, abs=1e-6)
 
     def test_dimension_mismatch(self, relay):
         with pytest.raises(DimensionMismatchError):
-            lyapunov_derivative(relay.certificate, relay.system,
-                                np.array([1.0, 2.0]), np.array([0.0]))
+            _w(relay.certificate, relay.system, np.array([1.0, 2.0]), np.array([0.0]))
+
+
+class TestVelocityRatio:
+    def test_values(self):
+        g = np.array([3.0, 4.0])
+        # parallel and opposed: (5*10 + 100) / 50
+        assert velocity_ratio(g, -2.0 * g) == 3.0
+        # W = 0 with a moving state is unbounded; a resting one gives 0
+        assert velocity_ratio(g, np.array([-4.0, 3.0])) == math.inf
+        assert velocity_ratio(g, np.zeros(2)) == 0.0
 
 
 class TestVerifyClfPointwise:
@@ -216,6 +233,37 @@ class TestVerifyClfPointwise:
         with pytest.raises(DomainError):
             verify_clf_pointwise(relay.certificate, relay.system, [])
 
+    def test_non_finite_control_rejected(self, homog):
+        # the feedback's control is checked at each sample where W uses it
+        bad = np.array([0.3, -0.2])
+        cert = replace(homog.certificate, feedback=lambda x: (
+            np.full(1, np.nan) if np.array_equal(x, bad) else homog.certificate.feedback(x)))
+        samples = [np.array([0.1, 0.4]), bad, np.array([-0.5, 0.1])]
+        with pytest.raises(DomainError, match="control"):
+            verify_clf_pointwise(cert, homog.system, samples)
+        assert verify_clf_pointwise(cert, homog.system, samples[::2]).ok
+
+    @pytest.mark.parametrize("samples", [
+        [np.array([1.0]), np.zeros(2)],           # one row too long, at the origin
+        [np.zeros(2)],                            # every row, at the origin
+        [np.array([1.0]), np.array([0.5, 0.5])],  # one row too long
+        np.array([1.0, 2.0]),                     # a flat array of scalars
+    ])
+    def test_wrong_sample_length_rejected(self, relay, samples):
+        # samples at the origin are skipped, but their length is still checked
+        with pytest.raises(DimensionMismatchError):
+            verify_clf_pointwise(relay.certificate, relay.system, samples)
+
+    def test_non_finite_sample_rejected(self, relay):
+        with pytest.raises(DomainError):
+            verify_clf_pointwise(relay.certificate, relay.system,
+                                 [np.array([1.0]), np.array([np.inf])])
+
+    def test_wrong_gradient_shape_rejected(self, homog):
+        cert = replace(homog.certificate, gradient=lambda x: np.zeros(3))
+        with pytest.raises(DimensionMismatchError, match="gradient"):
+            verify_clf_pointwise(cert, homog.system, [np.array([0.1, 0.4])])
+
 
 class TestGradientConsistency:
     @pytest.mark.parametrize("name", ["acc", "homog", "relay", "zeno"])
@@ -226,7 +274,7 @@ class TestGradientConsistency:
         for _ in range(25):
             x = rng.uniform(-3.0, 3.0, size=d)
             g = cert.grad(x)
-            fd = finite_difference_gradient(cert.v, x)
+            fd = finite_difference_jacobian(lambda y: [cert.v(y)], x)[0]
             assert np.linalg.norm(g - fd) <= 1e-5 * (1.0 + np.linalg.norm(g))
 
 

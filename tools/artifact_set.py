@@ -1,0 +1,127 @@
+"""Rerun the byte-identity command set and keep everything it writes.
+
+    python3 tools/artifact_set.py OUT_DIR
+
+Runs 30 ``clfetc`` commands, one at a time, against the package in this
+checkout's ``src`` directory:
+
+- ``simulate --plot``, ``verify`` and ``dwell`` on the relay1d, zeno_polar,
+  homog2d, acc_case1 and acc_case2 presets;
+- ``dwell --force`` on relay1d and ``sweep`` on zeno_sweep;
+- homog2d ``simulate`` under explicit ``self`` (tau 0.05), ``time`` (period
+  0.05, and instants 0.3/1/2.5) and ``periodic-event`` (h 0.01) at horizon
+  5, and under derived ``self``, ``time`` and ``periodic-event`` at horizon
+  0.02;
+- ``stats``, printed and with ``--out``, on the relay1d, homog2d and
+  acc_case1 trajectories.
+
+Each command writes into its own directory ``OUT_DIR/NN_name``.  The
+homog2d configs go to ``OUT_DIR/configs``.  ``OUT_DIR/log.txt`` records each
+command with its exit code and printed lines, with ``OUT_DIR`` and this
+checkout's root replaced by placeholders.  Run it at two commits and compare
+the two directories with ``diff -r``: the output is empty when no artifact,
+exit code or printed line changed.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "src" / "clfetc" / "presets"
+MODELS = ("relay1d", "zeno_polar", "homog2d", "acc_case1", "acc_case2")
+STATS_OF = ("relay1d", "homog2d", "acc_case1")
+
+# homog2d under the clock policies: (name, policy spec, horizon)
+HOMOG2D_RUNS = (
+    ("self", {"policy": "self", "tau": 0.05}, 5.0),
+    ("time", {"policy": "time", "period": 0.05}, 5.0),
+    ("instants", {"policy": "time", "instants": [0.3, 1.0, 2.5]}, 5.0),
+    ("periodic", {"policy": "periodic-event", "h": 0.01}, 5.0),
+    ("self_derived", {"policy": "self"}, 0.02),
+    ("time_derived", {"policy": "time"}, 0.02),
+    ("periodic_derived", {"policy": "periodic-event"}, 0.02),
+)
+
+
+def homog2d_configs(config_dir: Path) -> list:
+    """Write the homog2d clock-policy configs; returns ``(name, path)``."""
+    base = json.loads((PRESETS / "homog2d.json").read_text())
+    sigma = base["policy"]["sigma"]
+    config_dir.mkdir(parents=True, exist_ok=True)
+    out = []
+    for name, spec, horizon in HOMOG2D_RUNS:
+        data = dict(base, policy=dict(spec, sigma=sigma), horizon=horizon,
+                    label=f"homog2d_{name}")
+        path = config_dir / f"homog2d_{name}.json"
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        out.append((f"homog2d_{name}", path))
+    return out
+
+
+def commands(out_dir: Path) -> list:
+    """The command set as ``(name, argv after 'clfetc', output dir)``."""
+    cmds = []
+
+    def add(name, args):
+        target = out_dir / f"{len(cmds) + 1:02d}_{name}"
+        cmds.append((name, args(str(target)), target))
+
+    for model in MODELS:
+        add(f"simulate_{model}",
+            lambda d, m=model: ["simulate", "--config", m, "--out", d, "--plot"])
+        add(f"verify_{model}",
+            lambda d, m=model: ["verify", "--config", m, "--out", d])
+        add(f"dwell_{model}",
+            lambda d, m=model: ["dwell", "--config", m, "--out", d])
+    add("dwell_force_relay1d",
+        lambda d: ["dwell", "--config", "relay1d", "--out", d, "--force"])
+    add("sweep_zeno_sweep",
+        lambda d: ["sweep", "--config", "zeno_sweep", "--out", d])
+    for name, path in homog2d_configs(out_dir / "configs"):
+        add(f"simulate_{name}",
+            lambda d, p=path: ["simulate", "--config", str(p), "--out", d])
+    for model in STATS_OF:
+        index = 3 * MODELS.index(model) + 1
+        csv = out_dir / f"{index:02d}_simulate_{model}" / f"{model}_trajectory.csv"
+        add(f"stats_{model}", lambda d, c=csv: ["stats", str(c)])
+        add(f"stats_out_{model}",
+            lambda d, c=csv: ["stats", str(c), "--out", str(Path(d) / "stats.json")])
+    return cmds
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python3 tools/artifact_set.py OUT_DIR", file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0]).resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def scrub(text):
+        return text.replace(str(out_dir), "<OUT>").replace(str(ROOT), "<ROOT>")
+
+    log = []
+    cmds = commands(out_dir)
+    for i, (name, args, target) in enumerate(cmds, start=1):
+        target.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "clfetc.cli", *args],
+                              env=env, capture_output=True, text=True)
+        log.append(f"== {i:02d} {name}: clfetc {scrub(' '.join(args))}")
+        log.append(f"exit {proc.returncode}")
+        log += [f"stdout: {scrub(line)}" for line in proc.stdout.splitlines()]
+        log += [f"stderr: {scrub(line)}" for line in proc.stderr.splitlines()]
+        print(f"{i:02d}/{len(cmds)} {name}: exit {proc.returncode}", flush=True)
+    (out_dir / "log.txt").write_text("\n".join(log) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
