@@ -20,8 +20,8 @@ import numpy as np
 from scipy.stats import qmc
 
 from .core import ClfCertificate, ControlSystem, finite_difference_jacobian, velocity_ratio
-from .errors import (ConfigurationError, DomainError, NonDegeneracyError,
-                     PropernessError)
+from .errors import (ConfigurationError, DimensionMismatchError, DomainError,
+                     NonDegeneracyError, PropernessError)
 
 __all__ = [
     "SublevelRegion",
@@ -255,8 +255,10 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
 def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
                         n: int, seed: int, safety: float, constant: str,
                         checked_map=None) -> EstimateReport:
-    """Sampled Lipschitz bound of ``map_fn``; ``checked_map``, when given,
-    takes the first sample and so validates what ``map_fn`` takes on trust."""
+    """Sampled Lipschitz bound of ``map_fn``, whose values must have shape
+    ``(region.dim,)``; the first value's shape is checked.  ``checked_map``,
+    when given, takes the first sample and so validates what ``map_fn``
+    takes on trust."""
     if n < 2:
         raise DomainError("Lipschitz estimation needs n >= 2")
     if region.degenerate:
@@ -272,6 +274,10 @@ def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
     best = 0.0
     best_point = pts[0]
     vals = [np.asarray((checked_map or map_fn)(pts[0]), dtype=float)]
+    if vals[0].shape != (region.dim,):
+        raise DimensionMismatchError(
+            f"the map behind {constant} returned shape {vals[0].shape}, "
+            f"expected ({region.dim},)")
     vals += [np.asarray(map_fn(p), dtype=float) for p in pts[1:]]
 
     def consider(quotient, point):
@@ -309,8 +315,8 @@ def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
     """Lipschitz constant of ``x -> F(x, U(anchor))`` over the region.
 
     The control is frozen at the anchor's feedback value throughout; the
-    first field evaluation checks it and the field's shape.  A degenerate
-    region (anchor at the equilibrium) returns 0 by convention.
+    first field evaluation checks it.  A degenerate region (anchor at the
+    equilibrium) returns 0 by convention.
     """
     u_star = cert.u(region.anchor)
     return _lipschitz_estimate(sys.frozen(u_star), cert, region, n, seed,

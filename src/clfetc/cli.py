@@ -38,7 +38,7 @@ from .errors import (ConfigurationError, DomainError, NonDegeneracyError,
                      PropernessError)
 from .models import MODEL_NAMES, build_model, zeno_first_event_bound
 from .triggers import (EventTriggered, PeriodicEventTriggered, SelfTriggered,
-                       TimeTriggered)
+                       TimeTriggered, check_sigma)
 
 ANOMALOUS_TERMINATIONS = ("zeno_abort", "blowup", "event_cap")
 
@@ -209,17 +209,22 @@ def _write_json(path, obj):
 
 
 def _resolve_sigma(cfg: ExperimentConfig) -> float:
+    """The run's retention fraction: ``policy.sigma``, or its alias
+    ``model.params.sigma``, which must agree with it, or 0.9."""
     pol = cfg.policy_spec
     params = cfg.model_params
     sigma = pol.get("sigma", params.get("sigma", 0.9))
     if "sigma" in pol and "sigma" in params and pol["sigma"] != params["sigma"]:
         raise ConfigurationError("policy sigma and model sigma disagree")
-    return float(sigma)
+    return check_sigma(float(sigma))
 
 
 def build_model_from_config(cfg: ExperimentConfig):
+    """The config's model.  A ``sigma`` among its params belongs to the
+    policy: it is checked here and not passed to the builder."""
+    _resolve_sigma(cfg)
     params = cfg.model_params
-    params["sigma"] = _resolve_sigma(cfg)
+    params.pop("sigma", None)
     return build_model(cfg.model_name, params)
 
 
@@ -307,15 +312,15 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
 
     if kind == "time":
         if "instants" in spec:
-            return TimeTriggered(instants=tuple(spec["instants"])), info
+            return TimeTriggered(sigma=sigma, instants=tuple(spec["instants"])), info
         if "period" in spec:
             info["period"] = float(spec["period"])
-            return TimeTriggered(period=float(spec["period"])), info
+            return TimeTriggered(sigma=sigma, period=float(spec["period"])), info
         region, constants, _ = _estimation_bundle(cfg, model, x0)
         rep = tau_min_over_sublevel(model.certificate, region, constants, sigma)
         info["period"] = rep.value
         info["derived_from"] = "tau_min"
-        return TimeTriggered(period=rep.value), info
+        return TimeTriggered(sigma=sigma, period=rep.value), info
 
     # periodic-event
     sigma_tilde, k_big = _periodic_params(cfg, sigma)
@@ -349,16 +354,22 @@ def integrator_from_config(cfg: ExperimentConfig) -> IntegratorConfig:
 def _simulate_once(cfg: ExperimentConfig):
     model, x0 = _model_and_x0(cfg)
     policy, pol_info = resolve_policy(cfg, model, x0)
-    icfg = integrator_from_config(cfg)
-    traj = run_closed_loop(model.system, model.certificate, policy, x0, icfg,
-                           meta={"model": model.name, "seed": cfg.seed,
-                                 "policy": pol_info})
+    traj = run_closed_loop(model.system, model.certificate, policy, x0,
+                           integrator_from_config(cfg))
     return model, x0, traj, pol_info
 
 
-def _first_dwell(traj):
-    """The time from the initial update to the first fired one, or None."""
-    return traj.events[1].dwell if len(traj.events) > 1 else None
+def _run_summary(model, traj):
+    """``(stats, rate_ok, rate_excess, first_dwell, zeno_bound)`` of one run:
+    its statistics, the rate-certificate check, the time from the initial
+    update to the first fired one (None without one) and, on zeno-polar
+    only, the analytic bound on that time (None on the other models)."""
+    stats = run_stats(traj)
+    rate_ok, rate_excess = check_rate_certificate(traj, model.certificate)
+    first_dwell = traj.events[1].dwell if len(traj.events) > 1 else None
+    zeno_bound = (zeno_first_event_bound(model.params["r_star"])
+                  if model.name == "zeno-polar" else None)
+    return stats, rate_ok, rate_excess, first_dwell, zeno_bound
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int:
@@ -368,8 +379,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int
     csv_path = os.path.join(out_dir, f"{label}_trajectory.csv")
     write_trajectory_csv(traj, csv_path)
 
-    stats = run_stats(traj)
-    rate_ok, rate_excess = check_rate_certificate(traj, model.certificate)
+    stats, rate_ok, rate_excess, first_dwell, zeno_bound = _run_summary(model, traj)
     payload = {
         "stats": stats,
         "termination": traj.termination,
@@ -386,13 +396,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int
                     "control": list(e.control)} for e in traj.events[:1000]],
         "config": cfg.to_dict(),
     }
-    if model.name == "zeno-polar":
-        first_dwell = _first_dwell(traj)
-        bound = zeno_first_event_bound(model.params["r_star"])
+    if zeno_bound is not None:
         payload["zeno_bound_comparison"] = {
             "first_dwell": first_dwell,
-            "analytic_bound": bound,
-            "within_bound": (first_dwell is not None and first_dwell <= bound),
+            "analytic_bound": zeno_bound,
+            "within_bound": (first_dwell is not None and first_dwell <= zeno_bound),
         }
     if traj.termination in ANOMALOUS_TERMINATIONS:
         payload["diagnostic"] = {
@@ -546,8 +554,7 @@ def _sweep_row(index, axis, value, data) -> dict:
     row.update({"index": index, "axis": axis, "value": value})
     try:
         model, _, traj, pol_info = _simulate_once(ExperimentConfig(data))
-        stats = run_stats(traj)
-        ok, _excess = check_rate_certificate(traj, model.certificate)
+        stats, ok, _excess, first_dwell, zeno_bound = _run_summary(model, traj)
         row.update({
             "model": model.name,
             "policy": pol_info["policy"],
@@ -557,12 +564,11 @@ def _sweep_row(index, axis, value, data) -> dict:
             "max_dwell": stats.max_dwell,
             "max_dwell_post_first": stats.max_dwell_post_first,
             "mean_event_frequency": stats.mean_event_frequency,
-            "first_dwell": _first_dwell(traj),
+            "first_dwell": first_dwell,
+            "dwell_bound": zeno_bound,
             "termination": traj.termination,
             "rate_certificate_ok": ok,
         })
-        if model.name == "zeno-polar":
-            row["dwell_bound"] = zeno_first_event_bound(model.params["r_star"])
     except Exception as exc:  # per-run failures stay in-row
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

@@ -75,7 +75,6 @@ class ControlSystem:
     state_dim: int
     input_dim: int
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = ""
 
     def __post_init__(self):
         if self.state_dim < 1 or self.input_dim < 1:
@@ -299,21 +298,17 @@ class ClfCertificate:
 
     ``value`` is ``V`` (positive definite), ``gradient`` its row gradient,
     ``rate`` the decrease rate ``gamma``, and ``feedback`` the map ``U(x)``
-    that achieves ``V'(x) F(x, U(x)) <= -gamma(V(x))``.  ``sigma`` in (0, 1)
-    is the fraction of that decrease the sampled-data controllers must
-    retain.  The feedback may be discontinuous; it is never differentiated.
+    that achieves ``V'(x) F(x, U(x)) <= -gamma(V(x))``.  The feedback may be
+    discontinuous; it is never differentiated.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     rate: RateFunction
     feedback: Callable[[np.ndarray], np.ndarray]
-    sigma: float = 0.9
     energy_map: EnergyTimeMap = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise DomainError(f"sigma must lie in (0, 1), got {self.sigma}")
         object.__setattr__(self, "energy_map", EnergyTimeMap.from_rate(self.rate))
 
     def v(self, x) -> float:

@@ -23,6 +23,7 @@ from .certificates import (bound_sublevel_box, estimate_constants,  # noqa: F401
                            estimate_rho, sample_in_region)
 from .core import ClfCertificate
 from .errors import ConfigurationError, DomainError
+from .triggers import check_sigma
 
 __all__ = [
     "DwellInputs",
@@ -51,8 +52,7 @@ class DwellInputs:
     gamma_mode: str = "nondecreasing"
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise DomainError(f"sigma must lie in (0, 1), got {self.sigma}")
+        check_sigma(self.sigma)
         if self.gamma_mode not in GAMMA_MODES:
             raise DomainError(f"gamma_mode must be one of {GAMMA_MODES}")
         if self.sigma_tilde is not None and not self.sigma < self.sigma_tilde < 1.0:

@@ -7,7 +7,7 @@ blow-up safeguards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -15,8 +15,7 @@ import numpy as np
 from .core import ClfCertificate, ControlSystem, _as_points
 from .errors import BlowupError, DomainError, IntegrationError
 from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
-                       equilibrium_threshold, frozen_guard, policy_sigma,
-                       predicate_p)
+                       equilibrium_threshold, frozen_guard, predicate_p)
 
 __all__ = [
     "IntegratorConfig",
@@ -201,14 +200,6 @@ class DenseSegment:
     ys: np.ndarray
     fs: np.ndarray
 
-    @property
-    def t0(self) -> float:
-        return float(self.ts[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.ts[-1])
-
     def eval(self, t: float) -> np.ndarray:
         if not self.ts[0] <= t <= self.ts[-1]:
             raise DomainError(f"t={t} outside segment [{self.ts[0]}, {self.ts[-1]}]")
@@ -292,7 +283,6 @@ class Trajectory:
     events: list
     termination: str
     sigma: float
-    meta: dict = field(default_factory=dict)
 
 
 class _Recorder:
@@ -330,7 +320,7 @@ class _Recorder:
     def fill_grid_const(self, t_hi, x, u):
         self.fill_grid(t_hi, lambda _t: x, u, inclusive=True)
 
-    def finalize(self, events, termination, sigma, meta) -> Trajectory:
+    def finalize(self, events, termination, sigma) -> Trajectory:
         t = np.array(self.rows_t)
         # the rows are checked once here; W then takes the unchecked field
         x = _as_points(self.rows_x, self.sys.state_dim, "state")
@@ -341,7 +331,7 @@ class _Recorder:
         return Trajectory(t=t, x=x, u=u, v=v, w=w,
                           event_flag=np.array(self.rows_flag, dtype=int),
                           events=list(events), termination=termination,
-                          sigma=sigma, meta=dict(meta))
+                          sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +402,7 @@ def _plain_until(sys, x, fx, u, t, t_end, cfg, rec):
 
 
 def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPolicy,
-                    x0, config: IntegratorConfig,
-                    meta: Optional[dict] = None) -> Trajectory:
+                    x0, config: IntegratorConfig) -> Trajectory:
     """Alternate frozen-input integration with the policy's update decisions
     until the horizon, the equilibrium, or a safeguard ends the run.
 
@@ -425,7 +414,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     instant is recorded exactly.
     """
     cfg = config.resolved()
-    sigma = policy_sigma(policy, cert)
+    sigma = policy.sigma
     x0 = np.asarray(x0, dtype=float)
     u = cert.u(x0)
     fx = sys.f(x0, u)  # dimension check up front
@@ -452,7 +441,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         u = cert.u(np.zeros(sys.state_dim))
         push_event(0.0, x, u, 0.0, "equilibrium_frozen")
         rec.fill_grid_const(horizon, x, u)
-        return rec.finalize(events, "equilibrium", sigma, meta or {})
+        return rec.finalize(events, "equilibrium", sigma)
     push_event(0.0, x, u, frozen_guard(cert, x, fx, sigma), "init")
 
     guarded = isinstance(policy, EventTriggered)
@@ -512,7 +501,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
             termination = "event_cap"
             break
 
-    return rec.finalize(events, termination, sigma, meta or {})
+    return rec.finalize(events, termination, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,17 @@ class Model:
     expected_assumption_status: str  # 'satisfies_all' | 'violates_nondegeneracy'
 
 
+def _quadratic_certificate(rate: RateFunction, feedback) -> ClfCertificate:
+    """The certificate ``V = |x|^2/2``, ``grad V = x`` with the given rate
+    and feedback."""
+    return ClfCertificate(
+        value=lambda x: 0.5 * float(x @ x),
+        gradient=lambda x: np.asarray(x, dtype=float),
+        rate=rate,
+        feedback=feedback,
+    )
+
+
 # ---------------------------------------------------------------------------
 # cruise control via backstepping
 
@@ -76,8 +87,7 @@ def acc_physical_from_state(x, k, v0, d0):
 
 
 def acc_backstepping(k: float = 1.01, tau_lag: Union[float, Callable] = 0.3,
-                     v0: float = 20.0, d0: float = 10.0,
-                     sigma: float = 0.9) -> Model:
+                     v0: float = 20.0, d0: float = 10.0) -> Model:
     """Third-order longitudinal vehicle model in backstepping coordinates.
 
     The commanded acceleration tracks the actual one through a first-order
@@ -116,16 +126,10 @@ def acc_backstepping(k: float = 1.01, tau_lag: Union[float, Callable] = 0.3,
         return np.array([tl * kk * kk * (x2 - kk * x1)
                          + (1.0 - 2.0 * kk * tl) * z - tl * (x1 - kk * x3)])
 
-    system = ControlSystem(state_dim=3, input_dim=1, rhs=rhs, name="acc")
-    cert = ClfCertificate(
-        value=lambda x: 0.5 * float(x @ x),
-        gradient=lambda x: np.asarray(x, dtype=float),
-        rate=RateFunction.linear(ae),
-        feedback=feedback,
-        sigma=sigma,
-    )
+    system = ControlSystem(state_dim=3, input_dim=1, rhs=rhs)
+    cert = _quadratic_certificate(RateFunction.linear(ae), feedback)
     params = {"k": kk, "tau_lag": tau_lag if not callable(tau_lag) else "callable",
-              "v0": v0, "d0": d0, "sigma": sigma}
+              "v0": v0, "d0": d0}
     x0 = np.array([10.0, 10.0 * kk, 10.0 * kk * kk])  # close a 10 m gap
     return Model(name="acc", system=system, certificate=cert, params=params,
                  default_x0=x0, expected_assumption_status="satisfies_all")
@@ -135,7 +139,7 @@ def acc_backstepping(k: float = 1.01, tau_lag: Union[float, Callable] = 0.3,
 # homogeneous planar system
 
 
-def homogeneous_planar(rate_scale: float = 1.0, sigma: float = 0.9) -> Model:
+def homogeneous_planar(rate_scale: float = 1.0) -> Model:
     """Cubic planar system with quadratic CLF and rate ``rate_scale * v^2``.
 
     The decrease identity is ``V'(x) F(x, U(x)) = -(x1^4 + x2^4)``, which
@@ -152,16 +156,12 @@ def homogeneous_planar(rate_scale: float = 1.0, sigma: float = 0.9) -> Model:
             x1 * x2 ** 2 + u[0] - x1 ** 2 * x2,
         ])
 
-    system = ControlSystem(state_dim=2, input_dim=1, rhs=rhs, name="homog2d")
-    cert = ClfCertificate(
-        value=lambda x: 0.5 * float(x @ x),
-        gradient=lambda x: np.asarray(x, dtype=float),
-        rate=RateFunction.power(rate_scale, 2.0),
-        feedback=lambda x: np.array([-x[1] ** 3 - x[0] * x[1] ** 2]),
-        sigma=sigma,
-    )
+    system = ControlSystem(state_dim=2, input_dim=1, rhs=rhs)
+    cert = _quadratic_certificate(
+        RateFunction.power(rate_scale, 2.0),
+        lambda x: np.array([-x[1] ** 3 - x[0] * x[1] ** 2]))
     return Model(name="homog2d", system=system, certificate=cert,
-                 params={"rate_scale": rate_scale, "sigma": sigma},
+                 params={"rate_scale": rate_scale},
                  default_x0=np.array([0.1, 0.4]),
                  expected_assumption_status="satisfies_all")
 
@@ -179,8 +179,7 @@ def zeno_first_event_bound(r_star: float) -> float:
     return r_star * s * math.atan(r_star) / (r_star * s + 1.0 - r_star ** 2)
 
 
-def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0,
-               sigma: float = 0.9) -> Model:
+def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0) -> Model:
     """Harmonic rotation with a feedback that cancels it only in continuous
     time.  The feedback speed does not vanish near the origin, so the
     velocity-to-decrease ratio diverges and inter-update times collapse.
@@ -197,17 +196,11 @@ def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0,
             return np.zeros(2)
         return np.array([-x[0] + x[1] / r, -x[1] - x[0] / r])
 
-    system = ControlSystem(state_dim=2, input_dim=2, rhs=rhs, name="zeno-polar")
-    cert = ClfCertificate(
-        value=lambda x: 0.5 * float(x @ x),
-        gradient=lambda x: np.asarray(x, dtype=float),
-        rate=RateFunction.linear(2.0),
-        feedback=feedback,
-        sigma=sigma,
-    )
+    system = ControlSystem(state_dim=2, input_dim=2, rhs=rhs)
+    cert = _quadratic_certificate(RateFunction.linear(2.0), feedback)
     x0 = r_star * np.array([math.cos(phi_star), math.sin(phi_star)])
     return Model(name="zeno-polar", system=system, certificate=cert,
-                 params={"r_star": r_star, "phi_star": phi_star, "sigma": sigma},
+                 params={"r_star": r_star, "phi_star": phi_star},
                  default_x0=x0,
                  expected_assumption_status="violates_nondegeneracy")
 
@@ -216,7 +209,7 @@ def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0,
 # scalar relay
 
 
-def relay_1d(sigma: float = 0.9) -> Model:
+def relay_1d() -> Model:
     """Integrator with relay feedback ``-sgn(x)`` and square-root rate.
 
     Finite-time convergence: the event schedule under the guard policy is
@@ -227,16 +220,15 @@ def relay_1d(sigma: float = 0.9) -> Model:
     def rhs(x, u):
         return np.array([u[0]])
 
-    system = ControlSystem(state_dim=1, input_dim=1, rhs=rhs, name="relay1d")
+    system = ControlSystem(state_dim=1, input_dim=1, rhs=rhs)
     cert = ClfCertificate(
         value=lambda x: float(x[0] * x[0]),
         gradient=lambda x: np.array([2.0 * x[0]]),
         rate=RateFunction.power(2.0, 0.5),
         feedback=lambda x: np.array([-np.sign(x[0]) + 0.0]),  # avoids -0.0
-        sigma=sigma,
     )
     return Model(name="relay1d", system=system, certificate=cert,
-                 params={"sigma": sigma}, default_x0=np.array([1.0]),
+                 params={}, default_x0=np.array([1.0]),
                  expected_assumption_status="violates_nondegeneracy")
 
 

@@ -1,8 +1,10 @@
 """The four sampling policies, the event guard and the periodic predicate.
 
-A policy never integrates anything.  The event-triggered policy is watched
-through the guard; the other three name their next clock instant, and the
-simulation engine integrates to it and refreshes the control there.
+Every policy carries the retention fraction ``sigma`` of its run, checked
+by :func:`check_sigma`.  A policy never integrates anything.  The
+event-triggered policy is watched through the guard; the other three name
+their next clock instant, and the simulation engine integrates to it and
+refreshes the control there.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "TimeTriggered",
     "PeriodicEventTriggered",
     "TriggerPolicy",
+    "check_sigma",
     "equilibrium_threshold",
     "frozen_guard",
     "predicate_p",
@@ -33,6 +36,14 @@ def equilibrium_threshold(v0: float) -> float:
     return max(EQ_ABS_FLOOR, EQ_REL_FLOOR * v0)
 
 
+def check_sigma(sigma: float) -> float:
+    """The retention fraction ``sigma``, which must lie in (0, 1): the share
+    of the certified decrease a policy keeps between updates."""
+    if not 0.0 < sigma < 1.0:
+        raise DomainError(f"sigma must lie in (0, 1), got {sigma}")
+    return sigma
+
+
 @dataclass(frozen=True)
 class EventTriggered:
     """Recompute the control at the first zero of the event guard."""
@@ -40,8 +51,7 @@ class EventTriggered:
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise DomainError(f"sigma must lie in (0, 1), got {self.sigma}")
+        check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,7 @@ class SelfTriggered:
     tau_fn: Callable[[np.ndarray], float]
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise DomainError(f"sigma must lie in (0, 1), got {self.sigma}")
+        check_sigma(self.sigma)
 
     def next_instant(self, k: int, t: float, x) -> float:
         """The last update time ``t`` plus the dwell chosen at its state."""
@@ -69,14 +78,17 @@ class TimeTriggered:
     """Recompute on a trajectory-independent schedule.
 
     Either a fixed period or an explicit strictly increasing list of
-    instants.  Whether the period is small enough for the rate guarantee is
-    the caller's concern (a sufficient bound comes from the dwell module).
+    instants.  ``sigma`` is the retention the schedule is meant to keep;
+    whether the period is small enough for it is the caller's concern (a
+    sufficient bound comes from the dwell module).
     """
 
+    sigma: float
     period: Optional[float] = None
     instants: Optional[tuple] = None
 
     def __post_init__(self):
+        check_sigma(self.sigma)
         if (self.period is None) == (self.instants is None):
             raise ConfigurationError("give exactly one of period or instants")
         if self.period is not None and self.period <= 0:
@@ -112,8 +124,7 @@ class PeriodicEventTriggered:
     big_m: float
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise DomainError(f"sigma must lie in (0, 1), got {self.sigma}")
+        check_sigma(self.sigma)
         if not self.sigma < self.sigma_tilde < 1.0:
             raise DomainError("sigma_tilde must lie in (sigma, 1)")
         if self.k_big <= 1.0:
@@ -159,10 +170,3 @@ def predicate_p(cert: ClfCertificate, big_m: float, x, fx,
     if not float(g @ fx) < -sigma_tilde * cert.rate(cert.v(x)):
         return False
     return velocity_ratio(g, fx) <= k_big * big_m
-
-
-def policy_sigma(policy: TriggerPolicy, cert: ClfCertificate) -> float:
-    """The retention fraction governing a run (time-triggered schedules
-    inherit the certificate's)."""
-    return getattr(policy, "sigma", cert.sigma)
-

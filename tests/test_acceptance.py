@@ -129,7 +129,8 @@ def property_runs():
                 "event": (EventTriggered(sigma=SIGMA), event_horizon),
                 "self": (SelfTriggered(sigma=SIGMA, tau_fn=lambda _x, t=tau_anchor: t),
                          SEGMENT_BUDGET * tau_anchor),
-                "time": (TimeTriggered(period=tau_min), SEGMENT_BUDGET * tau_min),
+                "time": (TimeTriggered(sigma=SIGMA, period=tau_min),
+                         SEGMENT_BUDGET * tau_min),
                 "periodic-event": (PeriodicEventTriggered(
                     sigma=SIGMA, sigma_tilde=SIGMA_TILDE, k_big=K_BIG, h=h,
                     big_m=constants.big_m), SEGMENT_BUDGET * h),

@@ -18,13 +18,12 @@ from oracles import acc_frozen_matrices, grid_pairwise_lipschitz, grid_ratio_max
 SQRT_E = math.sqrt(math.e)
 
 
-def quad_cert(sigma=0.9, rate=None):
+def quad_cert(rate=None):
     return ClfCertificate(
         value=lambda x: 0.5 * float(x @ x),
         gradient=lambda x: np.asarray(x, dtype=float),
         rate=rate or RateFunction.linear(1.0),
         feedback=lambda x: -np.asarray(x, dtype=float),
-        sigma=sigma,
     )
 
 
@@ -135,6 +134,13 @@ class TestEstimateNu:
         region = bound_sublevel_box(acc.certificate, np.array([2.0, -1.0, 0.5]))
         rep = estimate_nu(acc.certificate, region, 128, seed=0)
         assert rep.value == pytest.approx(1.25, rel=1e-9)
+
+    def test_wrong_gradient_shape_rejected(self):
+        # a 2-d certificate whose gradient has 3 entries
+        cert = replace(quad_cert(), gradient=lambda x: np.array([x[0], x[1], 0.0]))
+        region = bound_sublevel_box(cert, np.array([1.0, 1.0]))
+        with pytest.raises(DimensionMismatchError, match="nu"):
+            estimate_nu(cert, region, 64, seed=0)
 
     def test_quartic_against_grid_oracle(self):
         cert = ClfCertificate(

@@ -9,7 +9,8 @@ from clfetc import (ConfigurationError, DwellInputs, RateFunction,
                     bound_sublevel_box, build_model, estimate_constants,
                     estimate_rho, tau_select)
 from clfetc.cli import (ExperimentConfig, load_config, main, resolve_policy,
-                        _apply_axis, _state_at_level)
+                        _apply_axis, _model_and_x0, _simulate_once,
+                        _state_at_level)
 
 
 def run_cli(*argv):
@@ -68,6 +69,39 @@ class TestConfigHandling:
     def test_missing_config_reports_error(self):
         with pytest.raises(ConfigurationError):
             load_config("no_such_preset")
+
+    def test_model_sigma_alone_sets_the_run_sigma(self, tmp_path):
+        data = json.loads(json.dumps(MINI_RELAY))
+        del data["policy"]["sigma"]
+        data["model"]["params"] = {"sigma": 0.6}
+        cfg = ExperimentConfig(data)
+        model, x0 = _model_and_x0(cfg)
+        policy, _ = resolve_policy(cfg, model, x0)
+        assert policy.sigma == 0.6
+        rc = run_cli("simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path))
+        assert rc == 0
+        stats = json.loads((tmp_path / "mini_relay_stats.json").read_text())
+        assert stats["sigma"] == stats["policy"]["sigma"] == 0.6
+        assert "sigma" not in stats["model_params"]
+        _, _, traj, _ = _simulate_once(cfg)
+        assert traj.sigma == 0.6
+
+    @pytest.mark.parametrize("command,policy,params_sigma,message", [
+        ("simulate", {"policy": "event", "sigma": 0.9}, 0.6,
+         "policy sigma and model sigma disagree"),
+        ("verify", {"policy": "event", "sigma": 0.9}, 0.6,
+         "policy sigma and model sigma disagree"),
+        ("verify", {"policy": "event"}, 1.5, "sigma must lie in (0, 1), got 1.5"),
+    ])
+    def test_bad_model_sigma_exits_one(self, tmp_path, capsys, command, policy,
+                                       params_sigma, message):
+        data = dict(MINI_RELAY, policy=policy,
+                    model={"name": "relay1d", "params": {"sigma": params_sigma}})
+        rc = run_cli(command, "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -169,7 +203,7 @@ class TestResolvePolicy:
     def test_derived_self_dwell_for_c1_rate(self):
         # a rate that is not non-decreasing gets one dwell, at the region's
         # constants in c1 mode; the region's rho bounds the per-state rho
-        model = build_model("homog2d", {"sigma": 0.9})
+        model = build_model("homog2d")
         cert = replace(model.certificate, rate=RateFunction.custom(
             lambda v: 2.0 + math.sin(v), gamma_prime=math.cos))
         model = replace(model, certificate=cert)

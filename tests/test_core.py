@@ -123,41 +123,40 @@ class TestConvergenceBound:
             4.0 * math.exp(-1.0), rel=1e-12)
 
     def test_zero_time(self):
-        cert = _quadratic_cert(RateFunction.power(1.0, 2.0), sigma=0.9)
-        assert cert.energy_map.bound_after(0.085, 0.0, cert.sigma) == \
+        cert = _quadratic_cert(RateFunction.power(1.0, 2.0))
+        assert cert.energy_map.bound_after(0.085, 0.0, 0.9) == \
             pytest.approx(0.085)
 
     def test_quadratic_rate_against_ode_solution(self):
         # independent oracle: Vdot = -sigma V^2 integrates to
         # V(t) = 1 / (1/V0 + sigma t)
-        cert = _quadratic_cert(RateFunction.power(1.0, 2.0), sigma=0.9)
+        cert = _quadratic_cert(RateFunction.power(1.0, 2.0))
         v0, t = 0.085, 10.0
         expected = 1.0 / (1.0 / v0 + 0.9 * t)
-        assert cert.energy_map.bound_after(v0, t, cert.sigma) == pytest.approx(
+        assert cert.energy_map.bound_after(v0, t, 0.9) == pytest.approx(
             expected, rel=1e-10)
         assert expected == pytest.approx(0.04816, abs=1e-5)
 
     def test_monotone_nonincreasing_in_time(self):
-        cert = _quadratic_cert(RateFunction.power(2.0, 0.5), sigma=0.5)
+        cert = _quadratic_cert(RateFunction.power(2.0, 0.5))
         ts = np.linspace(0.0, 5.0, 40)
-        vals = [cert.energy_map.bound_after(3.0, t, cert.sigma) for t in ts]
+        vals = [cert.energy_map.bound_after(3.0, t, 0.5) for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(3.0)
 
     def test_equilibrium_short_circuit(self):
-        cert = _quadratic_cert(RateFunction.linear(1.0), sigma=0.5)
-        assert cert.energy_map.bound_after(0.0, 3.0, cert.sigma) == 0.0
+        cert = _quadratic_cert(RateFunction.linear(1.0))
+        assert cert.energy_map.bound_after(0.0, 3.0, 0.5) == 0.0
         with pytest.raises(DomainError):
-            cert.energy_map.bound_after(-1.0, 3.0, cert.sigma)
+            cert.energy_map.bound_after(-1.0, 3.0, 0.5)
 
 
-def _quadratic_cert(rate, sigma=0.9):
+def _quadratic_cert(rate):
     return ClfCertificate(
         value=lambda x: 0.5 * float(x @ x),
         gradient=lambda x: np.asarray(x, dtype=float),
         rate=rate,
         feedback=lambda x: -np.asarray(x, dtype=float),
-        sigma=sigma,
     )
 
 
@@ -223,7 +222,6 @@ class TestVerifyClfPointwise:
             gradient=relay.certificate.gradient,
             rate=relay.certificate.rate,
             feedback=lambda x: np.zeros(1),
-            sigma=0.9,
         )
         report = verify_clf_pointwise(broken, relay.system, [np.array([1.0])])
         assert not report.ok
@@ -296,10 +294,6 @@ class TestRateFunction:
             RateFunction.linear(0.0)
         with pytest.raises(DomainError):
             RateFunction.power(1.0, -1.0)
-
-    def test_certificate_sigma_validation(self):
-        with pytest.raises(DomainError):
-            _quadratic_cert(RateFunction.linear(1.0), sigma=1.0)
 
     def test_sampled_validation(self):
         RateFunction.linear(2.0).validate_samples(10.0)

@@ -157,9 +157,10 @@ class TestRunClosedLoop:
         cert = ClfCertificate(value=lambda x: float(x[0] ** 2),
                               gradient=lambda x: np.array([2.0 * x[0]]),
                               rate=RateFunction.linear(1.0),
-                              feedback=lambda x: np.zeros(1), sigma=0.5)
+                              feedback=lambda x: np.zeros(1))
         cfg = IntegratorConfig(horizon=10.0)
-        traj = run_closed_loop(sysm, cert, TimeTriggered(period=1.0), [5.0], cfg)
+        traj = run_closed_loop(sysm, cert, TimeTriggered(sigma=0.5, period=1.0),
+                               [5.0], cfg)
         assert traj.termination == "blowup"
         # finite escape time of xdot = x^2 from 5 is 1/5
         assert traj.t[-1] == pytest.approx(0.2, abs=1e-3)
@@ -178,7 +179,6 @@ class TestRunClosedLoop:
             gradient=lambda x: np.asarray(x, dtype=float),
             rate=RateFunction.linear(1.0),
             feedback=lambda x: np.array([-x[0] - x[1]]),
-            sigma=0.5,
         )
         x0 = np.array([2.0, 0.0])
         u0 = cert.u(x0)
@@ -233,7 +233,7 @@ class TestRunClosedLoop:
         # guard = gradient . F + sigma*V = -0.25 outside both, 0.75 inside
         cert = ClfCertificate(value=lambda x: 0.5 * x[0] ** 2, gradient=gradient,
                               rate=RateFunction.linear(1.0),
-                              feedback=lambda x: np.zeros(1), sigma=0.5)
+                              feedback=lambda x: np.zeros(1))
         traj = run_closed_loop(sysm, cert, EventTriggered(sigma=0.5), x0, cfg)
         assert traj.termination == "event_cap"
         assert traj.events[1].time == pytest.approx(bump[0], abs=1e-12)
@@ -268,7 +268,7 @@ class TestRunClosedLoop:
         tau = tau_select(DwellInputs(constants=consts, sigma=0.9,
                                      gamma_mode="nondecreasing")).value
         cfg = IntegratorConfig(horizon=400 * tau, output_points=401)
-        traj = run_closed_loop(sysm, cert, TimeTriggered(period=tau),
+        traj = run_closed_loop(sysm, cert, TimeTriggered(sigma=0.9, period=tau),
                                homog.default_x0, cfg)
         guard = traj.w + 0.9 * np.array([cert.rate(v) for v in traj.v])
         assert float(guard.max()) <= 1e-12
@@ -304,7 +304,7 @@ class TestRunStats:
         assert st.max_dwell_post_first is None
 
     def test_periodic_schedule_stats(self, relay):
-        pol = TimeTriggered(period=0.3)
+        pol = TimeTriggered(sigma=0.9, period=0.3)
         cfg = IntegratorConfig(horizon=3.0)
         traj = run_closed_loop(relay.system, relay.certificate, pol, [10.0], cfg)
         st = run_stats(traj)

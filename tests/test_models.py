@@ -9,6 +9,7 @@ from clfetc import (ConfigurationError, DomainError, EventTriggered,
                     homogeneous_planar, run_closed_loop,
                     sample_in_region, verify_clf_pointwise,
                     zeno_first_event_bound, zeno_polar)
+from clfetc.cli import ExperimentConfig, _model_and_x0, load_config, resolve_policy
 from clfetc.models import acc_physical_from_state, acc_state_from_physical
 
 
@@ -81,7 +82,7 @@ class TestHomogeneousPlanarModel:
 
     def test_preset_initial_condition(self, homog):
         np.testing.assert_allclose(homog.default_x0, [0.1, 0.4])
-        assert homog.certificate.sigma == 0.9
+        assert load_config("homog2d").policy_spec["sigma"] == 0.9
 
     def test_rate_variants(self):
         m1 = homogeneous_planar(rate_scale=1.0)
@@ -191,9 +192,17 @@ class TestRegistry:
         assert set(MODEL_NAMES) == {"acc", "homog2d", "zeno-polar", "relay1d"}
 
     def test_build_with_params(self):
-        m = build_model("acc", {"k": 1.5, "sigma": 0.8})
+        m = build_model("acc", {"k": 1.5})
         assert m.params["k"] == 1.5
-        assert m.certificate.sigma == 0.8
+        # sigma is no model parameter: the CLI reads model.params.sigma as
+        # an alias of the policy's and keeps it from the builder
+        with pytest.raises(ConfigurationError):
+            build_model("acc", {"k": 1.5, "sigma": 0.8})
+        cfg = ExperimentConfig({"model": {"name": "acc",
+                                          "params": {"k": 1.5, "sigma": 0.8}}})
+        m, x0 = _model_and_x0(cfg)
+        assert m.params["k"] == 1.5
+        assert resolve_policy(cfg, m, x0)[0].sigma == 0.8
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):

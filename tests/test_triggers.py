@@ -15,8 +15,8 @@ class TestEventGuard:
         cert, sysm = homog.certificate, homog.system
         for x in ([0.1, 0.4], [0.3, -0.2], [-0.5, 0.1]):
             x = np.array(x)
-            g = frozen_guard(cert, x, sysm.f(x, cert.u(x)), cert.sigma)
-            assert g <= -(1.0 - cert.sigma) * cert.rate(cert.v(x)) + 1e-15
+            g = frozen_guard(cert, x, sysm.f(x, cert.u(x)), 0.9)
+            assert g <= -(1.0 - 0.9) * cert.rate(cert.v(x)) + 1e-15
             assert g < 0.0
 
     def test_relay_guard_along_exact_flow(self, relay):
@@ -83,22 +83,29 @@ class TestPolicyValidation:
             EventTriggered(sigma=0.0)
         with pytest.raises(DomainError):
             SelfTriggered(sigma=1.0, tau_fn=lambda x: 1.0)
+        with pytest.raises(DomainError):
+            TimeTriggered(sigma=0.0, period=0.1)
+        with pytest.raises(DomainError):
+            TimeTriggered(sigma=1.0, instants=(0.5,))
+        with pytest.raises(DomainError):
+            PeriodicEventTriggered(sigma=1.0, sigma_tilde=0.95, k_big=2.0,
+                                   h=0.1, big_m=1.0)
 
     def test_time_triggered_schedule(self):
         with pytest.raises(ConfigurationError):
-            TimeTriggered()
+            TimeTriggered(sigma=0.9)
         with pytest.raises(ConfigurationError):
-            TimeTriggered(period=0.1, instants=(0.1, 0.2))
+            TimeTriggered(sigma=0.9, period=0.1, instants=(0.1, 0.2))
         with pytest.raises(DomainError):
-            TimeTriggered(period=-1.0)
+            TimeTriggered(sigma=0.9, period=-1.0)
         with pytest.raises(DomainError):
-            TimeTriggered(instants=(0.3, 0.2))
-        pol = TimeTriggered(instants=(0.5, 1.5, 4.0))
+            TimeTriggered(sigma=0.9, instants=(0.3, 0.2))
+        pol = TimeTriggered(sigma=0.9, instants=(0.5, 1.5, 4.0))
         assert pol.next_instant(0, 0.0, np.zeros(1)) == 0.5
         assert pol.next_instant(1, 0.5, np.zeros(1)) == 1.5
         assert pol.next_instant(2, 1.5, np.zeros(1)) == 4.0
         assert pol.next_instant(3, 4.0, np.zeros(1)) is None
-        per = TimeTriggered(period=0.25)
+        per = TimeTriggered(sigma=0.9, period=0.25)
         assert per.next_instant(3, 0.75, np.zeros(1)) == pytest.approx(1.0)
         # the schedule ignores the time and state it is called with
         assert per.next_instant(3, 0.0, np.ones(1)) == per.next_instant(
@@ -216,7 +223,7 @@ class TestRunLevelInvariants:
 
     def test_time_triggered_list_exhausted(self, relay):
         # after the last listed instant the loop runs to the horizon frozen
-        pol = TimeTriggered(instants=(0.2, 0.5))
+        pol = TimeTriggered(sigma=0.9, instants=(0.2, 0.5))
         traj = run_closed_loop(relay.system, relay.certificate, pol, [1.0],
                                IntegratorConfig(horizon=1.0))
         assert [e.time for e in traj.events] == [0.0, 0.2, 0.5]
