@@ -13,9 +13,9 @@ from .dwell import (DwellEstimate, DwellInputs, admissible_period, c_bound,
 from .engine import (IntegratorConfig, Trajectory, check_rate_certificate,
                      integrate_frozen, locate_event, run_closed_loop,
                      run_stats, write_trajectory_csv)
-from .errors import (BlowupError, ConfigurationError, DimensionMismatchError,
-                     DomainError, IntegrationError, NonDegeneracyError,
-                     PropernessError)
+from .errors import (BlowupError, ClfetcError, ConfigurationError,
+                     DimensionMismatchError, DomainError, IntegrationError,
+                     NonDegeneracyError, PropernessError)
 from .models import (MODEL_NAMES, Model, acc_backstepping, build_model,
                      homogeneous_planar, relay_1d, zeno_first_event_bound,
                      zeno_polar)

@@ -13,7 +13,7 @@ estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -96,32 +96,27 @@ class EstimateReport:
 class CertificateConstants:
     """The constants entering the dwell-time formulas, all on one region.
 
-    ``mu`` is always recomputed from ``kappa`` and ``nu``; constructing an
-    inconsistent triple raises.
+    ``mu`` is computed from ``kappa`` and ``nu`` by :func:`compute_mu`.
     """
 
     kappa: float
     nu: float
     big_m: float
     rho: float
-    mu: float
+    mu: float = field(init=False)
     provenance: str = "sampled"
 
     def __post_init__(self):
-        for name in ("kappa", "nu", "big_m", "rho", "mu"):
+        for name in ("kappa", "nu", "big_m", "rho"):
             val = getattr(self, name)
             if not math.isfinite(val) or val < 0:
                 raise DomainError(f"{name} must be finite and non-negative, got {val}")
         if self.big_m <= 0:
             raise DomainError("big_m must be positive")
-        if self.mu != compute_mu(self.kappa, self.nu):
-            raise DomainError("mu is not the value recomputed from kappa and nu")
-
-    @staticmethod
-    def from_estimates(kappa: float, nu: float, big_m: float, rho: float,
-                       provenance: str = "sampled") -> "CertificateConstants":
-        return CertificateConstants(kappa=kappa, nu=nu, big_m=big_m, rho=rho,
-                                    mu=compute_mu(kappa, nu), provenance=provenance)
+        mu = compute_mu(self.kappa, self.nu)
+        if not math.isfinite(mu):
+            raise DomainError(f"mu must be finite, got {mu}")
+        object.__setattr__(self, "mu", mu)
 
 
 def compute_mu(kappa: float, nu: float) -> float:
@@ -184,7 +179,6 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
                     r_out = mid
             store[i] = sign * r_out
 
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     # widen to cover sampled sublevel points the rays may have missed
     sob = qmc.Sobol(d=d, scramble=True, seed=seed)
     for _ in range(3):
@@ -462,7 +456,7 @@ def estimate_constants(sys: ControlSystem, cert: ClfCertificate, region: Subleve
             "velocity-to-decrease ratio diverges near the origin; "
             "no finite dwell-time constants exist on this region", report=rep_m)
     rho = estimate_rho(cert, region.level)
-    constants = CertificateConstants.from_estimates(
+    constants = CertificateConstants(
         kappa=rep_k.value, nu=rep_n.value,
         big_m=max(rep_m.value, 1e-300), rho=rho,
         provenance=f"sampled(n={n}, safety={safety})")

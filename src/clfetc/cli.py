@@ -4,8 +4,8 @@ Subcommands: ``simulate``, ``verify``, ``dwell``, ``sweep`` and
 ``stats <traj.csv>``.  Experiments are described by JSON configs (shipped
 presets can be named instead of a path); artifacts are CSV trajectories,
 JSON reports and optional SVG plots.  Exit codes: 0 success, 1 assumption or
-configuration failure, 2 runtime termination anomaly (Zeno abort, blow-up,
-event cap).
+configuration failure or any other toolkit error (printed as ``error: ...``),
+2 runtime termination anomaly (Zeno abort, blow-up, event cap).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .dwell import DwellInputs, admissible_period, tau_min_over_sublevel
 from .engine import (IntegratorConfig, check_rate_certificate, run_closed_loop,
                      run_stats, read_event_times_csv, stats_from_event_times,
                      write_trajectory_csv)
-from .errors import (ConfigurationError, DomainError, NonDegeneracyError,
+from .errors import (ClfetcError, ConfigurationError, NonDegeneracyError,
                      PropernessError)
 from .models import MODEL_NAMES, build_model, zeno_first_event_bound
 from .triggers import (EventTriggered, PeriodicEventTriggered, SelfTriggered,
@@ -99,7 +99,6 @@ _SCHEMA = {
                 # region's own level, so no anchors are sampled
                 "n_anchors": {"type": "integer", "minimum": 1},
                 "n_clf_samples": {"type": "integer", "minimum": 1},
-                "global_constants_declared": {"type": "boolean"},
             },
         },
         "sweep": {
@@ -165,7 +164,6 @@ class ExperimentConfig:
         est.setdefault("n_samples", 192)
         est.setdefault("safety_factor", DEFAULT_SAFETY)
         est.setdefault("n_clf_samples", 2000)
-        est.setdefault("global_constants_declared", False)
         return est
 
 
@@ -216,6 +214,8 @@ def _resolve_sigma(cfg: ExperimentConfig) -> float:
     sigma = pol.get("sigma", params.get("sigma", 0.9))
     if "sigma" in pol and "sigma" in params and pol["sigma"] != params["sigma"]:
         raise ConfigurationError("policy sigma and model sigma disagree")
+    if not isinstance(sigma, (int, float)):
+        raise ConfigurationError(f"sigma must be a number, got {sigma!r}")
     return check_sigma(float(sigma))
 
 
@@ -298,17 +298,15 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
 
     if kind == "self":
         if "tau" in spec:
-            tau = float(spec["tau"])
-            info["tau"] = tau
-            return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
-        # the region's constants bound those at every state in it, rho
-        # included, so every update gets the same dwell
-        _, constants, _ = _estimation_bundle(cfg, model, x0)
-        tau = dwellmod.tau_select(DwellInputs(
-            constants=constants, sigma=sigma,
-            gamma_mode=dwellmod.gamma_mode(model.certificate))).value
-        info["tau_at_x0"] = tau
-        return SelfTriggered(sigma=sigma, tau_fn=lambda _x: tau), info
+            tau = info["tau"] = float(spec["tau"])
+        else:
+            # the region's constants bound those at every state in it, rho
+            # included, so every update gets the same dwell
+            _, constants, _ = _estimation_bundle(cfg, model, x0)
+            tau = info["tau_at_x0"] = float(dwellmod.tau_select(DwellInputs(
+                constants=constants, sigma=sigma,
+                gamma_mode=dwellmod.gamma_mode(model.certificate))).value)
+        return SelfTriggered(sigma=sigma, tau=tau), info
 
     if kind == "time":
         if "instants" in spec:
@@ -470,13 +468,11 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
     model, x0 = _model_and_x0(cfg)
-    est = cfg.estimation
     sigma = _resolve_sigma(cfg)
     sigma_tilde, k_big = _periodic_params(cfg, sigma)
     label = cfg.label
     report = {"model": model.name, "seed": cfg.seed, "sigma": sigma,
-              "sigma_tilde": sigma_tilde, "K": k_big, "config": cfg.to_dict(),
-              "global_constants_declared": est["global_constants_declared"]}
+              "sigma_tilde": sigma_tilde, "K": k_big, "config": cfg.to_dict()}
 
     try:
         region, constants, _ = _estimation_bundle(cfg, model, x0,
@@ -504,10 +500,6 @@ def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
             f"configured period {user_period} exceeds the estimated "
             f"admissible period {rep_tau.value}; the rate guarantee is "
             "not certified at this period")
-    if est["global_constants_declared"]:
-        report["global_dwell_positivity"] = (
-            "declared: constants hold globally, so the dwell bound is "
-            "uniformly positive for every initial condition")
 
     if "horizon" in cfg.data:
         icfg = integrator_from_config(cfg)
@@ -675,8 +667,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out)
         raise ConfigurationError(f"unknown command {args.command}")
-    except (ConfigurationError, DomainError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ClfetcError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

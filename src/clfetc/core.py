@@ -37,6 +37,8 @@ CLF_CHECK_REL_TOL = 1e-9
 # levels at or below this count as the equilibrium, where the decrease
 # condition is vacuous: the exact test V = 0 is unattainable in floating point
 EQ_ABS_FLOOR = 1e-24
+# relative step of finite_difference_jacobian
+FD_SCALE = 1e-6
 
 
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
@@ -192,28 +194,25 @@ class EnergyTimeMap:
     ``G(v0) - G(v1)`` is the time the closed loop needs to descend from
     Lyapunov level ``v0`` to level ``v1`` when ``Vdot = -gamma(V)`` holds with
     equality.  ``lower_limit``/``upper_limit`` are the limits of ``G`` at
-    ``0+`` and ``+inf``; a finite ``lower_limit`` means finite-time
+    ``0+`` and ``+inf``, derived from the rate's power form (both infinite
+    for a custom rate); a finite ``lower_limit`` means finite-time
     convergence, and the inverse is clamped to 0 at and below it.
     """
 
     rate: RateFunction
-    lower_limit: float = -math.inf
-    upper_limit: float = math.inf
+    lower_limit: float = field(init=False)
+    upper_limit: float = field(init=False)
 
-    @staticmethod
-    def from_rate(rate: RateFunction, lower_limit=None, upper_limit=None) -> "EnergyTimeMap":
+    def __post_init__(self):
         lo, hi = -math.inf, math.inf
-        if rate.form is not None:
-            _, ae, a = rate.form
+        if self.rate.form is not None:
+            _, ae, a = self.rate.form
             if a > 1.0:
-                lo, hi = -math.inf, 1.0 / (ae * (a - 1.0))
+                hi = 1.0 / (ae * (a - 1.0))
             elif a < 1.0:
-                lo, hi = 1.0 / (ae * (a - 1.0)), math.inf
-        if lower_limit is not None:
-            lo = float(lower_limit)
-        if upper_limit is not None:
-            hi = float(upper_limit)
-        return EnergyTimeMap(rate=rate, lower_limit=lo, upper_limit=hi)
+                lo = 1.0 / (ae * (a - 1.0))
+        object.__setattr__(self, "lower_limit", lo)
+        object.__setattr__(self, "upper_limit", hi)
 
     def gamma_big(self, s: float) -> float:
         """Evaluate ``G(s)`` for ``s > 0`` (closed form when available)."""
@@ -259,8 +258,6 @@ class EnergyTimeMap:
                 break
             lo *= 0.5
             if lo < 1e-300:
-                if math.isfinite(self.lower_limit):
-                    return 0.0
                 raise DomainError("argument is below the numerically reachable range")
             glo = self.gamma_big(lo)
         # log-space bisection keeps relative accuracy across many decades
@@ -276,7 +273,7 @@ class EnergyTimeMap:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def bound_after(self, v0: float, t: float, sigma: float = 1.0) -> float:
+    def bound_after(self, v0: float, t: float, sigma: float) -> float:
         """Upper bound ``G^-1(G(v0) - sigma*t)`` on the level after time t."""
         if v0 < 0:
             raise DomainError("initial level must be non-negative")
@@ -309,7 +306,7 @@ class ClfCertificate:
     energy_map: EnergyTimeMap = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "energy_map", EnergyTimeMap.from_rate(self.rate))
+        object.__setattr__(self, "energy_map", EnergyTimeMap(self.rate))
 
     def v(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
@@ -387,13 +384,14 @@ def verify_clf_pointwise(cert: ClfCertificate, sys: ControlSystem,
     )
 
 
-def finite_difference_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                               scale: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with per-coordinate step ``scale*(1+|x_j|)``."""
+def finite_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],
+                               x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian with per-coordinate step
+    ``FD_SCALE*(1+|x_j|)``."""
     x = np.asarray(x, dtype=float)
     cols = []
     for j in range(x.size):
-        h = scale * (1.0 + abs(x[j]))
+        h = FD_SCALE * (1.0 + abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h

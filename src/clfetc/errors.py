@@ -1,24 +1,28 @@
 """Exception types shared across the toolkit."""
 
 
-class DimensionMismatchError(ValueError):
+class ClfetcError(Exception):
+    """Base of every toolkit error; the CLI reports these as ``error: ...``."""
+
+
+class DimensionMismatchError(ClfetcError, ValueError):
     """A state or control vector has the wrong length for its system."""
 
 
-class DomainError(ValueError):
+class DomainError(ClfetcError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(ClfetcError, ValueError):
     """Inconsistent or incomplete configuration of a policy or estimator."""
 
 
-class PropernessError(RuntimeError):
+class PropernessError(ClfetcError, RuntimeError):
     """A ray search failed to exit a sublevel set, so the Lyapunov function
     could not be certified proper along that direction."""
 
 
-class NonDegeneracyError(RuntimeError):
+class NonDegeneracyError(ClfetcError, RuntimeError):
     """The velocity-to-decrease ratio of the closed loop diverged, so the
     non-degeneracy assumption fails and no finite dwell-time constant exists."""
 
@@ -27,7 +31,7 @@ class NonDegeneracyError(RuntimeError):
         self.report = report
 
 
-class BlowupError(RuntimeError):
+class BlowupError(ClfetcError, RuntimeError):
     """A frozen-input solution escaped the blow-up norm cap before any event."""
 
     def __init__(self, t, state):
@@ -36,5 +40,5 @@ class BlowupError(RuntimeError):
         self.state = state
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ClfetcError, RuntimeError):
     """The adaptive stepper could not meet its tolerances."""

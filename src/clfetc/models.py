@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -86,31 +86,26 @@ def acc_physical_from_state(x, k, v0, d0):
     return d, v, a
 
 
-def acc_backstepping(k: float = 1.01, tau_lag: Union[float, Callable] = 0.3,
-                     v0: float = 20.0, d0: float = 10.0) -> Model:
+def acc_backstepping(k: float = 1.01, tau_lag: float = 0.3) -> Model:
     """Third-order longitudinal vehicle model in backstepping coordinates.
 
     The commanded acceleration tracks the actual one through a first-order
-    lag ``tau_lag`` (a constant or a function of speed).  The quadratic CLF
-    ``V = |x|^2/2`` with the printed feedback gives the linear decrease rate
-    ``2(k-1) V``, so ``k > 1`` is required.
+    lag with the constant time constant ``tau_lag``, so the frozen-input
+    loop is affine.  The quadratic CLF ``V = |x|^2/2`` with the printed
+    feedback gives the linear decrease rate ``2(k-1) V``, so ``k > 1`` is
+    required.
     """
     if k <= 1.0:
         raise DomainError(f"backstepping gain k must exceed 1, got {k}")
-    if callable(tau_lag):
-        tau_of_v = tau_lag
-    else:
-        if tau_lag <= 0:
-            raise DomainError("tau_lag must be positive")
-        tau_of_v = lambda _v, _tl=float(tau_lag): _tl  # noqa: E731
+    if tau_lag <= 0:
+        raise DomainError("tau_lag must be positive")
 
     kk = float(k)
+    tl = float(tau_lag)
     ae = 2.0 * (kk - 1.0)
 
     def rhs(x, u):
         x1, x2, x3 = x
-        v = v0 - (x2 - kk * x1)
-        tl = tau_of_v(v)
         z = 2.0 * kk * x2 - kk * kk * x1 - x3  # the (negated) acceleration
         return np.array([
             x2 - kk * x1,
@@ -120,16 +115,13 @@ def acc_backstepping(k: float = 1.01, tau_lag: Union[float, Callable] = 0.3,
 
     def feedback(x):
         x1, x2, x3 = x
-        v = v0 - (x2 - kk * x1)
-        tl = tau_of_v(v)
         z = 2.0 * kk * x2 - kk * kk * x1 - x3
         return np.array([tl * kk * kk * (x2 - kk * x1)
                          + (1.0 - 2.0 * kk * tl) * z - tl * (x1 - kk * x3)])
 
     system = ControlSystem(state_dim=3, input_dim=1, rhs=rhs)
     cert = _quadratic_certificate(RateFunction.linear(ae), feedback)
-    params = {"k": kk, "tau_lag": tau_lag if not callable(tau_lag) else "callable",
-              "v0": v0, "d0": d0}
+    params = {"k": kk, "tau_lag": tau_lag}
     x0 = np.array([10.0, 10.0 * kk, 10.0 * kk * kk])  # close a 10 m gap
     return Model(name="acc", system=system, certificate=cert, params=params,
                  default_x0=x0, expected_assumption_status="satisfies_all")

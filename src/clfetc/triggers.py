@@ -2,15 +2,16 @@
 
 Every policy carries the retention fraction ``sigma`` of its run, checked
 by :func:`check_sigma`.  A policy never integrates anything.  The
-event-triggered policy is watched through the guard; the other three name
-their next clock instant, and the simulation engine integrates to it and
-refreshes the control there.
+event-triggered policy is watched through the guard; the other three are
+set up with numbers (a dwell, a period or instants, a check interval), name
+their next clock instant from them, and the simulation engine integrates to
+it and refreshes the control there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -56,21 +57,20 @@ class EventTriggered:
 
 @dataclass(frozen=True)
 class SelfTriggered:
-    """Recompute at ``t_n + tau_fn(x(t_n))``; nothing is monitored between."""
+    """Recompute at ``t_n + tau`` for a fixed positive dwell ``tau``;
+    nothing is monitored between updates."""
 
     sigma: float
-    tau_fn: Callable[[np.ndarray], float]
+    tau: float
 
     def __post_init__(self):
         check_sigma(self.sigma)
+        if not self.tau > 0.0:
+            raise DomainError("tau must be positive")
 
     def next_instant(self, k: int, t: float, x) -> float:
-        """The last update time ``t`` plus the dwell chosen at its state."""
-        dwell = float(self.tau_fn(x))
-        if dwell <= 0.0:
-            raise ConfigurationError(
-                f"self-triggered dwell function returned {dwell}")
-        return t + dwell
+        """The last update time ``t`` plus the dwell."""
+        return t + self.tau
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ def property_runs():
             h = admissible_period(tau0_min)
             policies = {
                 "event": (EventTriggered(sigma=SIGMA), event_horizon),
-                "self": (SelfTriggered(sigma=SIGMA, tau_fn=lambda _x, t=tau_anchor: t),
+                "self": (SelfTriggered(sigma=SIGMA, tau=tau_anchor),
                          SEGMENT_BUDGET * tau_anchor),
                 "time": (TimeTriggered(sigma=SIGMA, period=tau_min),
                          SEGMENT_BUDGET * tau_min),
@@ -371,8 +371,8 @@ def test_accept_09_oracle_equivalence():
         (RateFunction.power(2.0, 0.5), lambda v: 2.0 * math.sqrt(v)),
         (RateFunction.power(0.7, 3.0), lambda v: 0.7 * v ** 3),
     ]:
-        closed = EnergyTimeMap.from_rate(rate)
-        quad = EnergyTimeMap.from_rate(RateFunction.custom(gamma))
+        closed = EnergyTimeMap(rate)
+        quad = EnergyTimeMap(RateFunction.custom(gamma))
         for s in np.logspace(-2, 2, 21):
             a_val = closed.gamma_big(s)
             b_val = quad.gamma_big(s)

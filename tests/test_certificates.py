@@ -257,10 +257,10 @@ class TestComputeMu:
         assert mu >= SQRT_E * nu - 1e-12
 
     def test_constants_consistency_required(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             CertificateConstants(kappa=1.0, nu=1.0, big_m=2.0, rho=0.0, mu=1.0)
-        ok = CertificateConstants.from_estimates(kappa=1.0, nu=1.0, big_m=2.0, rho=0.0)
-        assert ok.mu == compute_mu(1.0, 1.0)
+        ok = CertificateConstants(kappa=1.0, nu=1.0, big_m=2.0, rho=0.0)
+        assert ok.mu == compute_mu(ok.kappa, ok.nu) == compute_mu(1.0, 1.0)
 
 
 class TestEstimateConstants:

@@ -2,7 +2,6 @@ import json
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from clfetc import (ConfigurationError, DwellInputs, RateFunction,
@@ -93,6 +92,9 @@ class TestConfigHandling:
         ("verify", {"policy": "event", "sigma": 0.9}, 0.6,
          "policy sigma and model sigma disagree"),
         ("verify", {"policy": "event"}, 1.5, "sigma must lie in (0, 1), got 1.5"),
+        ("verify", {"policy": "event"}, "abc", "sigma must be a number, got 'abc'"),
+        ("verify", {"policy": "event"}, None, "sigma must be a number, got None"),
+        ("verify", {"policy": "event"}, [0.5], "sigma must be a number, got [0.5]"),
     ])
     def test_bad_model_sigma_exits_one(self, tmp_path, capsys, command, policy,
                                        params_sigma, message):
@@ -102,6 +104,21 @@ class TestConfigHandling:
                      "--out", str(tmp_path))
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data,message", [
+        # a derived period needs finite constants, which relay1d lacks
+        (dict(MINI_RELAY, policy={"policy": "time", "sigma": 0.9}),
+         "velocity-to-decrease ratio diverges"),
+        ({"model": {"name": "homog2d"}, "x0": [0.1, 0.4, 0.0], "horizon": 1.0},
+         "state must have length 2"),
+    ])
+    def test_toolkit_errors_exit_one(self, tmp_path, capsys, data, message):
+        rc = run_cli("simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert message in err
 
 
 class TestSimulateCommand:
@@ -217,7 +234,7 @@ class TestResolvePolicy:
         derived = tau_select(DwellInputs(constants=constants, sigma=0.9,
                                          gamma_mode="c1")).value
         assert info["tau_at_x0"] == derived
-        assert policy.tau_fn(x0) == policy.tau_fn(np.zeros(2)) == derived
+        assert policy.tau == derived
         per_state = tau_select(DwellInputs(
             constants=replace(constants, rho=estimate_rho(cert, cert.v(x0))),
             sigma=0.9, gamma_mode="c1")).value

@@ -13,7 +13,7 @@ from clfetc.errors import DimensionMismatchError
 
 
 def emap(rate):
-    return EnergyTimeMap.from_rate(rate)
+    return EnergyTimeMap(rate)
 
 
 class TestEnergyTimeMap:
@@ -107,12 +107,6 @@ class TestEnergyTimeMap:
         for s in (0.02, 0.7, 1.0, 3.0, 40.0):
             r = m.gamma_big(s)
             assert m.gamma_big_inverse(r) == pytest.approx(s, rel=1e-8)
-
-    def test_custom_declared_lower_limit_clamps(self):
-        m = EnergyTimeMap.from_rate(
-            RateFunction.custom(lambda v: 2.0 * math.sqrt(v)), lower_limit=-1.0)
-        assert m.gamma_big_inverse(-2.0) == 0.0
-        assert m.gamma_big_inverse(1.0) == pytest.approx(4.0, rel=1e-8)
 
 
 class TestConvergenceBound:

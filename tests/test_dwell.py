@@ -18,8 +18,7 @@ from clfetc.dwell import DwellEstimate, _dwell
 
 
 def consts(kappa=0.0, nu=0.0, big_m=1.0, rho=0.0):
-    return CertificateConstants.from_estimates(kappa=kappa, nu=nu,
-                                               big_m=big_m, rho=rho)
+    return CertificateConstants(kappa=kappa, nu=nu, big_m=big_m, rho=rho)
 
 
 def inputs(sigma=0.9, *, kappa=0.0, mu=None, big_m=1.0, rho=0.0,

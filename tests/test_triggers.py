@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ class TestPolicyValidation:
         with pytest.raises(DomainError):
             EventTriggered(sigma=0.0)
         with pytest.raises(DomainError):
-            SelfTriggered(sigma=1.0, tau_fn=lambda x: 1.0)
+            SelfTriggered(sigma=1.0, tau=1.0)
         with pytest.raises(DomainError):
             TimeTriggered(sigma=0.0, period=0.1)
         with pytest.raises(DomainError):
@@ -136,19 +138,15 @@ class TestNextDecision:
         assert traj.events[1].reason == "guard_zero"
 
     def test_self_policy_clock(self):
-        pol = SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.3 * abs(x[0]))
+        pol = SelfTriggered(sigma=0.9, tau=0.3)
         assert pol.next_instant(0, 0.0, np.array([1.0])) == pytest.approx(0.3)
-        # the dwell is chosen at the state of the last update
-        assert pol.next_instant(4, 0.5, np.array([2.0])) == pytest.approx(1.1)
-        with pytest.raises(ConfigurationError):
-            SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.0).next_instant(
-                0, 0.0, np.array([0.9]))
+        assert pol.next_instant(4, 0.5, np.array([2.0])) == pytest.approx(0.8)
 
     def test_equilibrium_frozen(self, relay):
         # x(t) = 1 - t reaches the origin at the second clock instant; the
         # control freezes there and nothing fires afterwards
         cert = relay.certificate
-        pol = SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.5)
+        pol = SelfTriggered(sigma=0.9, tau=0.5)
         traj = run_closed_loop(relay.system, cert, pol, [1.0],
                                IntegratorConfig(horizon=3.0))
         assert [e.time for e in traj.events] == [0.0, 0.5, 1.0]
@@ -209,17 +207,16 @@ class TestRunLevelInvariants:
 
     def test_self_triggered_arithmetic_clock(self, relay):
         cfg = IntegratorConfig(horizon=1.0)
-        pol = SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.3)
+        pol = SelfTriggered(sigma=0.9, tau=0.3)
         traj = run_closed_loop(relay.system, relay.certificate, pol, [1.0], cfg)
         times = [e.time for e in traj.events]
         np.testing.assert_allclose(times, [0.0, 0.3, 0.6, 0.9], atol=1e-12)
         assert [e.reason for e in traj.events[1:]] == ["clock"] * 3
 
-    def test_self_triggered_zero_dwell_rejected(self, relay):
-        pol = SelfTriggered(sigma=0.9, tau_fn=lambda x: 0.0)
-        with pytest.raises(ConfigurationError):
-            run_closed_loop(relay.system, relay.certificate, pol, [1.0],
-                            IntegratorConfig(horizon=1.0))
+    def test_self_triggered_zero_dwell_rejected(self):
+        for tau in (0.0, -0.3, math.nan):
+            with pytest.raises(DomainError):
+                SelfTriggered(sigma=0.9, tau=tau)
 
     def test_time_triggered_list_exhausted(self, relay):
         # after the last listed instant the loop runs to the horizon frozen

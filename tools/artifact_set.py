@@ -2,7 +2,7 @@
 
     python3 tools/artifact_set.py OUT_DIR
 
-Runs 30 ``clfetc`` commands, one at a time, against the package in this
+Runs 32 ``clfetc`` commands, one at a time, against the package in this
 checkout's ``src`` directory:
 
 - ``simulate --plot``, ``verify`` and ``dwell`` on the relay1d, zeno_polar,
@@ -13,10 +13,13 @@ checkout's ``src`` directory:
   5, and under derived ``self``, ``time`` and ``periodic-event`` at horizon
   0.02;
 - ``stats``, printed and with ``--out``, on the relay1d, homog2d and
-  acc_case1 trajectories.
+  acc_case1 trajectories;
+- two ``simulate`` runs that must exit 1 with an ``error:`` line: relay1d
+  under a derived ``time`` policy (its constants diverge) and homog2d with
+  a 3-entry ``x0``.
 
 Each command writes into its own directory ``OUT_DIR/NN_name``.  The
-homog2d configs go to ``OUT_DIR/configs``.  ``OUT_DIR/log.txt`` records each
+homog2d and error-path configs go to ``OUT_DIR/configs``.  ``OUT_DIR/log.txt`` records each
 command with its exit code and printed lines, with ``OUT_DIR`` and this
 checkout's root replaced by placeholders.  Run it at two commits and compare
 the two directories with ``diff -r``: the output is empty when no artifact,
@@ -47,19 +50,40 @@ HOMOG2D_RUNS = (
     ("periodic_derived", {"policy": "periodic-event"}, 0.02),
 )
 
+# runs that must stop with a toolkit error: (name, preset, config overrides)
+ERROR_RUNS = (
+    ("relay1d_time_derived", "relay1d", {"policy": {"policy": "time", "sigma": 0.9}}),
+    ("homog2d_bad_x0", "homog2d", {"x0": [0.1, 0.4, 0.0]}),
+)
+
+
+def _write_config(config_dir: Path, name: str, data: dict) -> Path:
+    config_dir.mkdir(parents=True, exist_ok=True)
+    path = config_dir / f"{name}.json"
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
+
 
 def homog2d_configs(config_dir: Path) -> list:
     """Write the homog2d clock-policy configs; returns ``(name, path)``."""
     base = json.loads((PRESETS / "homog2d.json").read_text())
     sigma = base["policy"]["sigma"]
-    config_dir.mkdir(parents=True, exist_ok=True)
     out = []
     for name, spec, horizon in HOMOG2D_RUNS:
         data = dict(base, policy=dict(spec, sigma=sigma), horizon=horizon,
                     label=f"homog2d_{name}")
-        path = config_dir / f"homog2d_{name}.json"
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        out.append((f"homog2d_{name}", path))
+        out.append((f"homog2d_{name}",
+                    _write_config(config_dir, f"homog2d_{name}", data)))
+    return out
+
+
+def error_configs(config_dir: Path) -> list:
+    """Write the error-path configs; returns ``(name, path)``."""
+    out = []
+    for name, preset, overrides in ERROR_RUNS:
+        base = json.loads((PRESETS / f"{preset}.json").read_text())
+        data = dict(base, label=name, **overrides)
+        out.append((name, _write_config(config_dir, name, data)))
     return out
 
 
@@ -91,6 +115,9 @@ def commands(out_dir: Path) -> list:
         add(f"stats_{model}", lambda d, c=csv: ["stats", str(c)])
         add(f"stats_out_{model}",
             lambda d, c=csv: ["stats", str(c), "--out", str(Path(d) / "stats.json")])
+    for name, path in error_configs(out_dir / "configs"):
+        add(f"simulate_{name}",
+            lambda d, p=path: ["simulate", "--config", str(p), "--out", d])
     return cmds
 
 
