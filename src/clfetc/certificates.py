@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import ClfCertificate, ControlSystem, finite_difference_jacobian, velocity_ratio
 from .errors import (ConfigurationError, DimensionMismatchError, DomainError,
@@ -48,6 +47,15 @@ BOX_CHECK_POINTS = 512   # sampled points per widening and boundary check
 BOX_INFLATE = 0.05       # relative widening of the final box
 SAMPLE_MAX_BATCHES = 64
 DIVERGENCE_GROWTH = 100.0  # ratio growth toward the origin that counts as divergence
+
+# Joe-Kuo primitive polynomials and initial direction numbers of Sobol
+# dimensions 2-10 (Joe & Kuo, SIAM J. Sci. Comput. 2008); dimension 1 has
+# every direction number 1.  These are the rows scipy.stats.qmc.Sobol uses.
+SOBOL_POLY = (3, 7, 11, 13, 19, 25, 37, 41, 47)
+SOBOL_VINIT = ((1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+               (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19))
+SOBOL_MAX_DIM = len(SOBOL_POLY) + 1
+SOBOL_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,72 @@ def compute_mu(kappa: float, nu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# scrambled Sobol stream
+
+
+def _sobol_direction_numbers() -> np.ndarray:
+    """Direction numbers, shape ``(SOBOL_MAX_DIM, SOBOL_BITS)``; entry
+    ``[i, b]`` carries its bits from bit ``SOBOL_BITS - 1 - b`` down."""
+    v = np.ones((SOBOL_MAX_DIM, SOBOL_BITS), dtype=np.int64)
+    for i, (poly, vinit) in enumerate(zip(SOBOL_POLY, SOBOL_VINIT), start=1):
+        s = len(vinit)
+        v[i, :s] = vinit
+        # m_j = 2 a_1 m_{j-1} ^ ... ^ 2^(s-1) a_{s-1} m_{j-s+1} ^ 2^s m_{j-s}
+        # ^ m_{j-s}, with a_1 .. a_{s-1} the inner bits of the polynomial
+        for j in range(s, SOBOL_BITS):
+            new = v[i, j - s] ^ (v[i, j - s] << s)
+            for k in range(1, s):
+                if (poly >> (s - k)) & 1:
+                    new ^= v[i, j - k] << k
+            v[i, j] = new
+    return (v << (SOBOL_BITS - 1 - np.arange(SOBOL_BITS))).astype(np.uint32)
+
+
+_SOBOL_V = _sobol_direction_numbers()
+# 2**(SOBOL_BITS - 1 - c) for c = 0 .. SOBOL_BITS - 1
+_SOBOL_WEIGHTS = np.uint32(1) << np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+class _SobolStream:
+    """Scrambled Sobol points in ``[0, 1)^d``, bit for bit those of
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``: Matousek's linear
+    matrix scramble plus a digital shift, points in Gray-code order.  Each
+    :meth:`random` call continues the stream where the last one stopped."""
+
+    def __init__(self, d: int, seed: int):
+        if not 1 <= d <= SOBOL_MAX_DIM:
+            raise ConfigurationError(
+                f"Sobol sampling supports dimensions 1 to {SOBOL_MAX_DIM}, got {d}")
+        rng = np.random.default_rng(seed)
+        shift = rng.integers(0, 2, (d, SOBOL_BITS), dtype=np.uint32) @ _SOBOL_WEIGHTS[::-1]
+        lower = (np.tril(rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32), -1)
+                 | np.eye(SOBOL_BITS, dtype=np.uint32))
+        # bit SOBOL_BITS - 1 - c of a scrambled direction number is the
+        # parity of (row c of the matrix, read as an integer) AND (the plain
+        # direction number); the shifts fold that parity into bit 0
+        x = (lower @ _SOBOL_WEIGHTS)[:, :, None] & _SOBOL_V[:d, None, :]
+        for width in (16, 8, 4, 2, 1):
+            x ^= x >> width
+        scrambled = (_SOBOL_WEIGHTS @ (x & 1)).T  # (bit, dimension)
+        # Gray-code order: point k is point k - 1 XOR the scrambled direction
+        # number of the lowest set bit of k.  The appended zero row is the
+        # step into point 0, which is the shift itself.
+        self._steps = np.vstack([scrambled, np.zeros((1, d), dtype=np.uint32)])
+        self._last = shift
+        self._count = 0
+
+    def random(self, n: int) -> np.ndarray:
+        """The next ``n`` points, shape ``(n, d)``."""
+        k = np.arange(self._count, self._count + n, dtype=np.uint32)
+        # the lowest set bit of k is 2**(exponent - 1); exponent is 0 at k = 0
+        _, exponent = np.frexp(k & ~(k - 1))
+        pts = np.bitwise_xor.accumulate(self._steps[exponent - 1], axis=0) ^ self._last
+        self._last = pts[-1]
+        self._count += n
+        return pts * 2.0 ** -SOBOL_BITS
+
+
+# ---------------------------------------------------------------------------
 # region construction and sampling
 
 
@@ -134,8 +208,10 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
     """Build an axis-aligned box containing ``{x : V(x) <= V(anchor)}``.
 
     Per-axis rays from the origin are doubled until V exceeds the level and
-    then bisected; the box is widened to cover any sampled sublevel point it
-    misses and finally inflated by ``BOX_INFLATE``.
+    then bisected; the box is widened to cover any sublevel point it misses
+    among up to three batches of ``BOX_CHECK_POINTS`` from one scrambled
+    Sobol stream (seeded by ``seed``) over 1.5 times the box, and finally
+    inflated by ``BOX_INFLATE``.  Sampling needs ``d <= SOBOL_MAX_DIM``.
     """
     anchor = np.asarray(anchor, dtype=float)
     level = cert.v(anchor)
@@ -180,7 +256,7 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
             store[i] = sign * r_out
 
     # widen to cover sampled sublevel points the rays may have missed
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+    sob = _SobolStream(d, seed)
     for _ in range(3):
         span_lo = 1.5 * lo
         span_hi = 1.5 * hi
@@ -222,11 +298,15 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
                      seed: int = 0) -> np.ndarray:
     """First ``n`` points of a scrambled Sobol stream over the box that fall
     inside the sublevel set.  Prefix-stable: a larger ``n`` with the same
-    seed extends the smaller sample."""
+    seed extends the smaller sample.
+
+    The stream is :class:`_SobolStream`, drawn in power-of-two batches,
+    whose points equal scipy's scrambled Sobol points for the same ``d``
+    and ``seed``; sampling needs ``d <= SOBOL_MAX_DIM``."""
     if region.degenerate:
         return np.tile(region.anchor, (n, 1))
     d = region.dim
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+    sob = _SobolStream(d, seed)
     accepted = []
     span = region.hi - region.lo
     batch = 1 << max(6, (max(n, 2) - 1).bit_length())  # power of 2 keeps Sobol balanced

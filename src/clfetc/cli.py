@@ -131,7 +131,7 @@ class ExperimentConfig:
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig(json.load(fh))
+            return ExperimentConfig(_parse_json(fh.read()))
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.data)
@@ -167,6 +167,19 @@ class ExperimentConfig:
         return est
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number as a float.  Rejects Python's ``NaN``/``Infinity``
+    extension and numbers that overflow a float, such as ``1e400``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"config number {text} is not a finite float")
+    return value
+
+
+def _parse_json(text: str):
+    return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+
+
 def load_config(spec: str) -> ExperimentConfig:
     """Load a config from a path, or from the shipped presets by name."""
     if os.path.exists(spec):
@@ -176,7 +189,7 @@ def load_config(spec: str) -> ExperimentConfig:
         text = resources.files("clfetc").joinpath(f"presets/{name}.json").read_text()
     except (FileNotFoundError, ModuleNotFoundError):
         raise ConfigurationError(f"no such config file or preset: {spec!r}")
-    return ExperimentConfig(json.loads(text))
+    return ExperimentConfig(_parse_json(text))
 
 
 def _jsonable(obj):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DimensionMismatchError, DomainError
 
@@ -168,7 +167,10 @@ class RateFunction:
 
 def _quad_chunked(f, s: float) -> float:
     """Adaptive quadrature of ``f`` from 1 to ``s``, split into moderate
-    chunks so oscillatory integrands keep enough subdivisions per span."""
+    chunks so oscillatory integrands keep enough subdivisions per span.
+    scipy is imported here: only custom rates reach this path."""
+    from scipy.integrate import quad
+
     sign = 1.0
     lo, hi = 1.0, s
     if s < 1.0:

@@ -10,6 +10,7 @@ it and refreshes the control there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -91,12 +92,13 @@ class TimeTriggered:
         check_sigma(self.sigma)
         if (self.period is None) == (self.instants is None):
             raise ConfigurationError("give exactly one of period or instants")
-        if self.period is not None and self.period <= 0:
-            raise DomainError("period must be positive")
+        if self.period is not None and not 0.0 < self.period < math.inf:
+            raise DomainError("period must be positive and finite")
         if self.instants is not None:
             inst = tuple(float(t) for t in self.instants)
-            if any(b <= a for a, b in zip(inst, inst[1:])) or (inst and inst[0] <= 0):
-                raise DomainError("instants must be strictly increasing and positive")
+            # pairs (0, t1), (t1, t2), ...: NaN fails every comparison
+            if not all(a < b < math.inf for a, b in zip((0.0,) + inst, inst)):
+                raise DomainError("instants must be strictly increasing, positive and finite")
             object.__setattr__(self, "instants", inst)
 
     def next_instant(self, k: int, t: float, x) -> Optional[float]:
@@ -127,12 +129,12 @@ class PeriodicEventTriggered:
         check_sigma(self.sigma)
         if not self.sigma < self.sigma_tilde < 1.0:
             raise DomainError("sigma_tilde must lie in (sigma, 1)")
-        if self.k_big <= 1.0:
-            raise DomainError("k_big must exceed 1")
-        if self.h <= 0.0:
-            raise DomainError("h must be positive")
-        if self.big_m <= 0.0:
-            raise DomainError("big_m must be positive")
+        if not 1.0 < self.k_big < math.inf:
+            raise DomainError("k_big must exceed 1 and be finite")
+        if not 0.0 < self.h < math.inf:
+            raise DomainError("h must be positive and finite")
+        if not 0.0 < self.big_m < math.inf:
+            raise DomainError("big_m must be positive and finite")
 
     def next_instant(self, k: int, t: float, x) -> float:
         """The check after the ``k``-th, always an integer multiple of ``h``

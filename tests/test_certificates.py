@@ -11,6 +11,7 @@ from clfetc import (CertificateConstants, ClfCertificate, ControlSystem,
                     RateFunction, bound_sublevel_box, compute_mu,
                     estimate_big_m, estimate_constants, estimate_kappa,
                     estimate_nu, estimate_rho, sample_in_region)
+from clfetc.certificates import SOBOL_MAX_DIM, _SobolStream
 from clfetc.cli import _jsonable
 from clfetc.errors import DimensionMismatchError
 from oracles import acc_frozen_matrices, grid_pairwise_lipschitz, grid_ratio_max
@@ -25,6 +26,28 @@ def quad_cert(rate=None):
         rate=rate or RateFunction.linear(1.0),
         feedback=lambda x: -np.asarray(x, dtype=float),
     )
+
+
+class TestSobolStream:
+    # batch sizes drawn in turn from one stream
+    DRAW_PATTERNS = ([4096], [64] * 8, [512] * 3, [1024, 1024, 2048], [1] * 5 + [8])
+
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    @pytest.mark.parametrize("d", range(1, SOBOL_MAX_DIM + 1))
+    def test_bit_identical_to_scipy(self, d):
+        from scipy.stats import qmc
+        for seed in range(10):
+            for pattern in self.DRAW_PATTERNS:
+                ref = qmc.Sobol(d=d, scramble=True, seed=seed)
+                ours = _SobolStream(d, seed)
+                for n in pattern:
+                    assert np.array_equal(ours.random(n), ref.random(n)), (
+                        d, seed, pattern, n)
+
+    def test_dimension_limit(self):
+        from clfetc import ConfigurationError
+        with pytest.raises(ConfigurationError, match="dimensions 1 to 10"):
+            _SobolStream(SOBOL_MAX_DIM + 1, 0)
 
 
 class TestBoundSublevelBox:

@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import clfetc
 from clfetc import (ConfigurationError, DwellInputs, RateFunction,
                     bound_sublevel_box, build_model, estimate_constants,
                     estimate_rho, tau_select)
+from clfetc.core import EnergyTimeMap
 from clfetc.cli import (ExperimentConfig, load_config, main, resolve_policy,
                         _apply_axis, _model_and_x0, _simulate_once,
                         _state_at_level)
@@ -119,6 +125,26 @@ class TestConfigHandling:
         assert rc == 1
         assert err.startswith("error:")
         assert message in err
+
+    @pytest.mark.parametrize("horizon,policy,number", [
+        ("1.0", '{"policy": "time", "sigma": 0.9, "period": NaN}', "NaN"),
+        ("1.0", '{"policy": "periodic-event", "sigma": 0.9, "h": NaN}', "NaN"),
+        ("1.0", '{"policy": "time", "sigma": 0.9, "period": Infinity}', "Infinity"),
+        ("1.0", '{"policy": "self", "sigma": 0.9, "tau": -Infinity}', "-Infinity"),
+        # a float that overflows reads as inf
+        ("1e400", '{"policy": "event", "sigma": 0.9}', "1e400"),
+    ])
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, horizon, policy, number):
+        # Python's json reads these; a config must not
+        path = tmp_path / "cfg.json"
+        path.write_text('{"model": {"name": "homog2d"}, "x0": [0.1, 0.4], '
+                        f'"horizon": {horizon}, "policy": {policy}}}')
+        rc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert f"config number {number} is not a finite float" in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestSimulateCommand:
@@ -444,3 +470,31 @@ class TestStatsCommand:
                      "--out", str(out_json))
         assert rc == 0
         assert json.loads(out_json.read_text())["n_events"] == 2
+
+
+# run in a fresh interpreter: the presets' commands, then a custom rate
+STARTUP_CODE = """
+import json, math, sys
+import clfetc.cli
+for preset in ("acc_case1", "homog2d"):
+    for command in ("verify", "dwell", "simulate"):
+        assert clfetc.cli.main([command, "--config", preset, "--out", sys.argv[1]]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+from clfetc.core import EnergyTimeMap, RateFunction
+rate = RateFunction.custom(lambda v: 2.0 + math.sin(v))
+print(json.dumps({"scipy": loaded, "gamma_big": EnergyTimeMap(rate).gamma_big(7.5)}))
+"""
+
+
+def test_presets_run_without_scipy(tmp_path):
+    # scipy is imported only by custom-rate quadrature
+    src = str(Path(clfetc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CODE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["scipy"] == []
+    rate = RateFunction.custom(lambda v: 2.0 + math.sin(v))
+    assert report["gamma_big"] == EnergyTimeMap(rate).gamma_big(7.5)

@@ -218,6 +218,19 @@ class TestRunLevelInvariants:
             with pytest.raises(DomainError):
                 SelfTriggered(sigma=0.9, tau=tau)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_clock_parameters_must_be_finite(self, bad):
+        with pytest.raises(DomainError):
+            TimeTriggered(sigma=0.9, period=bad)
+        for instants in ((bad,), (0.5, bad), (bad, 0.5)):
+            with pytest.raises(DomainError):
+                TimeTriggered(sigma=0.9, instants=instants)
+        good = dict(sigma=0.9, sigma_tilde=0.95, k_big=2.0, h=0.1, big_m=1.0)
+        PeriodicEventTriggered(**good)
+        for name in ("k_big", "h", "big_m"):
+            with pytest.raises(DomainError):
+                PeriodicEventTriggered(**dict(good, **{name: bad}))
+
     def test_time_triggered_list_exhausted(self, relay):
         # after the last listed instant the loop runs to the horizon frozen
         pol = TimeTriggered(sigma=0.9, instants=(0.2, 0.5))
