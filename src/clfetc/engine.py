@@ -2,6 +2,11 @@
 of the frozen-input flow with cubic dense output, guard probing on every
 accepted step, bisection event localization, trajectory recording and Zeno /
 blow-up safeguards.
+
+The periodic event-triggered policy runs on the same machinery: one scan of
+the frozen flow reads the predicate's continuous margin on each accepted
+step and calls the predicate only at the grid points ``j*h`` where it can
+fail, so a run costs its steps, not its ``horizon/h`` checks.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ import numpy as np
 from .core import ClfCertificate, ControlSystem, _as_points
 from .errors import BlowupError, DomainError, IntegrationError
 from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
-                       equilibrium_threshold, frozen_guard, predicate_p)
+                       equilibrium_threshold, frozen_guard, predicate_margin,
+                       predicate_p)
 
 __all__ = [
     "IntegratorConfig",
@@ -36,6 +42,7 @@ __all__ = [
 BLOWUP_NORM = 1e12
 ZENO_CONSECUTIVE = 10
 GUARD_PROBES = 8  # interior guard evaluations per accepted step
+_THETAS = tuple((j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES))
 BISECT_MAX_ITER = 200  # far more than floating-point resolution needs
 RATE_SLACK = 1e-6  # check_rate_certificate's slack, relative to 1 + V0
 
@@ -338,6 +345,12 @@ class _Recorder:
 # the closed-loop driver
 
 
+def _probe_times(piece):
+    """The step's two ends and its ``GUARD_PROBES`` interior probe times."""
+    return ([piece.t0] + [piece.t0 + th * piece.h for th in _THETAS]
+            + [piece.t1])
+
+
 def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     while the guard stays negative.
@@ -354,14 +367,12 @@ def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
     def guard_at(y):
         return frozen_guard(cert, y, f(y), sigma)
 
-    thetas = [(j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES)]
     h = None  # the stepper picks its first step unless a retry halves it
     halved = 0
     while True:
         for piece in _steps(f, t, x, fx, t_end, cfg, h):
-            gs = [g]
-            for th in thetas:
-                gs.append(guard_at(piece(piece.t0 + th * piece.h)))
+            grid_t = _probe_times(piece)
+            gs = [g] + [guard_at(piece(tp)) for tp in grid_t[1:-1]]
             gs.append(frozen_guard(cert, piece.y1, piece.f1, sigma))
             crossings = sum(1 for a, b in zip(gs, gs[1:])
                             if (a < 0.0 <= b) or (b < 0.0 <= a))
@@ -379,7 +390,6 @@ def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
                 h = piece.h / 2.0
                 break
             j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
-            grid_t = [piece.t0] + [piece.t0 + th * piece.h for th in thetas] + [piece.t1]
             t_root = locate_event(lambda tt: guard_at(piece(tt)),
                                   grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
             rec.fill_grid(t_root, piece, u, inclusive=False)
@@ -390,6 +400,92 @@ def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
             return t_root, x_event, frozen_guard(cert, x_event, sub.fs[-1], sigma)
         else:  # the stepper reached t_end with no crossing
             return t_end, x, None
+
+
+def _grid_index(t, h):
+    """The largest ``j >= 0`` with ``j*h <= t``, found without stepping
+    through the grid: ``t // h`` corrected for its rounding."""
+    j = int(t // h)
+    while (j + 1) * h <= t:
+        j += 1
+    while j > 0 and j * h > t:
+        j -= 1
+    return j
+
+
+def _checked_until(sys, cert, policy, x, fx, u, t, k, t_end, cfg, rec):
+    """Integrate the frozen loop from ``x``, with checked field value ``fx``,
+    and check the periodic predicate on the grid after the ``k`` checks
+    already passed, until it fails or ``t_end``.
+
+    The predicate is called only where its margin
+    (:func:`~clfetc.triggers.predicate_margin`) is non-negative.  A step
+    that holds at most ``GUARD_PROBES + 1`` unchecked grid points reads the
+    margin at those points; a longer one reads it at its probes and takes
+    the first grid point after the margin's first root.  The state there is
+    re-integrated from the step start with the corrector.  A check that
+    holds restarts the scan at its grid point, so no point is checked twice.
+    Fills grid rows along the way (strictly before a failing check).
+    Returns ``(t_check, x, fx, k)`` at the first failing check, or
+    ``(t_end, x_end, None, k)`` when every check holds.
+    """
+    f = sys.frozen(u)
+    h = policy.h
+    # the clock path's rule: no check past the horizon beyond rounding
+    j_max = _grid_index(t_end * (1.0 + 1e-12), h)
+
+    def check_time(j):
+        return min(policy.next_instant(j - 1, t, x), t_end)
+
+    def margin(y, fy):
+        return predicate_margin(cert, policy.big_m, y, fy,
+                                policy.sigma_tilde, policy.k_big)
+
+    def margin_at(piece, tt):
+        y = piece(tt)
+        return margin(y, f(y))
+
+    while True:
+        for piece in _steps(f, t, x, fx, t_end, cfg):
+            j_lo = k + 1
+            j_hi = j_max if piece.t1 >= t_end else _grid_index(piece.t1, h)
+            j = None
+            if j_lo <= j_hi <= j_lo + GUARD_PROBES:
+                j = next((i for i in range(j_lo, j_hi + 1)
+                          if not margin_at(piece, check_time(i)) < 0.0), None)
+            elif j_hi > j_lo + GUARD_PROBES:
+                ts = _probe_times(piece)
+                ms = [margin(piece.y0, piece.f0)]
+                while ms[-1] < 0.0 and len(ms) < len(ts) - 1:
+                    ms.append(margin_at(piece, ts[len(ms)]))
+                if ms[-1] < 0.0:
+                    ms.append(margin(piece.y1, piece.f1))
+                i = len(ms) - 1
+                if i == 0:
+                    j = j_lo  # the margin is non-negative from the start
+                elif not ms[i] < 0.0:
+                    root = locate_event(lambda tt: margin_at(piece, tt),
+                                        ts[i - 1], ts[i], ms[i - 1], ms[i])
+                    j = max(j_lo, _grid_index(root, h))
+                    if check_time(j) < root:
+                        j += 1
+                    if j > j_hi:
+                        j = None  # no grid point between the root and t1
+            if j is None:
+                rec.fill_grid(piece.t1, piece, u, inclusive=True)
+                t, x, fx, k = piece.t1, piece.y1, piece.f1, max(k, j_hi)
+                continue
+            t_check = check_time(j)
+            rec.fill_grid(t_check, piece, u, inclusive=False)
+            # the same corrector as at an event root
+            sub = integrate_frozen(sys, piece.y0, u, (piece.t0, t_check), cfg)
+            t, x, fx, k = t_check, sub.ys[-1], sub.fs[-1], j
+            if not predicate_p(cert, policy.big_m, x, fx,
+                               policy.sigma_tilde, policy.k_big):
+                return t, x, fx, k
+            break  # the check holds: scan on from its grid point
+        else:  # the stepper reached t_end with every check holding
+            return t_end, x, None, k
 
 
 def _plain_until(sys, x, fx, u, t, t_end, cfg, rec):
@@ -407,8 +503,11 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     until the horizon, the equilibrium, or a safeguard ends the run.
 
     The event-triggered policy refreshes the control at the guard's zeros.
-    The others refresh it at their clock instants, except that the periodic
-    policy keeps it wherever its predicate still holds.  The control is
+    The periodic policy refreshes it at the first grid instant ``j*h`` where
+    its predicate fails: one scan of the frozen flow per update reads the
+    predicate's margin and calls the predicate only where it can fail.  The
+    self- and time-triggered policies refresh it at their clock instants,
+    restarting the stepper at each.  The control is
     recomputed at every recorded event and is bitwise constant between
     events.  Dense rows land on the configured output grid; every event
     instant is recorded exactly.
@@ -448,7 +547,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     periodic = isinstance(policy, PeriodicEventTriggered)
     reason = ("guard_zero" if guarded
               else "predicate_false" if periodic else "clock")
-    k = 0  # clock instants reached so far
+    k = 0  # clock instants, or periodic grid points, passed so far
 
     while t < horizon:
         if len(events) >= cfg.max_events:
@@ -462,6 +561,12 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
                                               sigma, cfg, rec)
                 if g_fire is None:
                     continue  # the horizon, with no crossing
+            elif periodic:
+                t, x, fx, k = _checked_until(sys, cert, policy, x, fx, u, t, k,
+                                             horizon, cfg, rec)
+                if fx is None:
+                    continue  # the horizon, with every check holding
+                g_fire = frozen_guard(cert, x, fx, sigma)
             else:
                 t_next = policy.next_instant(k, t, x)
                 if t_next is None or t_next > horizon * (1.0 + 1e-12):
@@ -472,11 +577,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
                 t_next = min(t_next, horizon)
                 x = _plain_until(sys, x, fx, u, t, t_next, cfg, rec)
                 t = t_next
-                fx = sys.f(x, u)  # one evaluation serves the check and what follows
-                if periodic and predicate_p(cert, policy.big_m, x, fx,
-                                            policy.sigma_tilde, policy.k_big):
-                    continue  # the predicate holds: the control stays frozen
-                g_fire = frozen_guard(cert, x, fx, sigma)
+                g_fire = frozen_guard(cert, x, sys.f(x, u), sigma)
         except BlowupError as exc:
             rec.add_row(exc.t, exc.state, u, 0)
             t, x = exc.t, exc.state

@@ -3,9 +3,11 @@
 Every policy carries the retention fraction ``sigma`` of its run, checked
 by :func:`check_sigma`.  A policy never integrates anything.  The
 event-triggered policy is watched through the guard; the other three are
-set up with numbers (a dwell, a period or instants, a check interval), name
-their next clock instant from them, and the simulation engine integrates to
-it and refreshes the control there.
+set up with numbers (a dwell, a period or instants, a check interval) and
+name their next clock instant from them.  The simulation engine integrates
+to a self- or time-triggered instant and refreshes the control there; it
+checks the periodic predicate on its grid only where the predicate's margin
+allows a failure.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "check_sigma",
     "equilibrium_threshold",
     "frozen_guard",
+    "predicate_margin",
     "predicate_p",
 ]
 
@@ -172,3 +175,21 @@ def predicate_p(cert: ClfCertificate, big_m: float, x, fx,
     if not float(g @ fx) < -sigma_tilde * cert.rate(cert.v(x)):
         return False
     return velocity_ratio(g, fx) <= k_big * big_m
+
+
+def predicate_margin(cert: ClfCertificate, big_m: float, x, fx,
+                     sigma_tilde: float, k_big: float) -> float:
+    """Continuous margin of :func:`predicate_p` at ``x`` with field value
+    ``fx``: ``max(W + sigma_tilde*gamma(V), |grad V||F| + |F|^2 - k_big*big_m*|W|)``.
+
+    The second term is the ratio test with the division cleared, so the
+    predicate can fail only where the margin is non-negative (up to
+    rounding in that term); ``W = 0`` makes the first term non-negative.
+    The engine scans the frozen flow with it and calls the predicate only
+    where the margin allows a failure.
+    """
+    g = cert.grad(x)
+    w = float(g @ fx)
+    fn = float(np.linalg.norm(fx))
+    return max(w + sigma_tilde * cert.rate(cert.v(x)),
+               float(np.linalg.norm(g)) * fn + fn ** 2 - k_big * big_m * abs(w))

@@ -3,10 +3,16 @@
 Everything here is deliberately written without touching the package's
 integration or estimation code paths, so that comparisons are genuine
 two-route checks: Taylor matrix exponential for affine flows, dense-grid
-maximization for Lipschitz constants and velocity-to-decrease ratios.
+maximization for Lipschitz constants and velocity-to-decrease ratios.  The
+one exception is :func:`periodic_checks_reference`, the periodic loop
+check by check on the package's own integrator, which the engine's scan of
+the frozen flow must match instant for instant.
 """
 
 import numpy as np
+
+from clfetc import integrate_frozen, predicate_p
+from clfetc.triggers import equilibrium_threshold
 
 
 def expm_taylor(a: np.ndarray) -> np.ndarray:
@@ -46,6 +52,76 @@ def acc_frozen_matrices(k: float, tau: float, u: float):
     ])
     c = np.array([0.0, 0.0, -u / tau])
     return a, c
+
+
+def acc_periodic_checks(model, policy, x0, horizon):
+    """Periodic event-triggered acc run on the exact recurrence
+    ``x_{k+1} = Phi(h) x_k + psi(h) u``, with ``predicate_p`` at every grid
+    point ``(k+1)*h`` and the engine's equilibrium rule.
+
+    Returns ``(fired, termination)``: the grid indices of the fired updates,
+    and ``"equilibrium"`` or ``"horizon"``.
+    """
+    cert = model.certificate
+    k_gain, tau = model.params["k"], model.params["tau_lag"]
+    a, c_unit = acc_frozen_matrices(k_gain, tau, 1.0)
+    aug = np.zeros((4, 4))
+    aug[:3, :3] = a
+    aug[:3, 3] = c_unit
+    step = expm_taylor(aug * policy.h)
+    phi, psi = step[:3, :3], step[:3, 3]
+    x = np.asarray(x0, dtype=float)
+    eps_eq = equilibrium_threshold(cert.v(x))
+    u = float(cert.u(x)[0])
+    fired, k = [], 0
+    while (k + 1) * policy.h <= horizon * (1.0 + 1e-12):
+        k += 1
+        x = phi @ x + psi * u
+        fx = a @ x + c_unit * u
+        if predicate_p(cert, policy.big_m, x, fx, policy.sigma_tilde,
+                       policy.k_big):
+            continue
+        fired.append(k)
+        if cert.v(x) <= eps_eq:
+            return fired, "equilibrium"
+        u = float(cert.u(x)[0])
+    return fired, "horizon"
+
+
+def periodic_checks_reference(sys, cert, policy, x0, config):
+    """The periodic event-triggered loop check by check: ``integrate_frozen``
+    from each check to ``(k+1)*h``, then ``predicate_p`` there, with the
+    engine's equilibrium rule and event cap (no Zeno or blow-up rule).
+
+    Returns ``(times, states, termination)`` of every update, the initial
+    sample included.
+    """
+    cfg = config.resolved()
+    horizon = cfg.horizon
+    x = np.asarray(x0, dtype=float)
+    eps_eq = equilibrium_threshold(cert.v(x))
+    u = cert.u(x)
+    times, states = [0.0], [x]
+    t, k = 0.0, 0
+    while t < horizon:
+        t_next = policy.next_instant(k, t, x)
+        if t_next > horizon * (1.0 + 1e-12):
+            break
+        k += 1
+        t_next = min(t_next, horizon)
+        x = integrate_frozen(sys, x, u, (t, t_next), cfg).ys[-1]
+        t = t_next
+        if predicate_p(cert, policy.big_m, x, sys.f(x, u), policy.sigma_tilde,
+                       policy.k_big):
+            continue
+        times.append(t)
+        states.append(x)
+        if cert.v(x) <= eps_eq:
+            return times, states, "equilibrium"
+        if len(times) >= cfg.max_events:
+            return times, states, "event_cap"
+        u = cert.u(x)
+    return times, states, "horizon"
 
 
 def grid_pairwise_lipschitz(map_fn, lo, hi, n_side: int, keep=None) -> float:

@@ -10,8 +10,8 @@ import pytest
 
 import clfetc
 from clfetc import (ConfigurationError, DwellInputs, RateFunction,
-                    bound_sublevel_box, build_model, estimate_constants,
-                    estimate_rho, tau_select)
+                    bound_sublevel_box, build_model, check_rate_certificate,
+                    engine, estimate_constants, estimate_rho, tau_select)
 from clfetc.core import EnergyTimeMap
 from clfetc.cli import (ExperimentConfig, load_config, main, resolve_policy,
                         _apply_axis, _model_and_x0, _simulate_once,
@@ -395,6 +395,32 @@ class TestSweepCommand:
         assert all(r["rate_certificate_ok"] == "true" for r in rows
                    if r["error"] == "")
         assert all(r["error"] == "" for r in rows)
+
+    def test_acc_policy_sweep_periodic_row_finishes(self, monkeypatch):
+        # the preset's periodic-event row checks on a derived grid of about
+        # 1.1e-8 s over 60 s: some 5.5e9 grid points, each a predicate call
+        # for a loop that checks them one by one
+        calls = 0
+        predicate_p = engine.predicate_p
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise RuntimeError("more than 10000 predicate checks")
+            return predicate_p(*args)
+
+        monkeypatch.setattr(engine, "predicate_p", counted)
+        data = load_config("acc_policy_sweep").to_dict()
+        del data["sweep"]
+        data["policy"]["policy"] = "periodic-event"
+        model, _, traj, info = _simulate_once(ExperimentConfig(data))
+        h = info["h"]
+        assert h < 1e-7
+        assert traj.termination == "equilibrium"
+        assert check_rate_certificate(traj, model.certificate)[0]
+        fired = traj.events[1:]
+        assert fired and all(e.time == round(e.time / h) * h for e in fired)
 
     def test_sigma_sweep_first_event_direction(self, tmp_path):
         # empirically the guard W + sigma*gamma(V) crosses zero earlier for

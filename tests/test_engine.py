@@ -10,7 +10,9 @@ from clfetc import (BlowupError, ClfCertificate, ControlSystem, DomainError,
                     estimate_constants, integrate_frozen, locate_event,
                     run_closed_loop, run_stats, write_trajectory_csv)
 from clfetc.engine import read_event_times_csv, stats_from_event_times
-from oracles import acc_frozen_matrices, affine_flow
+from clfetc.triggers import predicate_margin
+from oracles import (acc_frozen_matrices, acc_periodic_checks, affine_flow,
+                     periodic_checks_reference)
 
 
 class TestIntegrateFrozen:
@@ -290,6 +292,95 @@ class TestRunClosedLoop:
         assert float(guard.max()) <= 1e-12
         assert all(e.time / h == pytest.approx(round(e.time / h), abs=1e-9)
                    for e in traj.events[1:])
+
+
+def _periodic(model, x0, h, k_big=2.0):
+    """The periodic policy with the sampled ``big_m`` of the region through
+    ``x0``."""
+    region = bound_sublevel_box(model.certificate, x0)
+    consts, _ = estimate_constants(model.system, model.certificate, region,
+                                   n=96, seed=0)
+    return PeriodicEventTriggered(sigma=0.9, sigma_tilde=0.95, k_big=k_big,
+                                  h=h, big_m=consts.big_m)
+
+
+class TestPeriodicScan:
+    @pytest.mark.parametrize("name, x0, horizon, h, k_big", [
+        ("acc", [0.0, -2.0, -4.04], 10.0, 0.3, 2.0),
+        ("acc", [0.0, -2.0, -4.04], 10.0, 0.05, 2.0),
+        ("acc", [0.0, -2.0, -4.04], 10.0, 0.01, 2.0),
+        ("acc", [0.0, -2.0, -4.04], 10.0, 0.002, 2.0),
+        ("homog2d", [0.1, 0.4], 30.0, 1.0, 2.0),
+        ("homog2d", [0.1, 0.4], 30.0, 0.1, 1.2),
+        ("homog2d", [0.1, 0.4], 30.0, 0.01, 1.2),
+    ])
+    def test_fired_times_equal_the_per_check_loop(self, name, x0, horizon, h,
+                                                  k_big, acc, homog):
+        model = {"acc": acc, "homog2d": homog}[name]
+        x0 = np.array(x0)
+        pol = _periodic(model, x0, h, k_big)
+        cfg = IntegratorConfig(horizon=horizon)
+        traj = run_closed_loop(model.system, model.certificate, pol, x0, cfg)
+        times, states, termination = periodic_checks_reference(
+            model.system, model.certificate, pol, x0, cfg)
+        assert len(times) > 1
+        assert [e.time for e in traj.events] == times
+        assert traj.termination == termination
+        for e, x in zip(traj.events, states):
+            assert np.linalg.norm(e.state - x) <= 1e-6 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("x0", [[10.0, 10.1, 10.201], [0.0, -2.0, -4.04]],
+                             ids=["case1", "case2"])
+    @pytest.mark.parametrize("h", [0.05, 0.005])
+    def test_fired_indices_match_the_exact_recurrence(self, acc, x0, h):
+        # at the default tolerances case2 with h = 0.005 fires one update a
+        # grid point early at t ~ 33.9 s, where |x| ~ 3e-4 and the ratio
+        # margin is within the integration error of zero; these tolerances
+        # make the integrated flow exact enough for every decision
+        x0 = np.array(x0)
+        pol = _periodic(acc, x0, h)
+        cfg = IntegratorConfig(horizon=60.0, rel_tol=1e-11, abs_tol=1e-14)
+        traj = run_closed_loop(acc.system, acc.certificate, pol, x0, cfg)
+        fired, termination = acc_periodic_checks(acc, pol, x0, 60.0)
+        assert termination == traj.termination == "equilibrium"
+        assert [e.time for e in traj.events[1:]] == [j * h for j in fired]
+
+    def test_narrow_excursion_fires_at_its_grid_point(self):
+        # the unit-speed clock of test_halving_finds_a_root_between_probes:
+        # one step spans [a, a + 1] and its probes sit at a + m/9.  The
+        # margin is positive only on a window of width 0.06 around the grid
+        # point midway between the probes m = 4 and 5, so a scan of the
+        # probes alone sees no sign change
+        sysm = ControlSystem(2, 1, rhs=lambda x, u: np.array([0.0, 1.0]))
+        x0 = np.array([1.0, 0.0])
+        cfg = IntegratorConfig(horizon=10.0, max_step=1.0, max_events=2)
+        mesh = integrate_frozen(sysm, x0, [0.0], (0.0, 10.0), cfg).ts
+        i = next(i for i in range(len(mesh) - 1)
+                 if mesh[i] > 2.0 and mesh[i + 1] - mesh[i] == 1.0)
+        a = mesh[i]
+        j = round((a + 0.5) / 0.25)
+        h = (a + 0.5) / j  # about 0.25: four grid points in the step
+        t_grid = j * h
+        window = (t_grid - 0.03, t_grid + 0.03)
+
+        def gradient(x):
+            inside = window[0] <= x[1] <= window[1]
+            return np.array([x[0], 0.5 if inside else -0.5])
+
+        cert = ClfCertificate(value=lambda x: 0.5 * x[0] ** 2, gradient=gradient,
+                              rate=RateFunction.linear(1.0),
+                              feedback=lambda x: np.zeros(1))
+        pol = PeriodicEventTriggered(sigma=0.9, sigma_tilde=0.95, k_big=2.0,
+                                     h=h, big_m=3.0)
+        probes = [a + m / 9 for m in range(10)]
+        assert all(predicate_margin(cert, 3.0, np.array([1.0, tp]),
+                                    np.array([0.0, 1.0]), 0.95, 2.0) < 0.0
+                   for tp in probes)
+        traj = run_closed_loop(sysm, cert, pol, x0, cfg)
+        times, _, _ = periodic_checks_reference(sysm, cert, pol, x0, cfg)
+        assert traj.termination == "event_cap"
+        assert traj.events[1].reason == "predicate_false"
+        assert traj.events[1].time == t_grid == times[1]
 
 
 class TestRunStats:

@@ -9,7 +9,7 @@ from clfetc import (ConfigurationError, DomainError, EventTriggered,
                     frozen_guard, integrate_frozen, predicate_p,
                     run_closed_loop)
 from clfetc.core import ClfCertificate, ControlSystem, RateFunction
-from clfetc.triggers import equilibrium_threshold
+from clfetc.triggers import equilibrium_threshold, predicate_margin
 
 
 class TestEventGuard:
@@ -77,6 +77,26 @@ class TestPredicateP:
         x = np.array([1.0])
         assert not predicate_p(cert, 1.0, x, sysm.f(x, np.zeros(1)),
                                sigma_tilde=0.95, k_big=2.0)
+
+    def test_margin_sign_matches_the_predicate(self, acc, rng):
+        # held controls from other states, so that both conjuncts fail
+        # somewhere; the margin is negative exactly where the predicate holds
+        cert, sysm = acc.certificate, acc.system
+        outcomes = set()
+        for _ in range(400):
+            x, x_held = rng.normal(scale=3.0, size=(2, 3))
+            fx = sysm.f(x, cert.u(x_held))
+            keep = predicate_p(cert, 10.0, x, fx, sigma_tilde=0.95, k_big=2.0)
+            margin = predicate_margin(cert, 10.0, x, fx, 0.95, 2.0)
+            assert keep == (margin < 0.0)
+            outcomes.add(keep)
+        assert outcomes == {True, False}
+        x = np.array([1.0])  # W = 0: the predicate fails, the margin is >= 0
+        still = ClfCertificate(value=lambda x: float(x[0] ** 2),
+                               gradient=lambda x: 2.0 * np.asarray(x),
+                               rate=RateFunction.linear(1.0),
+                               feedback=lambda x: np.zeros(1))
+        assert predicate_margin(still, 1.0, x, np.zeros(1), 0.95, 2.0) >= 0.0
 
 
 class TestPolicyValidation:

@@ -2,7 +2,7 @@
 
     python3 tools/artifact_set.py OUT_DIR
 
-Runs 32 ``clfetc`` commands, one at a time, against the package in this
+Runs 33 ``clfetc`` commands, one at a time, against the package in this
 checkout's ``src`` directory:
 
 - ``simulate --plot``, ``verify`` and ``dwell`` on the relay1d, zeno_polar,
@@ -16,7 +16,9 @@ checkout's ``src`` directory:
   acc_case1 trajectories;
 - two ``simulate`` runs that must exit 1 with an ``error:`` line: relay1d
   under a derived ``time`` policy (its constants diverge) and homog2d with
-  a 3-entry ``x0``.
+  a 3-entry ``x0``;
+- ``sweep`` on acc_policy_sweep, last, so that the commands before it keep
+  their directory numbers.
 
 Each command writes into its own directory ``OUT_DIR/NN_name``.  The
 homog2d and error-path configs go to ``OUT_DIR/configs``.  ``OUT_DIR/log.txt`` records each
@@ -118,6 +120,8 @@ def commands(out_dir: Path) -> list:
     for name, path in error_configs(out_dir / "configs"):
         add(f"simulate_{name}",
             lambda d, p=path: ["simulate", "--config", str(p), "--out", d])
+    add("sweep_acc_policy_sweep",
+        lambda d: ["sweep", "--config", "acc_policy_sweep", "--out", d])
     return cmds
 
 
