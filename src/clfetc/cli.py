@@ -20,7 +20,6 @@ import sys as _sys
 from importlib import resources
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import dwell as dwellmod
 from . import svgplot
@@ -42,129 +41,173 @@ from .triggers import (EventTriggered, PeriodicEventTriggered, SelfTriggered,
 
 ANOMALOUS_TERMINATIONS = ("zeno_abort", "blowup", "event_cap")
 
-_POLICY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["policy"],
-    "properties": {
-        "policy": {"enum": ["event", "self", "time", "periodic-event"]},
-        "sigma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "sigma_tilde": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "K": {"type": "number", "exclusiveMinimum": 1},
-        "h": {"type": "number", "exclusiveMinimum": 0},
-        "period": {"type": "number", "exclusiveMinimum": 0},
-        "instants": {"type": "array", "items": {"type": "number"}},
-        "tau": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["model"],
-    "properties": {
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": list(MODEL_NAMES)},
-                "params": {"type": "object"},
-            },
-        },
-        "policy": _POLICY_SCHEMA,
-        "x0": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "horizon": {"type": "number", "exclusiveMinimum": 0},
-        "integrator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-                "abs_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_step": {"type": "number", "exclusiveMinimum": 0},
-                "max_events": {"type": "integer", "minimum": 1},
-                "zeno_floor": {"type": "number", "exclusiveMinimum": 0},
-                "output_points": {"type": "integer", "minimum": 2},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "region_level": {"type": "number", "exclusiveMinimum": 0},
-        "estimation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_samples": {"type": "integer", "minimum": 2},
-                "safety_factor": {"type": "number", "minimum": 1},
-                # accepted but unused: the dwell infimum is attained at the
-                # region's own level, so no anchors are sampled
-                "n_anchors": {"type": "integer", "minimum": 1},
-                "n_clf_samples": {"type": "integer", "minimum": 1},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["axis", "values"],
-            "properties": {
-                "axis": {"enum": ["sigma", "sigma_tilde", "K", "h", "period",
-                                  "tau", "policy", "r_star"]},
-                "values": {"type": "array", "minItems": 1},
-            },
-        },
-        "label": {"type": "string"},
-    },
-}
-
-_VALIDATOR = Draft202012Validator(_SCHEMA)
-
-
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment description with JSON round-trip identity."""
+    """A parsed experiment description (see ``parse_config``).  ``data`` is
+    the exact input, which ``to_dict()`` echoes into every report; the other
+    fields hold its checked values and their defaults."""
 
-    def __init__(self, data: dict):
-        errors = sorted(_VALIDATOR.iter_errors(data), key=str)
-        if errors:
-            msgs = "; ".join(e.message for e in errors[:4])
-            raise ConfigurationError(f"invalid config: {msgs}")
-        self.data = copy.deepcopy(data)
-
-    @staticmethod
-    def from_file(path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig(_parse_json(fh.read()))
+    data: dict
+    model_name: str
+    model_params: dict
+    policy: dict  # the policy spec; its ``policy`` key names the kind
+    label: str
+    x0: list | None = None
+    horizon: float | None = None
+    integrator: dict = dataclasses.field(default_factory=dict)  # IntegratorConfig keywords
+    seed: int = 0
+    region_level: float | None = None
+    n_samples: int = 192
+    safety_factor: float = DEFAULT_SAFETY
+    n_clf_samples: int = 2000
+    sweep: dict | None = None
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.data)
 
-    # convenience accessors -------------------------------------------------
     @property
-    def model_name(self) -> str:
-        return self.data["model"]["name"]
+    def sigma(self) -> float:
+        """The run's retention fraction: ``policy.sigma``, or its alias
+        ``model.params.sigma``, which must agree with it, or 0.9.  Checked
+        when read, not by the parser: a ``sigma`` sweep drops the alias from
+        each row, so its base config may disagree."""
+        given = [spec["sigma"] for spec in (self.policy, self.model_params) if "sigma" in spec]
+        if len(given) == 2 and given[0] != given[1]:
+            raise ConfigurationError("policy sigma and model sigma disagree")
+        sigma = given[0] if given else 0.9
+        if not isinstance(sigma, (int, float)):
+            raise ConfigurationError(f"sigma must be a number, got {sigma!r}")
+        return check_sigma(float(sigma))
 
     @property
-    def model_params(self) -> dict:
-        return dict(self.data["model"].get("params", {}))
+    def sigma_tilde(self) -> float:
+        """The periodic check's fraction: ``policy.sigma_tilde``, or (1 + σ)/2."""
+        return (float(self.policy["sigma_tilde"]) if "sigma_tilde" in self.policy
+                else 0.5 * (1.0 + self.sigma))
 
     @property
-    def policy_spec(self) -> dict:
-        return dict(self.data.get("policy", {"policy": "event"}))
+    def k_big(self) -> float:
+        """The periodic check's ratio cap factor: ``policy.K``, or 2."""
+        return float(self.policy["K"]) if "K" in self.policy else 2.0
 
-    @property
-    def seed(self) -> int:
-        return int(self.data.get("seed", 0))
 
-    @property
-    def label(self) -> str:
-        return self.data.get(
-            "label", f"{self.model_name}_{self.policy_spec['policy']}")
+def _invalid(path: str, wanted: str, value):
+    raise ConfigurationError(f"invalid config: {path} must be {wanted}, "
+                             f"got {json.dumps(value, default=repr)}")
 
-    @property
-    def estimation(self) -> dict:
-        est = dict(self.data.get("estimation", {}))
-        est.setdefault("n_samples", 192)
-        est.setdefault("safety_factor", DEFAULT_SAFETY)
-        est.setdefault("n_clf_samples", 2000)
-        return est
+
+def _number(integer=False, gt=None, ge=None, lt=None):
+    """A number field, with bounds ``> gt``, ``>= ge`` and ``< lt``.
+    Booleans are not numbers.  An integer field takes integral floats, as
+    JSON Schema does, and converts them to ``int``."""
+    def check(path, value):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (integer and isinstance(value, float) and not value.is_integer())):
+            _invalid(path, "an integer" if integer else "a number", value)
+        if gt is not None and not value > gt:
+            _invalid(path, f"> {gt}", value)
+        if ge is not None and not value >= ge:
+            _invalid(path, f">= {ge}", value)
+        if lt is not None and not value < lt:
+            _invalid(path, f"< {lt}", value)
+        return int(value) if integer else value
+    return check
+
+
+def _is(wanted: str, test):
+    def check(path, value):
+        if not test(value):
+            _invalid(path, wanted, value)
+        return value
+    return check
+
+
+def _choice(*options):
+    return _is(f"one of {', '.join(map(json.dumps, options))}",
+               lambda value: isinstance(value, str) and value in options)
+
+
+def _array(item, nonempty=False):
+    def check(path, value):
+        if not isinstance(value, list) or (nonempty and not value):
+            _invalid(path, "a non-empty array" if nonempty else "an array", value)
+        return [item(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    return check
+
+
+def _object(fields, required=()):
+    """An object with only the keys of ``fields``, which maps each key to the
+    check of its value, and with every key in ``required``."""
+    def check(path, value):
+        if not isinstance(value, dict):
+            _invalid(path or "config", "an object", value)
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in fields:
+                raise ConfigurationError(f"invalid config: {prefix}{key} is not a known key")
+        for key in required:
+            if key not in value:
+                raise ConfigurationError(f"invalid config: {prefix}{key} is required")
+        return {key: fields[key](prefix + key, v) for key, v in value.items()}
+    return check
+
+
+_CONFIG = _object({
+    "model": _object({"name": _choice(*MODEL_NAMES),
+                      "params": _is("an object", lambda value: isinstance(value, dict))},
+                     required=("name",)),
+    "policy": _object({
+        "policy": _choice("event", "self", "time", "periodic-event"),
+        "sigma": _number(gt=0, lt=1),
+        "sigma_tilde": _number(gt=0, lt=1),
+        "K": _number(gt=1),
+        "h": _number(gt=0),
+        "period": _number(gt=0),
+        "instants": _array(_number()),
+        "tau": _number(gt=0),
+    }, required=("policy",)),
+    "x0": _array(_number(), nonempty=True),
+    "horizon": _number(gt=0),
+    "integrator": _object({
+        "rel_tol": _number(gt=0),
+        "abs_tol": _number(gt=0),
+        "max_step": _number(gt=0),
+        "max_events": _number(integer=True, ge=1),
+        "zeno_floor": _number(gt=0),
+        "output_points": _number(integer=True, ge=2),
+    }),
+    "seed": _number(integer=True, ge=0),
+    "region_level": _number(gt=0),
+    "estimation": _object({
+        "n_samples": _number(integer=True, ge=2),
+        "safety_factor": _number(ge=1),
+        # accepted but unused: the dwell infimum is attained at the
+        # region's own level, so no anchors are sampled
+        "n_anchors": _number(integer=True, ge=1),
+        "n_clf_samples": _number(integer=True, ge=1),
+    }),
+    "sweep": _object({
+        "axis": _choice("sigma", "sigma_tilde", "K", "h", "period", "tau",
+                        "policy", "r_star"),
+        "values": _array(lambda _path, value: value, nonempty=True),
+    }, required=("axis", "values")),
+    "label": _is("a string", lambda value: isinstance(value, str)),
+}, required=("model",))
+
+
+def parse_config(data) -> ExperimentConfig:
+    """Check a config and return it typed.  A failed check raises
+    ``ConfigurationError`` with a message that names the dotted field."""
+    data = copy.deepcopy(data)
+    fields = _CONFIG("", data)
+    model = fields.pop("model")
+    estimation = fields.pop("estimation", {})
+    estimation.pop("n_anchors", None)
+    policy = fields.setdefault("policy", {"policy": "event"})
+    fields.setdefault("label", f"{model['name']}_{policy['policy']}")
+    return ExperimentConfig(data=data, model_name=model["name"],
+                            model_params=model.get("params", {}),
+                            **estimation, **fields)
 
 
 def _finite_float(text: str) -> float:
@@ -176,20 +219,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_json(text: str):
-    return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
-
-
 def load_config(spec: str) -> ExperimentConfig:
     """Load a config from a path, or from the shipped presets by name."""
     if os.path.exists(spec):
-        return ExperimentConfig.from_file(spec)
-    name = spec[:-5] if spec.endswith(".json") else spec
-    try:
-        text = resources.files("clfetc").joinpath(f"presets/{name}.json").read_text()
-    except (FileNotFoundError, ModuleNotFoundError):
-        raise ConfigurationError(f"no such config file or preset: {spec!r}")
-    return ExperimentConfig(_parse_json(text))
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        name = spec[:-5] if spec.endswith(".json") else spec
+        try:
+            text = resources.files("clfetc").joinpath(f"presets/{name}.json").read_text()
+        except (FileNotFoundError, ModuleNotFoundError):
+            raise ConfigurationError(f"no such config file or preset: {spec!r}")
+    return parse_config(json.loads(text, parse_constant=_finite_float,
+                                   parse_float=_finite_float))
 
 
 def _jsonable(obj):
@@ -219,59 +261,28 @@ def _write_json(path, obj):
 # config resolution
 
 
-def _resolve_sigma(cfg: ExperimentConfig) -> float:
-    """The run's retention fraction: ``policy.sigma``, or its alias
-    ``model.params.sigma``, which must agree with it, or 0.9."""
-    pol = cfg.policy_spec
-    params = cfg.model_params
-    sigma = pol.get("sigma", params.get("sigma", 0.9))
-    if "sigma" in pol and "sigma" in params and pol["sigma"] != params["sigma"]:
-        raise ConfigurationError("policy sigma and model sigma disagree")
-    if not isinstance(sigma, (int, float)):
-        raise ConfigurationError(f"sigma must be a number, got {sigma!r}")
-    return check_sigma(float(sigma))
-
-
-def build_model_from_config(cfg: ExperimentConfig):
-    """The config's model.  A ``sigma`` among its params belongs to the
-    policy: it is checked here and not passed to the builder."""
-    _resolve_sigma(cfg)
-    params = cfg.model_params
-    params.pop("sigma", None)
-    return build_model(cfg.model_name, params)
-
-
 def _model_and_x0(cfg: ExperimentConfig):
     """The config's model and its initial state (the model's default when
-    the config names none)."""
-    model = build_model_from_config(cfg)
-    return model, np.asarray(cfg.data.get("x0", model.default_x0), dtype=float)
-
-
-def _periodic_params(cfg: ExperimentConfig, sigma: float):
-    """``(sigma_tilde, K)`` of the periodic check, with their defaults."""
-    spec = cfg.policy_spec
-    return (float(spec.get("sigma_tilde", 0.5 * (1.0 + sigma))),
-            float(spec.get("K", 2.0)))
-
-
-def _region(cfg: ExperimentConfig, model, x0):
-    """The sublevel box through ``x0``, or through a state on the config's
-    ``region_level`` when it names one."""
-    level = cfg.data.get("region_level")
-    anchor = x0 if level is None else _state_at_level(model, level)
-    return bound_sublevel_box(model.certificate, anchor, seed=cfg.seed)
+    the config names none).  A ``sigma`` among the model's params belongs to
+    the policy: it is checked here and not passed to the builder."""
+    cfg.sigma  # raises on a bad alias before the builder sees the params
+    model = build_model(cfg.model_name, {key: value for key, value
+                                         in cfg.model_params.items() if key != "sigma"})
+    return model, np.asarray(model.default_x0 if cfg.x0 is None else cfg.x0,
+                             dtype=float)
 
 
 def _estimation_bundle(cfg: ExperimentConfig, model, x0,
                        allow_degenerate: bool = False):
     """Region, constants and the per-constant ``EstimateReport``s: the one
-    estimate that derived policies and the verify and dwell reports read."""
-    est = cfg.estimation
-    region = _region(cfg, model, x0)
+    estimate that derived policies and the verify and dwell reports read, on
+    the sublevel box through ``x0``, or through a state on ``region_level``."""
+    anchor = (x0 if cfg.region_level is None
+              else _state_at_level(model, cfg.region_level))
+    region = bound_sublevel_box(model.certificate, anchor, seed=cfg.seed)
     constants, reports = estimate_constants(
         model.system, model.certificate, region,
-        n=est["n_samples"], seed=cfg.seed, safety=est["safety_factor"],
+        n=cfg.n_samples, seed=cfg.seed, safety=cfg.safety_factor,
         allow_degenerate=allow_degenerate)
     return region, constants, reports
 
@@ -301,9 +312,9 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
 
     Returns ``(policy, info)`` where ``info`` records anything derived.
     """
-    spec = cfg.policy_spec
+    spec = cfg.policy
     kind = spec["policy"]
-    sigma = _resolve_sigma(cfg)
+    sigma = cfg.sigma
     info = {"policy": kind, "sigma": sigma}
 
     if kind == "event":
@@ -334,8 +345,7 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
         return TimeTriggered(sigma=sigma, period=rep.value), info
 
     # periodic-event
-    sigma_tilde, k_big = _periodic_params(cfg, sigma)
-    info.update({"sigma_tilde": sigma_tilde, "K": k_big})
+    sigma_tilde, k_big = info["sigma_tilde"], info["K"] = cfg.sigma_tilde, cfg.k_big
     region, constants, _ = _estimation_bundle(cfg, model, x0)
     info["big_m"] = constants.big_m
     if "h" in spec:
@@ -352,10 +362,9 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
 
 
 def integrator_from_config(cfg: ExperimentConfig) -> IntegratorConfig:
-    if "horizon" not in cfg.data:
+    if cfg.horizon is None:
         raise ConfigurationError("config needs a horizon for simulation")
-    return IntegratorConfig(horizon=float(cfg.data["horizon"]),
-                            **cfg.data.get("integrator", {}))
+    return IntegratorConfig(horizon=float(cfg.horizon), **cfg.integrator)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +466,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
                             "lo": region.lo, "hi": region.hi}
         report["estimates"] = {**reports, "rho": constants.rho,
                                "mu": constants.mu}
-        samples = sample_in_region(cert, region, cfg.estimation["n_clf_samples"],
-                                   seed=cfg.seed)
+        samples = sample_in_region(cert, region, cfg.n_clf_samples, seed=cfg.seed)
         clf = verify_clf_pointwise(cert, model.system, samples)
         report["clf_check"] = {
             "n_samples": clf.n_samples,
@@ -481,8 +489,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
     model, x0 = _model_and_x0(cfg)
-    sigma = _resolve_sigma(cfg)
-    sigma_tilde, k_big = _periodic_params(cfg, sigma)
+    sigma, sigma_tilde, k_big = cfg.sigma, cfg.sigma_tilde, cfg.k_big
     label = cfg.label
     report = {"model": model.name, "seed": cfg.seed, "sigma": sigma,
               "sigma_tilde": sigma_tilde, "K": k_big, "config": cfg.to_dict()}
@@ -507,14 +514,13 @@ def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
     report["recommended_periodic_check_period"] = h
     # user schedules are never blocked; the bound is sufficient, not
     # necessary, so a too-large period only earns a warning
-    user_period = cfg.policy_spec.get("period")
-    if user_period is not None and user_period > rep_tau.value:
+    if "period" in cfg.policy and cfg.policy["period"] > rep_tau.value:
         report["period_warning"] = (
-            f"configured period {user_period} exceeds the estimated "
+            f"configured period {cfg.policy['period']} exceeds the estimated "
             f"admissible period {rep_tau.value}; the rate guarantee is "
             "not certified at this period")
 
-    if "horizon" in cfg.data:
+    if cfg.horizon is not None:
         icfg = integrator_from_config(cfg)
         traj = run_closed_loop(model.system, model.certificate,
                                EventTriggered(sigma=sigma), x0, icfg)
@@ -539,18 +545,17 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _apply_axis(base: dict, axis: str, value) -> dict:
-    data = copy.deepcopy(base)
-    if axis == "policy":
-        data.setdefault("policy", {"policy": "event"})
-        data["policy"]["policy"] = value
-    elif axis == "r_star":
-        data.setdefault("model", {}).setdefault("params", {})["r_star"] = value
-    elif axis == "sigma":
-        data.setdefault("policy", {"policy": "event"})["sigma"] = value
-        data.get("model", {}).get("params", {}).pop("sigma", None)
-    else:
-        data.setdefault("policy", {"policy": "event"})[axis] = value
+def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> dict:
+    """The raw config of one sweep row: the base config without its sweep,
+    with the axis set to ``value``."""
+    data = {key: v for key, v in cfg.to_dict().items() if key != "sweep"}
+    if axis == "r_star":
+        data["model"]["params"] = dict(cfg.model_params, r_star=value)
+        return data
+    data["policy"] = dict(cfg.policy, **{axis: value})
+    if axis == "sigma":
+        data["model"]["params"] = {key: v for key, v in cfg.model_params.items()
+                                   if key != "sigma"}
     return data
 
 
@@ -558,7 +563,7 @@ def _sweep_row(index, axis, value, data) -> dict:
     row = {c: "" for c in _SWEEP_COLUMNS}
     row.update({"index": index, "axis": axis, "value": value})
     try:
-        model, _, traj, pol_info = _simulate_once(ExperimentConfig(data))
+        model, _, traj, pol_info = _simulate_once(parse_config(data))
         stats, ok, _excess, first_dwell, zeno_bound = _run_summary(model, traj)
         row.update({
             "model": model.name,
@@ -580,14 +585,11 @@ def _sweep_row(index, axis, value, data) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
-    if "sweep" not in cfg.data:
+    if cfg.sweep is None:
         raise ConfigurationError("sweep config needs a 'sweep' section")
     os.makedirs(out_dir, exist_ok=True)
-    axis = cfg.data["sweep"]["axis"]
-    values = cfg.data["sweep"]["values"]
-    base = cfg.to_dict()
-    base.pop("sweep")
-    rows = [_sweep_row(i, axis, v, _apply_axis(base, axis, v))
+    axis, values = cfg.sweep["axis"], cfg.sweep["values"]
+    rows = [_sweep_row(i, axis, v, _apply_axis(cfg, axis, v))
             for i, v in enumerate(values)]
 
     def cell(v):
@@ -668,9 +670,7 @@ def main(argv=None) -> int:
             return cmd_stats(args.trajectory, args.out)
         cfg = load_config(args.config)
         if args.seed is not None:
-            data = cfg.to_dict()
-            data["seed"] = args.seed
-            cfg = ExperimentConfig(data)
+            cfg = parse_config(dict(cfg.to_dict(), seed=args.seed))
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out, plot=args.plot)
         if args.command == "verify":

@@ -13,7 +13,7 @@ from clfetc import (ConfigurationError, DwellInputs, RateFunction,
                     bound_sublevel_box, build_model, check_rate_certificate,
                     engine, estimate_constants, estimate_rho, tau_select)
 from clfetc.core import EnergyTimeMap
-from clfetc.cli import (ExperimentConfig, load_config, main, resolve_policy,
+from clfetc.cli import (load_config, main, parse_config, resolve_policy,
                         _apply_axis, _model_and_x0, _simulate_once,
                         _state_at_level)
 
@@ -37,24 +37,50 @@ MINI_RELAY = {
     "label": "mini_relay",
 }
 
+# a derived self-triggered run, which reads every integer field
+TWIN = {
+    "model": {"name": "homog2d"},
+    "policy": {"policy": "self", "sigma": 0.9},
+    "x0": [0.1, 0.4],
+    "horizon": 0.02,
+    "integrator": {"output_points": 11, "max_events": 400},
+    "estimation": {"n_samples": 96, "n_clf_samples": 400},
+    "seed": 3,
+    "label": "twin",
+}
+
+
+def _with(path, *value):
+    """MINI_RELAY with the dotted field set to ``value``, or deleted."""
+    data = json.loads(json.dumps(MINI_RELAY))
+    *sections, key = path.split(".")
+    target = data
+    for section in sections:
+        target = target.setdefault(section, {})
+    if value:
+        target[key] = value[0]
+    else:
+        del target[key]
+    return data
+
 
 class TestConfigHandling:
     def test_round_trip_identity(self):
-        cfg = ExperimentConfig(MINI_RELAY)
-        again = ExperimentConfig(cfg.to_dict())
+        cfg = parse_config(MINI_RELAY)
+        again = parse_config(cfg.to_dict())
         assert again.to_dict() == MINI_RELAY
 
     def test_unknown_top_level_key_rejected(self):
         bad = dict(MINI_RELAY)
         bad["extra"] = 1
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(bad)
+            parse_config(bad)
 
     def test_unknown_policy_key_rejected(self):
         bad = json.loads(json.dumps(MINI_RELAY))
         bad["policy"]["window"] = 0.1
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(bad)
+            parse_config(bad)
 
     def test_bad_values_rejected(self):
         for patch in ({"horizon": -1.0}, {"seed": -1},
@@ -63,7 +89,7 @@ class TestConfigHandling:
             bad = json.loads(json.dumps(MINI_RELAY))
             bad.update(patch)
             with pytest.raises(ConfigurationError):
-                ExperimentConfig(bad)
+                parse_config(bad)
 
     def test_presets_load_by_name(self):
         for name in ("homog2d", "acc_case1", "acc_case2", "relay1d",
@@ -79,7 +105,7 @@ class TestConfigHandling:
         data = json.loads(json.dumps(MINI_RELAY))
         del data["policy"]["sigma"]
         data["model"]["params"] = {"sigma": 0.6}
-        cfg = ExperimentConfig(data)
+        cfg = parse_config(data)
         model, x0 = _model_and_x0(cfg)
         policy, _ = resolve_policy(cfg, model, x0)
         assert policy.sigma == 0.6
@@ -145,6 +171,90 @@ class TestConfigHandling:
         assert err.startswith("error:")
         assert f"config number {number} is not a finite float" in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("data,message", [
+        # unknown keys, in each section
+        (_with("extra", 1), "extra is not a known key"),
+        (_with("policy.window", 0.1), "policy.window is not a known key"),
+        (_with("integrator.step", 0.1), "integrator.step is not a known key"),
+        (_with("estimation.anchors", 8), "estimation.anchors is not a known key"),
+        (_with("sweep.axes", "K"), "sweep.axes is not a known key"),
+        # required keys
+        (_with("model"), "model is required"),
+        (_with("model.name"), "model.name is required"),
+        (_with("policy.policy"), "policy.policy is required"),
+        (_with("sweep", {"values": [0.5]}), "sweep.axis is required"),
+        (_with("sweep", {"axis": "sigma"}), "sweep.values is required"),
+        # objects, arrays, strings and choices
+        ([1, 2], "config must be an object, got [1, 2]"),
+        (_with("policy", "event"), 'policy must be an object, got "event"'),
+        (_with("model.params", []), "model.params must be an object, got []"),
+        (_with("x0", []), "x0 must be a non-empty array, got []"),
+        (_with("sweep", {"axis": "sigma", "values": []}),
+         "sweep.values must be a non-empty array, got []"),
+        (_with("policy.instants", 0.5), "policy.instants must be an array, got 0.5"),
+        (_with("label", 3), "label must be a string, got 3"),
+        (_with("model.name", "pendulum"), 'model.name must be one of "acc", '
+         '"homog2d", "relay1d", "zeno-polar", got "pendulum"'),
+        (_with("policy.policy", "never"), 'policy.policy must be one of "event", '
+         '"self", "time", "periodic-event", got "never"'),
+        (_with("sweep", {"axis": "k", "values": [1]}), 'sweep.axis must be one of '
+         '"sigma", "sigma_tilde", "K", "h", "period", "tau", "policy", "r_star", got "k"'),
+        # booleans, strings and null are not numbers
+        (_with("horizon", True), "horizon must be a number, got true"),
+        (_with("horizon", "3"), 'horizon must be a number, got "3"'),
+        (_with("horizon", None), "horizon must be a number, got null"),
+        (_with("x0", [True]), "x0[0] must be a number, got true"),
+        (_with("seed", True), "seed must be an integer, got true"),
+        (_with("seed", 1.5), "seed must be an integer, got 1.5"),
+        # each bound form at its boundary: > and < reject it, >= takes it
+        (_with("horizon", 0), "horizon must be > 0, got 0"),
+        (_with("integrator.max_step", -1), "integrator.max_step must be > 0, got -1"),
+        (_with("policy.K", 1), "policy.K must be > 1, got 1"),
+        (_with("policy.sigma", 0.0), "policy.sigma must be > 0, got 0.0"),
+        (_with("policy.sigma", 1), "policy.sigma must be < 1, got 1"),
+        (_with("policy.sigma_tilde", 1.0), "policy.sigma_tilde must be < 1, got 1.0"),
+        (_with("seed", -1), "seed must be >= 0, got -1"),
+        (_with("integrator.output_points", 1),
+         "integrator.output_points must be >= 2, got 1"),
+        (_with("estimation.safety_factor", 0.999),
+         "estimation.safety_factor must be >= 1, got 0.999"),
+        (_with("seed", 0), None),
+        (_with("integrator.output_points", 2), None),
+        (_with("integrator.max_events", 1), None),
+        (_with("estimation.n_samples", 2), None),
+        (_with("estimation.safety_factor", 1), None),
+    ])
+    def test_config_checks_name_the_field(self, tmp_path, capsys, data, message):
+        if message is None:
+            parse_config(data)
+            return
+        rc = run_cli("simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("section,key", [
+        ("integrator", "output_points"), ("integrator", "max_events"),
+        ("estimation", "n_samples"), ("estimation", "n_clf_samples"), (None, "seed"),
+    ])
+    def test_integral_floats_run_as_their_integer_twins(self, tmp_path, section, key):
+        # JSON Schema counts 11.0 as an integer; so does the parser, which
+        # hands the commands an int
+        outputs = {}
+        for kind in (int, float):
+            data = json.loads(json.dumps(TWIN))
+            fields = data[section] if section else data
+            fields[key] = kind(fields[key])
+            out = tmp_path / kind.__name__
+            path = write_config(tmp_path, data, f"{kind.__name__}.json")
+            codes = [run_cli(command, "--config", path, "--out", str(out))
+                     for command in ("simulate", "verify")]
+            report = json.loads((out / "twin_verify.json").read_text())
+            assert report.pop("config") == data
+            outputs[kind] = (codes, (out / "twin_trajectory.csv").read_bytes(), report)
+        assert outputs[float] == outputs[int]
 
 
 class TestSimulateCommand:
@@ -251,7 +361,7 @@ class TestResolvePolicy:
             lambda v: 2.0 + math.sin(v), gamma_prime=math.cos))
         model = replace(model, certificate=cert)
         x0 = 6.0 * model.default_x0
-        cfg = ExperimentConfig({
+        cfg = parse_config({
             "model": {"name": "homog2d"}, "policy": {"policy": "self", "sigma": 0.9},
             "x0": list(x0), "region_level": 4.0, "estimation": {"n_samples": 96}})
         region = bound_sublevel_box(cert, _state_at_level(model, 4.0), seed=0)
@@ -414,7 +524,7 @@ class TestSweepCommand:
         data = load_config("acc_policy_sweep").to_dict()
         del data["sweep"]
         data["policy"]["policy"] = "periodic-event"
-        model, _, traj, info = _simulate_once(ExperimentConfig(data))
+        model, _, traj, info = _simulate_once(parse_config(data))
         h = info["h"]
         assert h < 1e-7
         assert traj.termination == "equilibrium"
@@ -444,35 +554,39 @@ class TestSweepCommand:
         assert all(r["error"] == "" for r in rows)
 
     def test_missing_values_are_empty_cells(self, tmp_path):
-        # one event in the horizon: every dwell and frequency column is unset
-        cfg = write_config(tmp_path, {
-            "model": {"name": "homog2d"},
-            "policy": {"policy": "event", "sigma": 0.9},
-            "x0": [0.1, 0.4],
-            "horizon": 1.0,
-            "seed": 0,
-            "sweep": {"axis": "sigma", "values": [0.5, 0.9]},
-            "label": "homog_short",
-        })
-        rc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path))
-        assert rc == 0
-        lines = (tmp_path / "homog_short_sweep.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
-        assert [r["n_events"] for r in rows] == ["1", "1"]
-        for r in rows:
-            assert "None" not in r.values()
-            assert r["min_dwell"] == r["first_dwell"] == ""
-            assert r["error"] == ""
+        # one event in the horizon: every dwell and frequency column is unset.
+        # A sigma sweep drops the model's sigma alias from each row, so a
+        # base config whose alias disagrees with the policy still runs.
+        for model in ({"name": "homog2d"},
+                      {"name": "homog2d", "params": {"sigma": 0.6}}):
+            cfg = write_config(tmp_path, {
+                "model": model,
+                "policy": {"policy": "event", "sigma": 0.9},
+                "x0": [0.1, 0.4],
+                "horizon": 1.0,
+                "seed": 0,
+                "sweep": {"axis": "sigma", "values": [0.5, 0.9]},
+                "label": "homog_short",
+            })
+            rc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path))
+            assert rc == 0
+            lines = (tmp_path / "homog_short_sweep.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+            assert [r["n_events"] for r in rows] == ["1", "1"]
+            for r in rows:
+                assert "None" not in r.values()
+                assert r["min_dwell"] == r["first_dwell"] == ""
+                assert r["error"] == ""
 
     def test_axis_application(self):
         base = {"model": {"name": "zeno-polar", "params": {"r_star": 0.5}},
                 "policy": {"policy": "event", "sigma": 0.9}}
-        out = _apply_axis(base, "r_star", 0.1)
+        out = _apply_axis(parse_config(base), "r_star", 0.1)
         assert out["model"]["params"]["r_star"] == 0.1
-        out = _apply_axis(base, "sigma", 0.5)
+        out = _apply_axis(parse_config(base), "sigma", 0.5)
         assert out["policy"]["sigma"] == 0.5
-        out = _apply_axis(base, "policy", "time")
+        out = _apply_axis(parse_config(base), "policy", "time")
         assert out["policy"]["policy"] == "time"
 
 
@@ -506,14 +620,18 @@ for preset in ("acc_case1", "homog2d"):
     for command in ("verify", "dwell", "simulate"):
         assert clfetc.cli.main([command, "--config", preset, "--out", sys.argv[1]]) == 0
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+schema = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("jsonschema", "referencing", "rpds"))
 from clfetc.core import EnergyTimeMap, RateFunction
 rate = RateFunction.custom(lambda v: 2.0 + math.sin(v))
-print(json.dumps({"scipy": loaded, "gamma_big": EnergyTimeMap(rate).gamma_big(7.5)}))
+print(json.dumps({"scipy": loaded, "schema": schema,
+                  "gamma_big": EnergyTimeMap(rate).gamma_big(7.5)}))
 """
 
 
 def test_presets_run_without_scipy(tmp_path):
-    # scipy is imported only by custom-rate quadrature
+    # scipy is imported only by custom-rate quadrature, and no JSON Schema
+    # library at all
     src = str(Path(clfetc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -522,5 +640,6 @@ def test_presets_run_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["scipy"] == []
+    assert report["schema"] == []
     rate = RateFunction.custom(lambda v: 2.0 + math.sin(v))
     assert report["gamma_big"] == EnergyTimeMap(rate).gamma_big(7.5)

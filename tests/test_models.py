@@ -9,7 +9,7 @@ from clfetc import (ConfigurationError, DomainError, EventTriggered,
                     homogeneous_planar, run_closed_loop,
                     sample_in_region, verify_clf_pointwise,
                     zeno_first_event_bound, zeno_polar)
-from clfetc.cli import ExperimentConfig, _model_and_x0, load_config, resolve_policy
+from clfetc.cli import _model_and_x0, load_config, parse_config, resolve_policy
 from clfetc.models import acc_physical_from_state, acc_state_from_physical
 
 
@@ -37,9 +37,9 @@ class TestAccBacksteppingModel:
         case1, case2 = load_config("acc_case1"), load_config("acc_case2")
         k = case1.model_params["k"]
         assert case2.model_params["k"] == k == acc.params["k"]
-        np.testing.assert_allclose(case1.data["x0"], [10.0, 10.0 * k, 10.0 * k * k])
+        np.testing.assert_allclose(case1.x0, [10.0, 10.0 * k, 10.0 * k * k])
         np.testing.assert_allclose(acc.default_x0, [10.0, 10.0 * k, 10.0 * k * k])
-        np.testing.assert_allclose(case2.data["x0"], [0.0, -2.0, -4.0 * k])
+        np.testing.assert_allclose(case2.x0, [0.0, -2.0, -4.0 * k])
 
     def test_coordinate_round_trip(self, rng):
         k, v0, d0 = 1.01, 20.0, 10.0
@@ -84,7 +84,7 @@ class TestHomogeneousPlanarModel:
 
     def test_preset_initial_condition(self, homog):
         np.testing.assert_allclose(homog.default_x0, [0.1, 0.4])
-        assert load_config("homog2d").policy_spec["sigma"] == 0.9
+        assert load_config("homog2d").policy["sigma"] == 0.9
 
     def test_rate_variants(self):
         m1 = homogeneous_planar(rate_scale=1.0)
@@ -200,8 +200,8 @@ class TestRegistry:
         # an alias of the policy's and keeps it from the builder
         with pytest.raises(ConfigurationError):
             build_model("acc", {"k": 1.5, "sigma": 0.8})
-        cfg = ExperimentConfig({"model": {"name": "acc",
-                                          "params": {"k": 1.5, "sigma": 0.8}}})
+        cfg = parse_config({"model": {"name": "acc",
+                                      "params": {"k": 1.5, "sigma": 0.8}}})
         m, x0 = _model_and_x0(cfg)
         assert m.params["k"] == 1.5
         assert resolve_policy(cfg, m, x0)[0].sigma == 0.8

@@ -2,7 +2,7 @@
 
     python3 tools/artifact_set.py OUT_DIR
 
-Runs 33 ``clfetc`` commands, one at a time, against the package in this
+Runs 36 ``clfetc`` commands, one at a time, against the package in this
 checkout's ``src`` directory:
 
 - ``simulate --plot``, ``verify`` and ``dwell`` on the relay1d, zeno_polar,
@@ -17,13 +17,16 @@ checkout's ``src`` directory:
 - two ``simulate`` runs that must exit 1 with an ``error:`` line: relay1d
   under a derived ``time`` policy (its constants diverge) and homog2d with
   a 3-entry ``x0``;
-- ``sweep`` on acc_policy_sweep, last, so that the commands before it keep
-  their directory numbers.
+- ``sweep`` on acc_policy_sweep;
+- three homog2d ``simulate`` runs of config checks, last, so that the
+  commands before them keep their directory numbers: an unknown ``policy``
+  key and ``horizon: -1`` must exit 1 with an ``error:`` line, and
+  ``output_points: 11.0`` runs as ``11`` would.
 
 Each command writes into its own directory ``OUT_DIR/NN_name``.  The
-homog2d and error-path configs go to ``OUT_DIR/configs``.  ``OUT_DIR/log.txt`` records each
-command with its exit code and printed lines, with ``OUT_DIR`` and this
-checkout's root replaced by placeholders.  Run it at two commits and compare
+homog2d, error-path and config-check configs go to ``OUT_DIR/configs``.
+``OUT_DIR/log.txt`` records each command with its exit code and printed
+lines, with ``OUT_DIR`` and this checkout's root replaced by placeholders.  Run it at two commits and compare
 the two directories with ``diff -r``: the output is empty when no artifact,
 exit code or printed line changed.  Uses the standard library only.
 """
@@ -58,6 +61,15 @@ ERROR_RUNS = (
     ("homog2d_bad_x0", "homog2d", {"x0": [0.1, 0.4, 0.0]}),
 )
 
+# config checks, in the same form
+CHECK_RUNS = (
+    ("homog2d_unknown_policy_key", "homog2d",
+     {"policy": {"policy": "event", "sigma": 0.9, "window": 0.1}}),
+    ("homog2d_negative_horizon", "homog2d", {"horizon": -1}),
+    ("homog2d_integral_output_points", "homog2d",
+     {"integrator": {"output_points": 11.0}}),
+)
+
 
 def _write_config(config_dir: Path, name: str, data: dict) -> Path:
     config_dir.mkdir(parents=True, exist_ok=True)
@@ -79,10 +91,11 @@ def homog2d_configs(config_dir: Path) -> list:
     return out
 
 
-def error_configs(config_dir: Path) -> list:
-    """Write the error-path configs; returns ``(name, path)``."""
+def preset_configs(config_dir: Path, runs) -> list:
+    """Write presets with overrides, one per entry of ``runs``; returns
+    ``(name, path)``."""
     out = []
-    for name, preset, overrides in ERROR_RUNS:
+    for name, preset, overrides in runs:
         base = json.loads((PRESETS / f"{preset}.json").read_text())
         data = dict(base, label=name, **overrides)
         out.append((name, _write_config(config_dir, name, data)))
@@ -117,11 +130,14 @@ def commands(out_dir: Path) -> list:
         add(f"stats_{model}", lambda d, c=csv: ["stats", str(c)])
         add(f"stats_out_{model}",
             lambda d, c=csv: ["stats", str(c), "--out", str(Path(d) / "stats.json")])
-    for name, path in error_configs(out_dir / "configs"):
+    for name, path in preset_configs(out_dir / "configs", ERROR_RUNS):
         add(f"simulate_{name}",
             lambda d, p=path: ["simulate", "--config", str(p), "--out", d])
     add("sweep_acc_policy_sweep",
         lambda d: ["sweep", "--config", "acc_policy_sweep", "--out", d])
+    for name, path in preset_configs(out_dir / "configs", CHECK_RUNS):
+        add(f"simulate_{name}",
+            lambda d, p=path: ["simulate", "--config", str(p), "--out", d])
     return cmds
 
 
