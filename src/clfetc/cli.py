@@ -99,11 +99,14 @@ def _invalid(path: str, wanted: str, value):
 def _number(integer=False, gt=None, ge=None, lt=None):
     """A number field, with bounds ``> gt``, ``>= ge`` and ``< lt``.
     Booleans are not numbers.  An integer field takes integral floats, as
-    JSON Schema does, and converts them to ``int``."""
+    JSON Schema does, and converts them to ``int``; any other number field
+    must fit in a float."""
     def check(path, value):
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or (integer and isinstance(value, float) and not value.is_integer())):
             _invalid(path, "an integer" if integer else "a number", value)
+        if not integer and abs(value) > _sys.float_info.max:
+            _invalid(path, "a finite float", value)
         if gt is not None and not value > gt:
             _invalid(path, f"> {gt}", value)
         if ge is not None and not value >= ge:

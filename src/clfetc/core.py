@@ -141,29 +141,6 @@ class RateFunction:
             raise DomainError(f"gamma({v}) = {g} must be positive for v > 0")
         return g
 
-    def validate_samples(self, v_max: float, n: int = 200, fd_rel_tol: float = 1e-5):
-        """Sampled consistency audit: positivity on (0, v_max], monotonicity
-        when flagged, and gamma_prime against central differences when given.
-        Raises on the first failure."""
-        vs = np.linspace(v_max / n, v_max, n)
-        vals = [self(v) for v in vs]  # positivity enforced per call
-        if self.monotone_nondecreasing:
-            for (va, a), (vb, b) in zip(zip(vs, vals), zip(vs[1:], vals[1:])):
-                if b < a * (1.0 - 1e-12):
-                    raise DomainError(
-                        f"rate flagged non-decreasing but gamma({vb}) < gamma({va})")
-        if self.gamma_prime is not None:
-            for v in vs[::10]:
-                h = 1e-6 * (1.0 + v)
-                if v - h <= 0:
-                    continue
-                fd = (self.gamma(v + h) - self.gamma(v - h)) / (2.0 * h)
-                gp = float(self.gamma_prime(v))
-                if abs(gp - fd) > fd_rel_tol * (1.0 + abs(gp)):
-                    raise DomainError(
-                        f"gamma_prime({v}) = {gp} disagrees with finite "
-                        f"differences ({fd})")
-
 
 def _quad_chunked(f, s: float) -> float:
     """Adaptive quadrature of ``f`` from 1 to ``s``, split into moderate

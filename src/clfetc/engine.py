@@ -1,18 +1,20 @@
 """Closed-loop hybrid simulation: adaptive embedded Runge-Kutta integration
-of the frozen-input flow with cubic dense output, guard probing on every
-accepted step, bisection event localization, trajectory recording and Zeno /
-blow-up safeguards.
+of the frozen-input flow with cubic dense output, bisection event
+localization, trajectory recording and Zeno / blow-up safeguards.
 
-The periodic event-triggered policy runs on the same machinery: one scan of
-the frozen flow reads the predicate's continuous margin on each accepted
-step and calls the predicate only at the grid points ``j*h`` where it can
-fail, so a run costs its steps, not its ``horizon/h`` checks.
+One scan of the frozen flow runs between updates, whatever the policy.  A
+policy's step rule reads each accepted step and accepts it, retries it at
+half size, or cuts it at an instant: the event policy's rule probes the
+guard and cuts at its first zero; the periodic policy's rule reads the
+predicate's continuous margin and cuts at the grid points ``j*h`` where the
+predicate can fail, so a run costs its steps, not its ``horizon/h`` checks.
+The self- and time-triggered policies scan to their clock instants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,11 +92,8 @@ class IntegratorConfig:
             raise DomainError("max_events must be at least 1")
         if self.output_points < 2:
             raise DomainError("output_points must be at least 2")
-
-    def resolved(self) -> "IntegratorConfig":
         if self.max_step is None:
-            return replace(self, max_step=self.horizon / 1000.0)
-        return self
+            object.__setattr__(self, "max_step", self.horizon / 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,6 @@ def integrate_frozen(sys: ControlSystem, x0, u, t_span,
     Returns a densely interpolable segment; raises :class:`BlowupError` if
     the state norm passes the blow-up cap before the span ends.
     """
-    cfg = config.resolved()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise DomainError("t_span must be increasing")
@@ -232,7 +230,7 @@ def integrate_frozen(sys: ControlSystem, x0, u, t_span,
     u = np.asarray(u, dtype=float)
     f = sys.frozen(u)
     ts, ys, fs = [t0], [x0], [sys.f(x0, u)]  # dimensions validated once
-    for piece in _steps(f, t0, x0, fs[0], t1, cfg):
+    for piece in _steps(f, t0, x0, fs[0], t1, config):
         ts.append(piece.t1)
         ys.append(piece.y1)
         fs.append(piece.f1)
@@ -351,55 +349,43 @@ def _probe_times(piece):
             + [piece.t1])
 
 
-def _guarded_until(sys, cert, x, fx, u, t, t_end, sigma, cfg, rec):
-    """Integrate the frozen loop from ``x``, with checked field value ``fx``,
-    while the guard stays negative.
+_HALVE = "halve"  # a step rule's verdict: retry the step at half its size
 
-    Fills grid rows along the way (strictly before the event time when a
-    crossing is found).  Returns ``(t_root, x_event, g_at_fire)`` at an
-    event, or ``(t_end, x_end, None)`` when there is none.
+
+def _guard_rule(cert, sigma, g):
+    """The event policy's step rule, carrying the guard value ``g`` at the
+    step start from one step to the next.
+
+    A step with no sign change of the guard over its probes is accepted.
+    One with more than one is retried at half size, so that the earliest
+    root cannot be skipped.  Otherwise the step is cut at the guard's first
+    zero.
     """
-    f = sys.frozen(u)
-    g = frozen_guard(cert, x, fx, sigma)
-    if g >= 0.0:
-        return t, x, g
-
-    def guard_at(y):
-        return frozen_guard(cert, y, f(y), sigma)
-
-    h = None  # the stepper picks its first step unless a retry halves it
     halved = 0
-    while True:
-        for piece in _steps(f, t, x, fx, t_end, cfg, h):
-            grid_t = _probe_times(piece)
-            gs = [g] + [guard_at(piece(tp)) for tp in grid_t[1:-1]]
-            gs.append(frozen_guard(cert, piece.y1, piece.f1, sigma))
-            crossings = sum(1 for a, b in zip(gs, gs[1:])
-                            if (a < 0.0 <= b) or (b < 0.0 <= a))
-            if crossings == 0:
-                rec.fill_grid(piece.t1, piece, u, inclusive=True)
-                t, x, fx, g = piece.t1, piece.y1, piece.f1, gs[-1]
-                halved = 0
-                continue
-            if crossings > 1 and halved < 60 and \
-                    piece.h > 1e-13 * max(1.0, abs(piece.t0)):
-                # more than one crossing inside one step: the stepper restarts
-                # from the piece start at half the size, so that the earliest
-                # root cannot be skipped
-                halved += 1
-                h = piece.h / 2.0
-                break
-            j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
-            t_root = locate_event(lambda tt: guard_at(piece(tt)),
-                                  grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
-            rec.fill_grid(t_root, piece, u, inclusive=False)
-            # re-anchor exactly at the root: one tolerance-checked corrector
-            # integration from the previous mesh point replaces the interpolant
-            sub = integrate_frozen(sys, piece.y0, u, (piece.t0, t_root), cfg)
-            x_event = sub.ys[-1]
-            return t_root, x_event, frozen_guard(cert, x_event, sub.fs[-1], sigma)
-        else:  # the stepper reached t_end with no crossing
-            return t_end, x, None
+
+    def rule(piece, f):
+        nonlocal g, halved
+
+        def guard_at(tt):
+            y = piece(tt)
+            return frozen_guard(cert, y, f(y), sigma)
+
+        grid_t = _probe_times(piece)
+        gs = [g] + [guard_at(tp) for tp in grid_t[1:-1]]
+        gs.append(frozen_guard(cert, piece.y1, piece.f1, sigma))
+        crossings = sum(1 for a, b in zip(gs, gs[1:])
+                        if (a < 0.0 <= b) or (b < 0.0 <= a))
+        if crossings == 0:
+            g, halved = gs[-1], 0
+            return None
+        if crossings > 1 and halved < 60 and \
+                piece.h > 1e-13 * max(1.0, abs(piece.t0)):
+            halved += 1
+            return _HALVE
+        j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
+        return locate_event(guard_at, grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
+
+    return rule
 
 
 def _grid_index(t, h):
@@ -413,88 +399,97 @@ def _grid_index(t, h):
     return j
 
 
-def _checked_until(sys, cert, policy, x, fx, u, t, k, t_end, cfg, rec):
-    """Integrate the frozen loop from ``x``, with checked field value ``fx``,
-    and check the periodic predicate on the grid after the ``k`` checks
-    already passed, until it fails or ``t_end``.
+def _check_rule(cert, policy, t_end, t_last):
+    """The periodic policy's step rule: cut a step at the first unchecked
+    check time ``min(j*h, t_end)`` (with ``j*h <= t_last``) where the
+    predicate can fail.
 
-    The predicate is called only where its margin
+    The predicate can fail only where its margin
     (:func:`~clfetc.triggers.predicate_margin`) is non-negative.  A step
     that holds at most ``GUARD_PROBES + 1`` unchecked grid points reads the
     margin at those points; a longer one reads it at its probes and takes
-    the first grid point after the margin's first root.  The state there is
-    re-integrated from the step start with the corrector.  A check that
-    holds restarts the scan at its grid point, so no point is checked twice.
-    Fills grid rows along the way (strictly before a failing check).
-    Returns ``(t_check, x, fx, k)`` at the first failing check, or
-    ``(t_end, x_end, None, k)`` when every check holds.
+    the first grid point after the margin's first root.  The checks passed
+    so far carry over from one step, and one update, to the next, so no
+    point is checked twice.
     """
-    f = sys.frozen(u)
     h = policy.h
-    # the clock path's rule: no check past the horizon beyond rounding
-    j_max = _grid_index(t_end * (1.0 + 1e-12), h)
+    j_max = _grid_index(t_last, h)
+    k = 0  # grid points passed
 
     def check_time(j):
-        return min(policy.next_instant(j - 1, t, x), t_end)
+        return min(j * h, t_end)
 
     def margin(y, fy):
         return predicate_margin(cert, policy.big_m, y, fy,
                                 policy.sigma_tilde, policy.k_big)
 
-    def margin_at(piece, tt):
-        y = piece(tt)
-        return margin(y, f(y))
+    def rule(piece, f):
+        nonlocal k
 
-    while True:
-        for piece in _steps(f, t, x, fx, t_end, cfg):
-            j_lo = k + 1
-            j_hi = j_max if piece.t1 >= t_end else _grid_index(piece.t1, h)
-            j = None
-            if j_lo <= j_hi <= j_lo + GUARD_PROBES:
-                j = next((i for i in range(j_lo, j_hi + 1)
-                          if not margin_at(piece, check_time(i)) < 0.0), None)
-            elif j_hi > j_lo + GUARD_PROBES:
-                ts = _probe_times(piece)
-                ms = [margin(piece.y0, piece.f0)]
-                while ms[-1] < 0.0 and len(ms) < len(ts) - 1:
-                    ms.append(margin_at(piece, ts[len(ms)]))
-                if ms[-1] < 0.0:
-                    ms.append(margin(piece.y1, piece.f1))
-                i = len(ms) - 1
-                if i == 0:
-                    j = j_lo  # the margin is non-negative from the start
-                elif not ms[i] < 0.0:
-                    root = locate_event(lambda tt: margin_at(piece, tt),
-                                        ts[i - 1], ts[i], ms[i - 1], ms[i])
-                    j = max(j_lo, _grid_index(root, h))
-                    if check_time(j) < root:
-                        j += 1
-                    if j > j_hi:
-                        j = None  # no grid point between the root and t1
-            if j is None:
-                rec.fill_grid(piece.t1, piece, u, inclusive=True)
-                t, x, fx, k = piece.t1, piece.y1, piece.f1, max(k, j_hi)
-                continue
-            t_check = check_time(j)
-            rec.fill_grid(t_check, piece, u, inclusive=False)
-            # the same corrector as at an event root
-            sub = integrate_frozen(sys, piece.y0, u, (piece.t0, t_check), cfg)
-            t, x, fx, k = t_check, sub.ys[-1], sub.fs[-1], j
-            if not predicate_p(cert, policy.big_m, x, fx,
-                               policy.sigma_tilde, policy.k_big):
-                return t, x, fx, k
-            break  # the check holds: scan on from its grid point
-        else:  # the stepper reached t_end with every check holding
-            return t_end, x, None, k
+        def margin_at(tt):
+            y = piece(tt)
+            return margin(y, f(y))
+
+        j_lo = k + 1
+        j_hi = j_max if piece.t1 >= t_end else _grid_index(piece.t1, h)
+        j = None
+        if j_lo <= j_hi <= j_lo + GUARD_PROBES:
+            j = next((i for i in range(j_lo, j_hi + 1)
+                      if not margin_at(check_time(i)) < 0.0), None)
+        elif j_hi > j_lo + GUARD_PROBES:
+            ts = _probe_times(piece)
+            ms = [margin(piece.y0, piece.f0)]
+            while ms[-1] < 0.0 and len(ms) < len(ts) - 1:
+                ms.append(margin_at(ts[len(ms)]))
+            if ms[-1] < 0.0:
+                ms.append(margin(piece.y1, piece.f1))
+            i = len(ms) - 1
+            if i == 0:
+                j = j_lo  # the margin is non-negative from the start
+            elif not ms[i] < 0.0:
+                root = locate_event(margin_at, ts[i - 1], ts[i], ms[i - 1], ms[i])
+                j = max(j_lo, _grid_index(root, h))
+                if check_time(j) < root:
+                    j += 1
+                if j > j_hi:
+                    j = None  # no grid point between the root and t1
+        if j is None:
+            k = max(k, j_hi)
+            return None
+        k = j
+        return check_time(j)
+
+    return rule
 
 
-def _plain_until(sys, x, fx, u, t, t_end, cfg, rec):
+def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
-    to an exact target time, recording rows; returns the state there."""
-    for piece in _steps(sys.frozen(u), t, x, fx, t_end, cfg):
-        rec.fill_grid(piece.t1, piece, u, inclusive=True)
-        x = piece.y1
-    return x
+    towards ``t_end``, filling grid rows along the way.
+
+    ``cut(piece, f)``, the policy's step rule, reads each accepted step with
+    the frozen field ``f``: ``None`` accepts it, ``_HALVE`` retries it from
+    its start at half the size, and a time cuts it there.  At a cut, rows
+    fill strictly before the cut instant, and one tolerance-checked
+    corrector integration from the step start replaces the interpolant.
+    Returns ``(t_cut, x, fx)`` at a cut, or ``(t_end, x_end, None)``.
+    """
+    f = sys.frozen(u)
+    h = None  # the stepper picks its first step unless a retry halves it
+    while True:
+        for piece in _steps(f, t, x, fx, t_end, cfg, h):
+            at = None if cut is None else cut(piece, f)
+            if at is None:
+                rec.fill_grid(piece.t1, piece, u, inclusive=True)
+                t, x, fx = piece.t1, piece.y1, piece.f1
+            elif at is _HALVE:
+                h = piece.h / 2.0
+                break
+            else:
+                rec.fill_grid(at, piece, u, inclusive=False)
+                sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
+                return at, sub.ys[-1], sub.fs[-1]
+        else:
+            return t_end, x, None
 
 
 def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPolicy,
@@ -502,23 +497,24 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     """Alternate frozen-input integration with the policy's update decisions
     until the horizon, the equilibrium, or a safeguard ends the run.
 
-    The event-triggered policy refreshes the control at the guard's zeros.
-    The periodic policy refreshes it at the first grid instant ``j*h`` where
-    its predicate fails: one scan of the frozen flow per update reads the
-    predicate's margin and calls the predicate only where it can fail.  The
-    self- and time-triggered policies refresh it at their clock instants,
-    restarting the stepper at each.  The control is
-    recomputed at every recorded event and is bitwise constant between
-    events.  Dense rows land on the configured output grid; every event
-    instant is recorded exactly.
+    One scan of the frozen flow (:func:`_scan`) runs between updates; the
+    policies differ only in where it stops.  The event-triggered policy's
+    step rule cuts it at the guard's first zero.  The periodic policy's
+    rule cuts it at the first grid instant ``j*h`` where its predicate can
+    fail; the predicate is checked there, and the scan resumes from that
+    point while it holds.  The self- and time-triggered policies scan to
+    their clock instants with no rule.  An instant or check time at most
+    ``1e-12`` (relative) past the horizon is taken at the horizon.  The
+    control is recomputed at every recorded event and is bitwise constant
+    between events.  Dense rows land on the configured output grid; every
+    event instant is recorded exactly.
     """
-    cfg = config.resolved()
     sigma = policy.sigma
     x0 = np.asarray(x0, dtype=float)
     u = cert.u(x0)
     fx = sys.f(x0, u)  # dimension check up front
-    horizon = cfg.horizon
-    grid = np.linspace(0.0, horizon, cfg.output_points)
+    horizon = config.horizon
+    grid = np.linspace(0.0, horizon, config.output_points)
     rec = _Recorder(cert, sys, grid)
 
     v0 = cert.v(x0)
@@ -543,49 +539,50 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         return rec.finalize(events, "equilibrium", sigma)
     push_event(0.0, x, u, frozen_guard(cert, x, fx, sigma), "init")
 
-    guarded = isinstance(policy, EventTriggered)
-    periodic = isinstance(policy, PeriodicEventTriggered)
-    reason = ("guard_zero" if guarded
-              else "predicate_false" if periodic else "clock")
-    k = 0  # clock instants, or periodic grid points, passed so far
+    t_last = horizon * (1.0 + 1e-12)  # an instant up to here fires at the horizon
+    if isinstance(policy, EventTriggered):
+        reason = "guard_zero"
+    elif isinstance(policy, PeriodicEventTriggered):
+        reason = "predicate_false"
+        check = _check_rule(cert, policy, horizon, t_last)
+    else:
+        reason = "clock"
+    k = 0  # clock instants reached so far
 
-    while t < horizon:
-        if len(events) >= cfg.max_events:
-            termination = "event_cap"
-            break
+    while t < horizon and len(events) < config.max_events:
         if fx is None:
             fx = sys.f(x, u)  # the segment's state and control, checked once
         try:
-            if guarded:
-                t, x, g_fire = _guarded_until(sys, cert, x, fx, u, t, horizon,
-                                              sigma, cfg, rec)
-                if g_fire is None:
-                    continue  # the horizon, with no crossing
-            elif periodic:
-                t, x, fx, k = _checked_until(sys, cert, policy, x, fx, u, t, k,
-                                             horizon, cfg, rec)
-                if fx is None:
-                    continue  # the horizon, with every check holding
-                g_fire = frozen_guard(cert, x, fx, sigma)
+            if reason == "guard_zero":
+                g = frozen_guard(cert, x, fx, sigma)
+                if not g >= 0.0:  # a guard non-negative here fires at once
+                    t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec,
+                                     _guard_rule(cert, sigma, g))
+            elif reason == "predicate_false":
+                t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec, check)
+                if fx is not None and predicate_p(cert, policy.big_m, x, fx,
+                                                  policy.sigma_tilde, policy.k_big):
+                    continue  # the check holds: scan on from its grid point
             else:
-                t_next = policy.next_instant(k, t, x)
-                if t_next is None or t_next > horizon * (1.0 + 1e-12):
-                    x = _plain_until(sys, x, fx, u, t, horizon, cfg, rec)
-                    t = horizon
-                    continue
-                k += 1
-                t_next = min(t_next, horizon)
-                x = _plain_until(sys, x, fx, u, t, t_next, cfg, rec)
-                t = t_next
-                g_fire = frozen_guard(cert, x, sys.f(x, u), sigma)
+                t_next = policy.next_instant(k, t)
+                if t_next is not None and t_next <= t_last:
+                    k += 1
+                    t, x, _ = _scan(sys, x, fx, u, t, min(t_next, horizon),
+                                    config, rec)
+                    fx = sys.f(x, u)
+                else:
+                    t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec)
         except BlowupError as exc:
             rec.add_row(exc.t, exc.state, u, 0)
             t, x = exc.t, exc.state
             termination = "blowup"
             break
+        if fx is None:
+            continue  # the horizon, with no update
 
+        g_fire = frozen_guard(cert, x, fx, sigma)
         dwell = t - events[-1].time
-        zeno_run = zeno_run + 1 if dwell < cfg.zeno_floor else 0
+        zeno_run = zeno_run + 1 if dwell < config.zeno_floor else 0
         if cert.v(x) <= eps_eq:
             u = cert.u(np.zeros(sys.state_dim))
             push_event(t, x, u, g_fire, "equilibrium_frozen")
@@ -598,9 +595,8 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         if zeno_run >= ZENO_CONSECUTIVE:
             termination = "zeno_abort"
             break
-        if len(events) >= cfg.max_events:
-            termination = "event_cap"
-            break
+    if termination == "horizon" and len(events) >= config.max_events:
+        termination = "event_cap"
 
     return rec.finalize(events, termination, sigma)
 

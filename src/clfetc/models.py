@@ -244,5 +244,5 @@ def build_model(name: str, params: Optional[dict] = None) -> Model:
             f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
     try:
         return _BUILDERS[name](**(params or {}))
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ConfigurationError(f"bad parameters for model {name!r}: {exc}") from exc

@@ -1,13 +1,13 @@
 """The four sampling policies, the event guard and the periodic predicate.
 
 Every policy carries the retention fraction ``sigma`` of its run, checked
-by :func:`check_sigma`.  A policy never integrates anything.  The
-event-triggered policy is watched through the guard; the other three are
-set up with numbers (a dwell, a period or instants, a check interval) and
-name their next clock instant from them.  The simulation engine integrates
-to a self- or time-triggered instant and refreshes the control there; it
-checks the periodic predicate on its grid only where the predicate's margin
-allows a failure.
+by :func:`check_sigma`.  A policy never integrates anything: the simulation
+engine runs one scan of the frozen flow between updates, and the policies
+differ only in where it stops.  The event-triggered policy stops it where
+:func:`frozen_guard` reaches zero.  The periodic policy stops it at the grid
+instants ``j*h`` where :func:`predicate_margin` allows a failure, and checks
+:func:`predicate_p` there.  The self- and time-triggered policies name
+their next clock instant from numbers (a dwell, or a period or instants).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class SelfTriggered:
         if not self.tau > 0.0:
             raise DomainError("tau must be positive")
 
-    def next_instant(self, k: int, t: float, x) -> float:
+    def next_instant(self, k: int, t: float) -> float:
         """The last update time ``t`` plus the dwell."""
         return t + self.tau
 
@@ -104,7 +104,7 @@ class TimeTriggered:
                 raise DomainError("instants must be strictly increasing, positive and finite")
             object.__setattr__(self, "instants", inst)
 
-    def next_instant(self, k: int, t: float, x) -> Optional[float]:
+    def next_instant(self, k: int, t: float) -> Optional[float]:
         """The schedule's instant after the ``k`` already reached, or None
         when the explicit list is exhausted."""
         if self.period is not None:
@@ -116,7 +116,9 @@ class TimeTriggered:
 
 @dataclass(frozen=True)
 class PeriodicEventTriggered:
-    """Check a predicate every ``h`` seconds; recompute only when it fails.
+    """Check a predicate at the grid instants ``j*h``; recompute only when
+    it fails.  The checks land on integer multiples of ``h``, so rounding
+    does not accumulate over many checks.
 
     ``big_m`` is the velocity-to-decrease ratio bound of the operating
     region, entering the predicate's second conjunct.
@@ -138,11 +140,6 @@ class PeriodicEventTriggered:
             raise DomainError("h must be positive and finite")
         if not 0.0 < self.big_m < math.inf:
             raise DomainError("big_m must be positive and finite")
-
-    def next_instant(self, k: int, t: float, x) -> float:
-        """The check after the ``k``-th, always an integer multiple of ``h``
-        so that rounding does not accumulate over many checks."""
-        return (k + 1) * self.h
 
 
 TriggerPolicy = Union[EventTriggered, SelfTriggered, TimeTriggered, PeriodicEventTriggered]

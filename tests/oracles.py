@@ -96,20 +96,19 @@ def periodic_checks_reference(sys, cert, policy, x0, config):
     Returns ``(times, states, termination)`` of every update, the initial
     sample included.
     """
-    cfg = config.resolved()
-    horizon = cfg.horizon
+    horizon = config.horizon
     x = np.asarray(x0, dtype=float)
     eps_eq = equilibrium_threshold(cert.v(x))
     u = cert.u(x)
     times, states = [0.0], [x]
     t, k = 0.0, 0
     while t < horizon:
-        t_next = policy.next_instant(k, t, x)
+        t_next = (k + 1) * policy.h
         if t_next > horizon * (1.0 + 1e-12):
             break
         k += 1
         t_next = min(t_next, horizon)
-        x = integrate_frozen(sys, x, u, (t, t_next), cfg).ys[-1]
+        x = integrate_frozen(sys, x, u, (t, t_next), config).ys[-1]
         t = t_next
         if predicate_p(cert, policy.big_m, x, sys.f(x, u), policy.sigma_tilde,
                        policy.k_big):
@@ -118,7 +117,7 @@ def periodic_checks_reference(sys, cert, policy, x0, config):
         states.append(x)
         if cert.v(x) <= eps_eq:
             return times, states, "equilibrium"
-        if len(times) >= cfg.max_events:
+        if len(times) >= config.max_events:
             return times, states, "event_cap"
         u = cert.u(x)
     return times, states, "horizon"

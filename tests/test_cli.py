@@ -50,6 +50,9 @@ TWIN = {
 }
 
 
+BIG = int("1" * 400)  # a JSON integer too large for a float
+
+
 def _with(path, *value):
     """MINI_RELAY with the dotted field set to ``value``, or deleted."""
     data = json.loads(json.dumps(MINI_RELAY))
@@ -224,6 +227,13 @@ class TestConfigHandling:
         (_with("integrator.max_events", 1), None),
         (_with("estimation.n_samples", 2), None),
         (_with("estimation.safety_factor", 1), None),
+        # integers too large for a float
+        pytest.param(_with("horizon", BIG), f"horizon must be a finite float, "
+                     f"got {BIG}", id="big-horizon"),
+        pytest.param(_with("x0", [BIG]), f"x0[0] must be a finite float, got {BIG}",
+                     id="big-x0"),
+        pytest.param(_with("policy.tau", BIG), f"policy.tau must be a finite float, "
+                     f"got {BIG}", id="big-tau"),
     ])
     def test_config_checks_name_the_field(self, tmp_path, capsys, data, message):
         if message is None:
@@ -233,6 +243,17 @@ class TestConfigHandling:
                      "--out", str(tmp_path))
         assert rc == 1
         assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_model_params_too_large_for_a_float(self, tmp_path, capsys):
+        # free-form model parameters are checked by the model's builder
+        data = _with("model", {"name": "acc", "params": {"k": BIG}})
+        data["x0"] = [1.0, 1.0, 1.0]
+        rc = run_cli("simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: bad parameters for model 'acc': "
+                                           "int too large to convert to float\n")
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("section,key", [

@@ -288,15 +288,3 @@ class TestRateFunction:
             RateFunction.linear(0.0)
         with pytest.raises(DomainError):
             RateFunction.power(1.0, -1.0)
-
-    def test_sampled_validation(self):
-        RateFunction.linear(2.0).validate_samples(10.0)
-        RateFunction.power(1.0, 2.0).validate_samples(5.0)
-        lying_monotone = RateFunction.custom(lambda v: 2.0 + math.sin(3 * v),
-                                             monotone_nondecreasing=True)
-        with pytest.raises(DomainError):
-            lying_monotone.validate_samples(5.0)
-        wrong_prime = RateFunction.custom(lambda v: v * v,
-                                          gamma_prime=lambda v: 3.0 * v)
-        with pytest.raises(DomainError):
-            wrong_prime.validate_samples(5.0)

@@ -383,6 +383,27 @@ class TestPeriodicScan:
         assert traj.events[1].time == t_grid == times[1]
 
 
+class TestHorizonSlack:
+    @pytest.mark.parametrize("scale, fires", [(1.0 + 5e-13, True),
+                                              (1.0 + 1e-11, False)])
+    def test_instants_just_past_the_horizon(self, homog, scale, fires):
+        # an instant or check time at most 1e-12 (relative) past the horizon
+        # is taken at the horizon; a later one is past the run.  big_m is so
+        # small that the periodic predicate fails at every check
+        t_past = 5.0 * scale
+        cfg = IntegratorConfig(horizon=5.0)
+        for pol, reason in (
+                (TimeTriggered(sigma=0.9, instants=(t_past,)), "clock"),
+                (PeriodicEventTriggered(sigma=0.9, sigma_tilde=0.95, k_big=2.0,
+                                        h=t_past, big_m=1e-9), "predicate_false")):
+            traj = run_closed_loop(homog.system, homog.certificate, pol,
+                                   homog.default_x0, cfg)
+            fired = [(e.time, e.reason) for e in traj.events[1:]]
+            assert fired == ([(5.0, reason)] if fires else [])
+            assert traj.termination == "horizon"
+            assert traj.t[-1] == 5.0
+
+
 class TestRunStats:
     def test_relay_stats(self, relay):
         cfg = IntegratorConfig(horizon=3.0)
@@ -458,7 +479,7 @@ class TestCsvArtifacts:
 
 class TestIntegratorConfig:
     def test_defaults_resolved(self):
-        cfg = IntegratorConfig(horizon=50.0).resolved()
+        cfg = IntegratorConfig(horizon=50.0)
         assert cfg.max_step == pytest.approx(0.05)
 
     def test_validation(self):
