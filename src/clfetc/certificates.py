@@ -56,6 +56,8 @@ SOBOL_VINIT = ((1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
                (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19))
 SOBOL_MAX_DIM = len(SOBOL_POLY) + 1
 SOBOL_BITS = 30
+# the largest sample size whose SAMPLE_MAX_BATCHES batches fit in one stream
+MAX_SAMPLES = 2**SOBOL_BITS // SAMPLE_MAX_BATCHES
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,8 @@ class _SobolStream:
     """Scrambled Sobol points in ``[0, 1)^d``, bit for bit those of
     ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``: Matousek's linear
     matrix scramble plus a digital shift, points in Gray-code order.  Each
-    :meth:`random` call continues the stream where the last one stopped."""
+    :meth:`random` call continues the stream where the last one stopped; the
+    stream ends after ``2**SOBOL_BITS`` points, as scipy's does."""
 
     def __init__(self, d: int, seed: int):
         if not 1 <= d <= SOBOL_MAX_DIM:
@@ -191,6 +194,9 @@ class _SobolStream:
 
     def random(self, n: int) -> np.ndarray:
         """The next ``n`` points, shape ``(n, d)``."""
+        if self._count + n > 2**SOBOL_BITS:
+            raise DomainError(f"a Sobol stream holds {2**SOBOL_BITS} points; "
+                              f"{self._count} drawn, {n} more requested")
         k = np.arange(self._count, self._count + n, dtype=np.uint32)
         # the lowest set bit of k is 2**(exponent - 1); exponent is 0 at k = 0
         _, exponent = np.frexp(k & ~(k - 1))

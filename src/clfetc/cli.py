@@ -23,8 +23,8 @@ import numpy as np
 
 from . import dwell as dwellmod
 from . import svgplot
-from .certificates import (DEFAULT_SAFETY, bound_sublevel_box, estimate_constants,
-                           sample_in_region)
+from .certificates import (DEFAULT_SAFETY, MAX_SAMPLES, bound_sublevel_box,
+                           estimate_constants, sample_in_region)
 # kept for the tracer: the benchmark patches these names on this module
 from .certificates import (estimate_big_m, estimate_kappa, estimate_nu,  # noqa: F401
                            estimate_rho)
@@ -37,7 +37,7 @@ from .errors import (ClfetcError, ConfigurationError, NonDegeneracyError,
                      PropernessError)
 from .models import MODEL_NAMES, build_model, zeno_first_event_bound
 from .triggers import (EventTriggered, PeriodicEventTriggered, SelfTriggered,
-                       TimeTriggered, check_sigma)
+                       TimeTriggered)
 
 ANOMALOUS_TERMINATIONS = ("zeno_abort", "blowup", "event_cap")
 
@@ -45,7 +45,9 @@ ANOMALOUS_TERMINATIONS = ("zeno_abort", "blowup", "event_cap")
 class ExperimentConfig:
     """A parsed experiment description (see ``parse_config``).  ``data`` is
     the exact input, which ``to_dict()`` echoes into every report; the other
-    fields hold its checked values and their defaults."""
+    fields hold its checked values and their defaults.  Each quantity has one
+    key: σ is ``policy.sigma``, and the audited region is always the sublevel
+    box through ``x0``."""
 
     data: dict
     model_name: str
@@ -56,7 +58,6 @@ class ExperimentConfig:
     horizon: float | None = None
     integrator: dict = dataclasses.field(default_factory=dict)  # IntegratorConfig keywords
     seed: int = 0
-    region_level: float | None = None
     n_samples: int = 192
     safety_factor: float = DEFAULT_SAFETY
     n_clf_samples: int = 2000
@@ -67,17 +68,8 @@ class ExperimentConfig:
 
     @property
     def sigma(self) -> float:
-        """The run's retention fraction: ``policy.sigma``, or its alias
-        ``model.params.sigma``, which must agree with it, or 0.9.  Checked
-        when read, not by the parser: a ``sigma`` sweep drops the alias from
-        each row, so its base config may disagree."""
-        given = [spec["sigma"] for spec in (self.policy, self.model_params) if "sigma" in spec]
-        if len(given) == 2 and given[0] != given[1]:
-            raise ConfigurationError("policy sigma and model sigma disagree")
-        sigma = given[0] if given else 0.9
-        if not isinstance(sigma, (int, float)):
-            raise ConfigurationError(f"sigma must be a number, got {sigma!r}")
-        return check_sigma(float(sigma))
+        """The run's retention fraction: ``policy.sigma``, or 0.9."""
+        return self.policy.get("sigma", 0.9)
 
     @property
     def sigma_tilde(self) -> float:
@@ -96,8 +88,8 @@ def _invalid(path: str, wanted: str, value):
                              f"got {json.dumps(value, default=repr)}")
 
 
-def _number(integer=False, gt=None, ge=None, lt=None):
-    """A number field, with bounds ``> gt``, ``>= ge`` and ``< lt``.
+def _number(integer=False, gt=None, ge=None, lt=None, le=None):
+    """A number field, with bounds ``> gt``, ``>= ge``, ``< lt`` and ``<= le``.
     Booleans are not numbers.  An integer field takes integral floats, as
     JSON Schema does, and converts them to ``int``; any other number field
     must fit in a float."""
@@ -113,6 +105,8 @@ def _number(integer=False, gt=None, ge=None, lt=None):
             _invalid(path, f">= {ge}", value)
         if lt is not None and not value < lt:
             _invalid(path, f"< {lt}", value)
+        if le is not None and not value <= le:
+            _invalid(path, f"<= {le}", value)
         return int(value) if integer else value
     return check
 
@@ -180,14 +174,13 @@ _CONFIG = _object({
         "output_points": _number(integer=True, ge=2),
     }),
     "seed": _number(integer=True, ge=0),
-    "region_level": _number(gt=0),
     "estimation": _object({
-        "n_samples": _number(integer=True, ge=2),
+        "n_samples": _number(integer=True, ge=2, le=MAX_SAMPLES),
         "safety_factor": _number(ge=1),
         # accepted but unused: the dwell infimum is attained at the
         # region's own level, so no anchors are sampled
         "n_anchors": _number(integer=True, ge=1),
-        "n_clf_samples": _number(integer=True, ge=1),
+        "n_clf_samples": _number(integer=True, ge=1, le=MAX_SAMPLES),
     }),
     "sweep": _object({
         "axis": _choice("sigma", "sigma_tilde", "K", "h", "period", "tau",
@@ -265,12 +258,10 @@ def _write_json(path, obj):
 
 
 def _model_and_x0(cfg: ExperimentConfig):
-    """The config's model and its initial state (the model's default when
-    the config names none).  A ``sigma`` among the model's params belongs to
-    the policy: it is checked here and not passed to the builder."""
-    cfg.sigma  # raises on a bad alias before the builder sees the params
-    model = build_model(cfg.model_name, {key: value for key, value
-                                         in cfg.model_params.items() if key != "sigma"})
+    """The config's model, built from ``model.params`` as given, and its
+    initial state (the model's default when the config names none).  The
+    models take no σ, so a ``sigma`` among the params fails in the builder."""
+    model = build_model(cfg.model_name, cfg.model_params)
     return model, np.asarray(model.default_x0 if cfg.x0 is None else cfg.x0,
                              dtype=float)
 
@@ -279,35 +270,14 @@ def _estimation_bundle(cfg: ExperimentConfig, model, x0,
                        allow_degenerate: bool = False):
     """Region, constants and the per-constant ``EstimateReport``s: the one
     estimate that derived policies and the verify and dwell reports read, on
-    the sublevel box through ``x0``, or through a state on ``region_level``."""
-    anchor = (x0 if cfg.region_level is None
-              else _state_at_level(model, cfg.region_level))
-    region = bound_sublevel_box(model.certificate, anchor, seed=cfg.seed)
+    the sublevel box through ``x0``: the set {V <= V(x0)} that the certified
+    decrease keeps the run inside."""
+    region = bound_sublevel_box(model.certificate, x0, seed=cfg.seed)
     constants, reports = estimate_constants(
         model.system, model.certificate, region,
         n=cfg.n_samples, seed=cfg.seed, safety=cfg.safety_factor,
         allow_degenerate=allow_degenerate)
     return region, constants, reports
-
-
-def _state_at_level(model, level: float) -> np.ndarray:
-    """The default initial state scaled along its ray onto ``level``."""
-    cert = model.certificate
-    x = np.asarray(model.default_x0, dtype=float)
-    if not np.any(x):
-        raise ConfigurationError("cannot scale a zero anchor to a level")
-    lo, hi = 0.0, 1.0
-    while cert.v(hi * x) < level:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConfigurationError("requested region level unreachable")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cert.v(mid * x) < level:
-            lo = mid
-        else:
-            hi = mid
-    return hi * x
 
 
 def resolve_policy(cfg: ExperimentConfig, model, x0):
@@ -554,11 +524,8 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> dict:
     data = {key: v for key, v in cfg.to_dict().items() if key != "sweep"}
     if axis == "r_star":
         data["model"]["params"] = dict(cfg.model_params, r_star=value)
-        return data
-    data["policy"] = dict(cfg.policy, **{axis: value})
-    if axis == "sigma":
-        data["model"]["params"] = {key: v for key, v in cfg.model_params.items()
-                                   if key != "sigma"}
+    else:
+        data["policy"] = dict(cfg.policy, **{axis: value})
     return data
 
 

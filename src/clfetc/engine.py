@@ -322,9 +322,6 @@ class _Recorder:
             else:
                 break
 
-    def fill_grid_const(self, t_hi, x, u):
-        self.fill_grid(t_hi, lambda _t: x, u, inclusive=True)
-
     def finalize(self, events, termination, sigma) -> Trajectory:
         t = np.array(self.rows_t)
         # the rows are checked once here; W then takes the unchecked field
@@ -530,13 +527,18 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
                                   dwell=dwell, reason=reason))
         rec.add_row(t, x, u, 1)
 
+    def freeze(t, x, gval):
+        """Record the equilibrium update at ``t``, then hold ``x`` and the
+        origin's control to the horizon."""
+        u = cert.u(np.zeros(sys.state_dim))
+        push_event(t, x, u, gval, "equilibrium_frozen")
+        rec.fill_grid(horizon, lambda _t: x, u, inclusive=True)
+        return rec.finalize(events, "equilibrium", sigma)
+
     t = 0.0
     x = x0
     if v0 <= eps_eq:
-        u = cert.u(np.zeros(sys.state_dim))
-        push_event(0.0, x, u, 0.0, "equilibrium_frozen")
-        rec.fill_grid_const(horizon, x, u)
-        return rec.finalize(events, "equilibrium", sigma)
+        return freeze(0.0, x, 0.0)
     push_event(0.0, x, u, frozen_guard(cert, x, fx, sigma), "init")
 
     t_last = horizon * (1.0 + 1e-12)  # an instant up to here fires at the horizon
@@ -584,11 +586,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         dwell = t - events[-1].time
         zeno_run = zeno_run + 1 if dwell < config.zeno_floor else 0
         if cert.v(x) <= eps_eq:
-            u = cert.u(np.zeros(sys.state_dim))
-            push_event(t, x, u, g_fire, "equilibrium_frozen")
-            rec.fill_grid_const(horizon, x, u)
-            termination = "equilibrium"
-            break
+            return freeze(t, x, g_fire)
         u = cert.u(x)
         fx = None
         push_event(t, x, u, g_fire, reason)
@@ -674,15 +672,9 @@ def write_trajectory_csv(traj: Trajectory, path):
     m = traj.u.shape[1]
     header = (["t"] + [f"x{i+1}" for i in range(d)] + [f"u{j+1}" for j in range(m)]
               + ["V", "W", "event_flag"])
-    lines = [",".join(header)]
-    for i in range(traj.t.size):
-        cells = [repr(float(traj.t[i]))]
-        cells += [repr(float(v)) for v in traj.x[i]]
-        cells += [repr(float(v)) for v in traj.u[i]]
-        cells.append(repr(float(traj.v[i])))
-        cells.append(repr(float(traj.w[i])))
-        cells.append(str(int(traj.event_flag[i])))
-        lines.append(",".join(cells))
+    columns = ([traj.t.tolist()] + traj.x.T.tolist() + traj.u.T.tolist()
+               + [traj.v.tolist(), traj.w.tolist(), traj.event_flag.tolist()])
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*columns)]
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

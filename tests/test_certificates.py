@@ -11,7 +11,7 @@ from clfetc import (CertificateConstants, ClfCertificate, ControlSystem,
                     RateFunction, bound_sublevel_box, compute_mu,
                     estimate_big_m, estimate_constants, estimate_kappa,
                     estimate_nu, estimate_rho, sample_in_region)
-from clfetc.certificates import SOBOL_MAX_DIM, _SobolStream
+from clfetc.certificates import SOBOL_BITS, SOBOL_MAX_DIM, _SobolStream
 from clfetc.cli import _jsonable
 from clfetc.errors import DimensionMismatchError
 from oracles import acc_frozen_matrices, grid_pairwise_lipschitz, grid_ratio_max
@@ -48,6 +48,17 @@ class TestSobolStream:
         from clfetc import ConfigurationError
         with pytest.raises(ConfigurationError, match="dimensions 1 to 10"):
             _SobolStream(SOBOL_MAX_DIM + 1, 0)
+
+    def test_stream_ends_after_two_to_the_bits_points(self):
+        # point 2**SOBOL_BITS would repeat one before it; scipy refuses it
+        # too.  The check comes before the draw allocates anything.
+        stream = _SobolStream(2, 0)
+        stream._count = 2**SOBOL_BITS - 2
+        with pytest.raises(DomainError, match=f"holds {2**SOBOL_BITS} points"):
+            stream.random(4)
+        assert stream.random(2).shape == (2, 2)
+        with pytest.raises(DomainError):
+            stream.random(1)
 
 
 class TestBoundSublevelBox:

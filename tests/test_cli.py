@@ -14,8 +14,7 @@ from clfetc import (ConfigurationError, DwellInputs, RateFunction,
                     engine, estimate_constants, estimate_rho, tau_select)
 from clfetc.core import EnergyTimeMap
 from clfetc.cli import (load_config, main, parse_config, resolve_policy,
-                        _apply_axis, _model_and_x0, _simulate_once,
-                        _state_at_level)
+                        _apply_axis, _simulate_once)
 
 
 def run_cli(*argv):
@@ -51,6 +50,7 @@ TWIN = {
 
 
 BIG = int("1" * 400)  # a JSON integer too large for a float
+HUGE = int("1" * 41)  # a sample size no run can hold
 
 
 def _with(path, *value):
@@ -104,24 +104,10 @@ class TestConfigHandling:
         with pytest.raises(ConfigurationError):
             load_config("no_such_preset")
 
-    def test_model_sigma_alone_sets_the_run_sigma(self, tmp_path):
-        data = json.loads(json.dumps(MINI_RELAY))
-        del data["policy"]["sigma"]
-        data["model"]["params"] = {"sigma": 0.6}
-        cfg = parse_config(data)
-        model, x0 = _model_and_x0(cfg)
-        policy, _ = resolve_policy(cfg, model, x0)
-        assert policy.sigma == 0.6
-        rc = run_cli("simulate", "--config", write_config(tmp_path, data),
-                     "--out", str(tmp_path))
-        assert rc == 0
-        stats = json.loads((tmp_path / "mini_relay_stats.json").read_text())
-        assert stats["sigma"] == stats["policy"]["sigma"] == 0.6
-        assert "sigma" not in stats["model_params"]
-        _, _, traj, _ = _simulate_once(cfg)
-        assert traj.sigma == 0.6
-
-    @pytest.mark.parametrize("command,policy,params_sigma,message", [
+    # σ is set only under ``policy``: a ``sigma`` among the model's params
+    # goes to the builder, which takes none, and no check of the params' σ
+    # answers first with a line of its own (``old_message``)
+    @pytest.mark.parametrize("command,policy,params_sigma,old_message", [
         ("simulate", {"policy": "event", "sigma": 0.9}, 0.6,
          "policy sigma and model sigma disagree"),
         ("verify", {"policy": "event", "sigma": 0.9}, 0.6,
@@ -132,13 +118,17 @@ class TestConfigHandling:
         ("verify", {"policy": "event"}, [0.5], "sigma must be a number, got [0.5]"),
     ])
     def test_bad_model_sigma_exits_one(self, tmp_path, capsys, command, policy,
-                                       params_sigma, message):
+                                       params_sigma, old_message):
         data = dict(MINI_RELAY, policy=policy,
                     model={"name": "relay1d", "params": {"sigma": params_sigma}})
         rc = run_cli(command, "--config", write_config(tmp_path, data),
                      "--out", str(tmp_path))
         assert rc == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad parameters for model 'relay1d': ")
+        assert err.endswith("unexpected keyword argument 'sigma'\n")
+        assert old_message not in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("data,message", [
         # a derived period needs finite constants, which relay1d lacks
@@ -234,6 +224,25 @@ class TestConfigHandling:
                      id="big-x0"),
         pytest.param(_with("policy.tau", BIG), f"policy.tau must be a finite float, "
                      f"got {BIG}", id="big-tau"),
+        # the audited region is always the sublevel box through x0
+        pytest.param(_with("region_level", 0.01), "region_level is not a known key",
+                     id="region-level"),
+        # sample sizes whose batches would run past the Sobol stream's end
+        pytest.param(_with("estimation.n_samples", HUGE),
+                     f"estimation.n_samples must be <= {2**24}, got {HUGE}",
+                     id="huge-n-samples"),
+        pytest.param(_with("estimation.n_samples", 2**24 + 1),
+                     f"estimation.n_samples must be <= {2**24}, got {2**24 + 1}",
+                     id="n-samples-past-cap"),
+        pytest.param(_with("estimation.n_clf_samples", HUGE),
+                     f"estimation.n_clf_samples must be <= {2**24}, got {HUGE}",
+                     id="huge-n-clf-samples"),
+        pytest.param(_with("estimation.n_clf_samples", 2**24 + 1),
+                     f"estimation.n_clf_samples must be <= {2**24}, got {2**24 + 1}",
+                     id="n-clf-samples-past-cap"),
+        pytest.param(_with("estimation.n_samples", 2**24), None, id="n-samples-at-cap"),
+        pytest.param(_with("estimation.n_clf_samples", 2**24), None,
+                     id="n-clf-samples-at-cap"),
     ])
     def test_config_checks_name_the_field(self, tmp_path, capsys, data, message):
         if message is None:
@@ -381,21 +390,25 @@ class TestResolvePolicy:
         cert = replace(model.certificate, rate=RateFunction.custom(
             lambda v: 2.0 + math.sin(v), gamma_prime=math.cos))
         model = replace(model, certificate=cert)
-        x0 = 6.0 * model.default_x0
+        # V = |x|^2/2, so the level-4 state on the default ray has |x| = sqrt(8)
+        x0 = math.sqrt(8.0) / math.hypot(*model.default_x0) * model.default_x0
+        assert cert.v(x0) == pytest.approx(4.0, rel=1e-12)
         cfg = parse_config({
             "model": {"name": "homog2d"}, "policy": {"policy": "self", "sigma": 0.9},
-            "x0": list(x0), "region_level": 4.0, "estimation": {"n_samples": 96}})
-        region = bound_sublevel_box(cert, _state_at_level(model, 4.0), seed=0)
+            "x0": list(x0), "estimation": {"n_samples": 96}})
+        region = bound_sublevel_box(cert, x0, seed=0)
         constants, _ = estimate_constants(model.system, cert, region, n=96, seed=0)
         policy, info = resolve_policy(cfg, model, x0)
         derived = tau_select(DwellInputs(constants=constants, sigma=0.9,
                                          gamma_mode="c1")).value
         assert info["tau_at_x0"] == derived
         assert policy.tau == derived
+        # a state inside the region, below the level where -gamma' peaks
+        inner = 6.0 * model.default_x0
         per_state = tau_select(DwellInputs(
-            constants=replace(constants, rho=estimate_rho(cert, cert.v(x0))),
+            constants=replace(constants, rho=estimate_rho(cert, cert.v(inner))),
             sigma=0.9, gamma_mode="c1")).value
-        assert constants.rho == 1.0 > estimate_rho(cert, cert.v(x0))
+        assert constants.rho == 1.0 > estimate_rho(cert, cert.v(inner))
         assert derived <= per_state
 
 
@@ -575,30 +588,26 @@ class TestSweepCommand:
         assert all(r["error"] == "" for r in rows)
 
     def test_missing_values_are_empty_cells(self, tmp_path):
-        # one event in the horizon: every dwell and frequency column is unset.
-        # A sigma sweep drops the model's sigma alias from each row, so a
-        # base config whose alias disagrees with the policy still runs.
-        for model in ({"name": "homog2d"},
-                      {"name": "homog2d", "params": {"sigma": 0.6}}):
-            cfg = write_config(tmp_path, {
-                "model": model,
-                "policy": {"policy": "event", "sigma": 0.9},
-                "x0": [0.1, 0.4],
-                "horizon": 1.0,
-                "seed": 0,
-                "sweep": {"axis": "sigma", "values": [0.5, 0.9]},
-                "label": "homog_short",
-            })
-            rc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path))
-            assert rc == 0
-            lines = (tmp_path / "homog_short_sweep.csv").read_text().splitlines()
-            header = lines[0].split(",")
-            rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
-            assert [r["n_events"] for r in rows] == ["1", "1"]
-            for r in rows:
-                assert "None" not in r.values()
-                assert r["min_dwell"] == r["first_dwell"] == ""
-                assert r["error"] == ""
+        # one event in the horizon: every dwell and frequency column is unset
+        cfg = write_config(tmp_path, {
+            "model": {"name": "homog2d"},
+            "policy": {"policy": "event", "sigma": 0.9},
+            "x0": [0.1, 0.4],
+            "horizon": 1.0,
+            "seed": 0,
+            "sweep": {"axis": "sigma", "values": [0.5, 0.9]},
+            "label": "homog_short",
+        })
+        rc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path))
+        assert rc == 0
+        lines = (tmp_path / "homog_short_sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        assert [r["n_events"] for r in rows] == ["1", "1"]
+        for r in rows:
+            assert "None" not in r.values()
+            assert r["min_dwell"] == r["first_dwell"] == ""
+            assert r["error"] == ""
 
     def test_axis_application(self):
         base = {"model": {"name": "zeno-polar", "params": {"r_star": 0.5}},

@@ -9,7 +9,7 @@ from clfetc import (ConfigurationError, DomainError, EventTriggered,
                     homogeneous_planar, run_closed_loop,
                     sample_in_region, verify_clf_pointwise,
                     zeno_first_event_bound, zeno_polar)
-from clfetc.cli import _model_and_x0, load_config, parse_config, resolve_policy
+from clfetc.cli import _model_and_x0, load_config, parse_config
 from clfetc.models import acc_physical_from_state, acc_state_from_physical
 
 
@@ -196,15 +196,14 @@ class TestRegistry:
     def test_build_with_params(self):
         m = build_model("acc", {"k": 1.5})
         assert m.params["k"] == 1.5
-        # sigma is no model parameter: the CLI reads model.params.sigma as
-        # an alias of the policy's and keeps it from the builder
+        # sigma is no model parameter, and the CLI passes model.params to
+        # the builder as given: sigma is set only under policy
         with pytest.raises(ConfigurationError):
             build_model("acc", {"k": 1.5, "sigma": 0.8})
         cfg = parse_config({"model": {"name": "acc",
                                       "params": {"k": 1.5, "sigma": 0.8}}})
-        m, x0 = _model_and_x0(cfg)
-        assert m.params["k"] == 1.5
-        assert resolve_policy(cfg, m, x0)[0].sigma == 0.8
+        with pytest.raises(ConfigurationError, match="unexpected keyword argument 'sigma'"):
+            _model_and_x0(cfg)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
