@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClfCertificate, ControlSystem, finite_difference_jacobian, velocity_ratio
+from .core import (ClfCertificate, ControlSystem, _as_vector, finite_difference_jacobian,
+                   velocity_ratio)
 from .errors import (ConfigurationError, DimensionMismatchError, DomainError,
                      NonDegeneracyError, PropernessError)
 
@@ -62,8 +63,11 @@ MAX_SAMPLES = 2**SOBOL_BITS // SAMPLE_MAX_BATCHES
 
 @dataclass(frozen=True)
 class SublevelRegion:
-    """An anchor state, its level ``V(anchor)`` and an axis-aligned box
-    certified (at sample resolution) to contain ``{x : V(x) <= level}``."""
+    """An anchor state, its level ``V(anchor) > 0`` and an axis-aligned box
+    certified (at sample resolution) to contain ``{x : V(x) <= level}``.
+
+    The level is positive: at the equilibrium the set is a single point, on
+    which the ratio bound is 0/0 and no dwell bound exists."""
 
     anchor: np.ndarray
     level: float
@@ -71,18 +75,14 @@ class SublevelRegion:
     hi: np.ndarray
 
     def __post_init__(self):
-        if self.level < 0:
-            raise DomainError("sublevel region needs level >= 0")
+        if not self.level > 0.0:
+            raise DomainError(f"sublevel region needs level > 0, got {self.level}")
         if np.any(self.hi < self.lo):
             raise DomainError("degenerate bounding box: hi < lo")
 
     @property
     def dim(self) -> int:
         return self.anchor.size
-
-    @property
-    def degenerate(self) -> bool:
-        return self.level == 0.0
 
     @property
     def box_scale(self) -> float:
@@ -218,15 +218,14 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
     among up to three batches of ``BOX_CHECK_POINTS`` from one scrambled
     Sobol stream (seeded by ``seed``) over 1.5 times the box, and finally
     inflated by ``BOX_INFLATE``.  Sampling needs ``d <= SOBOL_MAX_DIM``.
+    The anchor's level must be positive, so an anchor at the equilibrium is
+    rejected.
     """
     anchor = np.asarray(anchor, dtype=float)
     level = cert.v(anchor)
-    if level < 0:
-        raise DomainError("anchor has negative level")
+    if not level > 0.0:
+        raise DomainError(f"the sublevel region needs an anchor with level > 0, got {level}")
     d = anchor.size
-    if level == 0.0:
-        return SublevelRegion(anchor=anchor, level=0.0, lo=anchor.copy(), hi=anchor.copy())
-
     lo = np.zeros(d)
     hi = np.zeros(d)
     for i in range(d):
@@ -281,16 +280,17 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * (1.0 + BOX_INFLATE)
     region = SublevelRegion(anchor=anchor, level=level, lo=center - half, hi=center + half)
-    _check_boundary(cert, region, BOX_CHECK_POINTS, seed)
+    _check_boundary(cert, region, seed)
     return region
 
 
-def _check_boundary(cert: ClfCertificate, region: SublevelRegion, n: int, seed: int):
-    """Sampled faces of the box must lie outside the sublevel set."""
+def _check_boundary(cert: ClfCertificate, region: SublevelRegion, seed: int):
+    """``BOX_CHECK_POINTS`` sampled on the faces of the box must lie outside
+    the sublevel set."""
     d = region.dim
     rng = np.random.default_rng(seed)
-    pts = region.lo + rng.random((n, d)) * (region.hi - region.lo)
-    for k in range(n):
+    pts = region.lo + rng.random((BOX_CHECK_POINTS, d)) * (region.hi - region.lo)
+    for k in range(BOX_CHECK_POINTS):
         i = k % d
         pts[k, i] = region.lo[i] if (k // d) % 2 == 0 else region.hi[i]
     bad = [p for p in pts if cert.v(p) <= region.level]
@@ -308,9 +308,9 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
 
     The stream is :class:`_SobolStream`, drawn in power-of-two batches,
     whose points equal scipy's scrambled Sobol points for the same ``d``
-    and ``seed``; sampling needs ``d <= SOBOL_MAX_DIM``."""
-    if region.degenerate:
-        return np.tile(region.anchor, (n, 1))
+    and ``seed``; sampling needs ``d <= SOBOL_MAX_DIM`` and ``n >= 1``."""
+    if n < 1:
+        raise DomainError(f"sampling needs n >= 1, got {n}")
     d = region.dim
     sob = _SobolStream(d, seed)
     accepted = []
@@ -333,17 +333,11 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
 
 
 def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
-                        n: int, seed: int, safety: float, constant: str,
-                        checked_map=None) -> EstimateReport:
+                        n: int, seed: int, safety: float, constant: str) -> EstimateReport:
     """Sampled Lipschitz bound of ``map_fn``, whose values must have shape
-    ``(region.dim,)``; the first value's shape is checked.  ``checked_map``,
-    when given, takes the first sample and so validates what ``map_fn``
-    takes on trust."""
+    ``(region.dim,)``; the first value's shape is checked."""
     if n < 2:
         raise DomainError("Lipschitz estimation needs n >= 2")
-    if region.degenerate:
-        return EstimateReport(constant=constant, value=0.0, n_samples=0,
-                              safety_factor=safety, argmax_point=None, seed=seed)
     pts = sample_in_region(cert, region, n, seed=seed)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, region.dim))
@@ -353,7 +347,7 @@ def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
 
     best = 0.0
     best_point = pts[0]
-    vals = [np.asarray((checked_map or map_fn)(pts[0]), dtype=float)]
+    vals = [np.asarray(map_fn(pts[0]), dtype=float)]
     if vals[0].shape != (region.dim,):
         raise DimensionMismatchError(
             f"the map behind {constant} returned shape {vals[0].shape}, "
@@ -394,14 +388,12 @@ def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
                    n: int, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
     """Lipschitz constant of ``x -> F(x, U(anchor))`` over the region.
 
-    The control is frozen at the anchor's feedback value throughout; the
-    first field evaluation checks it.  A degenerate region (anchor at the
-    equilibrium) returns 0 by convention.
+    The control is frozen at the anchor's feedback value throughout and is
+    checked once, before the first field evaluation.
     """
-    u_star = cert.u(region.anchor)
+    u_star = _as_vector(cert.u(region.anchor), sys.input_dim, "control")
     return _lipschitz_estimate(sys.frozen(u_star), cert, region, n, seed,
-                               safety, "kappa",
-                               checked_map=lambda x: sys.f(x, u_star))
+                               safety, "kappa")
 
 
 def estimate_nu(cert: ClfCertificate, region: SublevelRegion, n: int,
@@ -425,8 +417,6 @@ def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
     def ratio_at(x) -> float:
         return velocity_ratio(cert.grad(x), sys.f(x, cert.u(x)))
 
-    if region.degenerate:
-        raise DomainError("ratio bound is undefined on a degenerate region")
     pts = sample_in_region(cert, region, n, seed=seed)
     skip = EQUILIBRIUM_LEVEL_FRACTION * region.level
     best = 0.0
@@ -480,7 +470,7 @@ def estimate_rho(cert: ClfCertificate, level: float) -> float:
 
     Non-decreasing rates return 0 exactly.  Rates that are neither flagged
     non-decreasing nor differentiable are rejected: the dwell-time formulas
-    need one of the two.
+    need one of the two.  At level 0 the grid collapses to ``v = 0``.
     """
     if level < 0:
         raise DomainError("level must be non-negative")
@@ -491,9 +481,6 @@ def estimate_rho(cert: ClfCertificate, level: float) -> float:
         raise ConfigurationError(
             "rate is not flagged non-decreasing and has no derivative; "
             "supply gamma_prime or set monotone_nondecreasing")
-    if level == 0.0:
-        return max(0.0, -float(rate.gamma_prime(0.0)))
-
     def neg_slope(v: float) -> float:
         return max(0.0, -float(rate.gamma_prime(v)))
 

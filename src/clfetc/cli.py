@@ -325,7 +325,7 @@ def resolve_policy(cfg: ExperimentConfig, model, x0):
         h = float(spec["h"])
     else:
         rep = tau_min_over_sublevel(
-            model.certificate, region, constants, sigma, which="tau0",
+            model.certificate, region, constants, sigma,
             sigma_tilde=sigma_tilde, k_big=k_big)
         h = admissible_period(rep.value)
         info["derived_from"] = "tau0_min"
@@ -478,7 +478,7 @@ def cmd_dwell(cfg: ExperimentConfig, out_dir: str, force: bool = False) -> int:
 
     rep_tau = tau_min_over_sublevel(model.certificate, region, constants, sigma)
     rep_tau0 = tau_min_over_sublevel(
-        model.certificate, region, constants, sigma, which="tau0",
+        model.certificate, region, constants, sigma,
         sigma_tilde=sigma_tilde, k_big=k_big)
     h = admissible_period(rep_tau0.value)
     report["tau_min"] = rep_tau
@@ -585,11 +585,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_stats(csv_path: str, out_path=None) -> int:
-    _times, events = read_event_times_csv(csv_path)
-    if events.size == 0:
-        print("no events found in trajectory", file=_sys.stderr)
-        return 1
-    stats = stats_from_event_times(events)
+    stats = stats_from_event_times(read_event_times_csv(csv_path))
     text = json.dumps(_jsonable(stats), indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

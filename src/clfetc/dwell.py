@@ -158,11 +158,12 @@ class TauMinReport:
 
 def tau_min_over_sublevel(cert: ClfCertificate, region: SublevelRegion,
                           constants: CertificateConstants, sigma: float, *,
-                          which: str = "tau",
                           sigma_tilde: Optional[float] = None,
                           k_big: Optional[float] = None) -> TauMinReport:
     """Estimate of ``inf`` of the dwell bound over the sublevel set, divided
-    by ``TAU_SAFETY``.
+    by ``TAU_SAFETY``: the perturbed-anchor bound tau0 when ``sigma_tilde``
+    or ``k_big`` is given (it needs both), the same-anchor bound tau
+    otherwise.
 
     The constants are suprema over the whole region, so they serve every
     anchor in it.  The one anchor-dependent input, ``rho``, is a supremum of
@@ -171,8 +172,7 @@ def tau_min_over_sublevel(cert: ClfCertificate, region: SublevelRegion,
     bound at the region's own level: the bound at ``constants``, which must
     be estimated on ``region``.
     """
-    if which not in ("tau", "tau0"):
-        raise DomainError("which must be 'tau' or 'tau0'")
+    which = "tau" if sigma_tilde is None and k_big is None else "tau0"
     inp = DwellInputs(constants=constants, sigma=sigma, sigma_tilde=sigma_tilde,
                       k_big=k_big, gamma_mode=gamma_mode(cert))
     est = tau_select(inp) if which == "tau" else tau0_select(inp)

@@ -681,18 +681,16 @@ def write_trajectory_csv(traj: Trajectory, path):
 
 
 def read_event_times_csv(path):
-    """Event instants and the full time column from a trajectory CSV."""
+    """Event instants from a trajectory CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         t_idx = header.index("t")
         flag_idx = header.index("event_flag")
-        times, events = [], []
+        events = []
         for line in fh:
             if not line.strip():
                 continue
             cells = line.strip().split(",")
-            tv = float(cells[t_idx])
-            times.append(tv)
             if cells[flag_idx] == "1":
-                events.append(tv)
-    return np.array(times), np.array(events)
+                events.append(float(cells[t_idx]))
+    return np.array(events)

@@ -119,7 +119,7 @@ def property_runs():
             tau_min = tau_min_over_sublevel(cert, region, constants,
                                             SIGMA).value
             tau0_min = tau_min_over_sublevel(
-                cert, region, constants, SIGMA, which="tau0",
+                cert, region, constants, SIGMA,
                 sigma_tilde=SIGMA_TILDE, k_big=K_BIG).value
             tau_anchor = tau_select(DwellInputs(
                 constants=constants, sigma=SIGMA,

@@ -71,10 +71,10 @@ class TestBoundSublevelBox:
         np.testing.assert_allclose(region.lo, -2.0 * 1.05, rtol=1e-6)
 
     def test_origin_degenerate(self):
+        # the sublevel set of the equilibrium is a single point: no region
         cert = quad_cert()
-        region = bound_sublevel_box(cert, np.zeros(2))
-        assert region.degenerate
-        np.testing.assert_array_equal(region.lo, region.hi)
+        with pytest.raises(DomainError, match="level > 0, got 0.0"):
+            bound_sublevel_box(cert, np.zeros(2))
 
     def test_acc_level_fifty(self, acc):
         cert = acc.certificate
@@ -106,6 +106,12 @@ class TestBoundSublevelBox:
         b = sample_in_region(cert, region, 120, seed=7)
         np.testing.assert_array_equal(a, b[:50])
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_size_below_one_rejected(self, homog, n):
+        region = bound_sublevel_box(homog.certificate, homog.default_x0)
+        with pytest.raises(DomainError, match=f"n >= 1, got {n}"):
+            sample_in_region(homog.certificate, region, n)
+
 
 class TestEstimateKappa:
     def test_acc_matches_jacobian_norm(self, acc):
@@ -117,11 +123,6 @@ class TestEstimateKappa:
         true_norm = float(np.linalg.norm(a, 2))
         rep = estimate_kappa(acc.system, acc.certificate, region, 256, seed=0)
         assert rep.value == pytest.approx(1.25 * true_norm, rel=1e-4)
-
-    def test_origin_convention(self, acc):
-        region = bound_sublevel_box(acc.certificate, np.zeros(3))
-        rep = estimate_kappa(acc.system, acc.certificate, region, 64, seed=0)
-        assert rep.value == 0.0
 
     def test_relay_constant_field(self, relay):
         region = bound_sublevel_box(relay.certificate, np.array([1.0]))

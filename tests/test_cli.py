@@ -381,6 +381,18 @@ class TestVerifyCommand:
         assert est["mu"] == constants["mu"]
         assert est["rho"] == constants["rho"]
 
+    @pytest.mark.parametrize("command", ["verify", "dwell"])
+    def test_x0_at_equilibrium_exits_one(self, tmp_path, capsys, command):
+        # the sublevel set of the equilibrium is one point: no constants
+        cfg = write_config(tmp_path, {"model": {"name": "homog2d"},
+                                      "x0": [0.0, 0.0], "label": "origin"})
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: the sublevel region needs an anchor with "
+                       "level > 0, got 0.0\n")
+        assert not list(out.glob("*.json"))
+
 
 class TestResolvePolicy:
     def test_derived_self_dwell_for_c1_rate(self):
@@ -496,8 +508,7 @@ class TestDwellCommand:
         consts, _ = estimate_constants(homog.system, homog.certificate, region,
                                        n=96, seed=0)
         vals = [tau_min_over_sublevel(homog.certificate, region, consts, 0.9,
-                                      which="tau0", sigma_tilde=0.95,
-                                      k_big=k).value
+                                      sigma_tilde=0.95, k_big=k).value
                 for k in (1.5, 5.0, 50.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -640,6 +651,13 @@ class TestStatsCommand:
                      "--out", str(out_json))
         assert rc == 0
         assert json.loads(out_json.read_text())["n_events"] == 2
+
+    def test_no_events_is_an_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "quiet.csv"
+        csv_path.write_text("t,x1,u1,V,W,event_flag\n0.0,1.0,0.0,0.5,0.0,0\n"
+                            "1.0,0.5,0.0,0.1,0.0,0\n")
+        assert run_cli("stats", str(csv_path)) == 1
+        assert capsys.readouterr().err == "error: stats need at least one event\n"
 
 
 # run in a fresh interpreter: the presets' commands, then a custom rate

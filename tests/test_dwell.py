@@ -276,8 +276,8 @@ class TestTauMinOverSublevel:
                 reference = min(select(DwellInputs(
                     constants=replace(constants, rho=estimate_rho(cert, cert.v(a))),
                     sigma=0.9, gamma_mode="c1", **kw)).value for a in anchors)
-                rep = tau_min_over_sublevel(cert, region, constants, 0.9,
-                                            which=which, **kw)
+                rep = tau_min_over_sublevel(cert, region, constants, 0.9, **kw)
+                assert rep.which == which
                 assert rep.value == reference / 1.1
                 assert rep.argmin_anchor == tuple(region.anchor)
 

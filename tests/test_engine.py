@@ -446,7 +446,7 @@ class TestCsvArtifacts:
         write_trajectory_csv(traj, path)
         header = path.read_text().splitlines()[0]
         assert header == "t,x1,u1,V,W,event_flag"
-        times, events = read_event_times_csv(path)
+        events = read_event_times_csv(path)
         np.testing.assert_allclose(events, [e.time for e in traj.events])
         st_csv = stats_from_event_times(events)
         st_run = run_stats(traj)

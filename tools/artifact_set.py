@@ -2,7 +2,7 @@
 
     python3 tools/artifact_set.py OUT_DIR
 
-Runs 38 ``clfetc`` commands, one at a time, against the package in this
+Runs 39 ``clfetc`` commands, one at a time, against the package in this
 checkout's ``src`` directory:
 
 - ``simulate --plot``, ``verify`` and ``dwell`` on the relay1d, zeno_polar,
@@ -18,13 +18,15 @@ checkout's ``src`` directory:
   under a derived ``time`` policy (its constants diverge) and homog2d with
   a 3-entry ``x0``;
 - ``sweep`` on acc_policy_sweep;
-- five homog2d ``simulate`` runs of config checks, last, so that the
+- six homog2d ``simulate`` runs of config checks, last, so that the
   commands before them keep their directory numbers: an unknown ``policy``
   key and ``horizon: -1`` must exit 1 with an ``error:`` line,
-  ``output_points: 11.0`` runs as ``11`` would, and a ``sigma`` given only
+  ``output_points: 11.0`` runs as ``11`` would, a ``sigma`` given only
   in the model's params and a top-level ``region_level`` must each exit 1
   with an ``error:`` line (σ is set only under ``policy``, and the audited
-  region is always the sublevel box through ``x0``).
+  region is always the sublevel box through ``x0``), and a derived
+  ``time`` policy from ``x0`` at the equilibrium must exit 1 with an
+  ``error:`` line (its sublevel set is a single point).
 
 Each command writes into its own directory ``OUT_DIR/NN_name``.  The
 homog2d, error-path and config-check configs go to ``OUT_DIR/configs``.
@@ -75,6 +77,8 @@ CHECK_RUNS = (
      {"model": {"name": "homog2d", "params": {"rate_scale": 1.0, "sigma": 0.6}},
       "policy": {"policy": "event"}}),
     ("homog2d_region_level", "homog2d", {"region_level": 0.01}),
+    ("homog2d_origin_time_derived", "homog2d",
+     {"x0": [0.0, 0.0], "policy": {"policy": "time", "sigma": 0.9}}),
 )
 
 
