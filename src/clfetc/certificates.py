@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ClfCertificate, ControlSystem, _as_vector, finite_difference_jacobian,
-                   velocity_ratio)
+from .core import (ClfCertificate, ControlSystem, _as_vector, _norms,
+                   finite_difference_jacobian, velocity_ratio)
 from .errors import (ConfigurationError, DimensionMismatchError, DomainError,
                      NonDegeneracyError, PropernessError)
 
@@ -213,52 +213,60 @@ class _SobolStream:
 def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> SublevelRegion:
     """Build an axis-aligned box containing ``{x : V(x) <= V(anchor)}``.
 
-    Per-axis rays from the origin are doubled until V exceeds the level and
-    then bisected; the box is widened to cover any sublevel point it misses
-    among up to three batches of ``BOX_CHECK_POINTS`` from one scrambled
-    Sobol stream (seeded by ``seed``) over 1.5 times the box, and finally
-    inflated by ``BOX_INFLATE``.  Sampling needs ``d <= SOBOL_MAX_DIM``.
-    The anchor's level must be positive, so an anchor at the equilibrium is
-    rejected.
+    The ``2d`` axis rays from the origin step in lockstep, one batch of
+    ``V`` per step, each as its own search would and stopping where it
+    stops: the inner end is halved until it lies in the set, the outer end
+    doubled until ``V`` exceeds the level, and the bracket then bisected.
+    The box is widened to cover any sublevel point it misses among up to
+    three batches of ``BOX_CHECK_POINTS`` from one scrambled Sobol stream
+    (seeded by ``seed``) over 1.5 times the box, and finally inflated by
+    ``BOX_INFLATE``.  Sampling needs ``d <= SOBOL_MAX_DIM``.  The anchor's
+    level must be positive, so an anchor at the equilibrium is rejected.
     """
     anchor = np.asarray(anchor, dtype=float)
     level = cert.v(anchor)
     if not level > 0.0:
         raise DomainError(f"the sublevel region needs an anchor with level > 0, got {level}")
     d = anchor.size
-    lo = np.zeros(d)
-    hi = np.zeros(d)
-    for i in range(d):
-        for sign, store in ((1.0, hi), (-1.0, lo)):
-            e = np.zeros(d)
-            e[i] = sign
-            r = 1.0
-            # make sure the inner end of the bracket is inside the set
-            for _ in range(200):
-                if cert.v(r * e) <= level:
-                    break
-                r /= 2.0
-                if r < 1e-14:
-                    break
-            r_in = r
-            r_out = None
-            for _ in range(BOX_MAX_DOUBLINGS):
-                r *= 2.0
-                if cert.v(r * e) > level:
-                    r_out = r
-                    break
-                r_in = r
-            if r_out is None:
-                raise PropernessError(
-                    f"V did not exceed level {level} along axis {i} "
-                    f"(direction {sign:+.0f}) within {BOX_MAX_DOUBLINGS} doublings")
-            for _ in range(80):
-                mid = 0.5 * (r_in + r_out)
-                if cert.v(mid * e) <= level:
-                    r_in = mid
-                else:
-                    r_out = mid
-            store[i] = sign * r_out
+    axis = np.arange(d)
+    rays = np.zeros((2 * d, d))  # +e_0, -e_0, +e_1, ...
+    rays[2 * axis, axis] = 1.0
+    rays[2 * axis + 1, axis] = -1.0
+
+    def level_at(r):
+        return cert.levels(r[:, None] * rays)
+
+    r = np.ones(2 * d)
+    # make sure the inner end of each bracket is inside the set
+    active = np.ones(2 * d, dtype=bool)
+    for _ in range(200):
+        active &= ~(level_at(r) <= level)
+        if not active.any():
+            break
+        r = np.where(active, r / 2.0, r)
+        active &= ~(r < 1e-14)
+    r_in = r
+    r_out = np.full(2 * d, np.nan)
+    active = np.ones(2 * d, dtype=bool)
+    for _ in range(BOX_MAX_DOUBLINGS):
+        r = np.where(active, 2.0 * r, r)
+        out = active & (level_at(r) > level)
+        r_out = np.where(out, r, r_out)
+        active &= ~out
+        r_in = np.where(active, r, r_in)
+        if not active.any():
+            break
+    if active.any():
+        k = int(np.argmax(active))
+        raise PropernessError(
+            f"V did not exceed level {level} along axis {k // 2} "
+            f"(direction {1 - 2 * (k % 2):+d}) within {BOX_MAX_DOUBLINGS} doublings")
+    for _ in range(80):
+        mid = 0.5 * (r_in + r_out)
+        inside = level_at(mid) <= level
+        r_in = np.where(inside, mid, r_in)
+        r_out = np.where(inside, r_out, mid)
+    lo, hi = -r_out[1::2], r_out[0::2]
 
     # widen to cover sampled sublevel points the rays may have missed
     sob = _SobolStream(d, seed)
@@ -266,17 +274,11 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
         span_lo = 1.5 * lo
         span_hi = 1.5 * hi
         pts = span_lo + sob.random(BOX_CHECK_POINTS) * (span_hi - span_lo)
-        grew = False
-        for p in pts:
-            if cert.v(p) <= level:
-                below = p < lo
-                above = p > hi
-                if below.any() or above.any():
-                    lo = np.minimum(lo, p)
-                    hi = np.maximum(hi, p)
-                    grew = True
-        if not grew:
+        pts = pts[cert.levels(pts) <= level]
+        if not (np.any(pts < lo) or np.any(pts > hi)):
             break
+        lo = np.minimum(lo, pts.min(axis=0))
+        hi = np.maximum(hi, pts.max(axis=0))
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * (1.0 + BOX_INFLATE)
     region = SublevelRegion(anchor=anchor, level=level, lo=center - half, hi=center + half)
@@ -290,39 +292,41 @@ def _check_boundary(cert: ClfCertificate, region: SublevelRegion, seed: int):
     d = region.dim
     rng = np.random.default_rng(seed)
     pts = region.lo + rng.random((BOX_CHECK_POINTS, d)) * (region.hi - region.lo)
-    for k in range(BOX_CHECK_POINTS):
-        i = k % d
-        pts[k, i] = region.lo[i] if (k // d) % 2 == 0 else region.hi[i]
-    bad = [p for p in pts if cert.v(p) <= region.level]
-    if bad:
+    k = np.arange(BOX_CHECK_POINTS)
+    face = k % d
+    pts[k, face] = np.where((k // d) % 2 == 0, region.lo[face], region.hi[face])
+    n_bad = int(np.count_nonzero(cert.levels(pts) <= region.level))
+    if n_bad:
         raise PropernessError(
-            f"{len(bad)} sampled boundary points of the bounding box lie inside "
+            f"{n_bad} sampled boundary points of the bounding box lie inside "
             "the sublevel set; the box does not cover it")
 
 
 def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
                      seed: int = 0) -> np.ndarray:
     """First ``n`` points of a scrambled Sobol stream over the box that fall
-    inside the sublevel set.  Prefix-stable: a larger ``n`` with the same
-    seed extends the smaller sample.
+    inside the sublevel set, in stream order.  Prefix-stable: a larger ``n``
+    with the same seed extends the smaller sample.
 
     The stream is :class:`_SobolStream`, drawn in power-of-two batches,
     whose points equal scipy's scrambled Sobol points for the same ``d``
-    and ``seed``; sampling needs ``d <= SOBOL_MAX_DIM`` and ``n >= 1``."""
+    and ``seed``; ``V`` is evaluated once per batch.  Sampling needs
+    ``d <= SOBOL_MAX_DIM`` and ``n >= 1``."""
     if n < 1:
         raise DomainError(f"sampling needs n >= 1, got {n}")
     d = region.dim
     sob = _SobolStream(d, seed)
     accepted = []
+    n_accepted = 0
     span = region.hi - region.lo
     batch = 1 << max(6, (max(n, 2) - 1).bit_length())  # power of 2 keeps Sobol balanced
     for _ in range(SAMPLE_MAX_BATCHES):
         pts = region.lo + sob.random(batch) * span
-        for p in pts:
-            if cert.v(p) <= region.level:
-                accepted.append(p)
-                if len(accepted) == n:
-                    return np.array(accepted)
+        pts = pts[cert.levels(pts) <= region.level]
+        accepted.append(pts)
+        n_accepted += len(pts)
+        if n_accepted >= n:
+            return np.concatenate(accepted)[:n]
     raise DomainError(
         f"could not draw {n} sublevel samples in {SAMPLE_MAX_BATCHES} batches; "
         "the sublevel set occupies too little of its bounding box")
@@ -334,8 +338,15 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
 
 def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
                         n: int, seed: int, safety: float, constant: str) -> EstimateReport:
-    """Sampled Lipschitz bound of ``map_fn``, whose values must have shape
-    ``(region.dim,)``; the first value's shape is checked."""
+    """Sampled Lipschitz bound of ``map_fn``, which acts on the last axis
+    and must map an ``(k, d)`` batch of states to ``(k, d)``; each result's
+    shape is checked.
+
+    The candidates are difference quotients over independent pairs of the
+    sample, over small perturbations of each point that stay in the set,
+    and the spectral norms of finite-difference Jacobians at each point, in
+    that order.  The largest positive one is the estimate, and its first
+    point in that order is the ``argmax_point``."""
     if n < 2:
         raise DomainError("Lipschitz estimation needs n >= 2")
     pts = sample_in_region(cert, region, n, seed=seed)
@@ -345,55 +356,54 @@ def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
     norms[norms == 0] = 1.0
     dirs /= norms[:, None]
 
-    best = 0.0
-    best_point = pts[0]
-    vals = [np.asarray(map_fn(pts[0]), dtype=float)]
-    if vals[0].shape != (region.dim,):
-        raise DimensionMismatchError(
-            f"the map behind {constant} returned shape {vals[0].shape}, "
-            f"expected ({region.dim},)")
-    vals += [np.asarray(map_fn(p), dtype=float) for p in pts[1:]]
+    def fn(xs):
+        out = np.asarray(map_fn(xs), dtype=float)
+        if out.shape != xs.shape:
+            raise DimensionMismatchError(
+                f"the map behind {constant} returned shape {out.shape} on states "
+                f"of shape {xs.shape}; each value must have shape ({region.dim},)")
+        return out
 
-    def consider(quotient, point):
-        nonlocal best, best_point
-        if quotient > best:
-            best = quotient
-            best_point = point
-
+    vals = fn(pts)
     # independent pairs from the sample stream
-    for i in range(0, n - 1, 2):
-        dx = np.linalg.norm(pts[i + 1] - pts[i])
-        if dx > 0:
-            consider(np.linalg.norm(vals[i + 1] - vals[i]) / dx, pts[i])
+    dx = _norms(pts[1::2] - pts[:n - 1:2])
+    pairs = np.divide(_norms(vals[1::2] - vals[:n - 1:2]), dx,
+                      out=np.full(dx.shape, -np.inf), where=dx > 0)
+    quotients, points = [pairs], [pts[:n - 1:2]]
     # perturbation pairs: the supremum is often attained at small separation
     for eps in (1e-4, 1e-2):
         step = eps * region.box_scale
-        for i in range(n):
-            q = pts[i] + step * dirs[i]
-            if cert.v(q) > region.level:
-                continue
-            fv = np.asarray(map_fn(q), dtype=float)
-            consider(np.linalg.norm(fv - vals[i]) / step, pts[i])
+        q = pts + step * dirs
+        keep = ~(cert.levels(q) > region.level)
+        quotients.append(_norms(fn(q[keep]) - vals[keep]) / step)
+        points.append(pts[keep])
     # finite-difference Jacobian spectral norms at the sample points
-    for i in range(n):
-        jac = finite_difference_jacobian(map_fn, pts[i])
-        consider(float(np.linalg.norm(jac, 2)), pts[i])
+    quotients.append(np.linalg.norm(finite_difference_jacobian(fn, pts), 2, axis=(1, 2)))
+    points.append(pts)
 
+    quotients = np.concatenate(quotients)
+    k = int(np.argmax(np.where(np.isnan(quotients), -np.inf, quotients)))
+    best, best_point = ((float(quotients[k]), np.concatenate(points)[k])
+                        if quotients[k] > 0.0 else (0.0, pts[0]))
     return EstimateReport(constant=constant, value=safety * best, n_samples=n,
                           safety_factor=safety,
-                          argmax_point=tuple(float(c) for c in best_point), seed=seed)
+                          argmax_point=tuple(best_point.tolist()), seed=seed)
 
 
 def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelRegion,
                    n: int, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
     """Lipschitz constant of ``x -> F(x, U(anchor))`` over the region.
 
-    The control is frozen at the anchor's feedback value throughout and is
-    checked once, before the first field evaluation.
+    The control is frozen at the anchor's feedback value throughout, checked
+    once, before the first field evaluation, and repeated on every row of
+    each batch of states.
     """
     u_star = _as_vector(cert.u(region.anchor), sys.input_dim, "control")
-    return _lipschitz_estimate(sys.frozen(u_star), cert, region, n, seed,
-                               safety, "kappa")
+
+    def held(xs):
+        return sys.rhs(xs, np.broadcast_to(u_star, xs.shape[:-1] + u_star.shape))
+
+    return _lipschitz_estimate(held, cert, region, n, seed, safety, "kappa")
 
 
 def estimate_nu(cert: ClfCertificate, region: SublevelRegion, n: int,
@@ -402,52 +412,50 @@ def estimate_nu(cert: ClfCertificate, region: SublevelRegion, n: int,
     return _lipschitz_estimate(cert.grad, cert, region, n, seed, safety, "nu")
 
 
+def _closed_loop_ratios(sys: ControlSystem, cert: ClfCertificate, xs) -> np.ndarray:
+    """The velocity-to-decrease ratio of ``Fbar(x) = F(x, U(x))`` at each
+    row of ``xs``, through the checked field: each row brings a new
+    feedback control."""
+    return velocity_ratio(cert.grad(xs), sys.f(xs, cert.u(xs)))
+
+
 def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelRegion,
                    n: int, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
     """Bound on ``(|V'||Fbar| + |Fbar|^2) / |V' Fbar|`` over the region, with
     ``Fbar(x) = F(x, U(x))`` the closed-loop field.
 
-    Beyond the sampled maximum, the ratio is probed along rays shrinking
-    toward the origin; monotone growth by more than ``DIVERGENCE_GROWTH``
-    (or any non-finite sample) marks the pair as non-degenerate-violating,
-    reported via ``diverging`` rather than raised.  Each point's field
-    evaluation is checked, since each brings a new feedback control.
+    Beyond the sampled maximum, the ratio is probed along 8 rays shrinking
+    toward the origin, at 5 scales in one batch; monotone growth by more
+    than ``DIVERGENCE_GROWTH`` (or any non-finite sample) marks the pair as
+    non-degenerate-violating, reported via ``diverging`` rather than
+    raised.  The ``argmax_point`` is the sample that last raised the
+    running maximum or last gave a non-finite ratio, in sample order.
     """
-
-    def ratio_at(x) -> float:
-        return velocity_ratio(cert.grad(x), sys.f(x, cert.u(x)))
-
     pts = sample_in_region(cert, region, n, seed=seed)
     skip = EQUILIBRIUM_LEVEL_FRACTION * region.level
-    best = 0.0
-    best_point = None
-    diverging = False
-    for p in pts:
-        if cert.v(p) < skip:
-            continue
-        r = ratio_at(p)
-        if not math.isfinite(r):
-            diverging = True
-            best_point = p
-            continue
-        if r > best:
-            best = r
-            best_point = p
+    pts = pts[~(cert.levels(pts) < skip)]
+    r = _closed_loop_ratios(sys, cert, pts)
+    bounded = np.isfinite(r)
+    diverging = not bounded.all()
+    r = np.where(bounded, r, -np.inf)
+    running = np.maximum.accumulate(np.concatenate(([0.0], r)))
+    best = float(running[-1])
+    marks = np.flatnonzero(~bounded | (r > running[:-1]))
+    best_point = pts[marks[-1]] if len(marks) else None
 
     # ray probe toward the origin: the ratio must stay bounded as |x| -> 0
     rng = np.random.default_rng(seed + 1)
     dirs = rng.standard_normal((8, region.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    scales = [region.box_scale * 10.0 ** (-j) for j in range(2, 7)]
-    per_scale = []
-    for s in scales:
-        worst = 0.0
-        for dvec in dirs:
-            x = s * dvec
-            if cert.v(x) > region.level or cert.v(x) < 1e-300:
-                continue
-            worst = max(worst, ratio_at(x))
-        per_scale.append(worst)
+    scales = np.array([region.box_scale * 10.0 ** (-j) for j in range(2, 7)])
+    probes = (scales[:, None, None] * dirs).reshape(-1, region.dim)
+    v = cert.levels(probes)
+    keep = ~((v > region.level) | (v < 1e-300))
+    probe_r = np.zeros(len(probes))
+    probe_r[keep] = _closed_loop_ratios(sys, cert, probes[keep])
+    # a NaN ratio never raises a scale's running max()
+    probe_r = np.where(np.isnan(probe_r), 0.0, probe_r)
+    per_scale = probe_r.reshape(len(scales), len(dirs)).max(axis=1).tolist()
     finite = [r for r in per_scale if math.isfinite(r) and r > 0]
     if any(not math.isfinite(r) for r in per_scale):
         diverging = True
@@ -460,7 +468,7 @@ def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
 
     return EstimateReport(
         constant="big_m", value=safety * best, n_samples=n, safety_factor=safety,
-        argmax_point=tuple(float(c) for c in best_point) if best_point is not None else None,
+        argmax_point=tuple(best_point.tolist()) if best_point is not None else None,
         seed=seed, diverging=diverging)
 
 

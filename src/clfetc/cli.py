@@ -28,7 +28,7 @@ from .certificates import (DEFAULT_SAFETY, MAX_SAMPLES, bound_sublevel_box,
 # kept for the tracer: the benchmark patches these names on this module
 from .certificates import (estimate_big_m, estimate_kappa, estimate_nu,  # noqa: F401
                            estimate_rho)
-from .core import verify_clf_pointwise
+from .core import _as_vector, verify_clf_pointwise
 from .dwell import DwellInputs, admissible_period, tau_min_over_sublevel
 from .engine import (IntegratorConfig, check_rate_certificate, run_closed_loop,
                      run_stats, read_event_times_csv, stats_from_event_times,
@@ -37,7 +37,7 @@ from .errors import (ClfetcError, ConfigurationError, NonDegeneracyError,
                      PropernessError)
 from .models import MODEL_NAMES, build_model, zeno_first_event_bound
 from .triggers import (EventTriggered, PeriodicEventTriggered, SelfTriggered,
-                       TimeTriggered)
+                       TimeTriggered, equilibrium_threshold)
 
 ANOMALOUS_TERMINATIONS = ("zeno_abort", "blowup", "event_cap")
 
@@ -259,11 +259,12 @@ def _write_json(path, obj):
 
 def _model_and_x0(cfg: ExperimentConfig):
     """The config's model, built from ``model.params`` as given, and its
-    initial state (the model's default when the config names none).  The
-    models take no σ, so a ``sigma`` among the params fails in the builder."""
+    initial state (the model's default when the config names none), checked
+    against the model's state dimension.  The models take no σ, so a
+    ``sigma`` among the params fails in the builder."""
     model = build_model(cfg.model_name, cfg.model_params)
-    return model, np.asarray(model.default_x0 if cfg.x0 is None else cfg.x0,
-                             dtype=float)
+    return model, _as_vector(model.default_x0 if cfg.x0 is None else cfg.x0,
+                             model.system.state_dim, "state")
 
 
 def _estimation_bundle(cfg: ExperimentConfig, model, x0,
@@ -345,8 +346,17 @@ def integrator_from_config(cfg: ExperimentConfig) -> IntegratorConfig:
 
 
 def _simulate_once(cfg: ExperimentConfig):
+    """One closed-loop run of the config.  A run from the equilibrium
+    freezes at t = 0 whatever the policy, so no policy is resolved for it:
+    a derived one would need constants, which the equilibrium's one-point
+    sublevel set does not have.  Its policy record names the kind and σ."""
     model, x0 = _model_and_x0(cfg)
-    policy, pol_info = resolve_policy(cfg, model, x0)
+    v0 = model.certificate.v(x0)
+    if v0 <= equilibrium_threshold(v0):
+        policy = EventTriggered(sigma=cfg.sigma)
+        pol_info = {"policy": cfg.policy["policy"], "sigma": cfg.sigma}
+    else:
+        policy, pol_info = resolve_policy(cfg, model, x0)
     traj = run_closed_loop(model.system, model.certificate, policy, x0,
                            integrator_from_config(cfg))
     return model, x0, traj, pol_info

@@ -40,10 +40,13 @@ EQ_ABS_FLOOR = 1e-24
 FD_SCALE = 1e-6
 
 
-def _as_vector(x, dim: int, what: str) -> np.ndarray:
+def _as_vector(x, dim: int, what: str, lead: tuple = ()) -> np.ndarray:
+    """``x`` as an array of shape ``lead + (dim,)`` with finite entries: one
+    vector, or one per row of a batch with leading shape ``lead``."""
     v = np.asarray(x, dtype=float)
-    if v.shape != (dim,):
-        raise DimensionMismatchError(f"{what} must have length {dim}, got shape {v.shape}")
+    if v.shape != lead + (dim,):
+        want = f"length {dim}" if not lead else f"shape {lead + (dim,)}"
+        raise DimensionMismatchError(f"{what} must have {want}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise DomainError(f"{what} contains non-finite entries")
     return v
@@ -67,10 +70,15 @@ def _as_points(xs, dim: int, what: str) -> np.ndarray:
 class ControlSystem:
     """A controlled vector field ``xdot = F(x, u)`` with fixed dimensions.
 
-    ``rhs`` must be deterministic: identical inputs produce bitwise-identical
-    outputs.  :meth:`f` is the checked entry; :meth:`frozen` checks nothing.
-    A pass checks each point, or each held control, once where it enters,
-    and its loops then evaluate the unchecked field.
+    ``rhs`` acts on the last axis: it takes a state ``(d,)`` with a control
+    ``(m,)`` and returns ``(d,)``, and it takes an ``(n, d)`` batch of
+    states with an ``(n, m)`` batch of controls and returns ``(n, d)``, row
+    by row with the same bits.  The engine calls it on one state at a time;
+    the audits call it on batches.  ``rhs`` must be deterministic: identical
+    inputs produce bitwise-identical outputs.  :meth:`f` is the checked
+    entry; :meth:`frozen` checks nothing.  A pass checks each point, or each
+    held control, once where it enters, and its loops then evaluate the
+    unchecked field.
     """
 
     state_dim: int
@@ -82,12 +90,16 @@ class ControlSystem:
             raise DomainError("state_dim and input_dim must be positive")
 
     def f(self, x, u) -> np.ndarray:
-        x = _as_vector(x, self.state_dim, "state")
-        u = _as_vector(u, self.input_dim, "control")
+        """``F(x, u)`` for one state or a batch, with the states, the
+        controls and the result's shape checked."""
+        x = np.asarray(x, dtype=float)
+        lead = x.shape[:-1]
+        x = _as_vector(x, self.state_dim, "state", lead)
+        u = _as_vector(u, self.input_dim, "control", lead)
         out = np.asarray(self.rhs(x, u), dtype=float)
-        if out.shape != (self.state_dim,):
+        if out.shape != x.shape:
             raise DimensionMismatchError(
-                f"rhs returned shape {out.shape}, expected ({self.state_dim},)")
+                f"rhs returned shape {out.shape}, expected {x.shape}")
         return out
 
     def frozen(self, u) -> Callable[[np.ndarray], np.ndarray]:
@@ -139,6 +151,24 @@ class RateFunction:
         g = float(self.gamma(v))
         if v > 0 and g <= 0:
             raise DomainError(f"gamma({v}) = {g} must be positive for v > 0")
+        return g
+
+    def at_levels(self, vs) -> np.ndarray:
+        """``gamma`` at each level of a 1-d array, with the checks of a call
+        and its bits: a power rate in one array pass (``float_power`` is the
+        C ``pow`` that ``**`` calls), a custom rate, a function of one
+        level, level by level."""
+        vs = np.asarray(vs, dtype=float)
+        if np.any(vs < 0):
+            raise DomainError("rate evaluated at negative level")
+        if self.form is not None:
+            _, ae, a = self.form
+            g = ae * np.float_power(vs, a)
+        else:
+            g = np.array([float(self.gamma(v)) for v in vs.tolist()], dtype=float)
+        bad = np.flatnonzero((vs > 0) & (g <= 0))
+        if len(bad):
+            raise DomainError(f"gamma({vs[bad[0]]}) = {g[bad[0]]} must be positive for v > 0")
         return g
 
 
@@ -276,6 +306,14 @@ class ClfCertificate:
     ``rate`` the decrease rate ``gamma``, and ``feedback`` the map ``U(x)``
     that achieves ``V'(x) F(x, U(x)) <= -gamma(V(x))``.  The feedback may be
     discontinuous; it is never differentiated.
+
+    ``value``, ``gradient`` and ``feedback`` act on the last axis, like
+    :attr:`ControlSystem.rhs`: on a state ``(d,)`` they return a scalar,
+    ``(d,)`` and ``(m,)``, and on an ``(n, d)`` batch ``(n,)``, ``(n, d)``
+    and ``(n, m)``, row by row with the same bits.  The engine calls them on
+    one state at a time; the audits call them on batches.  ``rate`` stays a
+    function of one level; :meth:`RateFunction.at_levels` evaluates it on an
+    array of levels.
     """
 
     value: Callable[[np.ndarray], float]
@@ -290,6 +328,15 @@ class ClfCertificate:
     def v(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
 
+    def levels(self, xs) -> np.ndarray:
+        """``V`` at each row of an ``(n, d)`` batch, shape ``(n,)``."""
+        xs = np.asarray(xs, dtype=float)
+        v = np.asarray(self.value(xs), dtype=float)
+        if v.shape != xs.shape[:-1]:
+            raise DimensionMismatchError(
+                f"value returned shape {v.shape}, expected {xs.shape[:-1]}")
+        return v
+
     def grad(self, x) -> np.ndarray:
         return np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
 
@@ -297,16 +344,26 @@ class ClfCertificate:
         return np.atleast_1d(np.asarray(self.feedback(np.asarray(x, dtype=float)), dtype=float))
 
 
-def velocity_ratio(g: np.ndarray, fx: np.ndarray) -> float:
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm on the last axis, with the bits of ``np.linalg.norm``
+    of each vector alone (``np.linalg.norm(x, axis=-1)`` rounds
+    differently)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def velocity_ratio(g: np.ndarray, fx: np.ndarray) -> np.ndarray:
     """The velocity-to-decrease ratio ``(|g||F| + |F|^2) / |W|`` of a
-    gradient ``g`` and a field value ``fx``, with ``W = g F``.  ``W = 0``
-    gives infinity, or 0 where the field vanishes too."""
-    w = float(g @ fx)
-    fn = float(np.linalg.norm(fx))
-    num = float(np.linalg.norm(g)) * fn + fn ** 2
-    if w == 0.0:
-        return math.inf if num > 0.0 else 0.0
-    return num / abs(w)
+    gradient ``g`` and a field value ``fx``, with ``W = g F``, on the last
+    axis: one ratio for two vectors, one per row for two batches.  ``W = 0``
+    gives infinity, or 0 where the field vanishes too.  ``float_power`` is
+    the C ``pow`` that Python's ``**`` calls, so a batch row gets the bits
+    of the same vectors alone."""
+    w = np.abs(np.vecdot(g, fx))
+    fn = _norms(fx)
+    num = _norms(g) * fn + np.float_power(fn, 2)
+    zero = w == 0.0
+    ratio = num / np.where(zero, 1.0, w)
+    return np.where(zero, np.where(num > 0.0, math.inf, 0.0), ratio)
 
 
 @dataclass(frozen=True)
@@ -331,48 +388,54 @@ def verify_clf_pointwise(cert: ClfCertificate, sys: ControlSystem,
                          samples: Sequence) -> ClfCheckReport:
     """Check ``W(x, U(x)) <= -gamma(V(x))`` at each sample.
 
-    The samples are checked once, on entry, and each feedback control where
-    ``W`` uses it.  Samples with ``V(x) <= EQ_ABS_FLOOR`` are skipped (the
-    decrease condition is vacuous at the equilibrium).  Results are
-    accumulated in sample order, so the report is deterministic.
+    The samples are checked once, on entry.  One pass evaluates ``V`` on the
+    whole batch, then the gradient, the feedback, the checked field and
+    ``gamma`` (:meth:`RateFunction.at_levels`) on the samples with
+    ``V(x) > EQ_ABS_FLOOR`` (the decrease condition is vacuous at the
+    equilibrium, so the others are skipped).  The report lists violations
+    in sample order, so it is deterministic.
     """
     if len(samples) == 0:
         raise DomainError("verify_clf_pointwise needs a non-empty sample list")
     samples = _as_points(samples, sys.state_dim, "sample")
-    violations = []
-    worst = -math.inf
-    n_skipped = 0
-    for i, x in enumerate(samples):
-        v = cert.v(x)
-        if v <= EQ_ABS_FLOOR:
-            n_skipped += 1
-            continue
-        g = cert.grad(x)
-        if g.shape != x.shape:
-            raise DimensionMismatchError(f"gradient returned shape {g.shape}, expected {x.shape}")
-        w = float(g @ sys.f(x, cert.u(x)))
-        margin = cert.rate(v) + w
-        worst = max(worst, margin)
-        if margin > CLF_CHECK_REL_TOL * (1.0 + abs(w)):
-            violations.append((i, tuple(float(c) for c in x), float(margin)))
+    v = cert.levels(samples)
+    live = np.flatnonzero(~(v <= EQ_ABS_FLOOR))
+    xs = samples[live]
+    g = cert.grad(xs)
+    if g.shape != xs.shape:
+        raise DimensionMismatchError(f"gradient returned shape {g.shape}, expected {xs.shape}")
+    w = np.vecdot(g, sys.f(xs, cert.u(xs)))
+    margin = cert.rate.at_levels(v[live]) + w
+    bad = margin > CLF_CHECK_REL_TOL * (1.0 + np.abs(w))
     return ClfCheckReport(
         n_samples=len(samples),
-        n_skipped=n_skipped,
-        violations=tuple(violations),
-        worst_margin=float(worst),
+        n_skipped=len(samples) - len(live),
+        violations=tuple((int(i), tuple(samples[i].tolist()), float(m))
+                         for i, m in zip(live[bad], margin[bad])),
+        # a NaN margin is never the worst, as in a running max()
+        worst_margin=float(np.max(margin, initial=-math.inf,
+                                  where=~np.isnan(margin))),
     )
 
 
 def finite_difference_jacobian(f: Callable[[np.ndarray], np.ndarray],
                                x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with per-coordinate step
-    ``FD_SCALE*(1+|x_j|)``."""
+    """Central-difference Jacobians at each point of ``x`` (shape
+    ``(..., d)``), with per-coordinate step ``FD_SCALE*(1+|x_j|)``; shape
+    ``(..., k, d)`` for an ``f`` with ``k`` outputs.
+
+    ``f`` acts on the last axis; it is called twice, on the ``(·, d)``
+    batches of forward and of backward points."""
     x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        h = FD_SCALE * (1.0 + abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    d = x.shape[-1]
+    h = FD_SCALE * (1.0 + np.abs(x))
+    diag = np.arange(d)
+    # row j of a point's (d, d) block moves only its coordinate j
+    xp = np.repeat(x[..., None, :], d, axis=-2)
+    xm = xp.copy()
+    xp[..., diag, diag] += h
+    xm[..., diag, diag] -= h
+    fp = np.asarray(f(xp.reshape(-1, d)), dtype=float)
+    fm = np.asarray(f(xm.reshape(-1, d)), dtype=float)
+    cols = (fp - fm).reshape(x.shape + (-1,)) / (2.0 * h)[..., None]
+    return np.swapaxes(cols, -1, -2)

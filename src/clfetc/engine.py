@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClfCertificate, ControlSystem, _as_points
+from .core import ClfCertificate, ControlSystem, _as_points, _as_vector
 from .errors import BlowupError, DomainError, IntegrationError
 from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
                        equilibrium_threshold, frozen_guard, predicate_margin,
@@ -507,7 +507,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     event instant is recorded exactly.
     """
     sigma = policy.sigma
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _as_vector(x0, sys.state_dim, "state")  # before the feedback reads it
     u = cert.u(x0)
     fx = sys.f(x0, u)  # dimension check up front
     horizon = config.horizon

@@ -15,6 +15,14 @@ Four models ship:
 Note on ``relay1d``: the source material prints the relay feedback as
 ``sgn(x)``, which makes V increase; the implementation uses ``-sgn(x)``,
 which actually delivers the stated decrease and the stated event schedule.
+
+Every ``rhs``, ``value``, ``gradient`` and ``feedback`` acts on the last
+axis (see :class:`~clfetc.core.ControlSystem`): ``x.T[i]`` is coordinate
+``i`` of one state as a scalar, or of a batch as a column, and
+``np.array([...]).T`` stacks the results back.  (Indexing ``x.T`` is
+cheaper than unpacking an array.)  A batch row gets the bits of the same
+state alone: powers go through the C library's ``pow`` (:func:`_power`),
+and zeno-polar's radius through ``math.hypot`` (:func:`_radius`).
 """
 
 from __future__ import annotations
@@ -54,11 +62,20 @@ class Model:
     expected_assumption_status: str  # 'satisfies_all' | 'violates_nondegeneracy'
 
 
+def _power(x):
+    """The power function for the coordinates of ``x``, with the bits of
+    Python's ``**`` on one state: the builtin ``pow`` on the scalars of a
+    state ``(d,)``, ``np.float_power`` on the columns of a batch.  numpy's
+    array power rounds differently on some inputs (it squares, or uses SIMD
+    routines)."""
+    return pow if x.ndim == 1 else np.float_power
+
+
 def _quadratic_certificate(rate: RateFunction, feedback) -> ClfCertificate:
     """The certificate ``V = |x|^2/2``, ``grad V = x`` with the given rate
     and feedback."""
     return ClfCertificate(
-        value=lambda x: 0.5 * float(x @ x),
+        value=lambda x: 0.5 * np.vecdot(x, x),
         gradient=lambda x: np.asarray(x, dtype=float),
         rate=rate,
         feedback=feedback,
@@ -105,19 +122,22 @@ def acc_backstepping(k: float = 1.01, tau_lag: float = 0.3) -> Model:
     ae = 2.0 * (kk - 1.0)
 
     def rhs(x, u):
-        x1, x2, x3 = x
+        xt = x.T
+        x1, x2, x3 = xt[0], xt[1], xt[2]
         z = 2.0 * kk * x2 - kk * kk * x1 - x3  # the (negated) acceleration
+        e1 = x2 - kk * x1
         return np.array([
-            x2 - kk * x1,
+            e1,
             x3 - kk * x2,
-            kk * kk * (x2 - kk * x1) + (1.0 / tl - 2.0 * kk) * z - u[0] / tl,
-        ])
+            kk * kk * e1 + (1.0 / tl - 2.0 * kk) * z - u.T[0] / tl,
+        ]).T
 
     def feedback(x):
-        x1, x2, x3 = x
+        xt = x.T
+        x1, x2, x3 = xt[0], xt[1], xt[2]
         z = 2.0 * kk * x2 - kk * kk * x1 - x3
         return np.array([tl * kk * kk * (x2 - kk * x1)
-                         + (1.0 - 2.0 * kk * tl) * z - tl * (x1 - kk * x3)])
+                         + (1.0 - 2.0 * kk * tl) * z - tl * (x1 - kk * x3)]).T
 
     system = ControlSystem(state_dim=3, input_dim=1, rhs=rhs)
     cert = _quadratic_certificate(RateFunction.linear(ae), feedback)
@@ -142,16 +162,20 @@ def homogeneous_planar(rate_scale: float = 1.0) -> Model:
         raise DomainError("rate_scale must be 1.0 or 0.5")
 
     def rhs(x, u):
-        x1, x2 = x
-        return np.array([
-            -x1 ** 3 + x1 * x2 ** 2,
-            x1 * x2 ** 2 + u[0] - x1 ** 2 * x2,
-        ])
+        pw = _power(x)
+        xt = x.T
+        x1, x2 = xt[0], xt[1]
+        q = x1 * pw(x2, 2)
+        return np.array([-pw(x1, 3) + q, q + u.T[0] - pw(x1, 2) * x2]).T
+
+    def feedback(x):
+        pw = _power(x)
+        xt = x.T
+        x1, x2 = xt[0], xt[1]
+        return np.array([-pw(x2, 3) - x1 * pw(x2, 2)]).T
 
     system = ControlSystem(state_dim=2, input_dim=1, rhs=rhs)
-    cert = _quadratic_certificate(
-        RateFunction.power(rate_scale, 2.0),
-        lambda x: np.array([-x[1] ** 3 - x[0] * x[1] ** 2]))
+    cert = _quadratic_certificate(RateFunction.power(rate_scale, 2.0), feedback)
     return Model(name="homog2d", system=system, certificate=cert,
                  params={"rate_scale": rate_scale},
                  default_x0=np.array([0.1, 0.4]),
@@ -171,6 +195,22 @@ def zeno_first_event_bound(r_star: float) -> float:
     return r_star * s * math.atan(r_star) / (r_star * s + 1.0 - r_star ** 2)
 
 
+def _hypot_or_inf(a, b):
+    return math.hypot(a, b) or math.inf
+
+
+_HYPOT_OR_INF = np.frompyfunc(_hypot_or_inf, 2, 1)
+
+
+def _radius(a, b):
+    """``math.hypot(a, b)`` of two scalars or, pair by pair, of two
+    columns, and infinite at the origin.  ``np.hypot`` rounds differently
+    on some inputs."""
+    if isinstance(a, np.ndarray):
+        return _HYPOT_OR_INF(a, b).astype(float)
+    return _hypot_or_inf(a, b)
+
+
 def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0) -> Model:
     """Harmonic rotation with a feedback that cancels it only in continuous
     time.  The feedback speed does not vanish near the origin, so the
@@ -180,13 +220,17 @@ def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0) -> Model:
         raise DomainError(f"r_star must lie in (0, 1), got {r_star}")
 
     def rhs(x, u):
-        return np.array([x[1] + u[0], -x[0] + u[1]])
+        xt, ut = x.T, u.T
+        return np.array([xt[1] + ut[0], -xt[0] + ut[1]]).T
 
     def feedback(x):
-        r = math.hypot(float(x[0]), float(x[1]))
-        if r == 0.0:
-            return np.zeros(2)
-        return np.array([-x[0] + x[1] / r, -x[1] - x[0] / r])
+        xt = x.T
+        x1, x2 = xt[0], xt[1]
+        r = _radius(x1, x2)
+        # the control is 0 at the origin: there r is infinite, both terms
+        # are signed zeros, and + 0.0 turns their sum into +0.0.  Elsewhere
+        # neither sum is -0.0, so + 0.0 changes no bit.
+        return np.array([-x1 + x2 / r + 0.0, -x2 - x1 / r + 0.0]).T
 
     system = ControlSystem(state_dim=2, input_dim=2, rhs=rhs)
     cert = _quadratic_certificate(RateFunction.linear(2.0), feedback)
@@ -210,14 +254,18 @@ def relay_1d() -> Model:
     """
 
     def rhs(x, u):
-        return np.array([u[0]])
+        return np.array(u, dtype=float)
+
+    def value(x):
+        x1 = x.T[0]
+        return x1 * x1
 
     system = ControlSystem(state_dim=1, input_dim=1, rhs=rhs)
     cert = ClfCertificate(
-        value=lambda x: float(x[0] * x[0]),
-        gradient=lambda x: np.array([2.0 * x[0]]),
+        value=value,
+        gradient=lambda x: x + x,  # 2x, exactly
         rate=RateFunction.power(2.0, 0.5),
-        feedback=lambda x: np.array([-np.sign(x[0]) + 0.0]),  # avoids -0.0
+        feedback=lambda x: np.array([-np.sign(x.T[0]) + 0.0]).T,  # avoids -0.0
     )
     return Model(name="relay1d", system=system, certificate=cert,
                  params={}, default_x0=np.array([1.0]),

@@ -171,7 +171,7 @@ def predicate_p(cert: ClfCertificate, big_m: float, x, fx,
     g = cert.grad(x)
     if not float(g @ fx) < -sigma_tilde * cert.rate(cert.v(x)):
         return False
-    return velocity_ratio(g, fx) <= k_big * big_m
+    return bool(velocity_ratio(g, fx) <= k_big * big_m)
 
 
 def predicate_margin(cert: ClfCertificate, big_m: float, x, fx,

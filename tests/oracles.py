@@ -3,15 +3,28 @@
 Everything here is deliberately written without touching the package's
 integration or estimation code paths, so that comparisons are genuine
 two-route checks: Taylor matrix exponential for affine flows, dense-grid
-maximization for Lipschitz constants and velocity-to-decrease ratios.  The
-one exception is :func:`periodic_checks_reference`, the periodic loop
-check by check on the package's own integrator, which the engine's scan of
-the frozen flow must match instant for instant.
+maximization for Lipschitz constants and velocity-to-decrease ratios, and
+closed forms of the sampled constants on homog2d and acc.  Two exceptions:
+:func:`periodic_checks_reference`, the periodic loop check by check on the
+package's own integrator, which the engine's scan of the frozen flow must
+match instant for instant; and the per-point audit loops (the ``*_reference``
+functions below :func:`grid_ratio_max`), which call the models one state at
+a time on the package's Sobol stream, and which the batched audits must
+match bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from clfetc import integrate_frozen, predicate_p
+from clfetc.certificates import (BOX_CHECK_POINTS, BOX_INFLATE, BOX_MAX_DOUBLINGS,
+                                 DIVERGENCE_GROWTH, EQUILIBRIUM_LEVEL_FRACTION,
+                                 SAMPLE_MAX_BATCHES, EstimateReport,
+                                 SublevelRegion, _SobolStream)
+from clfetc.core import (CLF_CHECK_REL_TOL, EQ_ABS_FLOOR, FD_SCALE, ClfCheckReport,
+                         _as_points, _as_vector)
+from clfetc.errors import DimensionMismatchError, DomainError, PropernessError
 from clfetc.triggers import equilibrium_threshold
 
 
@@ -157,3 +170,297 @@ def grid_ratio_max(sys, cert, pts) -> float:
         num = np.linalg.norm(g) * np.linalg.norm(fbar) + np.linalg.norm(fbar) ** 2
         best = max(best, float(num / abs(w)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# lower ends of the sampled constants on homog2d and acc: each is a value
+# the true supremum over the sublevel set reaches or exceeds
+
+
+def homog2d_kappa_lower(level: float, n_angles: int = 20_000) -> float:
+    """Largest spectral norm of the frozen homog2d field's Jacobian on a
+    grid of the boundary circle of ``{|x|^2/2 <= level}``.  The Jacobian
+    ``[[-3 x1^2 + x2^2, 2 x1 x2], [x2^2 - 2 x1 x2, 2 x1 x2 - x1^2]]`` does not
+    depend on the held control and is homogeneous of degree 2, so its
+    largest norm over the disk lies on the circle."""
+    radius = math.sqrt(2.0 * level)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    x1, x2 = radius * np.cos(theta), radius * np.sin(theta)
+    jac = np.empty((n_angles, 2, 2))
+    jac[:, 0, 0] = -3.0 * x1 * x1 + x2 * x2
+    jac[:, 0, 1] = 2.0 * x1 * x2
+    jac[:, 1, 0] = x2 * x2 - 2.0 * x1 * x2
+    jac[:, 1, 1] = 2.0 * x1 * x2 - x1 * x1
+    return float(np.max(np.linalg.norm(jac, 2, axis=(1, 2))))
+
+
+def _ratio(x, fbar):
+    """``(|x||Fbar| + |Fbar|^2) / |x . Fbar|`` row by row (``grad V = x``)."""
+    nx = np.linalg.norm(x, axis=1)
+    nf = np.linalg.norm(fbar, axis=1)
+    return (nx * nf + nf * nf) / np.abs(np.sum(x * fbar, axis=1))
+
+
+def homog2d_big_m_lower(level: float, n_angles: int = 20_000) -> float:
+    """The ratio behind M on a grid of the boundary circle.  With
+    ``U(x) = -x2^3 - x1 x2^2`` the closed loop is
+    ``Fbar = (-x1^3 + x1 x2^2, -x2^3 - x1^2 x2)``, cubic, and
+    ``W = -(x1^4 + x2^4)``; so the ratio is ``a(theta) + r^2 b(theta)`` with
+    ``b >= 0``, largest on the circle."""
+    radius = math.sqrt(2.0 * level)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    x = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    x1, x2 = x[:, 0], x[:, 1]
+    fbar = np.stack([-x1 ** 3 + x1 * x2 ** 2, -x2 ** 3 - x1 ** 2 * x2], axis=1)
+    return float(np.max(_ratio(x, fbar)))
+
+
+def acc_closed_loop_matrix(k: float, tau: float) -> np.ndarray:
+    """The acc closed loop ``Fbar(x) = A x + c U(x)``, with the linear
+    feedback ``U(x) = K x`` of the model's printed law, as one matrix."""
+    a, c_unit = acc_frozen_matrices(k, tau, 1.0)
+    gain = np.array([
+        -tau * k ** 3 - (1.0 - 2.0 * k * tau) * k ** 2 - tau,
+        tau * k ** 2 + 2.0 * k * (1.0 - 2.0 * k * tau),
+        -(1.0 - 2.0 * k * tau) + tau * k,
+    ])
+    return a + np.outer(c_unit, gain)
+
+
+def acc_big_m_lower(k: float, tau: float, n_points: int = 200_000) -> float:
+    """The ratio behind M on a Fibonacci grid of the unit sphere.  The
+    closed loop is linear and ``V = |x|^2/2``, so the ratio is homogeneous
+    of degree 0: its supremum over the sublevel set is its supremum over
+    the sphere."""
+    i = np.arange(n_points) + 0.5
+    z = 1.0 - 2.0 * i / n_points
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    rho = np.sqrt(1.0 - z * z)
+    x = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    return float(np.max(_ratio(x, x @ acc_closed_loop_matrix(k, tau).T)))
+
+
+# ---------------------------------------------------------------------------
+# the audits point by point: the loops the batched audits replaced, kept as
+# their reference.  They evaluate the models one state at a time.
+
+
+def bound_sublevel_box_reference(cert, anchor, seed=0):
+    anchor = np.asarray(anchor, dtype=float)
+    level = cert.v(anchor)
+    if not level > 0.0:
+        raise DomainError(f"the sublevel region needs an anchor with level > 0, got {level}")
+    d = anchor.size
+    lo = np.zeros(d)
+    hi = np.zeros(d)
+    for i in range(d):
+        for sign, store in ((1.0, hi), (-1.0, lo)):
+            e = np.zeros(d)
+            e[i] = sign
+            r = 1.0
+            for _ in range(200):
+                if cert.v(r * e) <= level:
+                    break
+                r /= 2.0
+                if r < 1e-14:
+                    break
+            r_in = r
+            r_out = None
+            for _ in range(BOX_MAX_DOUBLINGS):
+                r *= 2.0
+                if cert.v(r * e) > level:
+                    r_out = r
+                    break
+                r_in = r
+            if r_out is None:
+                raise PropernessError(
+                    f"V did not exceed level {level} along axis {i} "
+                    f"(direction {sign:+.0f}) within {BOX_MAX_DOUBLINGS} doublings")
+            for _ in range(80):
+                mid = 0.5 * (r_in + r_out)
+                if cert.v(mid * e) <= level:
+                    r_in = mid
+                else:
+                    r_out = mid
+            store[i] = sign * r_out
+    sob = _SobolStream(d, seed)
+    for _ in range(3):
+        span_lo = 1.5 * lo
+        span_hi = 1.5 * hi
+        pts = span_lo + sob.random(BOX_CHECK_POINTS) * (span_hi - span_lo)
+        grew = False
+        for p in pts:
+            if cert.v(p) <= level:
+                if (p < lo).any() or (p > hi).any():
+                    lo = np.minimum(lo, p)
+                    hi = np.maximum(hi, p)
+                    grew = True
+        if not grew:
+            break
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo) * (1.0 + BOX_INFLATE)
+    region = SublevelRegion(anchor=anchor, level=level, lo=center - half, hi=center + half)
+    rng = np.random.default_rng(seed)
+    pts = region.lo + rng.random((BOX_CHECK_POINTS, d)) * (region.hi - region.lo)
+    for k in range(BOX_CHECK_POINTS):
+        i = k % d
+        pts[k, i] = region.lo[i] if (k // d) % 2 == 0 else region.hi[i]
+    bad = [p for p in pts if cert.v(p) <= region.level]
+    if bad:
+        raise PropernessError(
+            f"{len(bad)} sampled boundary points of the bounding box lie inside "
+            "the sublevel set; the box does not cover it")
+    return region
+
+
+def sample_in_region_reference(cert, region, n, seed=0):
+    sob = _SobolStream(region.dim, seed)
+    accepted = []
+    span = region.hi - region.lo
+    batch = 1 << max(6, (max(n, 2) - 1).bit_length())
+    for _ in range(SAMPLE_MAX_BATCHES):
+        pts = region.lo + sob.random(batch) * span
+        for p in pts:
+            if cert.v(p) <= region.level:
+                accepted.append(p)
+                if len(accepted) == n:
+                    return np.array(accepted)
+    raise DomainError(f"could not draw {n} sublevel samples")
+
+
+def finite_difference_jacobian_reference(f, x):
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        h = FD_SCALE * (1.0 + abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def lipschitz_reference(map_fn, cert, region, n, seed, safety, constant):
+    pts = sample_in_region_reference(cert, region, n, seed=seed)
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n, region.dim))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0] = 1.0
+    dirs /= norms[:, None]
+    best = 0.0
+    best_point = pts[0]
+    vals = [np.asarray(map_fn(p), dtype=float) for p in pts]
+    if vals[0].shape != (region.dim,):
+        raise DimensionMismatchError(f"the map behind {constant} returned shape {vals[0].shape}")
+
+    def consider(quotient, point):
+        nonlocal best, best_point
+        if quotient > best:
+            best = quotient
+            best_point = point
+
+    for i in range(0, n - 1, 2):
+        dx = np.linalg.norm(pts[i + 1] - pts[i])
+        if dx > 0:
+            consider(np.linalg.norm(vals[i + 1] - vals[i]) / dx, pts[i])
+    for eps in (1e-4, 1e-2):
+        step = eps * region.box_scale
+        for i in range(n):
+            q = pts[i] + step * dirs[i]
+            if cert.v(q) > region.level:
+                continue
+            fv = np.asarray(map_fn(q), dtype=float)
+            consider(np.linalg.norm(fv - vals[i]) / step, pts[i])
+    for i in range(n):
+        jac = finite_difference_jacobian_reference(map_fn, pts[i])
+        consider(float(np.linalg.norm(jac, 2)), pts[i])
+    return EstimateReport(constant=constant, value=safety * best, n_samples=n,
+                          safety_factor=safety,
+                          argmax_point=tuple(float(c) for c in best_point), seed=seed)
+
+
+def kappa_reference(sys, cert, region, n, seed=0, safety=1.25):
+    u_star = _as_vector(cert.u(region.anchor), sys.input_dim, "control")
+    return lipschitz_reference(sys.frozen(u_star), cert, region, n, seed, safety, "kappa")
+
+
+def nu_reference(cert, region, n, seed=0, safety=1.25):
+    return lipschitz_reference(cert.grad, cert, region, n, seed, safety, "nu")
+
+
+def _velocity_ratio_reference(g, fx):
+    w = float(g @ fx)
+    fn = float(np.linalg.norm(fx))
+    num = float(np.linalg.norm(g)) * fn + fn ** 2
+    if w == 0.0:
+        return math.inf if num > 0.0 else 0.0
+    return num / abs(w)
+
+
+def big_m_reference(sys, cert, region, n, seed=0, safety=1.25):
+    def ratio_at(x):
+        return _velocity_ratio_reference(cert.grad(x), sys.f(x, cert.u(x)))
+
+    pts = sample_in_region_reference(cert, region, n, seed=seed)
+    skip = EQUILIBRIUM_LEVEL_FRACTION * region.level
+    best = 0.0
+    best_point = None
+    diverging = False
+    for p in pts:
+        if cert.v(p) < skip:
+            continue
+        r = ratio_at(p)
+        if not math.isfinite(r):
+            diverging = True
+            best_point = p
+            continue
+        if r > best:
+            best = r
+            best_point = p
+    rng = np.random.default_rng(seed + 1)
+    dirs = rng.standard_normal((8, region.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    per_scale = []
+    for s in [region.box_scale * 10.0 ** (-j) for j in range(2, 7)]:
+        worst = 0.0
+        for dvec in dirs:
+            x = s * dvec
+            if cert.v(x) > region.level or cert.v(x) < 1e-300:
+                continue
+            worst = max(worst, ratio_at(x))
+        per_scale.append(worst)
+    finite = [r for r in per_scale if math.isfinite(r) and r > 0]
+    if any(not math.isfinite(r) for r in per_scale):
+        diverging = True
+    elif len(finite) == len(per_scale) and len(finite) >= 2:
+        increasing = all(b >= a for a, b in zip(finite, finite[1:]))
+        if increasing and finite[-1] > DIVERGENCE_GROWTH * finite[0]:
+            diverging = True
+    if finite:
+        best = max(best, max(finite))
+    return EstimateReport(
+        constant="big_m", value=safety * best, n_samples=n, safety_factor=safety,
+        argmax_point=tuple(float(c) for c in best_point) if best_point is not None else None,
+        seed=seed, diverging=diverging)
+
+
+def verify_clf_reference(cert, sys, samples):
+    samples = _as_points(samples, sys.state_dim, "sample")
+    violations = []
+    worst = -math.inf
+    n_skipped = 0
+    for i, x in enumerate(samples):
+        v = cert.v(x)
+        if v <= EQ_ABS_FLOOR:
+            n_skipped += 1
+            continue
+        g = cert.grad(x)
+        if g.shape != x.shape:
+            raise DimensionMismatchError(f"gradient returned shape {g.shape}, expected {x.shape}")
+        w = float(g @ sys.f(x, cert.u(x)))
+        margin = cert.rate(v) + w
+        worst = max(worst, margin)
+        if margin > CLF_CHECK_REL_TOL * (1.0 + abs(w)):
+            violations.append((i, tuple(float(c) for c in x), float(margin)))
+    return ClfCheckReport(n_samples=len(samples), n_skipped=n_skipped,
+                          violations=tuple(violations), worst_margin=float(worst))

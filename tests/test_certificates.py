@@ -21,7 +21,7 @@ SQRT_E = math.sqrt(math.e)
 
 def quad_cert(rate=None):
     return ClfCertificate(
-        value=lambda x: 0.5 * float(x @ x),
+        value=lambda x: 0.5 * np.vecdot(x, x),
         gradient=lambda x: np.asarray(x, dtype=float),
         rate=rate or RateFunction.linear(1.0),
         feedback=lambda x: -np.asarray(x, dtype=float),
@@ -85,10 +85,10 @@ class TestBoundSublevelBox:
     def test_properness_violation(self):
         # V ignores the second coordinate: the ray search can never exit
         cert = ClfCertificate(
-            value=lambda x: float(x[0] ** 2),
-            gradient=lambda x: np.array([2.0 * x[0], 0.0]),
+            value=lambda x: x[..., 0] ** 2,
+            gradient=lambda x: x * [2.0, 0.0],
             rate=RateFunction.linear(1.0),
-            feedback=lambda x: np.zeros(1),
+            feedback=lambda x: np.zeros(x.shape[:-1] + (1,)),
         )
         with pytest.raises(PropernessError):
             bound_sublevel_box(cert, np.array([1.0, 0.0]))
@@ -172,15 +172,16 @@ class TestEstimateNu:
 
     def test_wrong_gradient_shape_rejected(self):
         # a 2-d certificate whose gradient has 3 entries
-        cert = replace(quad_cert(), gradient=lambda x: np.array([x[0], x[1], 0.0]))
+        cert = replace(quad_cert(), gradient=lambda x: np.concatenate(
+            [x, np.zeros(x.shape[:-1] + (1,))], axis=-1))
         region = bound_sublevel_box(cert, np.array([1.0, 1.0]))
         with pytest.raises(DimensionMismatchError, match="nu"):
             estimate_nu(cert, region, 64, seed=0)
 
     def test_quartic_against_grid_oracle(self):
         cert = ClfCertificate(
-            value=lambda x: 0.25 * float(x @ x) ** 2,
-            gradient=lambda x: float(x @ x) * np.asarray(x, dtype=float),
+            value=lambda x: 0.25 * np.vecdot(x, x) ** 2,
+            gradient=lambda x: np.vecdot(x, x)[..., None] * np.asarray(x, dtype=float),
             rate=RateFunction.linear(1.0),
             feedback=lambda x: -np.asarray(x, dtype=float),
         )
@@ -221,11 +222,21 @@ class TestEstimateBigM:
         region = bound_sublevel_box(zeno.certificate, zeno.default_x0)
         rep = estimate_big_m(zeno.system, zeno.certificate, region, 128, seed=0)
         assert rep.diverging
+        for seed in range(5):
+            region = bound_sublevel_box(zeno.certificate, zeno.default_x0, seed=seed)
+            for n in (192, 1024):
+                rep = estimate_big_m(zeno.system, zeno.certificate, region, n, seed=seed)
+                assert rep.diverging, (seed, n)
 
     def test_relay_divergence_detected(self, relay):
         region = bound_sublevel_box(relay.certificate, np.array([1.0]))
         rep = estimate_big_m(relay.system, relay.certificate, region, 64, seed=0)
         assert rep.diverging
+        for seed in range(5):
+            region = bound_sublevel_box(relay.certificate, np.array([1.0]), seed=seed)
+            for n in (192, 1024):
+                rep = estimate_big_m(relay.system, relay.certificate, region, n, seed=seed)
+                assert rep.diverging, (seed, n)
 
     def test_acc_bounded(self, acc):
         region = bound_sublevel_box(acc.certificate, np.array([5.0, 5.0, 5.0]))

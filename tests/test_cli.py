@@ -337,6 +337,30 @@ class TestSimulateCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", [
+        {"policy": "event"},
+        {"policy": "self", "tau": 0.05},
+        {"policy": "self"},
+        {"policy": "time", "period": 0.05},
+        {"policy": "time"},
+        {"policy": "periodic-event", "h": 0.01},
+        {"policy": "periodic-event"},
+    ], ids=["event", "self", "self-derived", "time", "time-derived",
+            "periodic-event", "periodic-event-derived"])
+    def test_every_policy_freezes_at_the_equilibrium(self, tmp_path, capsys, policy):
+        # the run freezes at t = 0 before any policy needs constants, which
+        # the equilibrium's one-point sublevel set does not have
+        cfg = write_config(tmp_path, {"model": {"name": "homog2d"},
+                                      "policy": dict(policy, sigma=0.9),
+                                      "x0": [0.0, 0.0], "horizon": 5.0,
+                                      "label": "origin"})
+        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out == (
+            "origin: termination=equilibrium n_events=1 rate_certificate_ok=True\n")
+        stats = json.loads((tmp_path / "origin_stats.json").read_text())
+        assert stats["termination"] == "equilibrium"
+        assert stats["policy"] == {"policy": policy["policy"], "sigma": 0.9}
+
     def test_seed_override_echoed(self, tmp_path):
         cfg = write_config(tmp_path, MINI_RELAY)
         rc = run_cli("simulate", "--config", cfg, "--out", str(tmp_path),
@@ -391,6 +415,20 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err == ("error: the sublevel region needs an anchor with "
                        "level > 0, got 0.0\n")
+        assert not list(out.glob("*.json"))
+
+    @pytest.mark.parametrize("command", ["verify", "dwell"])
+    @pytest.mark.parametrize("model,x0", [("homog2d", [0.1, 0.4, 0.0]),
+                                          ("relay1d", [1.0, 2.0])])
+    def test_x0_of_wrong_length_exits_one(self, tmp_path, capsys, command, model, x0):
+        # x0 is checked against the model before any audit reads it
+        cfg = write_config(tmp_path, {"model": {"name": model}, "x0": x0,
+                                      "label": "bad"})
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 1
+        dim = 2 if model == "homog2d" else 1
+        assert capsys.readouterr().err == (
+            f"error: state must have length {dim}, got shape ({len(x0)},)\n")
         assert not list(out.glob("*.json"))
 
 

@@ -165,11 +165,11 @@ class TestLyapunovDerivative:
         assert w == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_field(self):
-        sys = ControlSystem(1, 1, rhs=lambda x, u: np.zeros(1))
-        cert = ClfCertificate(value=lambda x: float(x[0] ** 2),
+        sys = ControlSystem(1, 1, rhs=lambda x, u: np.zeros_like(x))
+        cert = ClfCertificate(value=lambda x: x[..., 0] ** 2,
                               gradient=lambda x: 2.0 * np.asarray(x),
                               rate=RateFunction.linear(1.0),
-                              feedback=lambda x: np.zeros(1))
+                              feedback=lambda x: np.zeros_like(x))
         assert _w(cert, sys, np.array([3.0]), np.zeros(1)) == 0.0
         # the pointwise check sees the same W: its margin is gamma(V) + 0
         report = verify_clf_pointwise(cert, sys, [np.array([3.0])])
@@ -215,7 +215,7 @@ class TestVerifyClfPointwise:
             value=relay.certificate.value,
             gradient=relay.certificate.gradient,
             rate=relay.certificate.rate,
-            feedback=lambda x: np.zeros(1),
+            feedback=lambda x: np.zeros_like(x),
         )
         report = verify_clf_pointwise(broken, relay.system, [np.array([1.0])])
         assert not report.ok
@@ -228,8 +228,8 @@ class TestVerifyClfPointwise:
     def test_non_finite_control_rejected(self, homog):
         # the feedback's control is checked at each sample where W uses it
         bad = np.array([0.3, -0.2])
-        cert = replace(homog.certificate, feedback=lambda x: (
-            np.full(1, np.nan) if np.array_equal(x, bad) else homog.certificate.feedback(x)))
+        cert = replace(homog.certificate, feedback=lambda x: np.where(
+            np.all(x == bad, axis=-1)[..., None], np.nan, homog.certificate.feedback(x)))
         samples = [np.array([0.1, 0.4]), bad, np.array([-0.5, 0.1])]
         with pytest.raises(DomainError, match="control"):
             verify_clf_pointwise(cert, homog.system, samples)
@@ -266,11 +266,34 @@ class TestGradientConsistency:
         for _ in range(25):
             x = rng.uniform(-3.0, 3.0, size=d)
             g = cert.grad(x)
-            fd = finite_difference_jacobian(lambda y: [cert.v(y)], x)[0]
+            fd = finite_difference_jacobian(lambda y: cert.levels(y)[:, None], x)[0]
             assert np.linalg.norm(g - fd) <= 1e-5 * (1.0 + np.linalg.norm(g))
 
 
 class TestRateFunction:
+    @pytest.mark.parametrize("rate", [
+        RateFunction.linear(1.7), RateFunction.power(1.0, 2.0),
+        RateFunction.power(2.0, 0.5), RateFunction.power(0.3, 3.0),
+        RateFunction.custom(lambda v: 2.0 + math.sin(v))])
+    def test_at_levels_has_the_bits_of_each_call(self, rate, rng):
+        levels = np.concatenate([[0.0], rng.random(2000) * 10.0,
+                                 rng.random(2000) * 1e-9])
+        calls = np.array([rate(v) for v in levels.tolist()])
+        np.testing.assert_array_equal(rate.at_levels(levels).view(np.uint64),
+                                      calls.view(np.uint64))
+
+    def test_at_levels_checks_like_a_call(self):
+        with pytest.raises(DomainError, match="negative level"):
+            RateFunction.linear(1.0).at_levels(np.array([1.0, -1e-300]))
+        bad = RateFunction.custom(lambda v: v - 1.0)
+        with pytest.raises(DomainError, match=r"gamma\(0.5\) = -0.5 must be positive"):
+            bad.at_levels(np.array([0.0, 2.0, 0.5, 0.25]))
+        # a power that underflows to 0 above level 0
+        with pytest.raises(DomainError, match=r"gamma\(5e-324\) = 0.0 must be positive"):
+            RateFunction.power(1.0, 2.0)(5e-324)
+        with pytest.raises(DomainError, match=r"gamma\(5e-324\) = 0.0 must be positive"):
+            RateFunction.power(1.0, 2.0).at_levels(np.array([1.0, 5e-324]))
+
     def test_positivity_enforced(self):
         bad = RateFunction.custom(lambda v: v - 1.0)
         with pytest.raises(DomainError):

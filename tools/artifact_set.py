@@ -25,8 +25,8 @@ checkout's ``src`` directory:
   in the model's params and a top-level ``region_level`` must each exit 1
   with an ``error:`` line (σ is set only under ``policy``, and the audited
   region is always the sublevel box through ``x0``), and a derived
-  ``time`` policy from ``x0`` at the equilibrium must exit 1 with an
-  ``error:`` line (its sublevel set is a single point).
+  ``time`` policy from ``x0`` at the equilibrium must freeze at t = 0 and
+  exit 0 (no policy is resolved there, so none needs constants).
 
 Each command writes into its own directory ``OUT_DIR/NN_name``.  The
 homog2d, error-path and config-check configs go to ``OUT_DIR/configs``.
