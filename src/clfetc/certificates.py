@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ClfCertificate, ControlSystem, _as_vector, _norms,
-                   finite_difference_jacobian, velocity_ratio)
+from .core import (ClfCertificate, ControlSystem, _as_points, _as_vector,
+                   _norms, finite_difference_jacobian, velocity_ratio)
 from .errors import (ConfigurationError, DimensionMismatchError, DomainError,
                      NonDegeneracyError, PropernessError)
 
@@ -337,19 +337,20 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
 
 
 def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
-                        n: int, seed: int, safety: float, constant: str) -> EstimateReport:
-    """Sampled Lipschitz bound of ``map_fn``, which acts on the last axis
-    and must map an ``(k, d)`` batch of states to ``(k, d)``; each result's
-    shape is checked.
+                        pts, seed: int, safety: float, constant: str) -> EstimateReport:
+    """Sampled Lipschitz bound of ``map_fn`` on the sample ``pts``, which is
+    checked once, on entry.  ``map_fn`` acts on the last axis and must map an
+    ``(k, d)`` batch of states to ``(k, d)``; each result's shape is checked.
 
     The candidates are difference quotients over independent pairs of the
     sample, over small perturbations of each point that stay in the set,
     and the spectral norms of finite-difference Jacobians at each point, in
     that order.  The largest positive one is the estimate, and its first
     point in that order is the ``argmax_point``."""
+    pts = _as_points(pts, region.dim, "sample")
+    n = len(pts)
     if n < 2:
         raise DomainError("Lipschitz estimation needs n >= 2")
-    pts = sample_in_region(cert, region, n, seed=seed)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, region.dim))
     norms = np.linalg.norm(dirs, axis=1)
@@ -391,8 +392,9 @@ def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
 
 
 def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelRegion,
-                   n: int, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
-    """Lipschitz constant of ``x -> F(x, U(anchor))`` over the region.
+                   pts, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
+    """Lipschitz constant of ``x -> F(x, U(anchor))`` over the region, on
+    the sample ``pts``; ``seed`` seeds the perturbation directions.
 
     The control is frozen at the anchor's feedback value throughout, checked
     once, before the first field evaluation, and repeated on every row of
@@ -403,13 +405,14 @@ def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
     def held(xs):
         return sys.rhs(xs, np.broadcast_to(u_star, xs.shape[:-1] + u_star.shape))
 
-    return _lipschitz_estimate(held, cert, region, n, seed, safety, "kappa")
+    return _lipschitz_estimate(held, cert, region, pts, seed, safety, "kappa")
 
 
-def estimate_nu(cert: ClfCertificate, region: SublevelRegion, n: int,
+def estimate_nu(cert: ClfCertificate, region: SublevelRegion, pts,
                 seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
-    """Lipschitz constant of the CLF gradient over the region."""
-    return _lipschitz_estimate(cert.grad, cert, region, n, seed, safety, "nu")
+    """Lipschitz constant of the CLF gradient over the region, on the sample
+    ``pts``; ``seed`` seeds the perturbation directions."""
+    return _lipschitz_estimate(cert.grad, cert, region, pts, seed, safety, "nu")
 
 
 def _closed_loop_ratios(sys: ControlSystem, cert: ClfCertificate, xs) -> np.ndarray:
@@ -420,18 +423,21 @@ def _closed_loop_ratios(sys: ControlSystem, cert: ClfCertificate, xs) -> np.ndar
 
 
 def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelRegion,
-                   n: int, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
+                   pts, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
     """Bound on ``(|V'||Fbar| + |Fbar|^2) / |V' Fbar|`` over the region, with
-    ``Fbar(x) = F(x, U(x))`` the closed-loop field.
+    ``Fbar(x) = F(x, U(x))`` the closed-loop field, on the sample ``pts``.
 
-    Beyond the sampled maximum, the ratio is probed along 8 rays shrinking
-    toward the origin, at 5 scales in one batch; monotone growth by more
-    than ``DIVERGENCE_GROWTH`` (or any non-finite sample) marks the pair as
-    non-degenerate-violating, reported via ``diverging`` rather than
-    raised.  The ``argmax_point`` is the sample that last raised the
-    running maximum or last gave a non-finite ratio, in sample order.
-    """
-    pts = sample_in_region(cert, region, n, seed=seed)
+    Beyond the sampled maximum, the ratio is probed along 8 rays (drawn from
+    ``seed``) shrinking toward the origin, at 5 scales in one batch;
+    monotone growth by more than ``DIVERGENCE_GROWTH`` (or any non-finite
+    sample) marks the pair as non-degenerate-violating, reported via
+    ``diverging`` rather than raised.  The ``argmax_point`` is the sample
+    that last raised the running maximum or last gave a non-finite ratio,
+    in sample order."""
+    pts = _as_points(pts, region.dim, "sample")
+    n = len(pts)
+    if n < 1:
+        raise DomainError("ratio estimation needs n >= 1")
     skip = EQUILIBRIUM_LEVEL_FRACTION * region.level
     pts = pts[~(cert.levels(pts) < skip)]
     r = _closed_loop_ratios(sys, cert, pts)
@@ -522,15 +528,16 @@ def estimate_rho(cert: ClfCertificate, level: float) -> float:
 def estimate_constants(sys: ControlSystem, cert: ClfCertificate, region: SublevelRegion,
                        n: int, seed: int, safety: float = DEFAULT_SAFETY,
                        allow_degenerate: bool = False):
-    """Estimate every constant on one region.
+    """Estimate every constant on one region, κ, ν and M on one sample.
 
     Returns ``(CertificateConstants, {name: EstimateReport})``.  Raises
     :class:`NonDegeneracyError` when the ratio bound diverges, unless
     ``allow_degenerate`` is set (then the caller inspects the reports).
     """
-    rep_k = estimate_kappa(sys, cert, region, n, seed=seed, safety=safety)
-    rep_n = estimate_nu(cert, region, n, seed=seed, safety=safety)
-    rep_m = estimate_big_m(sys, cert, region, n, seed=seed, safety=safety)
+    pts = sample_in_region(cert, region, n, seed=seed)
+    rep_k = estimate_kappa(sys, cert, region, pts, seed=seed, safety=safety)
+    rep_n = estimate_nu(cert, region, pts, seed=seed, safety=safety)
+    rep_m = estimate_big_m(sys, cert, region, pts, seed=seed, safety=safety)
     reports = {"kappa": rep_k, "nu": rep_n, "big_m": rep_m}
     if rep_m.diverging and not allow_degenerate:
         raise NonDegeneracyError(

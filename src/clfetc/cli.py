@@ -362,16 +362,19 @@ def _simulate_once(cfg: ExperimentConfig):
     return model, x0, traj, pol_info
 
 
-def _run_summary(model, traj):
+def _run_summary(model, x0, traj):
     """``(stats, rate_ok, rate_excess, first_dwell, zeno_bound)`` of one run:
     its statistics, the rate-certificate check, the time from the initial
     update to the first fired one (None without one) and, on zeno-polar
-    only, the analytic bound on that time (None on the other models)."""
+    only, the analytic bound on that time at the radius of ``x0`` (None on
+    the other models, and where the radius is outside the bound's domain
+    (0, 1))."""
     stats = run_stats(traj)
     rate_ok, rate_excess = check_rate_certificate(traj, model.certificate)
     first_dwell = traj.events[1].dwell if len(traj.events) > 1 else None
-    zeno_bound = (zeno_first_event_bound(model.params["r_star"])
-                  if model.name == "zeno-polar" else None)
+    radius = math.hypot(*x0)
+    zeno_bound = (zeno_first_event_bound(radius)
+                  if model.name == "zeno-polar" and 0.0 < radius < 1.0 else None)
     return stats, rate_ok, rate_excess, first_dwell, zeno_bound
 
 
@@ -382,7 +385,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int
     csv_path = os.path.join(out_dir, f"{label}_trajectory.csv")
     write_trajectory_csv(traj, csv_path)
 
-    stats, rate_ok, rate_excess, first_dwell, zeno_bound = _run_summary(model, traj)
+    stats, rate_ok, rate_excess, first_dwell, zeno_bound = _run_summary(model, x0, traj)
     payload = {
         "stats": stats,
         "termination": traj.termination,
@@ -543,8 +546,8 @@ def _sweep_row(index, axis, value, data) -> dict:
     row = {c: "" for c in _SWEEP_COLUMNS}
     row.update({"index": index, "axis": axis, "value": value})
     try:
-        model, _, traj, pol_info = _simulate_once(parse_config(data))
-        stats, ok, _excess, first_dwell, zeno_bound = _run_summary(model, traj)
+        model, x0, traj, pol_info = _simulate_once(parse_config(data))
+        stats, ok, _excess, first_dwell, zeno_bound = _run_summary(model, x0, traj)
         row.update({
             "model": model.name,
             "policy": pol_info["policy"],
@@ -656,7 +659,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out)
         raise ConfigurationError(f"unknown command {args.command}")
-    except (ClfetcError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ClfetcError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

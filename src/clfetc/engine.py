@@ -681,16 +681,28 @@ def write_trajectory_csv(traj: Trajectory, path):
 
 
 def read_event_times_csv(path):
-    """Event instants from a trajectory CSV."""
+    """Event instants from a trajectory CSV.  A missing ``t`` or
+    ``event_flag`` column, a row too short for them, or an event time that
+    is not a number raises :class:`DomainError` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        for column in ("t", "event_flag"):
+            if column not in header:
+                raise DomainError(f"{path}: no {column!r} column in the header")
         t_idx = header.index("t")
         flag_idx = header.index("event_flag")
         events = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             cells = line.strip().split(",")
+            if len(cells) <= max(t_idx, flag_idx):
+                raise DomainError(f"{path}, line {lineno}: {len(cells)} cells, "
+                                  f"the header has {len(header)}")
             if cells[flag_idx] == "1":
-                events.append(float(cells[t_idx]))
+                try:
+                    events.append(float(cells[t_idx]))
+                except ValueError:
+                    raise DomainError(f"{path}, line {lineno}: t {cells[t_idx]!r} "
+                                      "is not a number") from None
     return np.array(events)

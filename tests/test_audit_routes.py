@@ -49,11 +49,11 @@ def test_batched_audits_match_the_per_point_loops(name, seed, request):
         samples = sample_in_region(cert, region, n, seed=seed)
         assert _bits(samples) == _bits(sample_in_region_reference(cert, region, n, seed))
         pairs = [
-            (estimate_kappa(sysm, cert, region, n, seed=seed),
+            (estimate_kappa(sysm, cert, region, samples, seed=seed),
              kappa_reference(sysm, cert, region, n, seed=seed)),
-            (estimate_nu(cert, region, n, seed=seed),
+            (estimate_nu(cert, region, samples, seed=seed),
              nu_reference(cert, region, n, seed=seed)),
-            (estimate_big_m(sysm, cert, region, n, seed=seed),
+            (estimate_big_m(sysm, cert, region, samples, seed=seed),
              big_m_reference(sysm, cert, region, n, seed=seed)),
             (verify_clf_pointwise(cert, sysm, samples),
              verify_clf_reference(cert, sysm, samples)),

@@ -11,6 +11,7 @@ from clfetc import (CertificateConstants, ClfCertificate, ControlSystem,
                     RateFunction, bound_sublevel_box, compute_mu,
                     estimate_big_m, estimate_constants, estimate_kappa,
                     estimate_nu, estimate_rho, sample_in_region)
+from clfetc import certificates
 from clfetc.certificates import SOBOL_BITS, SOBOL_MAX_DIM, _SobolStream
 from clfetc.cli import _jsonable
 from clfetc.errors import DimensionMismatchError
@@ -121,38 +122,46 @@ class TestEstimateKappa:
         u_star = float(acc.certificate.u(region.anchor)[0])
         a, _c = acc_frozen_matrices(1.01, 0.3, u_star)
         true_norm = float(np.linalg.norm(a, 2))
-        rep = estimate_kappa(acc.system, acc.certificate, region, 256, seed=0)
+        pts = sample_in_region(acc.certificate, region, 256, seed=0)
+        rep = estimate_kappa(acc.system, acc.certificate, region, pts, seed=0)
         assert rep.value == pytest.approx(1.25 * true_norm, rel=1e-4)
 
     def test_relay_constant_field(self, relay):
         region = bound_sublevel_box(relay.certificate, np.array([1.0]))
-        rep = estimate_kappa(relay.system, relay.certificate, region, 64, seed=0)
+        pts = sample_in_region(relay.certificate, region, 64, seed=0)
+        rep = estimate_kappa(relay.system, relay.certificate, region, pts, seed=0)
         assert rep.value == pytest.approx(0.0, abs=1e-9)
 
     def test_needs_two_samples(self, acc):
         region = bound_sublevel_box(acc.certificate, np.array([1.0, 0.0, 0.0]))
+        pts = sample_in_region(acc.certificate, region, 1, seed=0)
         with pytest.raises(DomainError):
-            estimate_kappa(acc.system, acc.certificate, region, 1, seed=0)
+            estimate_kappa(acc.system, acc.certificate, region, pts, seed=0)
 
     def test_wrong_field_shape_rejected(self, acc):
         # the first field evaluation is checked, and it vouches for the rest
         bad = ControlSystem(3, 1, rhs=lambda x, u: np.zeros(2))
         region = bound_sublevel_box(acc.certificate, np.array([3.0, 1.0, -2.0]))
+        pts = sample_in_region(acc.certificate, region, 64, seed=0)
         with pytest.raises(DimensionMismatchError):
-            estimate_kappa(bad, acc.certificate, region, 64, seed=0)
+            estimate_kappa(bad, acc.certificate, region, pts, seed=0)
 
     def test_non_finite_anchor_control_rejected(self):
         sys = ControlSystem(2, 2, rhs=lambda x, u: np.asarray(u, dtype=float))
         cert = replace(quad_cert(), feedback=lambda x: np.full(2, np.inf))
         region = bound_sublevel_box(cert, np.array([1.0, 0.0]))
+        pts = sample_in_region(cert, region, 64, seed=0)
         with pytest.raises(DomainError, match="control"):
-            estimate_kappa(sys, cert, region, 64, seed=0)
+            estimate_kappa(sys, cert, region, pts, seed=0)
 
     def test_monotone_in_samples_and_deterministic(self, homog):
         region = bound_sublevel_box(homog.certificate, homog.default_x0)
-        small = estimate_kappa(homog.system, homog.certificate, region, 64, seed=5)
-        large = estimate_kappa(homog.system, homog.certificate, region, 192, seed=5)
-        again = estimate_kappa(homog.system, homog.certificate, region, 192, seed=5)
+        pts = sample_in_region(homog.certificate, region, 64, seed=5)
+        small = estimate_kappa(homog.system, homog.certificate, region, pts, seed=5)
+        pts = sample_in_region(homog.certificate, region, 192, seed=5)
+        large = estimate_kappa(homog.system, homog.certificate, region, pts, seed=5)
+        pts = sample_in_region(homog.certificate, region, 192, seed=5)
+        again = estimate_kappa(homog.system, homog.certificate, region, pts, seed=5)
         assert small.value <= large.value
         assert large.value == again.value
 
@@ -161,13 +170,15 @@ class TestEstimateNu:
     def test_quadratic_identity_gradient(self):
         cert = quad_cert()
         region = bound_sublevel_box(cert, np.array([1.0, 1.0]))
-        rep = estimate_nu(cert, region, 128, seed=0)
+        pts = sample_in_region(cert, region, 128, seed=0)
+        rep = estimate_nu(cert, region, pts, seed=0)
         # every difference quotient of the identity map is exactly 1
         assert rep.value == pytest.approx(1.25, rel=1e-9)
 
     def test_acc_gradient(self, acc):
         region = bound_sublevel_box(acc.certificate, np.array([2.0, -1.0, 0.5]))
-        rep = estimate_nu(acc.certificate, region, 128, seed=0)
+        pts = sample_in_region(acc.certificate, region, 128, seed=0)
+        rep = estimate_nu(acc.certificate, region, pts, seed=0)
         assert rep.value == pytest.approx(1.25, rel=1e-9)
 
     def test_wrong_gradient_shape_rejected(self):
@@ -175,8 +186,9 @@ class TestEstimateNu:
         cert = replace(quad_cert(), gradient=lambda x: np.concatenate(
             [x, np.zeros(x.shape[:-1] + (1,))], axis=-1))
         region = bound_sublevel_box(cert, np.array([1.0, 1.0]))
+        pts = sample_in_region(cert, region, 64, seed=0)
         with pytest.raises(DimensionMismatchError, match="nu"):
-            estimate_nu(cert, region, 64, seed=0)
+            estimate_nu(cert, region, pts, seed=0)
 
     def test_quartic_against_grid_oracle(self):
         cert = ClfCertificate(
@@ -188,7 +200,8 @@ class TestEstimateNu:
         region = bound_sublevel_box(cert, np.array([math.sqrt(2.0), 0.0]))  # level 1
         oracle = grid_pairwise_lipschitz(cert.grad, region.lo, region.hi, 25,
                                          keep=lambda p: cert.v(p) <= region.level)
-        rep = estimate_nu(cert, region, 256, seed=0)
+        pts = sample_in_region(cert, region, 256, seed=0)
+        rep = estimate_nu(cert, region, pts, seed=0)
         est = rep.value / rep.safety_factor
         # true sup is 6*sqrt(level); grid and sampled estimates both approach it
         assert est == pytest.approx(6.0, rel=0.05)
@@ -202,7 +215,8 @@ class TestEstimateBigM:
         sys = ControlSystem(2, 2, rhs=lambda x, u: np.asarray(u, dtype=float))
         cert = quad_cert()
         region = bound_sublevel_box(cert, np.array([1.0, 0.0]))
-        rep = estimate_big_m(sys, cert, region, 128, seed=0)
+        pts = sample_in_region(cert, region, 128, seed=0)
+        rep = estimate_big_m(sys, cert, region, pts, seed=0)
         assert not rep.diverging
         assert rep.value == pytest.approx(1.25 * 2.0, rel=1e-9)
 
@@ -214,40 +228,47 @@ class TestEstimateBigM:
                if homog.certificate.v(p) <= region.level
                and np.linalg.norm(p) >= 0.05]
         oracle = grid_ratio_max(homog.system, homog.certificate, pts)
-        rep = estimate_big_m(homog.system, homog.certificate, region, 256, seed=0)
+        sample = sample_in_region(homog.certificate, region, 256, seed=0)
+        rep = estimate_big_m(homog.system, homog.certificate, region, sample, seed=0)
         assert not rep.diverging
         assert rep.value / rep.safety_factor == pytest.approx(oracle, rel=0.15)
 
     def test_zeno_divergence_detected(self, zeno):
         region = bound_sublevel_box(zeno.certificate, zeno.default_x0)
-        rep = estimate_big_m(zeno.system, zeno.certificate, region, 128, seed=0)
+        pts = sample_in_region(zeno.certificate, region, 128, seed=0)
+        rep = estimate_big_m(zeno.system, zeno.certificate, region, pts, seed=0)
         assert rep.diverging
         for seed in range(5):
             region = bound_sublevel_box(zeno.certificate, zeno.default_x0, seed=seed)
             for n in (192, 1024):
-                rep = estimate_big_m(zeno.system, zeno.certificate, region, n, seed=seed)
+                pts = sample_in_region(zeno.certificate, region, n, seed=seed)
+                rep = estimate_big_m(zeno.system, zeno.certificate, region, pts, seed=seed)
                 assert rep.diverging, (seed, n)
 
     def test_relay_divergence_detected(self, relay):
         region = bound_sublevel_box(relay.certificate, np.array([1.0]))
-        rep = estimate_big_m(relay.system, relay.certificate, region, 64, seed=0)
+        pts = sample_in_region(relay.certificate, region, 64, seed=0)
+        rep = estimate_big_m(relay.system, relay.certificate, region, pts, seed=0)
         assert rep.diverging
         for seed in range(5):
             region = bound_sublevel_box(relay.certificate, np.array([1.0]), seed=seed)
             for n in (192, 1024):
-                rep = estimate_big_m(relay.system, relay.certificate, region, n, seed=seed)
+                pts = sample_in_region(relay.certificate, region, n, seed=seed)
+                rep = estimate_big_m(relay.system, relay.certificate, region, pts, seed=seed)
                 assert rep.diverging, (seed, n)
 
     def test_acc_bounded(self, acc):
         region = bound_sublevel_box(acc.certificate, np.array([5.0, 5.0, 5.0]))
-        rep = estimate_big_m(acc.system, acc.certificate, region, 128, seed=0)
+        pts = sample_in_region(acc.certificate, region, 128, seed=0)
+        rep = estimate_big_m(acc.system, acc.certificate, region, pts, seed=0)
         assert not rep.diverging
         assert rep.value > 1.0
 
     def test_lemma_equivalence_on_samples(self, homog):
         # the ratio bound M implies |Fbar| <= M*|V'| and cos(theta) <= -1/M
         region = bound_sublevel_box(homog.certificate, homog.default_x0)
-        rep = estimate_big_m(homog.system, homog.certificate, region, 128, seed=0)
+        pts = sample_in_region(homog.certificate, region, 128, seed=0)
+        rep = estimate_big_m(homog.system, homog.certificate, region, pts, seed=0)
         m_val = rep.value
         cert, sysm = homog.certificate, homog.system
         for p in sample_in_region(cert, region, 200, seed=3):
@@ -326,9 +347,27 @@ class TestEstimateConstants:
                                              n=64, seed=0, allow_degenerate=True)
         assert reports["big_m"].diverging
 
+    @pytest.mark.parametrize("name", ["acc", "homog", "relay", "zeno"])
+    def test_draws_the_sample_once(self, name, request, monkeypatch):
+        # κ, ν and M are estimated on one sample, drawn once per bundle
+        model = request.getfixturevalue(name)
+        region = bound_sublevel_box(model.certificate, model.default_x0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return sample_in_region(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "sample_in_region", counted)
+        _, reports = estimate_constants(model.system, model.certificate, region,
+                                        n=96, seed=1, allow_degenerate=True)
+        assert len(calls) == 1
+        assert {rep.n_samples for rep in reports.values()} == {96}
+
     def test_report_json_shape(self, homog):
         region = bound_sublevel_box(homog.certificate, homog.default_x0)
-        rep = estimate_kappa(homog.system, homog.certificate, region, 64, seed=2)
+        pts = sample_in_region(homog.certificate, region, 64, seed=2)
+        rep = estimate_kappa(homog.system, homog.certificate, region, pts, seed=2)
         blob = _jsonable(rep)
         assert blob["constant"] == "kappa"
         assert blob["seed"] == 2

@@ -13,6 +13,7 @@ from clfetc import (ConfigurationError, DwellInputs, RateFunction,
                     bound_sublevel_box, build_model, check_rate_certificate,
                     engine, estimate_constants, estimate_rho, tau_select)
 from clfetc.core import EnergyTimeMap
+from clfetc.models import zeno_first_event_bound
 from clfetc.cli import (load_config, main, parse_config, resolve_policy,
                         _apply_axis, _simulate_once)
 
@@ -361,6 +362,24 @@ class TestSimulateCommand:
         assert stats["termination"] == "equilibrium"
         assert stats["policy"] == {"policy": policy["policy"], "sigma": 0.9}
 
+    @pytest.mark.parametrize("x0,bound,code", [([0.5, 0.0], 0.5, 2),
+                                              ([1.5, 0.0], None, 0)])
+    def test_zeno_bound_at_the_initial_radius(self, tmp_path, x0, bound, code):
+        # r_star only places zeno-polar's default x0; the bound on the first
+        # dwell is taken at |x0|, and outside its domain (0, 1) not at all
+        data = dict(load_config("zeno_polar").to_dict(), x0=x0, horizon=2.0,
+                    label="zeno_x0")
+        assert run_cli("simulate", "--config", write_config(tmp_path, data),
+                       "--out", str(tmp_path)) == code
+        stats = json.loads((tmp_path / "zeno_x0_stats.json").read_text())
+        if bound is None:
+            assert "zeno_bound_comparison" not in stats
+        else:
+            cmp_ = stats["zeno_bound_comparison"]
+            assert cmp_["analytic_bound"] == zeno_first_event_bound(bound)
+            assert cmp_["first_dwell"] == stats["events"][1]["dwell"]
+            assert cmp_["within_bound"] is True
+
     def test_seed_override_echoed(self, tmp_path):
         cfg = write_config(tmp_path, MINI_RELAY)
         rc = run_cli("simulate", "--config", cfg, "--out", str(tmp_path),
@@ -696,6 +715,57 @@ class TestStatsCommand:
                             "1.0,0.5,0.0,0.1,0.0,0\n")
         assert run_cli("stats", str(csv_path)) == 1
         assert capsys.readouterr().err == "error: stats need at least one event\n"
+
+
+def _input_file_argv(tmp_path, case):
+    """The argv of one bad-input-file case, with its files written."""
+    bad_utf8 = b"t,x1,event_flag\n\xff\xfe,1.0,1\n"
+    if case.startswith("stats"):
+        path = tmp_path / "traj.csv"
+        if case == "stats-no-flag":
+            path.write_text("t,x1,u1\n0.0,1.0,0.0\n")
+        elif case == "stats-empty":
+            path.write_text("")
+        elif case == "stats-bad-time":
+            path.write_text("t,x1,event_flag\n0.0,1.0,1\nabc,0.5,1\n")
+        elif case == "stats-short-row":
+            path.write_text("t,x1,event_flag\n0.0,1.0,1\n1.0,0.5\n")
+        elif case == "stats-directory":
+            path.mkdir()
+        else:
+            path.write_bytes(bad_utf8)
+        return ["stats", str(path)]
+    config, out = write_config(tmp_path, MINI_RELAY), tmp_path / "out"
+    if case == "config-directory":
+        config = str(tmp_path / "configs")
+        os.mkdir(config)
+    elif case == "config-not-utf8":
+        Path(config).write_bytes(bad_utf8)
+    else:
+        out.write_text("")
+    return ["simulate", "--config", config, "--out", str(out)]
+
+
+@pytest.mark.parametrize("case,message", [
+    pytest.param(case, message, id=case) for case, message in (
+        ("stats-no-flag", "traj.csv: no 'event_flag' column in the header"),
+        ("stats-empty", "traj.csv: no 't' column in the header"),
+        ("stats-bad-time", "traj.csv, line 3: t 'abc' is not a number"),
+        ("stats-short-row", "traj.csv, line 3: 2 cells, the header has 3"),
+        ("stats-directory", "Is a directory"),
+        ("stats-not-utf8", "can't decode byte 0xff"),
+        ("config-directory", "Is a directory"),
+        ("config-not-utf8", "can't decode byte 0xff"),
+        ("out-is-a-file", "File exists"),
+    )
+])
+def test_input_file_errors_end_in_one_error_line(tmp_path, capsys, case, message):
+    assert run_cli(*_input_file_argv(tmp_path, case)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 # run in a fresh interpreter: the presets' commands, then a custom rate

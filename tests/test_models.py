@@ -183,7 +183,8 @@ class TestAssumptionStatus:
     def test_nondegeneracy_matches_declared_status(self, name, expected, request):
         model = request.getfixturevalue(name)
         region = bound_sublevel_box(model.certificate, model.default_x0)
-        rep = estimate_big_m(model.system, model.certificate, region, 128, seed=0)
+        pts = sample_in_region(model.certificate, region, 128, seed=0)
+        rep = estimate_big_m(model.system, model.certificate, region, pts, seed=0)
         assert rep.diverging == expected
         declared = model.expected_assumption_status == "violates_nondegeneracy"
         assert rep.diverging == declared

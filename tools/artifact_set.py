@@ -2,7 +2,7 @@
 
     python3 tools/artifact_set.py OUT_DIR
 
-Runs 39 ``clfetc`` commands, one at a time, against the package in this
+Runs 41 ``clfetc`` commands, one at a time, against the package in this
 checkout's ``src`` directory:
 
 - ``simulate --plot``, ``verify`` and ``dwell`` on the relay1d, zeno_polar,
@@ -26,10 +26,15 @@ checkout's ``src`` directory:
   with an ``error:`` line (σ is set only under ``policy``, and the audited
   region is always the sublevel box through ``x0``), and a derived
   ``time`` policy from ``x0`` at the equilibrium must freeze at t = 0 and
-  exit 0 (no policy is resolved there, so none needs constants).
+  exit 0 (no policy is resolved there, so none needs constants);
+- after them, zeno_polar ``simulate`` from ``x0`` [0.5, 0] at horizon 2,
+  whose first dwell is compared with the bound at |x0| (``r_star`` only
+  places the default ``x0``), and ``stats`` on a CSV with no
+  ``event_flag`` column, which must exit 1 with an ``error:`` line.
 
 Each command writes into its own directory ``OUT_DIR/NN_name``.  The
-homog2d, error-path and config-check configs go to ``OUT_DIR/configs``.
+homog2d, error-path and config-check configs and the CSV without
+``event_flag`` go to ``OUT_DIR/configs``.
 ``OUT_DIR/log.txt`` records each command with its exit code and printed
 lines, with ``OUT_DIR`` and this checkout's root replaced by placeholders.  Run it at two commits and compare
 the two directories with ``diff -r``: the output is empty when no artifact,
@@ -79,6 +84,11 @@ CHECK_RUNS = (
     ("homog2d_region_level", "homog2d", {"region_level": 0.01}),
     ("homog2d_origin_time_derived", "homog2d",
      {"x0": [0.0, 0.0], "policy": {"policy": "time", "sigma": 0.9}}),
+)
+
+# zeno_polar from a state away from its default: the bound is taken at |x0|
+ZENO_RUNS = (
+    ("zeno_polar_x0_half", "zeno_polar", {"x0": [0.5, 0.0], "horizon": 2.0}),
 )
 
 
@@ -146,9 +156,12 @@ def commands(out_dir: Path) -> list:
             lambda d, p=path: ["simulate", "--config", str(p), "--out", d])
     add("sweep_acc_policy_sweep",
         lambda d: ["sweep", "--config", "acc_policy_sweep", "--out", d])
-    for name, path in preset_configs(out_dir / "configs", CHECK_RUNS):
+    for name, path in preset_configs(out_dir / "configs", CHECK_RUNS + ZENO_RUNS):
         add(f"simulate_{name}",
             lambda d, p=path: ["simulate", "--config", str(p), "--out", d])
+    no_flag = out_dir / "configs" / "no_event_flag.csv"
+    no_flag.write_text("t,x1,u1\n0.0,1.0,0.0\n1.0,0.5,0.0\n")
+    add("stats_no_event_flag", lambda d: ["stats", str(no_flag)])
     return cmds
 
 
