@@ -216,18 +216,22 @@ def _finite_float(text: str) -> float:
 
 
 def load_config(spec: str) -> ExperimentConfig:
-    """Load a config from a path, or from the shipped presets by name."""
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        name = spec[:-5] if spec.endswith(".json") else spec
-        try:
-            text = resources.files("clfetc").joinpath(f"presets/{name}.json").read_text()
-        except (FileNotFoundError, ModuleNotFoundError):
-            raise ConfigurationError(f"no such config file or preset: {spec!r}")
-    return parse_config(json.loads(text, parse_constant=_finite_float,
-                                   parse_float=_finite_float))
+    """Load a config from a path, or from the shipped presets by name.  A
+    file that is not UTF-8 or not JSON raises ``ConfigurationError``."""
+    try:
+        if os.path.exists(spec):
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            name = spec[:-5] if spec.endswith(".json") else spec
+            try:
+                text = resources.files("clfetc").joinpath(f"presets/{name}.json").read_text()
+            except (FileNotFoundError, ModuleNotFoundError):
+                raise ConfigurationError(f"no such config file or preset: {spec!r}")
+        data = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"{spec}: {exc}") from None
+    return parse_config(data)
 
 
 def _jsonable(obj):
@@ -359,20 +363,20 @@ def _simulate_once(cfg: ExperimentConfig):
         policy, pol_info = resolve_policy(cfg, model, x0)
     traj = run_closed_loop(model.system, model.certificate, policy, x0,
                            integrator_from_config(cfg))
-    return model, x0, traj, pol_info
+    return model, traj, pol_info
 
 
-def _run_summary(model, x0, traj):
+def _run_summary(model, traj):
     """``(stats, rate_ok, rate_excess, first_dwell, zeno_bound)`` of one run:
     its statistics, the rate-certificate check, the time from the initial
     update to the first fired one (None without one) and, on zeno-polar
-    only, the analytic bound on that time at the radius of ``x0`` (None on
-    the other models, and where the radius is outside the bound's domain
-    (0, 1))."""
+    only, the analytic bound on that time at the radius of the initial
+    state (None on the other models, and where the radius is outside the
+    bound's domain (0, 1))."""
     stats = run_stats(traj)
-    rate_ok, rate_excess = check_rate_certificate(traj, model.certificate)
+    rate_ok, rate_excess = check_rate_certificate(traj)
     first_dwell = traj.events[1].dwell if len(traj.events) > 1 else None
-    radius = math.hypot(*x0)
+    radius = math.hypot(*traj.x[0])
     zeno_bound = (zeno_first_event_bound(radius)
                   if model.name == "zeno-polar" and 0.0 < radius < 1.0 else None)
     return stats, rate_ok, rate_excess, first_dwell, zeno_bound
@@ -380,12 +384,12 @@ def _run_summary(model, x0, traj):
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    model, x0, traj, pol_info = _simulate_once(cfg)
+    model, traj, pol_info = _simulate_once(cfg)
     label = cfg.label
     csv_path = os.path.join(out_dir, f"{label}_trajectory.csv")
     write_trajectory_csv(traj, csv_path)
 
-    stats, rate_ok, rate_excess, first_dwell, zeno_bound = _run_summary(model, x0, traj)
+    stats, rate_ok, rate_excess, first_dwell, zeno_bound = _run_summary(model, traj)
     payload = {
         "stats": stats,
         "termination": traj.termination,
@@ -396,7 +400,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int
         "seed": cfg.seed,
         "model": model.name,
         "model_params": model.params,
-        "x0": x0,
+        "x0": traj.x[0],
         "events": [{"index": e.index, "time": e.time, "dwell": e.dwell,
                     "reason": e.reason, "guard_value": e.guard_value,
                     "control": list(e.control)} for e in traj.events[:1000]],
@@ -424,11 +428,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, plot: bool = False) -> int
         svgplot.line_plot(os.path.join(out_dir, f"{label}_u.svg"), ts,
                           [(f"u{j+1}", traj.u[:, j]) for j in range(traj.u.shape[1])],
                           title=f"{label}: control", ylabel="u")
-        v0 = float(traj.v[0])
-        bound_curve = [model.certificate.energy_map.bound_after(v0, float(t), traj.sigma)
-                       for t in ts]
         svgplot.line_plot(os.path.join(out_dir, f"{label}_v.svg"), ts,
-                          [("V", traj.v), ("bound", bound_curve)],
+                          [("V", traj.v), ("bound", traj.bound)],
                           title=f"{label}: Lyapunov decay", ylabel="V")
 
     print(f"{label}: termination={traj.termination} n_events={stats.n_events} "
@@ -546,8 +547,8 @@ def _sweep_row(index, axis, value, data) -> dict:
     row = {c: "" for c in _SWEEP_COLUMNS}
     row.update({"index": index, "axis": axis, "value": value})
     try:
-        model, x0, traj, pol_info = _simulate_once(parse_config(data))
-        stats, ok, _excess, first_dwell, zeno_bound = _run_summary(model, x0, traj)
+        model, traj, pol_info = _simulate_once(parse_config(data))
+        stats, ok, _excess, first_dwell, zeno_bound = _run_summary(model, traj)
         row.update({
             "model": model.name,
             "policy": pol_info["policy"],
@@ -659,7 +660,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out)
         raise ConfigurationError(f"unknown command {args.command}")
-    except (ClfetcError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ClfetcError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -73,12 +73,12 @@ class ControlSystem:
     ``rhs`` acts on the last axis: it takes a state ``(d,)`` with a control
     ``(m,)`` and returns ``(d,)``, and it takes an ``(n, d)`` batch of
     states with an ``(n, m)`` batch of controls and returns ``(n, d)``, row
-    by row with the same bits.  The engine calls it on one state at a time;
-    the audits call it on batches.  ``rhs`` must be deterministic: identical
-    inputs produce bitwise-identical outputs.  :meth:`f` is the checked
-    entry; :meth:`frozen` checks nothing.  A pass checks each point, or each
-    held control, once where it enters, and its loops then evaluate the
-    unchecked field.
+    by row with the same bits.  Simulation calls it on one state at a time
+    and needs only that form; the audits (``verify``, ``dwell``, derived
+    policies) call it on batches.  ``rhs`` must be deterministic, bit for
+    bit.  :meth:`f` is the checked entry; :meth:`frozen` checks nothing.  A
+    pass checks each point, or each held control, once where it enters,
+    and its loops then evaluate the unchecked field.
     """
 
     state_dim: int
@@ -310,10 +310,10 @@ class ClfCertificate:
     ``value``, ``gradient`` and ``feedback`` act on the last axis, like
     :attr:`ControlSystem.rhs`: on a state ``(d,)`` they return a scalar,
     ``(d,)`` and ``(m,)``, and on an ``(n, d)`` batch ``(n,)``, ``(n, d)``
-    and ``(n, m)``, row by row with the same bits.  The engine calls them on
-    one state at a time; the audits call them on batches.  ``rate`` stays a
-    function of one level; :meth:`RateFunction.at_levels` evaluates it on an
-    array of levels.
+    and ``(n, m)``, row by row with the same bits.  Simulation calls them on
+    one state at a time and needs only that form; the audits (``verify``,
+    ``dwell``, derived policies) call them on batches.  ``rate`` takes one
+    level; :meth:`RateFunction.at_levels` maps it over an array.
     """
 
     value: Callable[[np.ndarray], float]

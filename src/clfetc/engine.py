@@ -277,13 +277,15 @@ class EventRecord:
 
 @dataclass
 class Trajectory:
-    """Dense output plus the event log of one closed-loop run."""
+    """Dense output plus the event log of one closed-loop run: row 0 holds x0,
+    and ``bound`` the envelope ``Ginv(G(V0) - sigma t)`` at each row."""
 
     t: np.ndarray
     x: np.ndarray
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
+    bound: np.ndarray
     event_flag: np.ndarray
     events: list
     termination: str
@@ -324,13 +326,16 @@ class _Recorder:
 
     def finalize(self, events, termination, sigma) -> Trajectory:
         t = np.array(self.rows_t)
-        # the rows are checked once here; W then takes the unchecked field
+        # checked once here, then read row by row, as one-state models need
         x = _as_points(self.rows_x, self.sys.state_dim, "state")
         u = _as_points(self.rows_u, self.sys.input_dim, "control")
         v = np.array([self.cert.v(xi) for xi in x])
         w = np.array([float(self.cert.grad(xi) @ self.sys.frozen(ui)(xi))
                       for xi, ui in zip(x, u)])
-        return Trajectory(t=t, x=x, u=u, v=v, w=w,
+        v0 = float(v[0])
+        bound = np.array([self.cert.energy_map.bound_after(v0, float(ti), sigma)
+                          for ti in t])
+        return Trajectory(t=t, x=x, u=u, v=v, w=w, bound=bound,
                           event_flag=np.array(self.rows_flag, dtype=int),
                           events=list(events), termination=termination,
                           sigma=sigma)
@@ -649,15 +654,13 @@ def run_stats(traj: Trajectory) -> RunStats:
     return stats_from_event_times([e.time for e in traj.events], traj.termination)
 
 
-def check_rate_certificate(traj: Trajectory, cert: ClfCertificate):
-    """Verify ``V(x(t)) <= Ginv(G(V0) - sigma t) + slack`` at every recorded
-    point, with the run's own ``sigma``; returns ``(ok, max_excess)``."""
-    v0 = float(traj.v[0])
-    slack = RATE_SLACK * (1.0 + v0)
+def check_rate_certificate(traj: Trajectory):
+    """Verify ``V(x(t)) <= bound + slack`` at every recorded point, against
+    the run's envelope ``traj.bound``; returns ``(ok, max_excess)``."""
+    slack = RATE_SLACK * (1.0 + float(traj.v[0]))
     worst = -math.inf
-    for ti, vi in zip(traj.t, traj.v):
-        bound = cert.energy_map.bound_after(v0, float(ti), traj.sigma)
-        worst = max(worst, float(vi) - bound)
+    for vi, bi in zip(traj.v, traj.bound):
+        worst = max(worst, float(vi) - float(bi))
     return worst <= slack, worst
 
 
@@ -681,28 +684,31 @@ def write_trajectory_csv(traj: Trajectory, path):
 
 
 def read_event_times_csv(path):
-    """Event instants from a trajectory CSV.  A missing ``t`` or
-    ``event_flag`` column, a row too short for them, or an event time that
-    is not a number raises :class:`DomainError` naming the file."""
+    """Event instants from a trajectory CSV.  Bytes that are not UTF-8, a
+    missing ``t`` or ``event_flag`` column, a row too short for them, or an
+    event time that is not a number raise :class:`DomainError` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for column in ("t", "event_flag"):
-            if column not in header:
-                raise DomainError(f"{path}: no {column!r} column in the header")
-        t_idx = header.index("t")
-        flag_idx = header.index("event_flag")
-        events = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) <= max(t_idx, flag_idx):
-                raise DomainError(f"{path}, line {lineno}: {len(cells)} cells, "
-                                  f"the header has {len(header)}")
-            if cells[flag_idx] == "1":
-                try:
-                    events.append(float(cells[t_idx]))
-                except ValueError:
-                    raise DomainError(f"{path}, line {lineno}: t {cells[t_idx]!r} "
-                                      "is not a number") from None
+        try:
+            header = fh.readline().strip().split(",")
+            for column in ("t", "event_flag"):
+                if column not in header:
+                    raise DomainError(f"{path}: no {column!r} column in the header")
+            t_idx = header.index("t")
+            flag_idx = header.index("event_flag")
+            events = []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                cells = line.strip().split(",")
+                if len(cells) <= max(t_idx, flag_idx):
+                    raise DomainError(f"{path}, line {lineno}: {len(cells)} cells, "
+                                      f"the header has {len(header)}")
+                if cells[flag_idx] == "1":
+                    try:
+                        events.append(float(cells[t_idx]))
+                    except ValueError:
+                        raise DomainError(f"{path}, line {lineno}: t {cells[t_idx]!r} "
+                                          "is not a number") from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: {exc}") from None
     return np.array(events)

@@ -101,6 +101,90 @@ def acc_periodic_checks(model, policy, x0, horizon):
     return fired, "horizon"
 
 
+def acc_event_times(model, x0, horizon, sigma, max_events=1_000_000,
+                    scan_step=0.01):
+    """Event-triggered acc run on the exact affine flow, with the engine's
+    equilibrium rule and event cap (no Zeno or blow-up rule).
+
+    With the input frozen at ``u`` the loop is ``xdot = f = A x + c u`` and
+    the guard ``W + sigma*gamma(V)`` is ``g = x.f + s|x|^2`` with
+    ``s = sigma*(k - 1)``.  Each update scans a grid of ``scan_step`` from
+    its time, stepping the state with the one-step propagator of the
+    augmented matrix exponential.  Since ``fdot = A f``, over a span of
+    length ``h`` from ``(x, f)`` we have ``|f| <= F = exp(|A| h)|f|`` and
+    ``|x| <= X = |x| + h F``, so ``|gdot| = |f.f + x.A f + 2s x.f|`` is at
+    most ``L = F (F + (|A| + 2s) X)``.  On a span with ``g < 0`` at both
+    ends, ``g <= (g_a + g_b + L h)/2`` throughout, so a span where that is
+    negative holds no root.  Any other span is halved, left half first, down
+    to time resolution: the update lands on the earliest resolvable time
+    with ``g >= 0``, the guard-nonnegative end that ``locate_event`` returns.
+    A guard that grazes zero cannot be resolved this way and raises
+    :class:`DomainError` after ``100_000`` guard reads in one segment.
+
+    Returns ``(times, states, termination)`` of every update, the initial
+    sample included; ``termination`` is ``"equilibrium"``, ``"event_cap"``
+    or ``"horizon"``.
+    """
+    cert = model.certificate
+    k_gain, tau = model.params["k"], model.params["tau_lag"]
+    a, c_unit = acc_frozen_matrices(k_gain, tau, 1.0)
+    s = sigma * (k_gain - 1.0)
+    norm_a = float(np.linalg.norm(a, 2))
+    aug = np.zeros((4, 4))
+    aug[:3, :3] = a
+    aug[:3, 3] = c_unit
+    propagators = {}
+    reads = 0
+
+    def advance(x, u, h):
+        if h not in propagators:
+            step = expm_taylor(aug * h)
+            propagators[h] = (step[:3, :3], step[:3, 3])
+        phi, psi = propagators[h]
+        x1 = phi @ x + psi * u
+        f1 = a @ x1 + c_unit * u
+        return x1, float(x1 @ f1) + s * float(x1 @ x1), f1
+
+    def earliest(t, x, g, f, h, u):
+        """``(hit, t_b, x_b, g_b, f_b)``: the earliest time in ``(t, t + h]``
+        with ``g >= 0`` and its state when ``hit``, else the span's end."""
+        nonlocal reads
+        reads += 1
+        if reads > 100_000:
+            raise DomainError(f"the guard grazes zero near t={t}")
+        x1, g1, f1 = advance(x, u, h)
+        if g1 < 0.0:
+            big_f = math.exp(norm_a * h) * float(np.linalg.norm(f))
+            big_x = float(np.linalg.norm(x)) + h * big_f
+            if g + g1 + h * big_f * (big_f + (norm_a + 2.0 * s) * big_x) < 0.0:
+                return False, t + h, x1, g1, f1
+        if not t < t + 0.5 * h < t + h:  # the span is at time resolution
+            return g1 >= 0.0, t + h, x1, g1, f1
+        left = earliest(t, x, g, f, 0.5 * h, u)
+        return left if left[0] else earliest(*left[1:], 0.5 * h, u)
+
+    x = np.asarray(x0, dtype=float)
+    eps_eq = equilibrium_threshold(cert.v(x))
+    u = float(cert.u(x)[0])
+    times, states = [0.0], [x]
+    t = 0.0
+    while t < horizon and len(times) < max_events:
+        f = a @ x + c_unit * u
+        g = float(x @ f) + s * float(x @ x)
+        hit = g >= 0.0  # a guard non-negative at the update fires at once
+        reads = 0
+        while not hit and t < horizon:
+            hit, t, x, g, f = earliest(t, x, g, f, min(scan_step, horizon - t), u)
+        if not hit:
+            break
+        times.append(t)
+        states.append(x)
+        if cert.v(x) <= eps_eq:
+            return times, states, "equilibrium"
+        u = float(cert.u(x)[0])
+    return times, states, "event_cap" if len(times) >= max_events else "horizon"
+
+
 def periodic_checks_reference(sys, cert, policy, x0, config):
     """The periodic event-triggered loop check by check: ``integrate_frozen``
     from each check to ``(k+1)*h``, then ``predicate_p`` there, with the

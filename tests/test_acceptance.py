@@ -140,7 +140,7 @@ def property_runs():
                 traj = run_closed_loop(sysm, cert, pol, x0, cfg)
                 runs.append({
                     "model": name, "policy": pol_name, "seed": seed,
-                    "cert": cert, "traj": traj, "tau_min": tau_min,
+                    "traj": traj, "tau_min": tau_min,
                 })
     assert len(runs) >= 50
     return runs
@@ -149,7 +149,7 @@ def property_runs():
 def test_accept_03_rate_certificate(property_runs):
     failures = []
     for run in property_runs:
-        ok, excess = check_rate_certificate(run["traj"], run["cert"])
+        ok, excess = check_rate_certificate(run["traj"])
         if not ok:
             failures.append((run["model"], run["policy"], run["seed"], excess))
     assert not failures, f"rate certificate violated on: {failures}"

@@ -302,6 +302,23 @@ class TestSimulateCommand:
         for suffix in ("trajectory.csv", "x.svg", "u.svg", "v.svg"):
             assert (tmp_path / f"mini_relay_{suffix}").exists()
 
+    def test_plot_evaluates_the_envelope_once_per_row(self, tmp_path, monkeypatch):
+        # the run records its envelope once; the check and the V plot read it
+        calls = 0
+        bound_after = EnergyTimeMap.bound_after
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return bound_after(self, *args)
+
+        monkeypatch.setattr(EnergyTimeMap, "bound_after", counted)
+        rc = run_cli("simulate", "--config", "relay1d", "--out", str(tmp_path), "--plot")
+        assert rc == 0
+        rows = (tmp_path / "relay1d_trajectory.csv").read_text().splitlines()[1:]
+        assert (tmp_path / "relay1d_v.svg").exists()
+        assert calls == len(rows) > 1
+
     def test_homog_preset_two_events(self, tmp_path):
         rc = run_cli("simulate", "--config", "homog2d", "--out", str(tmp_path))
         assert rc == 0
@@ -626,11 +643,11 @@ class TestSweepCommand:
         data = load_config("acc_policy_sweep").to_dict()
         del data["sweep"]
         data["policy"]["policy"] = "periodic-event"
-        model, _, traj, info = _simulate_once(parse_config(data))
+        _, traj, info = _simulate_once(parse_config(data))
         h = info["h"]
         assert h < 1e-7
         assert traj.termination == "equilibrium"
-        assert check_rate_certificate(traj, model.certificate)[0]
+        assert check_rate_certificate(traj)[0]
         fired = traj.events[1:]
         assert fired and all(e.time == round(e.time / h) * h for e in fired)
 
@@ -741,6 +758,8 @@ def _input_file_argv(tmp_path, case):
         os.mkdir(config)
     elif case == "config-not-utf8":
         Path(config).write_bytes(bad_utf8)
+    elif case == "config-not-json":
+        Path(config).write_text('{"model": ')
     else:
         out.write_text("")
     return ["simulate", "--config", config, "--out", str(out)]
@@ -753,9 +772,10 @@ def _input_file_argv(tmp_path, case):
         ("stats-bad-time", "traj.csv, line 3: t 'abc' is not a number"),
         ("stats-short-row", "traj.csv, line 3: 2 cells, the header has 3"),
         ("stats-directory", "Is a directory"),
-        ("stats-not-utf8", "can't decode byte 0xff"),
+        ("stats-not-utf8", "traj.csv: 'utf-8' codec can't decode byte 0xff"),
         ("config-directory", "Is a directory"),
-        ("config-not-utf8", "can't decode byte 0xff"),
+        ("config-not-utf8", "cfg.json: 'utf-8' codec can't decode byte 0xff"),
+        ("config-not-json", "cfg.json: Expecting value: line 1 column 11"),
         ("out-is-a-file", "File exists"),
     )
 ])

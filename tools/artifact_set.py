@@ -2,7 +2,7 @@
 
     python3 tools/artifact_set.py OUT_DIR
 
-Runs 41 ``clfetc`` commands, one at a time, against the package in this
+Runs 43 ``clfetc`` commands, one at a time, against the package in this
 checkout's ``src`` directory:
 
 - ``simulate --plot``, ``verify`` and ``dwell`` on the relay1d, zeno_polar,
@@ -30,11 +30,14 @@ checkout's ``src`` directory:
 - after them, zeno_polar ``simulate`` from ``x0`` [0.5, 0] at horizon 2,
   whose first dwell is compared with the bound at |x0| (``r_star`` only
   places the default ``x0``), and ``stats`` on a CSV with no
-  ``event_flag`` column, which must exit 1 with an ``error:`` line.
+  ``event_flag`` column, which must exit 1 with an ``error:`` line;
+- last, ``stats`` on a CSV that is not UTF-8 and ``simulate`` on a
+  truncated JSON config, which must each exit 1 with an ``error:`` line
+  that names the file.
 
 Each command writes into its own directory ``OUT_DIR/NN_name``.  The
-homog2d, error-path and config-check configs and the CSV without
-``event_flag`` go to ``OUT_DIR/configs``.
+homog2d, error-path and config-check configs and the three bad input files
+go to ``OUT_DIR/configs``.
 ``OUT_DIR/log.txt`` records each command with its exit code and printed
 lines, with ``OUT_DIR`` and this checkout's root replaced by placeholders.  Run it at two commits and compare
 the two directories with ``diff -r``: the output is empty when no artifact,
@@ -162,6 +165,13 @@ def commands(out_dir: Path) -> list:
     no_flag = out_dir / "configs" / "no_event_flag.csv"
     no_flag.write_text("t,x1,u1\n0.0,1.0,0.0\n1.0,0.5,0.0\n")
     add("stats_no_event_flag", lambda d: ["stats", str(no_flag)])
+    not_utf8 = out_dir / "configs" / "not_utf8.csv"
+    not_utf8.write_bytes(b"t,x1,event_flag\n\xff\xfe,1.0,1\n")
+    add("stats_not_utf8", lambda d: ["stats", str(not_utf8)])
+    truncated = out_dir / "configs" / "truncated.json"
+    truncated.write_text('{"model": ')
+    add("simulate_truncated_config",
+        lambda d: ["simulate", "--config", str(truncated), "--out", d])
     return cmds
 
 
