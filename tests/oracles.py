@@ -10,7 +10,8 @@ package's own integrator, which the engine's scan of the frozen flow must
 match instant for instant; and the per-point audit loops (the ``*_reference``
 functions below :func:`grid_ratio_max`), which call the models one state at
 a time on the package's Sobol stream, and which the batched audits must
-match bit for bit.
+match bit for bit.  :func:`locate_event_reference` keeps the engine's former
+bisection, against which the Illinois localization is compared.
 """
 
 import math
@@ -183,6 +184,28 @@ def acc_event_times(model, x0, horizon, sigma, max_events=1_000_000,
             return times, states, "equilibrium"
         u = float(cert.u(x)[0])
     return times, states, "event_cap" if len(times) >= max_events else "horizon"
+
+
+def locate_event_reference(guard, a, b, ga=None, gb=None):
+    """Earliest zero of a scalar guard on [a, b] by bisection.
+
+    Requires ``guard(a) < 0 <= guard(b)``; converges to floating-point time
+    resolution and returns the guard-nonnegative endpoint.
+    """
+    ga = guard(a) if ga is None else ga
+    gb = guard(b) if gb is None else gb
+    if not (ga < 0.0 <= gb):
+        raise DomainError(f"bracket does not straddle the event surface: "
+                          f"g({a})={ga}, g({b})={gb}")
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if guard(mid) >= 0.0:
+            b = mid
+        else:
+            a = mid
+    return b
 
 
 def periodic_checks_reference(sys, cert, policy, x0, config):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clfetc import (BlowupError, ClfCertificate, ControlSystem, DomainError,
                     EventTriggered, IntegratorConfig, PeriodicEventTriggered,
@@ -9,11 +11,14 @@ from clfetc import (BlowupError, ClfCertificate, ControlSystem, DomainError,
                     bound_sublevel_box, build_model, check_rate_certificate,
                     estimate_constants, integrate_frozen, locate_event,
                     run_closed_loop, run_stats, write_trajectory_csv)
+from clfetc import engine
 from clfetc.cli import load_config
-from clfetc.engine import read_event_times_csv, stats_from_event_times
+from clfetc.engine import (_Hermite, _probe_times, read_event_times_csv,
+                           stats_from_event_times)
 from clfetc.triggers import predicate_margin
 from oracles import (acc_event_times, acc_frozen_matrices, acc_periodic_checks,
-                     affine_flow, periodic_checks_reference)
+                     affine_flow, locate_event_reference,
+                     periodic_checks_reference)
 
 
 class TestIntegrateFrozen:
@@ -53,6 +58,71 @@ class TestIntegrateFrozen:
             integrate_frozen(sysm, [5.0], [0.0], (0.0, 0.5), cfg)
 
 
+def _located(locate, guard, a, b):
+    """``locate``'s root of ``guard`` on [a, b], given both end values, and
+    the number of guard reads it made."""
+    reads = []
+
+    def counted(t):
+        reads.append(t)
+        return guard(t)
+
+    return locate(counted, a, b, guard(a), guard(b)), len(reads)
+
+
+@st.composite
+def _brackets(draw):
+    """A root ``r`` and a bracket ``a < r < b`` whose ends lie within a factor
+    of 2 of ``r``, so that ``t - r`` is exact on it (Sterbenz)."""
+    r = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    a = r - abs(r) * 10.0 ** draw(st.floats(-10.0, -0.5))
+    b = r + abs(r) * 10.0 ** draw(st.floats(-10.0, -0.5))
+    return r, a, b
+
+
+@st.composite
+def _smooth_guards(draw, curvature):
+    """A monotone guard with a simple root inside its bracket: a shifted
+    cubic ``c(t - r) + d(t - r)^3`` or an exponential ``c*expm1(k(t - r))``,
+    whose slope changes by a factor of at most ``1 + 3*curvature`` or
+    ``exp(min(curvature, 300))`` over the bracket.  ``t - r`` is exact, so
+    the guard's sign is exact and both methods see the same sign change."""
+    r, a, b = draw(_brackets())
+    c = 10.0 ** draw(st.floats(-3.0, 3.0))
+    q = draw(st.floats(1e-3, curvature))
+    if draw(st.booleans()):
+        d = c * q / max(r - a, b - r) ** 2
+        return (lambda t: c * (t - r) + d * (t - r) ** 3), a, b
+    k = min(q, 300.0) / (b - a)
+    return (lambda t: c * math.expm1(k * (t - r))), a, b
+
+
+@st.composite
+def _multiple_roots(draw):
+    """``(t - r)^p`` for p = 3 or 5: a root where the slope vanishes."""
+    r, a, b = draw(_brackets())
+    p = draw(st.sampled_from([3, 5]))
+    return (lambda t: (t - r) ** p), a, b
+
+
+class TestHermite:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_probe_column_equals_the_per_time_calls(self, seed):
+        # the event rule reads a step's probe states from one evaluation on a
+        # (k, 1) column of probe times; each row must keep its bits
+        rng = np.random.default_rng(seed)
+        for dim in (1, 2, 3, 5):
+            t0 = float(rng.uniform(-100.0, 100.0))
+            t1 = t0 + float(10.0 ** rng.uniform(-9.0, 1.0))
+            y0, f0, y1, f1 = rng.normal(size=(4, dim)) * 10.0 ** rng.uniform(-3, 3)
+            piece = _Hermite(t0, y0, f0, t1, y1, f1)
+            ts = _probe_times(piece)[1:-1]
+            column = piece(np.array(ts)[:, None])
+            rows = np.array([piece(t) for t in ts])
+            assert column.shape == rows.shape == (len(ts), dim)
+            assert column.tobytes() == rows.tobytes()
+
+
 class TestLocateEvent:
     def test_closed_form_root(self):
         root = locate_event(lambda t: -0.2 * (1.0 - t), 0.0, 1.5)
@@ -65,6 +135,67 @@ class TestLocateEvent:
     def test_boundary_zero_fires_at_endpoint(self):
         root = locate_event(lambda t: min(t - 1.0, 0.0), 0.0, 1.0)
         assert root == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_smooth_guards(curvature=1.0))
+    def test_smooth_guard_lands_next_to_the_bisection_root(self, drawn):
+        # an event guard over one probe interval is close to linear; over
+        # 100,000 draws like these the most reads were 9, and 7 ulps the
+        # largest distance, against bisection's 20 to 52 reads
+        guard, a, b = drawn
+        root, reads = _located(locate_event, guard, a, b)
+        ref, _ = _located(locate_event_reference, guard, a, b)
+        assert guard(root) >= 0.0
+        assert abs(root - ref) <= 16 * math.ulp(ref)
+        assert reads <= 12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_smooth_guards(curvature=1e6), _multiple_roots()))
+    def test_curved_guard_costs_at_most_twice_bisection(self, drawn):
+        # strong curvature and multiple roots slow the secant steps, and the
+        # bisection steps hold the cost to two reads per halving
+        guard, a, b = drawn
+        root, reads = _located(locate_event, guard, a, b)
+        ref, ref_reads = _located(locate_event_reference, guard, a, b)
+        assert guard(root) >= 0.0
+        assert abs(root - ref) <= 16 * math.ulp(ref)
+        assert reads <= 2 * ref_reads + 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_brackets(), st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+           st.sampled_from(["step", "zero_at_b"]))
+    def test_rough_guard_costs_at_most_twice_bisection(self, rab, lo, hi, kind):
+        r, a, b = rab
+        if kind == "step":
+            def guard(t):
+                return hi if t >= r else -lo
+        else:
+            def guard(t):
+                return min(lo * (t - b), 0.0)
+        root, reads = _located(locate_event, guard, a, b)
+        ref, ref_reads = _located(locate_event_reference, guard, a, b)
+        assert guard(root) >= 0.0
+        assert reads <= 2 * ref_reads + 2
+        if kind == "step":
+            # the first float at or past the step, within the final bracket
+            assert ref <= root <= ref + 16 * math.ulp(ref)
+        else:
+            assert root == ref == b
+
+    @pytest.mark.parametrize("a", [2.0, 2.5, 7.0])
+    def test_bump_guard_costs_at_most_twice_bisection(self, a):
+        # the half-step bracket of test_halving_finds_a_root_between_probes:
+        # probes at a + j/18, with the bump's left edge between j = 8 and 9
+        bump = (a + 0.45, a + 0.53)
+
+        def guard(t):
+            return 0.75 if bump[0] <= t <= bump[1] else -0.25
+
+        root, reads = _located(locate_event, guard, a + 8 / 18, a + 0.5)
+        ref, ref_reads = _located(locate_event_reference, guard,
+                                  a + 8 / 18, a + 0.5)
+        assert root == pytest.approx(bump[0], abs=1e-12)
+        assert reads <= 2 * ref_reads + 2
 
 
 class TestRunClosedLoop:
@@ -118,6 +249,48 @@ class TestRunClosedLoop:
                                    rtol=0.0, atol=1e-6)
         np.testing.assert_allclose([e.state for e in traj.events], states,
                                    rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("preset, n_events",
+                             [("acc_case1", 114), ("acc_case2", 129)])
+    def test_acc_all_events_match_the_exact_flow_at_tight_tolerances(
+            self, preset, n_events):
+        # every event, no cap; the largest differences measured were
+        # 1.07e-6 s (case 1) and 6.13e-6 s (case 2), with bisection and with
+        # the Illinois localization alike
+        cfg = load_config(preset)
+        model = build_model(cfg.model_name, cfg.model_params)
+        traj = run_closed_loop(model.system, model.certificate,
+                               EventTriggered(sigma=cfg.sigma), cfg.x0,
+                               IntegratorConfig(horizon=cfg.horizon,
+                                                rel_tol=1e-11, abs_tol=1e-14))
+        times, _, termination = acc_event_times(model, cfg.x0, cfg.horizon,
+                                                cfg.sigma)
+        assert len(traj.events) == len(times) == n_events
+        assert termination == traj.termination == "equilibrium"
+        np.testing.assert_allclose([e.time for e in traj.events], times,
+                                   rtol=0.0, atol=1e-5)
+
+    def test_localization_reads_a_third_of_bisection(self, monkeypatch):
+        # bisection read the guard about 41 times per event on acc_case1
+        calls, reads = [], []
+        located = engine.locate_event
+
+        def counted(guard, *args):
+            calls.append(1)
+
+            def counted_guard(t):
+                reads.append(t)
+                return guard(t)
+            return located(counted_guard, *args)
+
+        monkeypatch.setattr(engine, "locate_event", counted)
+        cfg = load_config("acc_case1")
+        model = build_model(cfg.model_name, cfg.model_params)
+        traj = run_closed_loop(model.system, model.certificate,
+                               EventTriggered(sigma=cfg.sigma), cfg.x0,
+                               IntegratorConfig(horizon=cfg.horizon))
+        assert len(calls) == len(traj.events) - 1 == 113
+        assert len(reads) <= 41 / 3 * len(calls)
 
     def test_piecewise_constant_control(self, homog):
         cfg = IntegratorConfig(horizon=30.0)
