@@ -1,6 +1,9 @@
-"""Rerun the byte-identity command set and keep everything it writes.
+"""Rerun the byte-identity command set, keep everything it writes, and
+compare it with the committed manifest of its hashes.
 
     python3 tools/artifact_set.py OUT_DIR
+    python3 tools/artifact_set.py --manifest OUT_DIR
+    python3 tools/artifact_set.py --check OUT_DIR
 
 Runs 43 ``clfetc`` commands, one at a time, against the package in this
 checkout's ``src`` directory:
@@ -39,20 +42,35 @@ Each command writes into its own directory ``OUT_DIR/NN_name``.  The
 homog2d, error-path and config-check configs and the three bad input files
 go to ``OUT_DIR/configs``.
 ``OUT_DIR/log.txt`` records each command with its exit code and printed
-lines, with ``OUT_DIR`` and this checkout's root replaced by placeholders.  Run it at two commits and compare
-the two directories with ``diff -r``: the output is empty when no artifact,
-exit code or printed line changed.  Uses the standard library only.
+lines, with ``OUT_DIR`` and this checkout's root replaced by placeholders.
+Run it at two commits and compare the two directories with ``diff -r``: the
+output is empty when no artifact, exit code or printed line changed.
+
+``--manifest`` then writes ``tools/artifact_manifest.json``: the SHA-256
+of every file under ``OUT_DIR``, ``log.txt`` included, of each command's
+lines in the log, and the Python and numpy versions the run was made with.
+``--check`` compares the run with that manifest instead, names each file
+that differs, is missing or is new, and exits 1 if any does.  Artifacts
+hold shortest round-trip floats, which another numpy build may round
+differently, so ``--check`` on other versions than the manifest's exits 3
+before it runs anything; re-record the manifest there, or check on the
+recorded versions.  A change that alters outputs on purpose re-records the
+manifest and names every changed file.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.metadata
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = Path(__file__).resolve().parent / "artifact_manifest.json"
 PRESETS = ROOT / "src" / "clfetc" / "presets"
 MODELS = ("relay1d", "zeno_polar", "homog2d", "acc_case1", "acc_case2")
 STATS_OF = ("relay1d", "homog2d", "acc_case1")
@@ -93,6 +111,17 @@ CHECK_RUNS = (
 ZENO_RUNS = (
     ("zeno_polar_x0_half", "zeno_polar", {"x0": [0.5, 0.0], "horizon": 2.0}),
 )
+
+# a part of the set that runs in a few seconds: the three fast presets, the
+# stats commands on their trajectories, and every command that must exit 1
+FAST = tuple(
+    [f"{command}_{model}" for model in MODELS[:3]
+     for command in ("simulate", "verify", "dwell")]
+    + [f"stats{out}_{model}" for model in STATS_OF[:2] for out in ("", "_out")]
+    + [f"simulate_{name}" for name, _, _ in ERROR_RUNS]
+    + ["simulate_homog2d_unknown_policy_key", "simulate_homog2d_negative_horizon",
+       "simulate_homog2d_model_sigma", "simulate_homog2d_region_level",
+       "stats_no_event_flag", "stats_not_utf8", "simulate_truncated_config"])
 
 
 def _write_config(config_dir: Path, name: str, data: dict) -> Path:
@@ -175,12 +204,28 @@ def commands(out_dir: Path) -> list:
     return cmds
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python3 tools/artifact_set.py OUT_DIR", file=sys.stderr)
-        return 2
-    out_dir = Path(argv[0]).resolve()
+def versions() -> dict:
+    """The Python and numpy versions that the commands run on."""
+    return {"python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy")}
+
+
+def version_mismatch(manifest: dict):
+    """A line naming both version pairs when this interpreter differs from
+    the one the manifest was made with, else None."""
+    here = versions()
+    made = {key: manifest.get(key) for key in here}
+    if made == here:
+        return None
+    return (f"manifest made with Python {made['python']} and numpy "
+            f"{made['numpy']}; this is Python {here['python']} and numpy "
+            f"{here['numpy']}")
+
+
+def run(out_dir: Path, names=None) -> dict:
+    """Run the command set, or only the commands in ``names``, into
+    ``out_dir`` and write ``log.txt``; returns each command's log lines by
+    its directory name."""
     out_dir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -189,18 +234,100 @@ def main(argv=None) -> int:
     def scrub(text):
         return text.replace(str(out_dir), "<OUT>").replace(str(ROOT), "<ROOT>")
 
-    log = []
+    blocks = {}
     cmds = commands(out_dir)
     for i, (name, args, target) in enumerate(cmds, start=1):
+        if names is not None and name not in names:
+            continue
         target.mkdir(parents=True, exist_ok=True)
         proc = subprocess.run([sys.executable, "-m", "clfetc.cli", *args],
                               env=env, capture_output=True, text=True)
-        log.append(f"== {i:02d} {name}: clfetc {scrub(' '.join(args))}")
-        log.append(f"exit {proc.returncode}")
-        log += [f"stdout: {scrub(line)}" for line in proc.stdout.splitlines()]
-        log += [f"stderr: {scrub(line)}" for line in proc.stderr.splitlines()]
+        blocks[target.name] = (
+            [f"== {i:02d} {name}: clfetc {scrub(' '.join(args))}",
+             f"exit {proc.returncode}"]
+            + [f"stdout: {scrub(line)}" for line in proc.stdout.splitlines()]
+            + [f"stderr: {scrub(line)}" for line in proc.stderr.splitlines()])
         print(f"{i:02d}/{len(cmds)} {name}: exit {proc.returncode}", flush=True)
+    log = [line for lines in blocks.values() for line in lines]
     (out_dir / "log.txt").write_text("\n".join(log) + "\n")
+    return blocks
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(out_dir: Path, blocks: dict) -> dict:
+    """The hashes of a run: every file under ``out_dir`` by its relative
+    path, and each command's log lines by its directory name."""
+    return {
+        "files": {path.relative_to(out_dir).as_posix(): _sha256(path.read_bytes())
+                  for path in sorted(out_dir.rglob("*")) if path.is_file()},
+        "log": {name: _sha256(("\n".join(lines) + "\n").encode())
+                for name, lines in blocks.items()},
+    }
+
+
+def differences(manifest: dict, got: dict) -> list:
+    """What differs between a run's :func:`digest` and the manifest, one
+    line per file or log entry.  A run of part of the set is compared on
+    its commands' directories, their log lines and the shared configs; a
+    run of the whole set, on every file, ``log.txt`` included."""
+    ran = set(got["log"])
+    whole = ran == set(manifest["log"])
+
+    def covered(path):
+        top = path.split("/", 1)[0]
+        return whole or top in ran or top == "configs"
+
+    out = []
+    for path in sorted(set(manifest["files"]) | set(got["files"])):
+        if not covered(path):
+            continue
+        want, have = manifest["files"].get(path), got["files"].get(path)
+        if want is None:
+            out.append(f"new: {path}")
+        elif have is None:
+            out.append(f"missing: {path}")
+        elif want != have:
+            out.append(f"differs: {path}")
+    for name in sorted(ran):
+        if got["log"][name] != manifest["log"].get(name):
+            out.append(f"differs: log.txt, the lines of {name}")
+    return out
+
+
+def load_manifest() -> dict:
+    with open(MANIFEST, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    mode = argv[0] if argv and argv[0] in ("--manifest", "--check") else None
+    if len(argv) != (2 if mode else 1):
+        print("usage: python3 tools/artifact_set.py [--manifest | --check] OUT_DIR",
+              file=sys.stderr)
+        return 2
+    out_dir = Path(argv[-1]).resolve()
+    if mode == "--check":
+        manifest = load_manifest()
+        mismatch = version_mismatch(manifest)
+        if mismatch:
+            print(f"error: {mismatch}", file=sys.stderr)
+            return 3
+    got = digest(out_dir, run(out_dir))
+    if mode == "--manifest":
+        MANIFEST.write_text(json.dumps(dict(versions(), **got), indent=1,
+                                       sort_keys=True) + "\n")
+        print(f"wrote {len(got['files'])} file hashes to {MANIFEST}")
+    elif mode == "--check":
+        diff = differences(manifest, got)
+        for line in diff:
+            print(line)
+        print(f"{len(diff)} differences from the manifest" if diff
+              else f"all {len(got['files'])} files match the manifest")
+        return 1 if diff else 0
     return 0
 
 
