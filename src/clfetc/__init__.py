@@ -3,7 +3,7 @@ event-triggered stabilization from control Lyapunov functions, with
 dwell-time estimates and reproducible numerical experiments."""
 
 from .core import (ClfCertificate, ControlSystem, EnergyTimeMap, RateFunction,
-                   verify_clf_pointwise)
+                   rowwise, verify_clf_pointwise)
 from .certificates import (CertificateConstants, EstimateReport, SublevelRegion,
                            bound_sublevel_box, compute_mu, estimate_big_m,
                            estimate_constants, estimate_kappa, estimate_nu,

@@ -568,6 +568,20 @@ def _sweep_row(index, axis, value, data) -> dict:
     return row
 
 
+def _csv_cell(v) -> str:
+    """One sweep CSV cell: empty for None, ``true``/``false`` for a Python
+    or numpy bool, the shortest round-trip repr of a Python or numpy float
+    (under numpy 2 an ``np.float64``'s own repr is ``np.float64(...)``),
+    and ``str`` otherwise."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     if cfg.sweep is None:
         raise ConfigurationError("sweep config needs a 'sweep' section")
@@ -575,21 +589,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     axis, values = cfg.sweep["axis"], cfg.sweep["values"]
     rows = [_sweep_row(i, axis, v, _apply_axis(cfg, axis, v))
             for i, v in enumerate(values)]
-
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
     label = cfg.label
     path = os.path.join(out_dir, f"{label}_sweep.csv")
     lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(cell(row[c]) for c in _SWEEP_COLUMNS))
+        lines.append(",".join(_csv_cell(row[c]) for c in _SWEEP_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     n_err = sum(1 for r in rows if r["error"])

@@ -9,6 +9,7 @@ Lyapunov levels and time) and :class:`ClfCertificate` (a Lyapunov function
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -23,6 +24,7 @@ __all__ = [
     "EnergyTimeMap",
     "ClfCertificate",
     "ClfCheckReport",
+    "rowwise",
     "velocity_ratio",
     "verify_clf_pointwise",
     "finite_difference_jacobian",
@@ -52,6 +54,33 @@ def _as_vector(x, dim: int, what: str, lead: tuple = ()) -> np.ndarray:
     return v
 
 
+def _check_rows(what: str, out: np.ndarray, want: tuple) -> np.ndarray:
+    """``out``, the result of a model callable, once its shape is ``want``."""
+    if out.shape != want:
+        raise DimensionMismatchError(
+            f"{what} returned shape {out.shape}, expected {want}: model callables "
+            "act on the last axis, one result row per state of a batch; lift a "
+            "function of one state with clfetc.core.rowwise")
+    return out
+
+
+def rowwise(fn: Callable) -> Callable:
+    """Lift a model callable written for one state to the last-axis form.
+
+    On one state ``(d,)`` the result is ``fn`` itself.  On an ``(n, d)``
+    batch, with ``rhs``'s ``(n, m)`` controls, ``fn`` runs on each row and
+    the rows are stacked, so every row has the bits of the state alone.
+    """
+
+    @functools.wraps(fn)
+    def lifted(x, *rest):
+        if np.ndim(x) == 1:
+            return fn(x, *rest)
+        return np.array([fn(*row) for row in zip(x, *rest)], dtype=float)
+
+    return lifted
+
+
 def _as_points(xs, dim: int, what: str) -> np.ndarray:
     """``xs`` as an ``(n, dim)`` array of finite points, checked in one pass."""
     try:
@@ -73,12 +102,13 @@ class ControlSystem:
     ``rhs`` acts on the last axis: it takes a state ``(d,)`` with a control
     ``(m,)`` and returns ``(d,)``, and it takes an ``(n, d)`` batch of
     states with an ``(n, m)`` batch of controls and returns ``(n, d)``, row
-    by row with the same bits.  Simulation calls it on one state at a time
-    and needs only that form; the audits (``verify``, ``dwell``, derived
-    policies) call it on batches.  ``rhs`` must be deterministic, bit for
-    bit.  :meth:`f` is the checked entry; :meth:`frozen` checks nothing.  A
-    pass checks each point, or each held control, once where it enters,
-    and its loops then evaluate the unchecked field.
+    by row with the same bits.  Both the simulator (a step's guard probes,
+    the recorded ``W``) and the audits (``verify``, ``dwell``, derived
+    policies) call it on batches; :func:`rowwise` lifts a function of one
+    state.  ``rhs`` must be deterministic, bit for bit.  :meth:`f` is the
+    checked entry; :meth:`frozen` checks nothing.  A pass checks each point,
+    or each held control, once where it enters, and its loops then evaluate
+    the unchecked field.
     """
 
     state_dim: int
@@ -96,11 +126,7 @@ class ControlSystem:
         lead = x.shape[:-1]
         x = _as_vector(x, self.state_dim, "state", lead)
         u = _as_vector(u, self.input_dim, "control", lead)
-        out = np.asarray(self.rhs(x, u), dtype=float)
-        if out.shape != x.shape:
-            raise DimensionMismatchError(
-                f"rhs returned shape {out.shape}, expected {x.shape}")
-        return out
+        return _check_rows("rhs", np.asarray(self.rhs(x, u), dtype=float), x.shape)
 
     def frozen(self, u) -> Callable[[np.ndarray], np.ndarray]:
         """The field ``y -> F(y, u)`` with the control held; unchecked."""
@@ -154,22 +180,33 @@ class RateFunction:
         return g
 
     def at_levels(self, vs) -> np.ndarray:
-        """``gamma`` at each level of a 1-d array, with the checks of a call
+        """``gamma`` at each level of an array, with the checks of a call
         and its bits: a power rate in one array pass (``float_power`` is the
         C ``pow`` that ``**`` calls), a custom rate, a function of one
         level, level by level."""
         vs = np.asarray(vs, dtype=float)
-        if np.any(vs < 0):
+        # each check scans for its fault in full only when a minimum, one
+        # reduction, shows that there may be one (or is NaN)
+        if not _least(vs) >= 0.0 and np.any(vs < 0):
             raise DomainError("rate evaluated at negative level")
         if self.form is not None:
             _, ae, a = self.form
             g = ae * np.float_power(vs, a)
         else:
-            g = np.array([float(self.gamma(v)) for v in vs.tolist()], dtype=float)
-        bad = np.flatnonzero((vs > 0) & (g <= 0))
-        if len(bad):
-            raise DomainError(f"gamma({vs[bad[0]]}) = {g[bad[0]]} must be positive for v > 0")
+            g = np.array([float(self.gamma(v)) for v in vs.ravel().tolist()],
+                         dtype=float).reshape(vs.shape)
+        if not _least(g) > 0.0:
+            bad = np.flatnonzero((vs > 0) & (g <= 0))
+            if len(bad):
+                raise DomainError(f"gamma({vs.flat[bad[0]]}) = {g.flat[bad[0]]} "
+                                  "must be positive for v > 0")
         return g
+
+
+def _least(a: np.ndarray) -> float:
+    """The smallest entry of an array of any shape, NaN if one is NaN, and
+    infinite for an empty one."""
+    return np.minimum.reduce(a, axis=None, initial=math.inf)
 
 
 def _quad_chunked(f, s: float) -> float:
@@ -310,10 +347,13 @@ class ClfCertificate:
     ``value``, ``gradient`` and ``feedback`` act on the last axis, like
     :attr:`ControlSystem.rhs`: on a state ``(d,)`` they return a scalar,
     ``(d,)`` and ``(m,)``, and on an ``(n, d)`` batch ``(n,)``, ``(n, d)``
-    and ``(n, m)``, row by row with the same bits.  Simulation calls them on
-    one state at a time and needs only that form; the audits (``verify``,
-    ``dwell``, derived policies) call them on batches.  ``rate`` takes one
-    level; :meth:`RateFunction.at_levels` maps it over an array.
+    and ``(n, m)``, row by row with the same bits.  The simulator reads
+    ``value`` and ``gradient`` on batches (a step's guard probes, the
+    recorded ``V`` and ``W``) and ``feedback`` on one state at each update;
+    the audits (``verify``, ``dwell``, derived policies) call all three on
+    batches.  :func:`rowwise` lifts a function of one state.  ``rate``
+    takes one level; :meth:`RateFunction.at_levels` maps it over an array.
+    :meth:`levels` checks the shape of what it returns.
     """
 
     value: Callable[[np.ndarray], float]
@@ -329,13 +369,11 @@ class ClfCertificate:
         return float(self.value(np.asarray(x, dtype=float)))
 
     def levels(self, xs) -> np.ndarray:
-        """``V`` at each row of an ``(n, d)`` batch, shape ``(n,)``."""
+        """``V`` at one state, shape ``()``, or at each row of an ``(n, d)``
+        batch, shape ``(n,)``."""
         xs = np.asarray(xs, dtype=float)
-        v = np.asarray(self.value(xs), dtype=float)
-        if v.shape != xs.shape[:-1]:
-            raise DimensionMismatchError(
-                f"value returned shape {v.shape}, expected {xs.shape[:-1]}")
-        return v
+        return _check_rows("value", np.asarray(self.value(xs), dtype=float),
+                           xs.shape[:-1])
 
     def grad(self, x) -> np.ndarray:
         return np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
@@ -401,9 +439,7 @@ def verify_clf_pointwise(cert: ClfCertificate, sys: ControlSystem,
     v = cert.levels(samples)
     live = np.flatnonzero(~(v <= EQ_ABS_FLOOR))
     xs = samples[live]
-    g = cert.grad(xs)
-    if g.shape != xs.shape:
-        raise DimensionMismatchError(f"gradient returned shape {g.shape}, expected {xs.shape}")
+    g = _check_rows("gradient", cert.grad(xs), xs.shape)
     w = np.vecdot(g, sys.f(xs, cert.u(xs)))
     margin = cert.rate.at_levels(v[live]) + w
     bad = margin > CLF_CHECK_REL_TOL * (1.0 + np.abs(w))

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ClfCertificate, ControlSystem, _as_points, _as_vector
+from .core import (ClfCertificate, ControlSystem, _as_points, _as_vector,
+                   _check_rows)
 from .errors import BlowupError, DomainError, IntegrationError
 from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
                        equilibrium_threshold, frozen_guard, predicate_margin,
@@ -45,6 +46,8 @@ BLOWUP_NORM = 1e12
 ZENO_CONSECUTIVE = 10
 GUARD_PROBES = 8  # interior guard evaluations per accepted step
 _THETAS = tuple((j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES))
+# a step's start, probes and end as fractions of the step, as a column
+_PROBE_COLUMN = np.array((0.0,) + _THETAS + (1.0,))[:, None]
 ILLINOIS_MAX_ITER = 200  # far more than floating-point resolution needs
 RATE_SLACK = 1e-6  # check_rate_certificate's slack, relative to 1 + V0
 
@@ -111,22 +114,28 @@ def _rk_step(f, y, f0, h):
     return yi, K[6], h * (_E @ K)
 
 
+def _rms(q):
+    """The root mean square of a vector, with the bits of
+    ``np.sqrt(np.mean(q ** 2))``: the same pairwise sum, without the calls
+    around it."""
+    return math.sqrt(float(np.add.reduce(q * q)) / q.size)
+
+
 def _error_norm(err, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return _rms(err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1))))
 
 
 def _initial_step(f, y0, f0, rtol, atol, max_step, span):
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, max_step)
     if h0 <= 0:
         return min(span, max_step)
     y1 = y0 + h0 * f0
     f1 = f(y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -191,7 +200,7 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
                     f"step size underflow at t={t} (error norm {enorm})")
         yield _Hermite(t, y, f0, t + h, y1, f1)
         t, y, f0 = t + h, y1, f1
-        if float(np.linalg.norm(y)) > BLOWUP_NORM:
+        if math.sqrt(float(y.dot(y))) > BLOWUP_NORM:  # np.linalg.norm's bits
             raise BlowupError(t, y)
         if enorm == 0.0:
             h *= 5.0
@@ -346,12 +355,12 @@ class _Recorder:
 
     def finalize(self, events, termination, sigma) -> Trajectory:
         t = np.array(self.rows_t)
-        # checked once here, then read row by row, as one-state models need
+        # checked once here, then read in one call each, on every row
         x = _as_points(self.rows_x, self.sys.state_dim, "state")
         u = _as_points(self.rows_u, self.sys.input_dim, "control")
-        v = np.array([self.cert.v(xi) for xi in x])
-        w = np.array([float(self.cert.grad(xi) @ self.sys.frozen(ui)(xi))
-                      for xi, ui in zip(x, u)])
+        v = self.cert.levels(x)
+        g = _check_rows("gradient", self.cert.grad(x), x.shape)
+        w = np.vecdot(g, self.sys.f(x, u))
         v0 = float(v[0])
         bound = np.array([self.cert.energy_map.bound_after(v0, float(ti), sigma)
                           for ti in t])
@@ -371,6 +380,27 @@ def _probe_times(piece):
             + [piece.t1])
 
 
+def _probe_states(piece):
+    """The states at :func:`_probe_times` as rows, from one interpolant pass
+    on the column of times, with the step's two ends exact."""
+    ys = piece(piece.t0 + _PROBE_COLUMN * piece.h)
+    ys[0], ys[-1] = piece.y0, piece.y1
+    return ys
+
+
+def _frozen_rows(sys, u):
+    """The frozen field on a batch of up to ``GUARD_PROBES + 2`` states, with
+    the control ``u`` repeated once for every row; it checks the shape of
+    each result, not the states."""
+    us = np.repeat(u[None, :], GUARD_PROBES + 2, axis=0)
+
+    def f_rows(ys):
+        out = np.asarray(sys.rhs(ys, us[:len(ys)]), dtype=float)
+        return _check_rows("rhs", out, ys.shape)
+
+    return f_rows
+
+
 _HALVE = "halve"  # a step rule's verdict: retry the step at half its size
 
 
@@ -385,19 +415,16 @@ def _guard_rule(cert, sigma, g):
     """
     halved = 0
 
-    def rule(piece, f):
+    def rule(piece, f, f_rows):
         nonlocal g, halved
 
         def guard_at(tt):
             y = piece(tt)
             return frozen_guard(cert, y, f(y), sigma)
 
-        grid_t = _probe_times(piece)
-        # one interpolant pass for the probe states; the guard reads one state
-        # at a time, as one-state models need
-        ys = piece(np.array(grid_t[1:-1])[:, None])
-        gs = [g] + [frozen_guard(cert, y, f(y), sigma) for y in ys]
-        gs.append(frozen_guard(cert, piece.y1, piece.f1, sigma))
+        # the probes and the step end, read in one batch
+        ys = _probe_states(piece)[1:]
+        gs = [g] + frozen_guard(cert, ys, f_rows(ys), sigma).tolist()
         crossings = sum(1 for a, b in zip(gs, gs[1:])
                         if (a < 0.0 <= b) or (b < 0.0 <= a))
         if crossings == 0:
@@ -408,6 +435,7 @@ def _guard_rule(cert, sigma, g):
             halved += 1
             return _HALVE
         j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
+        grid_t = _probe_times(piece)
         return locate_event(guard_at, grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
 
     return rule
@@ -432,10 +460,11 @@ def _check_rule(cert, policy, t_end, t_last):
     The predicate can fail only where its margin
     (:func:`~clfetc.triggers.predicate_margin`) is non-negative.  A step
     that holds at most ``GUARD_PROBES + 1`` unchecked grid points reads the
-    margin at those points; a longer one reads it at its probes and takes
-    the first grid point after the margin's first root.  The checks passed
-    so far carry over from one step, and one update, to the next, so no
-    point is checked twice.
+    margin at those points; a longer one reads it at its two ends and its
+    probes and takes the first grid point after the margin's first root.
+    Either reads its points in one batch, and the first non-negative
+    margin decides.  The checks passed so far carry over from one step, and
+    one update, to the next, so no point is checked twice.
     """
     h = policy.h
     j_max = _grid_index(t_last, h)
@@ -448,7 +477,11 @@ def _check_rule(cert, policy, t_end, t_last):
         return predicate_margin(cert, policy.big_m, y, fy,
                                 policy.sigma_tilde, policy.k_big)
 
-    def rule(piece, f):
+    def first_non_negative(ys, f_rows):
+        ms = margin(ys, f_rows(ys)).tolist()
+        return next((i for i, m in enumerate(ms) if not m < 0.0), None), ms
+
+    def rule(piece, f, f_rows):
         nonlocal k
 
         def margin_at(tt):
@@ -459,19 +492,15 @@ def _check_rule(cert, policy, t_end, t_last):
         j_hi = j_max if piece.t1 >= t_end else _grid_index(piece.t1, h)
         j = None
         if j_lo <= j_hi <= j_lo + GUARD_PROBES:
-            j = next((i for i in range(j_lo, j_hi + 1)
-                      if not margin_at(check_time(i)) < 0.0), None)
+            times = [check_time(i) for i in range(j_lo, j_hi + 1)]
+            i, _ = first_non_negative(piece(np.array(times)[:, None]), f_rows)
+            j = None if i is None else j_lo + i
         elif j_hi > j_lo + GUARD_PROBES:
-            ts = _probe_times(piece)
-            ms = [margin(piece.y0, piece.f0)]
-            while ms[-1] < 0.0 and len(ms) < len(ts) - 1:
-                ms.append(margin_at(ts[len(ms)]))
-            if ms[-1] < 0.0:
-                ms.append(margin(piece.y1, piece.f1))
-            i = len(ms) - 1
+            i, ms = first_non_negative(_probe_states(piece), f_rows)
             if i == 0:
                 j = j_lo  # the margin is non-negative from the start
-            elif not ms[i] < 0.0:
+            elif i is not None:
+                ts = _probe_times(piece)
                 root = locate_event(margin_at, ts[i - 1], ts[i], ms[i - 1], ms[i])
                 j = max(j_lo, _grid_index(root, h))
                 if check_time(j) < root:
@@ -491,18 +520,20 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     towards ``t_end``, filling grid rows along the way.
 
-    ``cut(piece, f)``, the policy's step rule, reads each accepted step with
-    the frozen field ``f``: ``None`` accepts it, ``_HALVE`` retries it from
+    ``cut(piece, f, f_rows)``, the policy's step rule, reads each accepted
+    step with the frozen field ``f`` on one state and ``f_rows`` on a batch
+    (:func:`_frozen_rows`): ``None`` accepts it, ``_HALVE`` retries it from
     its start at half the size, and a time cuts it there.  At a cut, rows
     fill strictly before the cut instant, and one tolerance-checked
     corrector integration from the step start replaces the interpolant.
     Returns ``(t_cut, x, fx)`` at a cut, or ``(t_end, x_end, None)``.
     """
     f = sys.frozen(u)
+    f_rows = None if cut is None else _frozen_rows(sys, u)
     h = None  # the stepper picks its first step unless a retry halves it
     while True:
         for piece in _steps(f, t, x, fx, t_end, cfg, h):
-            at = None if cut is None else cut(piece, f)
+            at = None if cut is None else cut(piece, f, f_rows)
             if at is None:
                 rec.fill_grid(piece.t1, piece, u, inclusive=True)
                 t, x, fx = piece.t1, piece.y1, piece.f1

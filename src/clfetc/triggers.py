@@ -18,7 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import EQ_ABS_FLOOR, ClfCertificate, velocity_ratio
+from .core import (EQ_ABS_FLOOR, ClfCertificate, _check_rows, _norms,
+                   velocity_ratio)
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -145,17 +146,27 @@ class PeriodicEventTriggered:
 TriggerPolicy = Union[EventTriggered, SelfTriggered, TimeTriggered, PeriodicEventTriggered]
 
 
+def _scalar_or_rows(out):
+    """A Python float for one state, the array for a batch."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def frozen_guard(cert: ClfCertificate, x: np.ndarray, fx: np.ndarray,
-                 sigma: float) -> float:
+                 sigma: float) -> float | np.ndarray:
     """Signed margin ``g = W(x, u) + sigma*gamma(V(x))``, given the field
-    value ``fx = F(x, u)`` under the frozen control.
+    value ``fx = F(x, u)`` under the frozen control: a float at one state
+    ``(d,)``, or one margin per row of a ``(k, d)`` batch with its ``(k, d)``
+    field values, each with the bits of the state alone.
 
     Negative means the retained-decrease condition holds strictly; the event
-    surface is ``g = 0``.  Nothing is validated here: the engine checks the
-    state once per segment and calls this at every guard probe, passing
-    the field values its stepper already has where it can.
+    surface is ``g = 0``.  Only the shapes of the gradient and ``V`` are
+    checked here: the engine checks the state once per segment and the
+    shape of each batch of field values, and calls this on a step's guard
+    probes, passing the field values its stepper already has where it can.
     """
-    return float(cert.grad(x) @ fx) + sigma * cert.rate(cert.v(x))
+    g = _check_rows("gradient", cert.grad(x), x.shape)
+    return _scalar_or_rows(np.vecdot(g, fx)
+                           + sigma * cert.rate.at_levels(cert.levels(x)))
 
 
 def predicate_p(cert: ClfCertificate, big_m: float, x, fx,
@@ -175,18 +186,22 @@ def predicate_p(cert: ClfCertificate, big_m: float, x, fx,
 
 
 def predicate_margin(cert: ClfCertificate, big_m: float, x, fx,
-                     sigma_tilde: float, k_big: float) -> float:
+                     sigma_tilde: float, k_big: float) -> float | np.ndarray:
     """Continuous margin of :func:`predicate_p` at ``x`` with field value
-    ``fx``: ``max(W + sigma_tilde*gamma(V), |grad V||F| + |F|^2 - k_big*big_m*|W|)``.
+    ``fx``: ``max(W + sigma_tilde*gamma(V), |grad V||F| + |F|^2 - k_big*big_m*|W|)``,
+    a float at one state, or one margin per row of a batch, like
+    :func:`frozen_guard`.
 
     The second term is the ratio test with the division cleared, so the
     predicate can fail only where the margin is non-negative (up to
     rounding in that term); ``W = 0`` makes the first term non-negative.
     The engine scans the frozen flow with it and calls the predicate only
-    where the margin allows a failure.
+    where the margin allows a failure.  The maximum is Python's ``max``:
+    the first term unless the second is greater.
     """
-    g = cert.grad(x)
-    w = float(g @ fx)
-    fn = float(np.linalg.norm(fx))
-    return max(w + sigma_tilde * cert.rate(cert.v(x)),
-               float(np.linalg.norm(g)) * fn + fn ** 2 - k_big * big_m * abs(w))
+    g = _check_rows("gradient", cert.grad(x), x.shape)
+    w = np.vecdot(g, fx)
+    fn = _norms(fx)
+    decrease = w + sigma_tilde * cert.rate.at_levels(cert.levels(x))
+    ratio = _norms(g) * fn + np.float_power(fn, 2) - k_big * big_m * np.abs(w)
+    return _scalar_or_rows(np.where(ratio > decrease, ratio, decrease))

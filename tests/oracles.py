@@ -11,7 +11,10 @@ match instant for instant; and the per-point audit loops (the ``*_reference``
 functions below :func:`grid_ratio_max`), which call the models one state at
 a time on the package's Sobol stream, and which the batched audits must
 match bit for bit.  :func:`locate_event_reference` keeps the engine's former
-bisection, against which the Illinois localization is compared.
+bisection, against which the Illinois localization is compared, and
+:func:`frozen_guard_reference` and :func:`predicate_margin_reference` keep
+the one-state reads of the guard and the margin, which the batched reads
+must match bit for bit.
 """
 
 import math
@@ -206,6 +209,21 @@ def locate_event_reference(guard, a, b, ga=None, gb=None):
         else:
             a = mid
     return b
+
+
+def frozen_guard_reference(cert, x, fx, sigma):
+    """The event guard at one state, as the engine read it before its
+    probes were batched: Python floats and the scalar rate."""
+    return float(cert.grad(x) @ fx) + sigma * cert.rate(cert.v(x))
+
+
+def predicate_margin_reference(cert, big_m, x, fx, sigma_tilde, k_big):
+    """The periodic predicate's margin at one state, in the same way."""
+    g = cert.grad(x)
+    w = float(g @ fx)
+    fn = float(np.linalg.norm(fx))
+    return max(w + sigma_tilde * cert.rate(cert.v(x)),
+               float(np.linalg.norm(g)) * fn + fn ** 2 - k_big * big_m * abs(w))
 
 
 def periodic_checks_reference(sys, cert, policy, x0, config):

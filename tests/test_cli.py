@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clfetc
@@ -15,7 +16,7 @@ from clfetc import (ConfigurationError, DwellInputs, RateFunction,
 from clfetc.core import EnergyTimeMap
 from clfetc.models import zeno_first_event_bound
 from clfetc.cli import (load_config, main, parse_config, resolve_policy,
-                        _apply_axis, _simulate_once)
+                        _apply_axis, _csv_cell, _simulate_once)
 
 
 def run_cli(*argv):
@@ -588,6 +589,15 @@ class TestDwellCommand:
 
 
 class TestSweepCommand:
+    def test_cells_of_python_and_numpy_scalars(self):
+        # under numpy 2 an np.float64 is a float whose repr is
+        # 'np.float64(...)', and an np.bool_ is not a bool
+        assert [_csv_cell(v) for v in (0.1, np.float64(0.1), -0.0, np.float64(1e-300))] \
+            == ["0.1", "0.1", "-0.0", "1e-300"]
+        assert [_csv_cell(v) for v in (True, False, np.bool_(True), np.bool_(False))] \
+            == ["true", "false", "true", "false"]
+        assert [_csv_cell(v) for v in (None, 3, "horizon")] == ["", "3", "horizon"]
+
     def test_zeno_radius_sweep(self, tmp_path):
         rc = run_cli("sweep", "--config", "zeno_sweep", "--out", str(tmp_path))
         assert rc == 0

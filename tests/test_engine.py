@@ -1,18 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfetc import (BlowupError, ClfCertificate, ControlSystem, DomainError,
+from clfetc import (BlowupError, ClfCertificate, ControlSystem,
+                    DimensionMismatchError, DomainError,
                     EventTriggered, IntegratorConfig, PeriodicEventTriggered,
                     RateFunction, TimeTriggered,
                     bound_sublevel_box, build_model, check_rate_certificate,
                     estimate_constants, integrate_frozen, locate_event,
                     run_closed_loop, run_stats, write_trajectory_csv)
 from clfetc import engine
-from clfetc.cli import load_config
+from clfetc.cli import _model_and_x0, load_config
+from clfetc.core import rowwise
 from clfetc.engine import (_Hermite, _probe_times, read_event_times_csv,
                            stats_from_event_times)
 from clfetc.triggers import predicate_margin
@@ -222,6 +225,14 @@ class TestRunClosedLoop:
         assert traj.bound.tolist() == [
             model.certificate.energy_map.bound_after(v0, float(t), 0.8)
             for t in traj.t]
+        # V and W come from one call each on all rows, bit for bit the loop
+        # over rows with each row's control
+        cert, sysm = model.certificate, model.system
+        assert [v.hex() for v in traj.v.tolist()] == [
+            cert.v(x).hex() for x in traj.x]
+        assert [w.hex() for w in traj.w.tolist()] == [
+            float(cert.grad(x) @ sysm.frozen(u)(x)).hex()
+            for x, u in zip(traj.x, traj.u)]
 
     def test_equilibrium_start(self, relay):
         cfg = IntegratorConfig(horizon=2.0)
@@ -362,11 +373,11 @@ class TestRunClosedLoop:
         assert len(traj.events) == 20
 
     def test_blowup_termination(self):
-        sysm = ControlSystem(1, 1, rhs=lambda x, u: np.array([x[0] ** 2]))
-        cert = ClfCertificate(value=lambda x: float(x[0] ** 2),
-                              gradient=lambda x: np.array([2.0 * x[0]]),
+        sysm = ControlSystem(1, 1, rhs=rowwise(lambda x, u: np.array([x[0] ** 2])))
+        cert = ClfCertificate(value=rowwise(lambda x: float(x[0] ** 2)),
+                              gradient=rowwise(lambda x: np.array([2.0 * x[0]])),
                               rate=RateFunction.linear(1.0),
-                              feedback=lambda x: np.zeros(1))
+                              feedback=rowwise(lambda x: np.zeros(1)))
         cfg = IntegratorConfig(horizon=10.0)
         traj = run_closed_loop(sysm, cert, TimeTriggered(sigma=0.5, period=1.0),
                                [5.0], cfg)
@@ -382,12 +393,12 @@ class TestRunClosedLoop:
         def rhs(x, u):
             return np.array([u[0] * (1.0 + 0.9 * math.sin(40.0 * x[1])), 1.0])
 
-        sysm = ControlSystem(2, 1, rhs=rhs)
+        sysm = ControlSystem(2, 1, rhs=rowwise(rhs))
         cert = ClfCertificate(
-            value=lambda x: 0.5 * float(x @ x),
-            gradient=lambda x: np.asarray(x, dtype=float),
+            value=rowwise(lambda x: 0.5 * float(x @ x)),
+            gradient=rowwise(lambda x: np.asarray(x, dtype=float)),
             rate=RateFunction.linear(1.0),
-            feedback=lambda x: np.array([-x[0] - x[1]]),
+            feedback=rowwise(lambda x: np.array([-x[0] - x[1]])),
         )
         x0 = np.array([2.0, 0.0])
         u0 = cert.u(x0)
@@ -422,7 +433,7 @@ class TestRunClosedLoop:
         # has a positive bump between two probes, which the probes miss, and
         # a positive window around a later probe: two detected crossings.
         # Only a retry at half the step puts a probe inside the bump.
-        sysm = ControlSystem(2, 1, rhs=lambda x, u: np.array([0.0, 1.0]))
+        sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
         x0 = np.array([1.0, 0.0])
         cfg = IntegratorConfig(horizon=10.0, max_step=1.0, max_events=2)
         # with no crossing the guarded run takes exactly these steps
@@ -440,12 +451,75 @@ class TestRunClosedLoop:
             return np.array([x[0], 0.5 if inside else -0.5])
 
         # guard = gradient . F + sigma*V = -0.25 outside both, 0.75 inside
-        cert = ClfCertificate(value=lambda x: 0.5 * x[0] ** 2, gradient=gradient,
+        cert = ClfCertificate(value=rowwise(lambda x: 0.5 * x[0] ** 2),
+                              gradient=rowwise(gradient),
                               rate=RateFunction.linear(1.0),
-                              feedback=lambda x: np.zeros(1))
+                              feedback=rowwise(lambda x: np.zeros(1)))
         traj = run_closed_loop(sysm, cert, EventTriggered(sigma=0.5), x0, cfg)
         assert traj.termination == "event_cap"
         assert traj.events[1].time == pytest.approx(bump[0], abs=1e-12)
+
+    @pytest.mark.parametrize("ignores", ["rhs", "gradient", "value"])
+    @pytest.mark.parametrize("policy", [
+        EventTriggered(sigma=0.5),
+        PeriodicEventTriggered(sigma=0.5, sigma_tilde=0.75, k_big=2.0, h=0.01,
+                               big_m=3.0)], ids=["event", "periodic"])
+    def test_a_model_that_ignores_the_batch_axis_fails_loudly(self, policy,
+                                                              ignores):
+        # the engine reads a step's probes in one batch; a callable written
+        # for one state, not lifted by rowwise, must not give wrong values
+        one_state = {
+            "rhs": lambda x, u: np.array([0.0, 1.0]),
+            "gradient": lambda x: np.array([1.0, -0.5]),
+            "value": lambda x: 0.5 * x[0] ** 2,
+        }
+        batched = {
+            "rhs": lambda x, u: np.stack([np.zeros_like(x.T[0]), x.T[1] * 0.0 + 1.0]).T,
+            "gradient": lambda x: np.stack([x.T[0], x.T[1] * 0.0 - 0.5]).T,
+            "value": lambda x: 0.5 * x.T[0] ** 2,
+        }
+        fns = dict(batched, **{ignores: one_state[ignores]})
+        sysm = ControlSystem(2, 1, rhs=fns["rhs"])
+        cert = ClfCertificate(value=fns["value"], gradient=fns["gradient"],
+                              rate=RateFunction.linear(1.0),
+                              feedback=lambda x: np.zeros(x.shape[:-1] + (1,)))
+        cfg = IntegratorConfig(horizon=10.0, max_step=1.0)
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^{ignores} returned shape .*last axis.*rowwise"):
+            run_closed_loop(sysm, cert, policy, np.array([1.0, 0.0]), cfg)
+
+    @pytest.mark.parametrize("preset, horizon", [
+        ("relay1d", 2.0), ("zeno_polar", 1.0), ("homog2d", 10.0), ("acc_case1", 15.0)])
+    @pytest.mark.parametrize("periodic", [False, True], ids=["event", "periodic"])
+    def test_a_rowwise_model_runs_as_the_same_model_on_the_last_axis(
+            self, preset, horizon, periodic):
+        # the shipped callables lifted by rowwise, against themselves on the
+        # last axis: every array and event bit for bit
+        cfg = load_config(preset)
+        model, x0 = _model_and_x0(cfg)
+        sysm, cert = model.system, model.certificate
+        lifted_sys = replace(sysm, rhs=rowwise(sysm.rhs))
+        lifted_cert = replace(cert, value=rowwise(cert.value),
+                              gradient=rowwise(cert.gradient),
+                              feedback=rowwise(cert.feedback))
+        if periodic:
+            policy = PeriodicEventTriggered(sigma=cfg.sigma,
+                                            sigma_tilde=(1.0 + cfg.sigma) / 2.0,
+                                            k_big=2.0, h=0.05, big_m=10.0)
+        else:
+            policy = EventTriggered(sigma=cfg.sigma)
+        icfg = IntegratorConfig(horizon=horizon, output_points=201, **cfg.integrator)
+        runs = [run_closed_loop(s, c, policy, x0, icfg)
+                for s, c in ((sysm, cert), (lifted_sys, lifted_cert))]
+        a, b = ([(r.t, r.x, r.u, r.v, r.w, r.bound, r.event_flag) for r in runs])
+        assert [arr.tobytes() for arr in a] == [arr.tobytes() for arr in b]
+        assert runs[0].termination == runs[1].termination
+        assert len(runs[0].events) == len(runs[1].events) > 1
+        for e, f in zip(*(r.events for r in runs)):
+            assert (e.time, e.dwell, e.guard_value, e.reason) == \
+                (f.time, f.dwell, f.guard_value, f.reason)
+            assert e.state.tobytes() == f.state.tobytes()
+            assert e.control.tobytes() == f.control.tobytes()
 
     def test_periodic_event_mechanics_with_coarse_checks(self, homog):
         # a deliberately oversized check interval: the predicate eventually
@@ -558,7 +632,7 @@ class TestPeriodicScan:
         # margin is positive only on a window of width 0.06 around the grid
         # point midway between the probes m = 4 and 5, so a scan of the
         # probes alone sees no sign change
-        sysm = ControlSystem(2, 1, rhs=lambda x, u: np.array([0.0, 1.0]))
+        sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
         x0 = np.array([1.0, 0.0])
         cfg = IntegratorConfig(horizon=10.0, max_step=1.0, max_events=2)
         mesh = integrate_frozen(sysm, x0, [0.0], (0.0, 10.0), cfg).ts
@@ -574,9 +648,10 @@ class TestPeriodicScan:
             inside = window[0] <= x[1] <= window[1]
             return np.array([x[0], 0.5 if inside else -0.5])
 
-        cert = ClfCertificate(value=lambda x: 0.5 * x[0] ** 2, gradient=gradient,
+        cert = ClfCertificate(value=rowwise(lambda x: 0.5 * x[0] ** 2),
+                              gradient=rowwise(gradient),
                               rate=RateFunction.linear(1.0),
-                              feedback=lambda x: np.zeros(1))
+                              feedback=rowwise(lambda x: np.zeros(1)))
         pol = PeriodicEventTriggered(sigma=0.9, sigma_tilde=0.95, k_big=2.0,
                                      h=h, big_m=3.0)
         probes = [a + m / 9 for m in range(10)]

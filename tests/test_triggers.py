@@ -1,15 +1,20 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clfetc import (ConfigurationError, DomainError, EventTriggered,
                     IntegratorConfig, PeriodicEventTriggered, SelfTriggered,
                     TimeTriggered, bound_sublevel_box, estimate_constants,
                     frozen_guard, integrate_frozen, predicate_p,
                     run_closed_loop)
+from clfetc.cli import _model_and_x0, load_config
 from clfetc.core import ClfCertificate, ControlSystem, RateFunction
 from clfetc.triggers import equilibrium_threshold, predicate_margin
+from oracles import frozen_guard_reference, predicate_margin_reference
 
 
 class TestEventGuard:
@@ -258,3 +263,50 @@ class TestRunLevelInvariants:
         assert [e.reason for e in traj.events[1:]] == ["clock", "clock"]
         assert traj.termination == "horizon"
         assert traj.t[-1] == 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _preset(name):
+    """A preset's model and its scale, the largest coordinate of its x0."""
+    model, x0 = _model_and_x0(load_config(name))
+    return model, float(np.max(np.abs(x0)))
+
+
+@st.composite
+def _states(draw, d, scale, k):
+    """``k`` states whose coordinates have magnitudes from 1e-6 to ten
+    times ``scale``, spread over the decades, and either sign."""
+    decade = st.floats(-6.0, math.log10(10.0 * scale))
+    return np.array([[draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(decade)
+                      for _ in range(d)] for _ in range(k)])
+
+
+class TestBatchedReads:
+    @pytest.mark.parametrize("preset", ["relay1d", "zeno_polar", "homog2d", "acc_case1"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_batches_equal_the_one_state_reads(self, preset, data):
+        # the engine reads a step's probes in one batch; each row must have
+        # the bits of the one-state read it replaced.  Held controls come
+        # from other states, so that both signs of each read occur
+        model, scale = _preset(preset)
+        sysm, cert = model.system, model.certificate
+        k = data.draw(st.integers(1, 10))
+        xs = data.draw(_states(sysm.state_dim, scale, k))
+        us = cert.u(data.draw(_states(sysm.state_dim, scale, k)))
+        fxs = sysm.f(xs, us)
+        sigma = data.draw(st.floats(0.05, 0.95))
+        big_m = data.draw(st.floats(0.1, 100.0))
+        guards = frozen_guard(cert, xs, fxs, sigma)
+        margins = predicate_margin(cert, big_m, xs, fxs, 0.95, 2.0)
+        assert guards.shape == margins.shape == (k,)
+        for x, u, fx_row, g, m in zip(xs, us, fxs, guards.tolist(), margins.tolist()):
+            fx = sysm.f(x, u)
+            assert fx.tobytes() == fx_row.tobytes()
+            one_g = frozen_guard(cert, x, fx, sigma)
+            one_m = predicate_margin(cert, big_m, x, fx, 0.95, 2.0)
+            assert type(one_g) is type(one_m) is float
+            ref_g = frozen_guard_reference(cert, x, fx, sigma)
+            ref_m = predicate_margin_reference(cert, big_m, x, fx, 0.95, 2.0)
+            assert g.hex() == one_g.hex() == ref_g.hex()
+            assert m.hex() == one_m.hex() == ref_m.hex()
