@@ -474,9 +474,9 @@ class TestRunClosedLoop:
             "value": lambda x: 0.5 * x[0] ** 2,
         }
         batched = {
-            "rhs": lambda x, u: np.stack([np.zeros_like(x.T[0]), x.T[1] * 0.0 + 1.0]).T,
-            "gradient": lambda x: np.stack([x.T[0], x.T[1] * 0.0 - 0.5]).T,
-            "value": lambda x: 0.5 * x.T[0] ** 2,
+            "rhs": lambda x, u: np.zeros_like(x) + [0.0, 1.0],
+            "gradient": lambda x: x * [1.0, 0.0] + [0.0, -0.5],
+            "value": lambda x: 0.5 * x[..., 0] ** 2,
         }
         fns = dict(batched, **{ignores: one_state[ignores]})
         sysm = ControlSystem(2, 1, rhs=fns["rhs"])
@@ -511,8 +511,9 @@ class TestRunClosedLoop:
         icfg = IntegratorConfig(horizon=horizon, output_points=201, **cfg.integrator)
         runs = [run_closed_loop(s, c, policy, x0, icfg)
                 for s, c in ((sysm, cert), (lifted_sys, lifted_cert))]
-        a, b = ([(r.t, r.x, r.u, r.v, r.w, r.bound, r.event_flag) for r in runs])
-        assert [arr.tobytes() for arr in a] == [arr.tobytes() for arr in b]
+        a, b = [[arr.tobytes() for arr in (r.t, r.x, r.u, r.v, r.w, r.bound, r.event_flag)]
+                for r in runs]
+        assert a == b
         assert runs[0].termination == runs[1].termination
         assert len(runs[0].events) == len(runs[1].events) > 1
         for e, f in zip(*(r.events for r in runs)):
