@@ -9,10 +9,22 @@ guard and cuts at its first zero; the periodic policy's rule reads the
 predicate's continuous margin and cuts at the grid points ``j*h`` where the
 predicate can fail, so a run costs its steps, not its ``horizon/h`` checks.
 The self- and time-triggered policies scan to their clock instants.
+
+The scan hands the rule a *window* of consecutive accepted steps, drawn
+ahead before any of them is judged; the stepper makes each step from the
+previous one alone, so no verdict can change the steps before it.  The
+event rule reads the guard probes of the whole window in one batch, then
+judges its steps in order, as one at a time would.  Steps drawn after the
+first cut or retry are speculative and are discarded, and an error that the
+stepper raises within a window waits until the steps before it are judged.
+The event rule sizes its next window from the guard's trend, from 1 to
+``_WINDOW_CAP`` steps; the periodic rule reads one step at a time.  The
+window size changes how fast a run goes, never what it computes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -48,6 +60,9 @@ GUARD_PROBES = 8  # interior guard evaluations per accepted step
 _THETAS = tuple((j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES))
 # a step's start, probes and end as fractions of the step, as a column
 _PROBE_COLUMN = np.array((0.0,) + _THETAS + (1.0,))[:, None]
+_THETA_ROW = np.array(_THETAS)  # the interior probes only, as a row
+_WINDOW_CAP = 16  # most steps the event rule reads in one batch
+_EPS = float(np.finfo(float).eps)
 ILLINOIS_MAX_ITER = 200  # far more than floating-point resolution needs
 RATE_SLACK = 1e-6  # check_rate_certificate's slack, relative to 1 + V0
 
@@ -143,6 +158,19 @@ def _initial_step(f, y0, f0, rtol, atol, max_step, span):
     return min(100 * h0, h1, span, max_step)
 
 
+def _cubic(s, y0, f0, y1, f1, h):
+    """The cubic Hermite formula at step fractions ``s``, elementwise, so an
+    array of steps and fractions gives each entry the bits of its own step
+    alone."""
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2 * s3 - 3 * s2 + 1
+    h10 = s3 - 2 * s2 + s
+    h01 = -2 * s3 + 3 * s2
+    h11 = s3 - s2
+    return h00 * y0 + h01 * y1 + h * (h10 * f0 + h11 * f1)
+
+
 class _Hermite:
     """Cubic Hermite interpolant over one accepted step, at one time or at a
     ``(k, 1)`` column of times, elementwise alike."""
@@ -157,15 +185,8 @@ class _Hermite:
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         if self.h == 0.0:
             return self.y0
-        s = (t - self.t0) / self.h
-        s2 = s * s
-        s3 = s2 * s
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        return (h00 * self.y0 + h01 * self.y1
-                + self.h * (h10 * self.f0 + h11 * self.f1))
+        return _cubic((t - self.t0) / self.h, self.y0, self.f0, self.y1,
+                      self.f1, self.h)
 
 
 def _steps(f, t, y, f0, t_end, cfg, h=None):
@@ -181,7 +202,7 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
         h = _initial_step(f, y, f0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, t_end - t)
     while t < t_end:
         h = min(h, cfg.max_step, t_end - t)
-        if h <= 4.0 * np.finfo(float).eps * max(1.0, abs(t)):
+        if h <= 4.0 * _EPS * max(1.0, abs(t)):
             # the remaining span is below time resolution; snap to the target
             yield _Hermite(t, y, f0, t_end, y, f0)
             return
@@ -191,9 +212,8 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
             enorm = _error_norm(err, y, y1, cfg.rel_tol, cfg.abs_tol)
             if math.isfinite(enorm) and enorm <= 1.0:
                 break
-            factor = 0.25 if not math.isfinite(enorm) else \
-                max(0.2, 0.9 * enorm ** -0.2)
-            h *= min(factor, 0.9)
+            # at most 0.9: the error norm here is above 1
+            h *= 0.25 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
             attempts += 1
             if attempts > 200 or h < 1e-15 * max(1.0, abs(t)):
                 raise IntegrationError(
@@ -388,13 +408,31 @@ def _probe_states(piece):
     return ys
 
 
+def _window_states(pieces):
+    """The interior probe states and the end state of each step of a window,
+    ``GUARD_PROBES + 1`` rows per step, in order, from one interpolant pass:
+    the rows of ``_probe_states(piece)[1:]``, bit for bit."""
+    t0 = np.array([p.t0 for p in pieces])[:, None]
+    h = np.array([p.h for p in pieces])[:, None]
+    y0, f0, y1, f1 = (np.array(a)[:, None] for a in zip(
+        *((p.y0, p.f0, p.y1, p.f1) for p in pieces)))
+    s = ((t0 + _THETA_ROW * h) - t0) / h  # each probe's time, as a fraction
+    ys = np.empty((len(pieces), GUARD_PROBES + 1, y0.shape[-1]))
+    ys[:, :-1] = _cubic(s[:, :, None], y0, f0, y1, f1, h[:, :, None])
+    ys[:, -1] = y1[:, 0]
+    return ys.reshape(-1, ys.shape[-1])
+
+
 def _frozen_rows(sys, u):
-    """The frozen field on a batch of up to ``GUARD_PROBES + 2`` states, with
-    the control ``u`` repeated once for every row; it checks the shape of
-    each result, not the states."""
-    us = np.repeat(u[None, :], GUARD_PROBES + 2, axis=0)
+    """The frozen field on a batch of states, with the control ``u``
+    repeated once for every row; it checks the shape of each result, not the
+    states."""
+    us = u[None, :]
 
     def f_rows(ys):
+        nonlocal us
+        if len(us) < len(ys):
+            us = np.repeat(u[None, :], len(ys), axis=0)
         out = np.asarray(sys.rhs(ys, us[:len(ys)]), dtype=float)
         return _check_rows("rhs", out, ys.shape)
 
@@ -408,35 +446,61 @@ def _guard_rule(cert, sigma, g):
     """The event policy's step rule, carrying the guard value ``g`` at the
     step start from one step to the next.
 
-    A step with no sign change of the guard over its probes is accepted.
-    One with more than one is retried at half size, so that the earliest
-    root cannot be skipped.  Otherwise the step is cut at the guard's first
-    zero.
+    It reads the probes and the end of every step of a window in one batch,
+    then judges the steps in order.  A step with no sign change of the guard
+    over its probes is accepted.  One with more than one is retried at half
+    size, so that the earliest root cannot be skipped.  Otherwise the step
+    is cut at the guard's first zero.  The next window holds half the steps
+    that the guard's rise over the last accepted step predicts to its zero,
+    at least 1 and at most ``_WINDOW_CAP``.
     """
     halved = 0
+    rise = 0.0  # the guard's change over the last accepted step
+    rows = GUARD_PROBES + 1  # a step's rows in the batch
 
-    def rule(piece, f, f_rows):
-        nonlocal g, halved
+    def judge(pieces, f, f_rows):
+        nonlocal g, halved, rise
+        ys = _window_states(pieces)
+        try:
+            batch = frozen_guard(cert, ys, f_rows(ys), sigma).tolist()
+        except Exception:
+            # a speculative step may hold states that the model rejects:
+            # judge the window in halves, so that an error surfaces only on
+            # a step that one step at a time would have read
+            if len(pieces) == 1:
+                raise
+            half = len(pieces) // 2
+            n, at = judge(pieces[:half], f, f_rows)
+            if at is not None:
+                return n, at
+            n, at = judge(pieces[half:], f, f_rows)
+            return half + n, at
+        for i, piece in enumerate(pieces):
+            gs = [g] + batch[i * rows:(i + 1) * rows]
+            crossings = sum(1 for a, b in zip(gs, gs[1:])
+                            if (a < 0.0 <= b) or (b < 0.0 <= a))
+            if crossings == 0:
+                g, halved, rise = gs[-1], 0, gs[-1] - gs[0]
+                continue
+            if crossings > 1 and halved < 60 and \
+                    piece.h > 1e-13 * max(1.0, abs(piece.t0)):
+                halved += 1
+                return i, _HALVE
 
-        def guard_at(tt):
-            y = piece(tt)
-            return frozen_guard(cert, y, f(y), sigma)
+            def guard_at(tt):
+                y = piece(tt)
+                return frozen_guard(cert, y, f(y), sigma)
 
-        # the probes and the step end, read in one batch
-        ys = _probe_states(piece)[1:]
-        gs = [g] + frozen_guard(cert, ys, f_rows(ys), sigma).tolist()
-        crossings = sum(1 for a, b in zip(gs, gs[1:])
-                        if (a < 0.0 <= b) or (b < 0.0 <= a))
-        if crossings == 0:
-            g, halved = gs[-1], 0
-            return None
-        if crossings > 1 and halved < 60 and \
-                piece.h > 1e-13 * max(1.0, abs(piece.t0)):
-            halved += 1
-            return _HALVE
-        j = next(i for i, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
-        grid_t = _probe_times(piece)
-        return locate_event(guard_at, grid_t[j], grid_t[j + 1], gs[j], gs[j + 1])
+            j = next(k for k, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
+            grid_t = _probe_times(piece)
+            return i, locate_event(guard_at, grid_t[j], grid_t[j + 1],
+                                   gs[j], gs[j + 1])
+        return len(pieces), None
+
+    def rule(pieces, f, f_rows):
+        n, at = judge(pieces, f, f_rows)
+        ahead = -g / rise / 2 if rise > 0.0 else _WINDOW_CAP  # may be NaN
+        return n, at, max(1, int(min(_WINDOW_CAP, ahead)))
 
     return rule
 
@@ -481,7 +545,7 @@ def _check_rule(cert, policy, t_end, t_last):
         ms = margin(ys, f_rows(ys)).tolist()
         return next((i for i, m in enumerate(ms) if not m < 0.0), None), ms
 
-    def rule(piece, f, f_rows):
+    def judge(piece, f, f_rows):
         nonlocal k
 
         def margin_at(tt):
@@ -513,39 +577,73 @@ def _check_rule(cert, policy, t_end, t_last):
         k = j
         return check_time(j)
 
+    def rule(pieces, f, f_rows):
+        for i, piece in enumerate(pieces):
+            at = judge(piece, f, f_rows)
+            if at is not None:
+                return i, at, 1
+        return len(pieces), None, 1
+
     return rule
+
+
+def _draw(steps, width):
+    """Up to ``width`` pieces from the stepper ``steps``, and the error that
+    stopped it before then, or None."""
+    pieces = []
+    try:
+        for piece in itertools.islice(steps, width):
+            pieces.append(piece)
+    except Exception as exc:  # raised once the pieces before it are judged
+        return pieces, exc
+    return pieces, None
 
 
 def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     towards ``t_end``, filling grid rows along the way.
 
-    ``cut(piece, f, f_rows)``, the policy's step rule, reads each accepted
-    step with the frozen field ``f`` on one state and ``f_rows`` on a batch
-    (:func:`_frozen_rows`): ``None`` accepts it, ``_HALVE`` retries it from
-    its start at half the size, and a time cuts it there.  At a cut, rows
-    fill strictly before the cut instant, and one tolerance-checked
-    corrector integration from the step start replaces the interpolant.
-    Returns ``(t_cut, x, fx)`` at a cut, or ``(t_end, x_end, None)``.
+    ``cut(pieces, f, f_rows)``, the policy's step rule, reads a window of
+    consecutive accepted steps with the frozen field ``f`` on one state and
+    ``f_rows`` on a batch (:func:`_frozen_rows`), and judges them in order.
+    It returns ``(n, verdict, width)``: the first ``n`` steps are accepted;
+    the verdict on the next is ``None`` when there is none (all were
+    accepted), ``_HALVE`` to retry it from its start at half the size, or a
+    time to cut it there; ``width`` is the size of the next window.  The
+    steps after a cut or a retry are speculative, drawn ahead of the
+    verdict, and are discarded; the stepper makes each step from the last
+    alone, so the window size never changes a result.  An error that the
+    stepper raises while a window fills is raised once the steps before it
+    are accepted.  At a cut, rows fill strictly before the cut instant, and
+    one tolerance-checked corrector integration from the step start replaces
+    the interpolant.  Returns ``(t_cut, x, fx)`` at a cut, or
+    ``(t_end, x_end, None)``.  Clock scans, with no rule, accept every step.
     """
     f = sys.frozen(u)
     f_rows = None if cut is None else _frozen_rows(sys, u)
-    h = None  # the stepper picks its first step unless a retry halves it
+    steps = _steps(f, t, x, fx, t_end, cfg)
+    width = 1 if cut is not None else _WINDOW_CAP
     while True:
-        for piece in _steps(f, t, x, fx, t_end, cfg, h):
-            at = None if cut is None else cut(piece, f, f_rows)
-            if at is None:
-                rec.fill_grid(piece.t1, piece, u, inclusive=True)
-                t, x, fx = piece.t1, piece.y1, piece.f1
-            elif at is _HALVE:
-                h = piece.h / 2.0
-                break
-            else:
-                rec.fill_grid(at, piece, u, inclusive=False)
-                sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
-                return at, sub.ys[-1], sub.fs[-1]
-        else:
+        pieces, held = _draw(steps, width)
+        n, at, next_width = len(pieces), None, width
+        if cut is not None and pieces:
+            n, at, next_width = cut(pieces, f, f_rows)
+        for piece in pieces[:n]:
+            rec.fill_grid(piece.t1, piece, u, inclusive=True)
+        if n:
+            t, x, fx = pieces[n - 1].t1, pieces[n - 1].y1, pieces[n - 1].f1
+        if at is _HALVE:
+            steps = _steps(f, t, x, fx, t_end, cfg, pieces[n].h / 2.0)
+        elif at is not None:
+            piece = pieces[n]
+            rec.fill_grid(at, piece, u, inclusive=False)
+            sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
+            return at, sub.ys[-1], sub.fs[-1]
+        elif held is not None:
+            raise held
+        elif len(pieces) < width:  # the stepper has reached t_end
             return t_end, x, None
+        width = next_width
 
 
 def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPolicy,

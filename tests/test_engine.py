@@ -16,7 +16,8 @@ from clfetc import (BlowupError, ClfCertificate, ControlSystem,
 from clfetc import engine
 from clfetc.cli import _model_and_x0, load_config
 from clfetc.core import rowwise
-from clfetc.engine import (_Hermite, _probe_times, read_event_times_csv,
+from clfetc.engine import (_Hermite, _probe_states, _probe_times,
+                           _window_states, read_event_times_csv,
                            stats_from_event_times)
 from clfetc.triggers import predicate_margin
 from oracles import (acc_event_times, acc_frozen_matrices, acc_periodic_checks,
@@ -125,6 +126,24 @@ class TestHermite:
             assert column.shape == rows.shape == (len(ts), dim)
             assert column.tobytes() == rows.tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_window_pass_equals_the_probe_states(self, dim):
+        # the event rule reads the probes of a window of consecutive steps
+        # in one interpolant pass; each row must keep the bits of its step's
+        # own probe states
+        rng = np.random.default_rng(dim)
+        for width in range(1, engine._WINDOW_CAP + 1):
+            pieces, t = [], float(rng.uniform(-100.0, 100.0))
+            for _ in range(width):
+                h = float(10.0 ** rng.uniform(-9.0, 1.0))
+                y0, f0, y1, f1 = rng.normal(size=(4, dim)) * 10.0 ** rng.uniform(-3, 3)
+                pieces.append(_Hermite(t, y0, f0, t + h, y1, f1))
+                t += h
+            rows = np.concatenate([_probe_states(p)[1:] for p in pieces])
+            window = _window_states(pieces)
+            assert window.shape == rows.shape == (width * (engine.GUARD_PROBES + 1), dim)
+            assert window.tobytes() == rows.tobytes()
+
 
 class TestLocateEvent:
     def test_closed_form_root(self):
@@ -199,6 +218,106 @@ class TestLocateEvent:
                                   a + 8 / 18, a + 0.5)
         assert root == pytest.approx(bump[0], abs=1e-12)
         assert reads <= 2 * ref_reads + 2
+
+
+def _oscillating_loop():
+    """A loop whose guard oscillates fast: the second state is a clock
+    driving an oscillation of the first.  Returns ``(system, certificate,
+    x0, policy, config)``."""
+    def rhs(x, u):
+        return np.array([u[0] * (1.0 + 0.9 * math.sin(40.0 * x[1])), 1.0])
+
+    sysm = ControlSystem(2, 1, rhs=rowwise(rhs))
+    cert = ClfCertificate(
+        value=rowwise(lambda x: 0.5 * float(x @ x)),
+        gradient=rowwise(lambda x: np.asarray(x, dtype=float)),
+        rate=RateFunction.linear(1.0),
+        feedback=rowwise(lambda x: np.array([-x[0] - x[1]])),
+    )
+    return (sysm, cert, np.array([2.0, 0.0]), EventTriggered(sigma=0.5),
+            IntegratorConfig(horizon=3.0, max_step=0.5))
+
+
+def _halving_loop():
+    """A unit-speed clock, so the exact steps grow to ``max_step`` and the
+    frozen flow is known in closed form, under a guard that is positive on a
+    bump that a full step's probes miss and on a window around a later
+    probe.  Returns ``(system, certificate, x0, policy, config, bump)``."""
+    sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
+    x0 = np.array([1.0, 0.0])
+    cfg = IntegratorConfig(horizon=10.0, max_step=1.0, max_events=2)
+    # with no crossing the guarded run takes exactly these steps
+    mesh = integrate_frozen(sysm, x0, [0.0], (0.0, 10.0), cfg).ts
+    i = next(i for i in range(len(mesh) - 1)
+             if mesh[i] > 2.0 and mesh[i + 1] - mesh[i] == 1.0)
+    a = mesh[i]
+    # full-step probes sit at a + j/9: the bump lies between j = 4 and 5,
+    # the window holds j = 7 only, and a + 1/2 ends the half step
+    bump = (a + 0.45, a + 0.53)
+    window = (a + 0.73, a + 0.82)
+
+    def gradient(x):
+        inside = bump[0] <= x[1] <= bump[1] or window[0] <= x[1] <= window[1]
+        return np.array([x[0], 0.5 if inside else -0.5])
+
+    # guard = gradient . F + sigma*V = -0.25 outside both, 0.75 inside
+    cert = ClfCertificate(value=rowwise(lambda x: 0.5 * x[0] ** 2),
+                          gradient=rowwise(gradient),
+                          rate=RateFunction.linear(1.0),
+                          feedback=rowwise(lambda x: np.zeros(1)))
+    return sysm, cert, x0, EventTriggered(sigma=0.5), cfg, bump
+
+
+def _crossing_before_blowup_loop():
+    """A state that grows like ``exp(30 t)`` beside a unit-speed clock, with
+    the guard -0.5 until the clock passes ``t_cross`` and 1.5 after it.  The
+    steps are all ``max_step`` long, and ``t_cross`` lies inside the step
+    before the one at whose end the state passes the blow-up cap.  Returns
+    ``(system, certificate, x0, policy, config, t_cross)``."""
+    sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([30.0 * x[0], 1.0])))
+    x0 = np.array([1.0, 0.0])
+    cfg = IntegratorConfig(horizon=2.0, max_step=0.002, max_events=2)
+    with pytest.raises(BlowupError) as blowup:
+        integrate_frozen(sysm, x0, [0.0], (0.0, 2.0), cfg)
+    t_cross = blowup.value.t - 1.5 * cfg.max_step
+    cert = ClfCertificate(
+        value=rowwise(lambda x: 1.0),
+        gradient=rowwise(lambda x: np.array([0.0, -1.0 if x[1] < t_cross else 1.0])),
+        rate=RateFunction.linear(1.0),
+        feedback=rowwise(lambda x: np.zeros(1)))
+    return sysm, cert, x0, EventTriggered(sigma=0.5), cfg, t_cross
+
+
+def _guard_undefined_past_a_crossing_loop():
+    """A unit-speed clock under a guard that is -0.25 before t = 2, 0.75
+    after it, and whose gradient raises :class:`DomainError` past t = 2.15,
+    with steps of 0.1.  Returns ``(system, certificate, x0, policy, config,
+    gradient_errors)``; the last list gets one entry per error raised."""
+    sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
+    errors = []
+
+    def gradient(x):
+        if x[1] > 2.15:
+            errors.append(x[1])
+            raise DomainError("gradient undefined past t = 2.15")
+        return np.array([x[0], -0.5 if x[1] < 2.0 else 0.5])
+
+    cert = ClfCertificate(value=rowwise(lambda x: 0.5 * x[0] ** 2),
+                          gradient=rowwise(gradient),
+                          rate=RateFunction.linear(1.0),
+                          feedback=rowwise(lambda x: np.zeros(1)))
+    cfg = IntegratorConfig(horizon=10.0, max_step=0.1, max_events=2)
+    return sysm, cert, np.array([1.0, 0.0]), EventTriggered(sigma=0.5), cfg, errors
+
+
+def _run_record(traj):
+    """Every array of a trajectory as bytes, its termination and its events,
+    for comparing runs bit for bit."""
+    return ([arr.tobytes() for arr in (traj.t, traj.x, traj.u, traj.v, traj.w,
+                                       traj.bound, traj.event_flag)],
+            traj.termination,
+            [(e.index, e.time, e.dwell, e.guard_value, e.reason,
+              e.state.tobytes(), e.control.tobytes()) for e in traj.events])
 
 
 class TestRunClosedLoop:
@@ -386,28 +505,11 @@ class TestRunClosedLoop:
         assert traj.t[-1] == pytest.approx(0.2, abs=1e-3)
 
     def test_earliest_root_with_oscillating_guard(self):
-        # the second state is a clock driving a fast oscillation of the
-        # first; the earliest crossing must match a fine-scan reference.  The
-        # guard probes resolve this oscillation in every step, so the
+        # the earliest crossing must match a fine-scan reference.  The guard
+        # probes resolve this oscillation in every step, so the
         # halve-and-retry rule never fires here (see the next test)
-        def rhs(x, u):
-            return np.array([u[0] * (1.0 + 0.9 * math.sin(40.0 * x[1])), 1.0])
-
-        sysm = ControlSystem(2, 1, rhs=rowwise(rhs))
-        cert = ClfCertificate(
-            value=rowwise(lambda x: 0.5 * float(x @ x)),
-            gradient=rowwise(lambda x: np.asarray(x, dtype=float)),
-            rate=RateFunction.linear(1.0),
-            feedback=rowwise(lambda x: np.array([-x[0] - x[1]])),
-        )
-        x0 = np.array([2.0, 0.0])
+        sysm, cert, x0, policy, cfg = _oscillating_loop()
         u0 = cert.u(x0)
-
-        def guard_exact(t, tol=1e-13):
-            cfg = IntegratorConfig(horizon=3.0, rel_tol=1e-11, abs_tol=1e-13)
-            seg = integrate_frozen(sysm, x0, u0, (0.0, max(t, 1e-9)), cfg)
-            x = seg.eval(t)
-            return float(cert.grad(x) @ sysm.f(x, u0)) + 0.5 * cert.rate(cert.v(x))
 
         # reference first root from a fine scan plus bisection on a
         # tightly-integrated flow
@@ -423,39 +525,16 @@ class TestRunClosedLoop:
         j = next(i for i in range(len(ts) - 1) if gs[i] < 0.0 <= gs[i + 1])
         t_ref = locate_event(g_of, ts[j], ts[j + 1], gs[j], gs[j + 1])
 
-        cfg = IntegratorConfig(horizon=3.0, max_step=0.5)
-        traj = run_closed_loop(sysm, cert, EventTriggered(sigma=0.5), x0, cfg)
+        traj = run_closed_loop(sysm, cert, policy, x0, cfg)
         assert traj.events[1].time == pytest.approx(t_ref, abs=1e-7)
 
     def test_halving_finds_a_root_between_probes(self):
-        # a unit-speed clock, so the exact steps grow to max_step and the
-        # frozen flow is known in closed form.  In one full step the guard
-        # has a positive bump between two probes, which the probes miss, and
-        # a positive window around a later probe: two detected crossings.
-        # Only a retry at half the step puts a probe inside the bump.
-        sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
-        x0 = np.array([1.0, 0.0])
-        cfg = IntegratorConfig(horizon=10.0, max_step=1.0, max_events=2)
-        # with no crossing the guarded run takes exactly these steps
-        mesh = integrate_frozen(sysm, x0, [0.0], (0.0, 10.0), cfg).ts
-        i = next(i for i in range(len(mesh) - 1)
-                 if mesh[i] > 2.0 and mesh[i + 1] - mesh[i] == 1.0)
-        a = mesh[i]
-        # full-step probes sit at a + j/9: the bump lies between j = 4 and
-        # 5, the window holds j = 7 only, and a + 1/2 ends the half step
-        bump = (a + 0.45, a + 0.53)
-        window = (a + 0.73, a + 0.82)
-
-        def gradient(x):
-            inside = bump[0] <= x[1] <= bump[1] or window[0] <= x[1] <= window[1]
-            return np.array([x[0], 0.5 if inside else -0.5])
-
-        # guard = gradient . F + sigma*V = -0.25 outside both, 0.75 inside
-        cert = ClfCertificate(value=rowwise(lambda x: 0.5 * x[0] ** 2),
-                              gradient=rowwise(gradient),
-                              rate=RateFunction.linear(1.0),
-                              feedback=rowwise(lambda x: np.zeros(1)))
-        traj = run_closed_loop(sysm, cert, EventTriggered(sigma=0.5), x0, cfg)
+        # in one full step the guard has a positive bump between two probes,
+        # which the probes miss, and a positive window around a later probe:
+        # two detected crossings.  Only a retry at half the step puts a probe
+        # inside the bump.
+        sysm, cert, x0, policy, cfg, bump = _halving_loop()
+        traj = run_closed_loop(sysm, cert, policy, x0, cfg)
         assert traj.termination == "event_cap"
         assert traj.events[1].time == pytest.approx(bump[0], abs=1e-12)
 
@@ -511,16 +590,8 @@ class TestRunClosedLoop:
         icfg = IntegratorConfig(horizon=horizon, output_points=201, **cfg.integrator)
         runs = [run_closed_loop(s, c, policy, x0, icfg)
                 for s, c in ((sysm, cert), (lifted_sys, lifted_cert))]
-        a, b = [[arr.tobytes() for arr in (r.t, r.x, r.u, r.v, r.w, r.bound, r.event_flag)]
-                for r in runs]
-        assert a == b
-        assert runs[0].termination == runs[1].termination
-        assert len(runs[0].events) == len(runs[1].events) > 1
-        for e, f in zip(*(r.events for r in runs)):
-            assert (e.time, e.dwell, e.guard_value, e.reason) == \
-                (f.time, f.dwell, f.guard_value, f.reason)
-            assert e.state.tobytes() == f.state.tobytes()
-            assert e.control.tobytes() == f.control.tobytes()
+        assert _run_record(runs[0]) == _run_record(runs[1])
+        assert len(runs[0].events) > 1
 
     def test_periodic_event_mechanics_with_coarse_checks(self, homog):
         # a deliberately oversized check interval: the predicate eventually
@@ -574,6 +645,73 @@ class TestRunClosedLoop:
         assert float(guard.max()) <= 1e-12
         assert all(e.time / h == pytest.approx(round(e.time / h), abs=1e-9)
                    for e in traj.events[1:])
+
+
+class TestWindowCap:
+    """The event rule reads the steps in windows of up to ``_WINDOW_CAP``; a
+    cap of 1 reads them one at a time, and must give the same run."""
+
+    @staticmethod
+    def _both(monkeypatch, sysm, cert, policy, x0, cfg):
+        runs = [run_closed_loop(sysm, cert, policy, x0, cfg)]
+        monkeypatch.setattr(engine, "_WINDOW_CAP", 1)
+        runs.append(run_closed_loop(sysm, cert, policy, x0, cfg))
+        return runs
+
+    @pytest.mark.parametrize("preset", ["relay1d", "zeno_polar", "homog2d",
+                                        "acc_case1", "acc_case2"])
+    def test_presets(self, monkeypatch, preset):
+        cfg = load_config(preset)
+        model, x0 = _model_and_x0(cfg)
+        icfg = IntegratorConfig(horizon=cfg.horizon, **cfg.integrator)
+        a, b = self._both(monkeypatch, model.system, model.certificate,
+                          EventTriggered(sigma=cfg.sigma), x0, icfg)
+        assert _run_record(a) == _run_record(b)
+        assert len(a.events) > 1
+
+    @pytest.mark.parametrize("loop", [_oscillating_loop, _halving_loop],
+                             ids=["oscillating", "halving"])
+    def test_guards_that_need_the_probes(self, monkeypatch, loop):
+        sysm, cert, x0, policy, cfg = loop()[:5]
+        a, b = self._both(monkeypatch, sysm, cert, policy, x0, cfg)
+        assert _run_record(a) == _run_record(b)
+        assert len(a.events) > 1
+
+    def test_a_crossing_wins_over_a_later_blowup(self, monkeypatch):
+        # the stepper raises BlowupError while it fills the window that holds
+        # the crossing; the error waits, and the crossing ends the scan
+        sysm, cert, x0, policy, cfg, t_cross = _crossing_before_blowup_loop()
+        steps, cap, raised = engine._steps, engine._WINDOW_CAP, []
+
+        def watched(*args):
+            try:
+                yield from steps(*args)
+            except BlowupError:
+                raised.append(engine._WINDOW_CAP)
+                raise
+
+        monkeypatch.setattr(engine, "_steps", watched)
+        a, b = self._both(monkeypatch, sysm, cert, policy, x0, cfg)
+        # only the windowed run drew the step past the crossing
+        assert raised == [cap]
+        assert _run_record(a) == _run_record(b)
+        assert a.termination == "event_cap"
+        assert a.events[1].time == pytest.approx(t_cross, abs=1e-12)
+
+    def test_a_crossing_wins_over_a_later_guard_error(self, monkeypatch):
+        # the windowed run reads the guard on steps past the crossing, where
+        # the model raises; those steps are read again in smaller windows,
+        # and the crossing ends the scan as one step at a time would
+        sysm, cert, x0, policy, cfg, errors = _guard_undefined_past_a_crossing_loop()
+        a = run_closed_loop(sysm, cert, policy, x0, cfg)
+        assert errors
+        errors.clear()
+        monkeypatch.setattr(engine, "_WINDOW_CAP", 1)
+        b = run_closed_loop(sysm, cert, policy, x0, cfg)
+        assert not errors
+        assert _run_record(a) == _run_record(b)
+        assert a.termination == "event_cap"
+        assert a.events[1].time == pytest.approx(2.0, abs=1e-12)
 
 
 def _periodic(model, x0, h, k_big=2.0):
