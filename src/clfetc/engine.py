@@ -15,11 +15,14 @@ ahead before any of them is judged; the stepper makes each step from the
 previous one alone, so no verdict can change the steps before it.  The
 event rule reads the guard probes of the whole window in one batch, then
 judges its steps in order, as one at a time would.  Steps drawn after the
-first cut or retry are speculative and are discarded, and an error that the
-stepper raises within a window waits until the steps before it are judged.
-The event rule sizes its next window from the guard's trend, from 1 to
-``_WINDOW_CAP`` steps; the periodic rule reads one step at a time.  The
-window size changes how fast a run goes, never what it computes.
+first cut or restart are speculative and are discarded.  A restart starts
+the stepper again at the first step not accepted, at half its size (a
+retry) or at its own (a replay).  A window whose drawing or reading raises
+is replayed, and the scan goes on one step at a time, so that an error
+surfaces where a window of 1 meets it.  The event rule sizes its next window
+from the guard's trend, from 1 to ``_WINDOW_CAP`` steps; the periodic rule
+reads one step at a time.  The window size changes how fast a run goes,
+never what it computes.
 """
 
 from __future__ import annotations
@@ -58,9 +61,7 @@ BLOWUP_NORM = 1e12
 ZENO_CONSECUTIVE = 10
 GUARD_PROBES = 8  # interior guard evaluations per accepted step
 _THETAS = tuple((j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES))
-# a step's start, probes and end as fractions of the step, as a column
-_PROBE_COLUMN = np.array((0.0,) + _THETAS + (1.0,))[:, None]
-_THETA_ROW = np.array(_THETAS)  # the interior probes only, as a row
+_THETA_ROW = np.array(_THETAS)  # the interior probes, as a row
 _WINDOW_CAP = 16  # most steps the event rule reads in one batch
 _EPS = float(np.finfo(float).eps)
 ILLINOIS_MAX_ITER = 200  # far more than floating-point resolution needs
@@ -173,14 +174,16 @@ def _cubic(s, y0, f0, y1, f1, h):
 
 class _Hermite:
     """Cubic Hermite interpolant over one accepted step, at one time or at a
-    ``(k, 1)`` column of times, elementwise alike."""
+    ``(k, 1)`` column of times, elementwise alike.  ``step`` is the size the
+    stepper gave the step, from which ``t1 - t0`` may differ by rounding."""
 
-    __slots__ = ("t0", "y0", "f0", "t1", "y1", "f1", "h")
+    __slots__ = ("t0", "y0", "f0", "t1", "y1", "f1", "h", "step")
 
-    def __init__(self, t0, y0, f0, t1, y1, f1):
+    def __init__(self, t0, y0, f0, t1, y1, f1, step=None):
         self.t0, self.y0, self.f0 = t0, y0, f0
         self.t1, self.y1, self.f1 = t1, y1, f1
         self.h = t1 - t0
+        self.step = step
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         if self.h == 0.0:
@@ -204,7 +207,7 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
         h = min(h, cfg.max_step, t_end - t)
         if h <= 4.0 * _EPS * max(1.0, abs(t)):
             # the remaining span is below time resolution; snap to the target
-            yield _Hermite(t, y, f0, t_end, y, f0)
+            yield _Hermite(t, y, f0, t_end, y, f0, h)
             return
         attempts = 0
         while True:
@@ -218,7 +221,7 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
             if attempts > 200 or h < 1e-15 * max(1.0, abs(t)):
                 raise IntegrationError(
                     f"step size underflow at t={t} (error norm {enorm})")
-        yield _Hermite(t, y, f0, t + h, y1, f1)
+        yield _Hermite(t, y, f0, t + h, y1, f1, h)
         t, y, f0 = t + h, y1, f1
         if math.sqrt(float(y.dot(y))) > BLOWUP_NORM:  # np.linalg.norm's bits
             raise BlowupError(t, y)
@@ -400,18 +403,11 @@ def _probe_times(piece):
             + [piece.t1])
 
 
-def _probe_states(piece):
-    """The states at :func:`_probe_times` as rows, from one interpolant pass
-    on the column of times, with the step's two ends exact."""
-    ys = piece(piece.t0 + _PROBE_COLUMN * piece.h)
-    ys[0], ys[-1] = piece.y0, piece.y1
-    return ys
-
-
 def _window_states(pieces):
     """The interior probe states and the end state of each step of a window,
     ``GUARD_PROBES + 1`` rows per step, in order, from one interpolant pass:
-    the rows of ``_probe_states(piece)[1:]``, bit for bit."""
+    each probe row has the bits of ``piece(t)`` at its time in
+    :func:`_probe_times`, and each end row is ``piece.y1``."""
     t0 = np.array([p.t0 for p in pieces])[:, None]
     h = np.array([p.h for p in pieces])[:, None]
     y0, f0, y1, f1 = (np.array(a)[:, None] for a in zip(
@@ -440,6 +436,7 @@ def _frozen_rows(sys, u):
 
 
 _HALVE = "halve"  # a step rule's verdict: retry the step at half its size
+_REPLAY = "replay"  # replay the step, and read one step at a time from it
 
 
 def _guard_rule(cert, sigma, g):
@@ -452,29 +449,28 @@ def _guard_rule(cert, sigma, g):
     size, so that the earliest root cannot be skipped.  Otherwise the step
     is cut at the guard's first zero.  The next window holds half the steps
     that the guard's rise over the last accepted step predicts to its zero,
-    at least 1 and at most ``_WINDOW_CAP``.
+    at least 1 and at most ``_WINDOW_CAP``.  A read that raises on a window
+    of several steps judges none of them and asks for a replay, since a
+    speculative step may hold states that the model rejects; on one step
+    the error is raised.
     """
     halved = 0
     rise = 0.0  # the guard's change over the last accepted step
     rows = GUARD_PROBES + 1  # a step's rows in the batch
 
-    def judge(pieces, f, f_rows):
+    def width():
+        ahead = -g / rise / 2 if rise > 0.0 else _WINDOW_CAP  # may be NaN
+        return max(1, int(min(_WINDOW_CAP, ahead)))
+
+    def rule(pieces, f, f_rows):
         nonlocal g, halved, rise
         ys = _window_states(pieces)
         try:
             batch = frozen_guard(cert, ys, f_rows(ys), sigma).tolist()
         except Exception:
-            # a speculative step may hold states that the model rejects:
-            # judge the window in halves, so that an error surfaces only on
-            # a step that one step at a time would have read
             if len(pieces) == 1:
                 raise
-            half = len(pieces) // 2
-            n, at = judge(pieces[:half], f, f_rows)
-            if at is not None:
-                return n, at
-            n, at = judge(pieces[half:], f, f_rows)
-            return half + n, at
+            return 0, _REPLAY, 1
         for i, piece in enumerate(pieces):
             gs = [g] + batch[i * rows:(i + 1) * rows]
             crossings = sum(1 for a, b in zip(gs, gs[1:])
@@ -485,7 +481,7 @@ def _guard_rule(cert, sigma, g):
             if crossings > 1 and halved < 60 and \
                     piece.h > 1e-13 * max(1.0, abs(piece.t0)):
                 halved += 1
-                return i, _HALVE
+                return i, _HALVE, width()
 
             def guard_at(tt):
                 y = piece(tt)
@@ -494,25 +490,19 @@ def _guard_rule(cert, sigma, g):
             j = next(k for k, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
             grid_t = _probe_times(piece)
             return i, locate_event(guard_at, grid_t[j], grid_t[j + 1],
-                                   gs[j], gs[j + 1])
-        return len(pieces), None
-
-    def rule(pieces, f, f_rows):
-        n, at = judge(pieces, f, f_rows)
-        ahead = -g / rise / 2 if rise > 0.0 else _WINDOW_CAP  # may be NaN
-        return n, at, max(1, int(min(_WINDOW_CAP, ahead)))
+                                   gs[j], gs[j + 1]), 1
+        return len(pieces), None, width()
 
     return rule
 
 
 def _grid_index(t, h):
-    """The largest ``j >= 0`` with ``j*h <= t``, found without stepping
-    through the grid: ``t // h`` corrected for its rounding."""
+    """The largest ``j >= 0`` with ``j*h <= t`` (``t >= 0``, ``h > 0``),
+    found without stepping through the grid: ``t // h``, the exact floor of
+    ``t/h``, already has ``j*h <= t``, but ``(j + 1)*h`` may round to ``t``."""
     j = int(t // h)
     while (j + 1) * h <= t:
         j += 1
-    while j > 0 and j * h > t:
-        j -= 1
     return j
 
 
@@ -560,7 +550,8 @@ def _check_rule(cert, policy, t_end, t_last):
             i, _ = first_non_negative(piece(np.array(times)[:, None]), f_rows)
             j = None if i is None else j_lo + i
         elif j_hi > j_lo + GUARD_PROBES:
-            i, ms = first_non_negative(_probe_states(piece), f_rows)
+            ys = np.vstack((piece.y0, _window_states([piece])))
+            i, ms = first_non_negative(ys, f_rows)
             if i == 0:
                 j = j_lo  # the margin is non-negative from the start
             elif i is not None:
@@ -587,18 +578,6 @@ def _check_rule(cert, policy, t_end, t_last):
     return rule
 
 
-def _draw(steps, width):
-    """Up to ``width`` pieces from the stepper ``steps``, and the error that
-    stopped it before then, or None."""
-    pieces = []
-    try:
-        for piece in itertools.islice(steps, width):
-            pieces.append(piece)
-    except Exception as exc:  # raised once the pieces before it are judged
-        return pieces, exc
-    return pieces, None
-
-
 def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     towards ``t_end``, filling grid rows along the way.
@@ -608,42 +587,55 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     ``f_rows`` on a batch (:func:`_frozen_rows`), and judges them in order.
     It returns ``(n, verdict, width)``: the first ``n`` steps are accepted;
     the verdict on the next is ``None`` when there is none (all were
-    accepted), ``_HALVE`` to retry it from its start at half the size, or a
-    time to cut it there; ``width`` is the size of the next window.  The
-    steps after a cut or a retry are speculative, drawn ahead of the
-    verdict, and are discarded; the stepper makes each step from the last
-    alone, so the window size never changes a result.  An error that the
-    stepper raises while a window fills is raised once the steps before it
-    are accepted.  At a cut, rows fill strictly before the cut instant, and
-    one tolerance-checked corrector integration from the step start replaces
-    the interpolant.  Returns ``(t_cut, x, fx)`` at a cut, or
-    ``(t_end, x_end, None)``.  Clock scans, with no rule, accept every step.
+    accepted), ``_HALVE`` or ``_REPLAY`` to restart the stepper at it with
+    half or all of the size the stepper gave it, or a time to cut it there;
+    ``width`` is the size of the next window.  The steps after a cut or a
+    restart are speculative, drawn ahead of the verdict, and are discarded;
+    the stepper makes each step from the last alone, so a replay makes the
+    same steps, and the window size never changes a result.  The stepper
+    raising after it drew part of a window also replays it.  After a replay
+    the scan reads one step at a time, so that an error surfaces where a
+    window of 1 meets it; an error on a window's first step is raised.  At a
+    cut, rows fill strictly before the cut instant, and one tolerance-checked
+    corrector integration from the step start replaces the interpolant.
+    Returns ``(t_cut, x, fx)`` at a cut, or ``(t_end, x_end, None)``.  Clock
+    scans, with no rule, accept every step.
     """
     f = sys.frozen(u)
     f_rows = None if cut is None else _frozen_rows(sys, u)
     steps = _steps(f, t, x, fx, t_end, cfg)
     width = 1 if cut is not None else _WINDOW_CAP
+    cap = _WINDOW_CAP
     while True:
-        pieces, held = _draw(steps, width)
-        n, at, next_width = len(pieces), None, width
-        if cut is not None and pieces:
-            n, at, next_width = cut(pieces, f, f_rows)
+        pieces = []
+        try:
+            for piece in itertools.islice(steps, width):
+                pieces.append(piece)
+        except Exception:
+            if not pieces:
+                raise
+            n, at, next_width = 0, _REPLAY, 1
+        else:
+            n, at, next_width = len(pieces), None, width
+            if cut is not None and pieces:
+                n, at, next_width = cut(pieces, f, f_rows)
         for piece in pieces[:n]:
             rec.fill_grid(piece.t1, piece, u, inclusive=True)
         if n:
             t, x, fx = pieces[n - 1].t1, pieces[n - 1].y1, pieces[n - 1].f1
-        if at is _HALVE:
-            steps = _steps(f, t, x, fx, t_end, cfg, pieces[n].h / 2.0)
+        if at is _REPLAY:
+            cap = 1
+        if at is _HALVE or at is _REPLAY:
+            h = pieces[n].h / 2.0 if at is _HALVE else pieces[n].step
+            steps = _steps(f, t, x, fx, t_end, cfg, h)
         elif at is not None:
             piece = pieces[n]
             rec.fill_grid(at, piece, u, inclusive=False)
             sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
             return at, sub.ys[-1], sub.fs[-1]
-        elif held is not None:
-            raise held
         elif len(pieces) < width:  # the stepper has reached t_end
             return t_end, x, None
-        width = next_width
+        width = min(next_width, cap)
 
 
 def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPolicy,
@@ -808,11 +800,12 @@ def run_stats(traj: Trajectory) -> RunStats:
 
 def check_rate_certificate(traj: Trajectory):
     """Verify ``V(x(t)) <= bound + slack`` at every recorded point, against
-    the run's envelope ``traj.bound``; returns ``(ok, max_excess)``."""
+    the run's envelope ``traj.bound``; returns ``(ok, max_excess)``.  A row
+    whose excess is NaN is skipped, and with no other row the excess is
+    -inf."""
     slack = RATE_SLACK * (1.0 + float(traj.v[0]))
-    worst = -math.inf
-    for vi, bi in zip(traj.v, traj.bound):
-        worst = max(worst, float(vi) - float(bi))
+    excess = traj.v - traj.bound
+    worst = float(np.max(excess, initial=-math.inf, where=~np.isnan(excess)))
     return worst <= slack, worst
 
 

@@ -14,7 +14,8 @@ match bit for bit.  :func:`locate_event_reference` keeps the engine's former
 bisection, against which the Illinois localization is compared, and
 :func:`frozen_guard_reference` and :func:`predicate_margin_reference` keep
 the one-state reads of the guard and the margin, which the batched reads
-must match bit for bit.
+must match bit for bit, and :func:`rate_excess_reference` the row loop of
+the rate certificate's check.
 """
 
 import math
@@ -224,6 +225,16 @@ def predicate_margin_reference(cert, big_m, x, fx, sigma_tilde, k_big):
     fn = float(np.linalg.norm(fx))
     return max(w + sigma_tilde * cert.rate(cert.v(x)),
                float(np.linalg.norm(g)) * fn + fn ** 2 - k_big * big_m * abs(w))
+
+
+def rate_excess_reference(v, bound):
+    """The largest ``V - bound`` over the recorded rows, as the engine found
+    it row by row before the check became one array pass: a running
+    ``max()`` from -inf, which a NaN row leaves as it is."""
+    worst = -math.inf
+    for vi, bi in zip(v, bound):
+        worst = max(worst, float(vi) - float(bi))
+    return worst
 
 
 def periodic_checks_reference(sys, cert, policy, x0, config):

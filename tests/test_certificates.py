@@ -12,10 +12,12 @@ from clfetc import (CertificateConstants, ClfCertificate, ControlSystem,
                     estimate_big_m, estimate_constants, estimate_kappa,
                     estimate_nu, estimate_rho, sample_in_region)
 from clfetc import certificates
-from clfetc.certificates import SOBOL_BITS, SOBOL_MAX_DIM, _SobolStream
+from clfetc.certificates import (BOX_INFLATE, SOBOL_BITS, SOBOL_MAX_DIM,
+                                 _SobolStream)
 from clfetc.cli import _jsonable
 from clfetc.errors import DimensionMismatchError
-from oracles import acc_frozen_matrices, grid_pairwise_lipschitz, grid_ratio_max
+from oracles import (acc_frozen_matrices, bound_sublevel_box_reference,
+                     grid_pairwise_lipschitz, grid_ratio_max)
 
 SQRT_E = math.sqrt(math.e)
 
@@ -82,6 +84,31 @@ class TestBoundSublevelBox:
         anchor = np.array([10.0, 0.0, 0.0])  # V = 50
         region = bound_sublevel_box(cert, anchor)
         np.testing.assert_allclose(region.hi, 10.0 * 1.05, rtol=1e-6)
+
+    @pytest.mark.parametrize("r", [2.0, 4.0])
+    def test_widening_covers_a_tilted_ellipse(self, r):
+        # V = x'Px/2 with P = R diag(1, r) R', R a quarter-pi rotation: the
+        # axis rays meet the ellipse inside its extent along each axis, and
+        # the sampled widening must reach the half-widths sqrt(2 level Pinv_ii)
+        rot = np.array([[1.0, -1.0], [1.0, 1.0]]) * math.sqrt(0.5)
+        p = rot @ np.diag([1.0, r]) @ rot.T
+        cert = ClfCertificate(
+            value=lambda x: 0.5 * (p[0, 0] * x[..., 0] ** 2
+                                   + 2.0 * p[0, 1] * x[..., 0] * x[..., 1]
+                                   + p[1, 1] * x[..., 1] ** 2),
+            gradient=lambda x: np.asarray(x, dtype=float) @ p,
+            rate=RateFunction.linear(1.0),
+            feedback=lambda x: -np.asarray(x, dtype=float),
+        )
+        anchor = np.array([1.0, 0.0])
+        region = bound_sublevel_box(cert, anchor)
+        half = np.sqrt(2.0 * region.level * np.diag(np.linalg.inv(p)))
+        rays = np.sqrt(2.0 * region.level / np.diag(p)) * (1.0 + BOX_INFLATE)
+        assert np.all(rays < half)  # the rays' box alone would miss the ends
+        assert np.all(region.lo <= -half) and np.all(region.hi >= half)
+        ref = bound_sublevel_box_reference(cert, anchor)
+        assert region.lo.tobytes() == ref.lo.tobytes()
+        assert region.hi.tobytes() == ref.hi.tobytes()
 
     def test_properness_violation(self):
         # V ignores the second coordinate: the ray search can never exit

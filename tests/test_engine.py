@@ -16,13 +16,12 @@ from clfetc import (BlowupError, ClfCertificate, ControlSystem,
 from clfetc import engine
 from clfetc.cli import _model_and_x0, load_config
 from clfetc.core import rowwise
-from clfetc.engine import (_Hermite, _probe_states, _probe_times,
-                           _window_states, read_event_times_csv,
-                           stats_from_event_times)
+from clfetc.engine import (_Hermite, _probe_times, _window_states,
+                           read_event_times_csv, stats_from_event_times)
 from clfetc.triggers import predicate_margin
 from oracles import (acc_event_times, acc_frozen_matrices, acc_periodic_checks,
                      affine_flow, locate_event_reference,
-                     periodic_checks_reference)
+                     periodic_checks_reference, rate_excess_reference)
 
 
 class TestIntegrateFrozen:
@@ -130,7 +129,7 @@ class TestHermite:
     def test_window_pass_equals_the_probe_states(self, dim):
         # the event rule reads the probes of a window of consecutive steps
         # in one interpolant pass; each row must keep the bits of its step's
-        # own probe states
+        # own interpolant at the probe time, and each end row the step's end
         rng = np.random.default_rng(dim)
         for width in range(1, engine._WINDOW_CAP + 1):
             pieces, t = [], float(rng.uniform(-100.0, 100.0))
@@ -139,7 +138,8 @@ class TestHermite:
                 y0, f0, y1, f1 = rng.normal(size=(4, dim)) * 10.0 ** rng.uniform(-3, 3)
                 pieces.append(_Hermite(t, y0, f0, t + h, y1, f1))
                 t += h
-            rows = np.concatenate([_probe_states(p)[1:] for p in pieces])
+            rows = np.array([row for p in pieces for row in
+                             [p(tp) for tp in _probe_times(p)[1:-1]] + [p.y1]])
             window = _window_states(pieces)
             assert window.shape == rows.shape == (width * (engine.GUARD_PROBES + 1), dim)
             assert window.tobytes() == rows.tobytes()
@@ -288,12 +288,15 @@ def _crossing_before_blowup_loop():
     return sysm, cert, x0, EventTriggered(sigma=0.5), cfg, t_cross
 
 
-def _guard_undefined_past_a_crossing_loop():
-    """A unit-speed clock under a guard that is -0.25 before t = 2, 0.75
-    after it, and whose gradient raises :class:`DomainError` past t = 2.15,
-    with steps of 0.1.  Returns ``(system, certificate, x0, policy, config,
-    gradient_errors)``; the last list gets one entry per error raised."""
-    sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
+def _guard_undefined_past_a_crossing_loop(wobble=0.0, max_step=0.1):
+    """A clock of speed ``1 + sin(wobble*c)/2`` at its reading c, under a
+    guard that is -0.25 before c = 2, 0.75 after it, and whose gradient
+    raises :class:`DomainError` past c = 2.15.  The defaults give a
+    unit-speed clock with steps of 0.1.  Returns ``(system, certificate,
+    x0, policy, config, gradient_errors)``; the last list gets one entry per
+    error raised."""
+    sysm = ControlSystem(2, 1, rhs=rowwise(
+        lambda x, u: np.array([0.0, 1.0 + 0.5 * math.sin(wobble * x[1])])))
     errors = []
 
     def gradient(x):
@@ -306,7 +309,7 @@ def _guard_undefined_past_a_crossing_loop():
                           gradient=rowwise(gradient),
                           rate=RateFunction.linear(1.0),
                           feedback=rowwise(lambda x: np.zeros(1)))
-    cfg = IntegratorConfig(horizon=10.0, max_step=0.1, max_events=2)
+    cfg = IntegratorConfig(horizon=10.0, max_step=max_step, max_events=2)
     return sysm, cert, np.array([1.0, 0.0]), EventTriggered(sigma=0.5), cfg, errors
 
 
@@ -679,7 +682,8 @@ class TestWindowCap:
 
     def test_a_crossing_wins_over_a_later_blowup(self, monkeypatch):
         # the stepper raises BlowupError while it fills the window that holds
-        # the crossing; the error waits, and the crossing ends the scan
+        # the crossing; the window is replayed one step at a time, and the
+        # crossing ends the scan before the error comes back
         sysm, cert, x0, policy, cfg, t_cross = _crossing_before_blowup_loop()
         steps, cap, raised = engine._steps, engine._WINDOW_CAP, []
 
@@ -700,8 +704,8 @@ class TestWindowCap:
 
     def test_a_crossing_wins_over_a_later_guard_error(self, monkeypatch):
         # the windowed run reads the guard on steps past the crossing, where
-        # the model raises; those steps are read again in smaller windows,
-        # and the crossing ends the scan as one step at a time would
+        # the model raises; the window is replayed one step at a time, and
+        # the crossing ends the scan as one step at a time would
         sysm, cert, x0, policy, cfg, errors = _guard_undefined_past_a_crossing_loop()
         a = run_closed_loop(sysm, cert, policy, x0, cfg)
         assert errors
@@ -712,6 +716,28 @@ class TestWindowCap:
         assert _run_record(a) == _run_record(b)
         assert a.termination == "event_cap"
         assert a.events[1].time == pytest.approx(2.0, abs=1e-12)
+
+    def test_a_replay_remakes_each_step_at_the_size_it_was_given(self, monkeypatch):
+        # error control sets the steps of a clock of varying speed; the
+        # windowed read past the crossing raises, and the window is replayed
+        # from a step whose size ``t1 - t0`` does not give back
+        sysm, cert, x0, policy, cfg, errors = _guard_undefined_past_a_crossing_loop(
+            wobble=5.0, max_step=1.0)
+        steps, restarts = engine._steps, []
+
+        def watched(f, t, y, f0, t_end, config, h=None):
+            if h is not None:
+                restarts.append((t, h))
+            yield from steps(f, t, y, f0, t_end, config, h)
+
+        monkeypatch.setattr(engine, "_steps", watched)
+        a, b = self._both(monkeypatch, sysm, cert, policy, x0, cfg)
+        assert _run_record(a) == _run_record(b)
+        assert len(restarts) == 1 and len(errors) == 1  # the windowed run's
+        t, h = restarts[0]
+        assert (t + h) - t != h
+        assert a.termination == "event_cap"
+        assert a.events[1].state[1] == pytest.approx(2.0, abs=1e-6)
 
 
 def _periodic(model, x0, h, k_big=2.0):
@@ -803,6 +829,17 @@ class TestPeriodicScan:
         assert traj.events[1].reason == "predicate_false"
         assert traj.events[1].time == t_grid == times[1]
 
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.floats(1e-6, 1e3), t=st.floats(0.0, 1e6),
+           m=st.integers(0, 10**6), on_grid=st.booleans())
+    def test_grid_index_is_the_last_grid_point_at_or_before_t(self, h, t, m, on_grid):
+        if on_grid:
+            t = m * h  # a grid point, as the rounded product gives it
+        j = engine._grid_index(t, h)
+        assert j >= 0 and j * h <= t < (j + 1) * h
+        if on_grid:
+            assert j >= m
+
 
 class TestHorizonSlack:
     @pytest.mark.parametrize("scale, fires", [(1.0 + 5e-13, True),
@@ -823,6 +860,37 @@ class TestHorizonSlack:
             assert fired == ([(5.0, reason)] if fires else [])
             assert traj.termination == "horizon"
             assert traj.t[-1] == 5.0
+
+
+class TestRateCertificate:
+    @staticmethod
+    def _bits(x):
+        return float(x).hex()
+
+    @pytest.mark.parametrize("preset", ["relay1d", "zeno_polar", "homog2d",
+                                        "acc_case1", "acc_case2"])
+    def test_excess_equals_the_row_loop(self, preset):
+        cfg = load_config(preset)
+        model, x0 = _model_and_x0(cfg)
+        traj = run_closed_loop(model.system, model.certificate,
+                               EventTriggered(sigma=cfg.sigma), x0,
+                               IntegratorConfig(horizon=cfg.horizon, **cfg.integrator))
+        _, excess = check_rate_certificate(traj)
+        assert self._bits(excess) == self._bits(rate_excess_reference(traj.v, traj.bound))
+
+    def test_nan_rows_are_skipped_as_the_row_loop_skips_them(self, homog):
+        traj = run_closed_loop(homog.system, homog.certificate,
+                               EventTriggered(sigma=0.9), homog.default_x0,
+                               IntegratorConfig(horizon=10.0, output_points=11))
+        v, bound = traj.v.copy(), traj.bound.copy()
+        v[3], bound[5] = np.nan, np.nan
+        v[7] = bound[7] + 1.0  # the worst row that is a number
+        ok, excess = check_rate_certificate(replace(traj, v=v, bound=bound))
+        assert not ok
+        assert self._bits(excess) == self._bits(rate_excess_reference(v, bound))
+        nan = np.full_like(v, np.nan)
+        _, excess = check_rate_certificate(replace(traj, v=nan))
+        assert excess == rate_excess_reference(nan, bound) == -math.inf
 
 
 class TestRunStats:
