@@ -5,9 +5,10 @@ and the combined constant derived from the first two.
 
 All estimators are sample-certified, not proof-certified: suprema over a
 compact sublevel set are approximated by the maximum over a low-discrepancy
-sample, inflated by a configurable safety factor (default 1.25).  Identical
-seeds give bitwise-identical estimates, and adding samples can only grow an
-estimate.
+sample, inflated by a configurable safety factor (default 1.25).  The two
+Lipschitz constants are the largest finite-difference Jacobian norm at the
+sample points.  Identical seeds give bitwise-identical estimates, and adding
+samples can only grow an estimate.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .core import (ClfCertificate, ControlSystem, _as_points, _as_vector,
-                   _norms, finite_difference_jacobian, velocity_ratio)
-from .errors import (ConfigurationError, DimensionMismatchError, DomainError,
-                     NonDegeneracyError, PropernessError)
+                   _check_rows, finite_difference_jacobian, velocity_ratio)
+from .errors import (ConfigurationError, DomainError, NonDegeneracyError,
+                     PropernessError)
 
 __all__ = [
     "SublevelRegion",
@@ -336,56 +337,29 @@ def sample_in_region(cert: ClfCertificate, region: SublevelRegion, n: int,
 # Lipschitz-type estimators
 
 
-def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
-                        pts, seed: int, safety: float, constant: str) -> EstimateReport:
-    """Sampled Lipschitz bound of ``map_fn`` on the sample ``pts``, which is
-    checked once, on entry.  ``map_fn`` acts on the last axis and must map an
-    ``(k, d)`` batch of states to ``(k, d)``; each result's shape is checked.
+def _lipschitz_estimate(map_fn, pts, d: int, seed: int, safety: float,
+                        constant: str) -> EstimateReport:
+    """Sampled Lipschitz bound of ``map_fn``: the largest spectral norm of
+    the finite-difference Jacobians at the points of ``pts``, a sample of
+    ``d``-vectors checked once, on entry; its first point is the
+    ``argmax_point``.  ``map_fn`` acts on the last axis and must map a
+    ``(k, d)`` batch to ``(k, d)``; each result's shape is checked.
 
-    The candidates are difference quotients over independent pairs of the
-    sample, over small perturbations of each point that stay in the set,
-    and the spectral norms of finite-difference Jacobians at each point, in
-    that order.  The largest positive one is the estimate, and its first
-    point in that order is the ``argmax_point``."""
-    pts = _as_points(pts, region.dim, "sample")
+    A difference quotient over a chord is at most the largest Jacobian norm
+    along it, for a locally Lipschitz map, so no pair quotient is taken.
+    Nothing random is drawn: ``seed`` names the sample's seed in the report."""
+    pts = _as_points(pts, d, "sample")
     n = len(pts)
     if n < 2:
         raise DomainError("Lipschitz estimation needs n >= 2")
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n, region.dim))
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0] = 1.0
-    dirs /= norms[:, None]
 
     def fn(xs):
-        out = np.asarray(map_fn(xs), dtype=float)
-        if out.shape != xs.shape:
-            raise DimensionMismatchError(
-                f"the map behind {constant} returned shape {out.shape} on states "
-                f"of shape {xs.shape}; each value must have shape ({region.dim},)")
-        return out
+        return _check_rows(f"the map behind {constant}",
+                           np.asarray(map_fn(xs), dtype=float), xs.shape)
 
-    vals = fn(pts)
-    # independent pairs from the sample stream
-    dx = _norms(pts[1::2] - pts[:n - 1:2])
-    pairs = np.divide(_norms(vals[1::2] - vals[:n - 1:2]), dx,
-                      out=np.full(dx.shape, -np.inf), where=dx > 0)
-    quotients, points = [pairs], [pts[:n - 1:2]]
-    # perturbation pairs: the supremum is often attained at small separation
-    for eps in (1e-4, 1e-2):
-        step = eps * region.box_scale
-        q = pts + step * dirs
-        keep = ~(cert.levels(q) > region.level)
-        quotients.append(_norms(fn(q[keep]) - vals[keep]) / step)
-        points.append(pts[keep])
-    # finite-difference Jacobian spectral norms at the sample points
-    quotients.append(np.linalg.norm(finite_difference_jacobian(fn, pts), 2, axis=(1, 2)))
-    points.append(pts)
-
-    quotients = np.concatenate(quotients)
-    k = int(np.argmax(np.where(np.isnan(quotients), -np.inf, quotients)))
-    best, best_point = ((float(quotients[k]), np.concatenate(points)[k])
-                        if quotients[k] > 0.0 else (0.0, pts[0]))
+    norms = np.linalg.norm(finite_difference_jacobian(fn, pts), 2, axis=(1, 2))
+    k = int(np.argmax(np.where(np.isnan(norms), -np.inf, norms)))
+    best, best_point = (float(norms[k]), pts[k]) if norms[k] > 0.0 else (0.0, pts[0])
     return EstimateReport(constant=constant, value=safety * best, n_samples=n,
                           safety_factor=safety,
                           argmax_point=tuple(best_point.tolist()), seed=seed)
@@ -394,7 +368,8 @@ def _lipschitz_estimate(map_fn, cert: ClfCertificate, region: SublevelRegion,
 def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelRegion,
                    pts, seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
     """Lipschitz constant of ``x -> F(x, U(anchor))`` over the region, on
-    the sample ``pts``; ``seed`` seeds the perturbation directions.
+    the sample ``pts`` (see :func:`_lipschitz_estimate`); ``seed`` is the
+    sample's seed, recorded in the report.
 
     The control is frozen at the anchor's feedback value throughout, checked
     once, before the first field evaluation, and repeated on every row of
@@ -405,14 +380,15 @@ def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
     def held(xs):
         return sys.rhs(xs, np.broadcast_to(u_star, xs.shape[:-1] + u_star.shape))
 
-    return _lipschitz_estimate(held, cert, region, pts, seed, safety, "kappa")
+    return _lipschitz_estimate(held, pts, region.dim, seed, safety, "kappa")
 
 
 def estimate_nu(cert: ClfCertificate, region: SublevelRegion, pts,
                 seed: int = 0, safety: float = DEFAULT_SAFETY) -> EstimateReport:
     """Lipschitz constant of the CLF gradient over the region, on the sample
-    ``pts``; ``seed`` seeds the perturbation directions."""
-    return _lipschitz_estimate(cert.grad, cert, region, pts, seed, safety, "nu")
+    ``pts`` (see :func:`_lipschitz_estimate`); ``seed`` is the sample's
+    seed, recorded in the report."""
+    return _lipschitz_estimate(cert.grad, pts, region.dim, seed, safety, "nu")
 
 
 def _closed_loop_ratios(sys: ControlSystem, cert: ClfCertificate, xs) -> np.ndarray:

@@ -423,13 +423,9 @@ def _frozen_rows(sys, u):
     """The frozen field on a batch of states, with the control ``u``
     repeated once for every row; it checks the shape of each result, not the
     states."""
-    us = u[None, :]
 
     def f_rows(ys):
-        nonlocal us
-        if len(us) < len(ys):
-            us = np.repeat(u[None, :], len(ys), axis=0)
-        out = np.asarray(sys.rhs(ys, us[:len(ys)]), dtype=float)
+        out = np.asarray(sys.rhs(ys, np.broadcast_to(u, (len(ys), u.size))), dtype=float)
         return _check_rows("rhs", out, ys.shape)
 
     return f_rows

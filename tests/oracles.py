@@ -477,6 +477,11 @@ def finite_difference_jacobian_reference(f, x):
 
 
 def lipschitz_reference(map_fn, cert, region, n, seed, safety, constant):
+    """The per-point loop that ``_lipschitz_estimate`` replaced, with its
+    three candidate families: quotients over pairs of the sample, over
+    perturbations of each point, and Jacobian norms.  It keeps the first
+    two, which the estimator no longer takes, so that the batched estimator
+    is still compared bit for bit with the one that took all three."""
     pts = sample_in_region_reference(cert, region, n, seed=seed)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, region.dim))
@@ -513,6 +518,31 @@ def lipschitz_reference(map_fn, cert, region, n, seed, safety, constant):
     return EstimateReport(constant=constant, value=safety * best, n_samples=n,
                           safety_factor=safety,
                           argmax_point=tuple(float(c) for c in best_point), seed=seed)
+
+
+def dropped_lipschitz_candidates(map_fn, cert, region, pts, seed):
+    """The largest candidate of the two families that ``_lipschitz_estimate``
+    no longer takes, before the safety factor, computed as it computed them:
+    quotients over independent pairs of the sample ``pts``, and over the
+    perturbations of each point by 1e-4 and 1e-2 of the box along unit
+    directions drawn from ``standard_normal`` with ``seed``, where the
+    perturbed point stays in the sublevel set."""
+    n, d = pts.shape
+    dirs = np.random.default_rng(seed).standard_normal((n, d))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0] = 1.0
+    dirs /= norms[:, None]
+    vals = np.asarray(map_fn(pts), dtype=float)
+    dx = np.linalg.norm(pts[1::2] - pts[:n - 1:2], axis=1)
+    df = np.linalg.norm(vals[1::2] - vals[:n - 1:2], axis=1)
+    quotients = [df[dx > 0] / dx[dx > 0]]
+    for eps in (1e-4, 1e-2):
+        step = eps * region.box_scale
+        q = pts + step * dirs
+        keep = ~(cert.levels(q) > region.level)
+        fq = np.asarray(map_fn(q[keep]), dtype=float)
+        quotients.append(np.linalg.norm(fq - vals[keep], axis=1) / step)
+    return float(np.max(np.concatenate(quotients)))
 
 
 def kappa_reference(sys, cert, region, n, seed=0, safety=1.25):

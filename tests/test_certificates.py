@@ -159,6 +159,27 @@ class TestEstimateKappa:
         rep = estimate_kappa(relay.system, relay.certificate, region, pts, seed=0)
         assert rep.value == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kinked_field_reaches_its_steeper_piece(self, seed):
+        # a continuous, piecewise-linear field with a kink on x1 = 0: the
+        # Jacobian norms at the sample points find the steeper piece, on
+        # which a sample point lies, so the quotients over pairs and
+        # perturbations, which cross the kink, cannot exceed it
+        steep = np.array([[2.0, -1.0], [1.0, -1.0]])
+        flat = np.array([[1.0, -1.0], [1.0, -1.0]])
+        norm = float(np.linalg.norm(steep, 2))
+        assert norm > float(np.linalg.norm(flat, 2))
+        sys = ControlSystem(2, 1, rhs=lambda x, u: np.stack(
+            [np.where(x[..., 0] > 0, 2.0 * x[..., 0], x[..., 0]) - x[..., 1] + u[..., 0],
+             x[..., 0] - x[..., 1]], axis=-1))
+        cert = replace(quad_cert(), feedback=lambda x: -np.asarray(x, dtype=float)[..., :1])
+        region = bound_sublevel_box(cert, np.array([1.0, 0.5]), seed=seed)
+        for n in (64, 192, 1024):
+            pts = sample_in_region(cert, region, n, seed=seed)
+            rep = estimate_kappa(sys, cert, region, pts, seed=seed)
+            assert rep.value == pytest.approx(1.25 * norm, rel=1e-9), (seed, n)
+            assert rep.argmax_point[0] > 0.0, (seed, n)
+
     def test_needs_two_samples(self, acc):
         region = bound_sublevel_box(acc.certificate, np.array([1.0, 0.0, 0.0]))
         pts = sample_in_region(acc.certificate, region, 1, seed=0)

@@ -829,3 +829,35 @@ def test_presets_run_without_scipy(tmp_path):
     assert report["schema"] == []
     rate = RateFunction.custom(lambda v: 2.0 + math.sin(v))
     assert report["gamma_big"] == EnergyTimeMap(rate).gamma_big(7.5)
+
+
+# run in a fresh interpreter: verify at 2**18 samples, then the peak RSS of
+# this process alone, in MB
+VERIFY_RSS_CODE = """
+import json, os, resource, sys
+import clfetc.cli
+out = sys.argv[1]
+with open(os.path.join(os.path.dirname(clfetc.cli.__file__), "presets", "acc_case1.json")) as fh:
+    cfg = json.load(fh)
+cfg["estimation"] = {"n_samples": 2**18}
+path = os.path.join(out, "big.json")
+with open(path, "w") as fh:
+    json.dump(cfg, fh)
+assert clfetc.cli.main(["verify", "--config", path, "--out", out]) == 0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+def test_verify_memory_at_two_to_the_18_samples(tmp_path):
+    # the audits hold the sample and its (n, d, d) finite-difference
+    # Jacobians at once, about 165 MB at the peak on acc_case1
+    src = str(Path(clfetc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", VERIFY_RSS_CODE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = float(proc.stdout.splitlines()[-1])
+    assert peak_mb < 185.0, peak_mb
