@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ClfCertificate, ControlSystem, _as_points, _as_vector,
-                   _check_rows, finite_difference_jacobian, velocity_ratio)
+                   finite_difference_jacobian, velocity_ratio)
 from .errors import (ConfigurationError, DomainError, NonDegeneracyError,
                      PropernessError)
 
@@ -342,8 +342,9 @@ def _lipschitz_estimate(map_fn, pts, d: int, seed: int, safety: float,
     """Sampled Lipschitz bound of ``map_fn``: the largest spectral norm of
     the finite-difference Jacobians at the points of ``pts``, a sample of
     ``d``-vectors checked once, on entry; its first point is the
-    ``argmax_point``.  ``map_fn`` acts on the last axis and must map a
-    ``(k, d)`` batch to ``(k, d)``; each result's shape is checked.
+    ``argmax_point``.  ``map_fn`` is the frozen field or the gradient: it
+    acts on the last axis, maps a ``(k, d)`` batch to ``(k, d)``, and
+    checks its result's shape itself.
 
     A difference quotient over a chord is at most the largest Jacobian norm
     along it, for a locally Lipschitz map, so no pair quotient is taken.
@@ -352,12 +353,7 @@ def _lipschitz_estimate(map_fn, pts, d: int, seed: int, safety: float,
     n = len(pts)
     if n < 2:
         raise DomainError("Lipschitz estimation needs n >= 2")
-
-    def fn(xs):
-        return _check_rows(f"the map behind {constant}",
-                           np.asarray(map_fn(xs), dtype=float), xs.shape)
-
-    norms = np.linalg.norm(finite_difference_jacobian(fn, pts), 2, axis=(1, 2))
+    norms = np.linalg.norm(finite_difference_jacobian(map_fn, pts), 2, axis=(1, 2))
     k = int(np.argmax(np.where(np.isnan(norms), -np.inf, norms)))
     best, best_point = (float(norms[k]), pts[k]) if norms[k] > 0.0 else (0.0, pts[0])
     return EstimateReport(constant=constant, value=safety * best, n_samples=n,
@@ -372,15 +368,12 @@ def estimate_kappa(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
     sample's seed, recorded in the report.
 
     The control is frozen at the anchor's feedback value throughout, checked
-    once, before the first field evaluation, and repeated on every row of
-    each batch of states.
+    once, before the first field evaluation; :meth:`ControlSystem.frozen`
+    repeats it on every row of each batch of states.
     """
     u_star = _as_vector(cert.u(region.anchor), sys.input_dim, "control")
-
-    def held(xs):
-        return sys.rhs(xs, np.broadcast_to(u_star, xs.shape[:-1] + u_star.shape))
-
-    return _lipschitz_estimate(held, pts, region.dim, seed, safety, "kappa")
+    return _lipschitz_estimate(sys.frozen(u_star), pts, region.dim, seed, safety,
+                               "kappa")
 
 
 def estimate_nu(cert: ClfCertificate, region: SublevelRegion, pts,

@@ -105,10 +105,11 @@ class ControlSystem:
     by row with the same bits.  Both the simulator (a step's guard probes,
     the recorded ``W``) and the audits (``verify``, ``dwell``, derived
     policies) call it on batches; :func:`rowwise` lifts a function of one
-    state.  ``rhs`` must be deterministic, bit for bit.  :meth:`f` is the
-    checked entry; :meth:`frozen` checks nothing.  A pass checks each point,
-    or each held control, once where it enters, and its loops then evaluate
-    the unchecked field.
+    state.  ``rhs`` must be deterministic, bit for bit.  :meth:`f` checks
+    the states, the controls and the result; :meth:`frozen` checks the
+    result's shape on a batch and nothing on one state.  A pass checks each
+    point, or each held control, once where it enters, and its loops then
+    evaluate the frozen field.
     """
 
     state_dim: int
@@ -129,8 +130,20 @@ class ControlSystem:
         return _check_rows("rhs", np.asarray(self.rhs(x, u), dtype=float), x.shape)
 
     def frozen(self, u) -> Callable[[np.ndarray], np.ndarray]:
-        """The field ``y -> F(y, u)`` with the control held; unchecked."""
-        return lambda y: np.asarray(self.rhs(y, u), dtype=float)
+        """The field ``y -> F(y, u)`` with the control ``u`` held.  On one
+        state ``(d,)`` it checks nothing: it is the stepper's hot path.  On
+        an ``(n, d)`` batch it repeats ``u`` on every row and checks the
+        result's shape."""
+        rhs, u = self.rhs, np.asarray(u, dtype=float)
+        row = u[None, :]
+
+        def field(y):
+            if y.ndim == 1:
+                return np.asarray(rhs(y, u), dtype=float)
+            return _check_rows("rhs", np.asarray(rhs(y, row.repeat(len(y), 0)),
+                                                 dtype=float), y.shape)
+
+        return field
 
 
 @dataclass(frozen=True)
@@ -353,7 +366,7 @@ class ClfCertificate:
     the audits (``verify``, ``dwell``, derived policies) call all three on
     batches.  :func:`rowwise` lifts a function of one state.  ``rate``
     takes one level; :meth:`RateFunction.at_levels` maps it over an array.
-    :meth:`levels` checks the shape of what it returns.
+    :meth:`levels` and :meth:`grad` check the shape of what they return.
     """
 
     value: Callable[[np.ndarray], float]
@@ -376,7 +389,11 @@ class ClfCertificate:
                            xs.shape[:-1])
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
+        """``V'`` at one state ``(d,)``, or at each row of an ``(n, d)``
+        batch, with the same shape as ``x``."""
+        x = np.asarray(x, dtype=float)
+        return _check_rows("gradient", np.asarray(self.gradient(x), dtype=float),
+                           x.shape)
 
     def u(self, x) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.feedback(np.asarray(x, dtype=float)), dtype=float))
@@ -439,8 +456,7 @@ def verify_clf_pointwise(cert: ClfCertificate, sys: ControlSystem,
     v = cert.levels(samples)
     live = np.flatnonzero(~(v <= EQ_ABS_FLOOR))
     xs = samples[live]
-    g = _check_rows("gradient", cert.grad(xs), xs.shape)
-    w = np.vecdot(g, sys.f(xs, cert.u(xs)))
+    w = np.vecdot(cert.grad(xs), sys.f(xs, cert.u(xs)))
     margin = cert.rate.at_levels(v[live]) + w
     bad = margin > CLF_CHECK_REL_TOL * (1.0 + np.abs(w))
     return ClfCheckReport(

@@ -14,11 +14,13 @@ The scan hands the rule a *window* of consecutive accepted steps, drawn
 ahead before any of them is judged; the stepper makes each step from the
 previous one alone, so no verdict can change the steps before it.  The
 event rule reads the guard probes of the whole window in one batch, then
-judges its steps in order, as one at a time would.  Steps drawn after the
-first cut or restart are speculative and are discarded.  A restart starts
-the stepper again at the first step not accepted, at half its size (a
-retry) or at its own (a replay).  A window whose drawing or reading raises
-is replayed, and the scan goes on one step at a time, so that an error
+judges its steps in order, as one at a time would.  Every rule reads one
+field, :meth:`~clfetc.core.ControlSystem.frozen`, on one state or a batch;
+it checks the shape of each batch's result.  Steps drawn after the first
+cut or restart are speculative and are discarded.  A restart starts the
+stepper again at the first step not accepted, at half its size (a retry)
+or at its own (a replay).  A window whose drawing or reading raises is
+replayed, and the scan goes on one step at a time, so that an error
 surfaces where a window of 1 meets it.  The event rule sizes its next window
 from the guard's trend, from 1 to ``_WINDOW_CAP`` steps; the periodic rule
 reads one step at a time.  The window size changes how fast a run goes,
@@ -34,8 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (ClfCertificate, ControlSystem, _as_points, _as_vector,
-                   _check_rows)
+from .core import ClfCertificate, ControlSystem, _as_points, _as_vector
 from .errors import BlowupError, DomainError, IntegrationError
 from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
                        equilibrium_threshold, frozen_guard, predicate_margin,
@@ -261,8 +262,8 @@ def integrate_frozen(sys: ControlSystem, x0, u, t_span,
         raise DomainError("t_span must be increasing")
     x0 = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
-    f = sys.frozen(u)
     ts, ys, fs = [t0], [x0], [sys.f(x0, u)]  # dimensions validated once
+    f = sys.frozen(u)
     for piece in _steps(f, t0, x0, fs[0], t1, config):
         ts.append(piece.t1)
         ys.append(piece.y1)
@@ -382,8 +383,7 @@ class _Recorder:
         x = _as_points(self.rows_x, self.sys.state_dim, "state")
         u = _as_points(self.rows_u, self.sys.input_dim, "control")
         v = self.cert.levels(x)
-        g = _check_rows("gradient", self.cert.grad(x), x.shape)
-        w = np.vecdot(g, self.sys.f(x, u))
+        w = np.vecdot(self.cert.grad(x), self.sys.f(x, u))
         v0 = float(v[0])
         bound = np.array([self.cert.energy_map.bound_after(v0, float(ti), sigma)
                           for ti in t])
@@ -419,18 +419,6 @@ def _window_states(pieces):
     return ys.reshape(-1, ys.shape[-1])
 
 
-def _frozen_rows(sys, u):
-    """The frozen field on a batch of states, with the control ``u``
-    repeated once for every row; it checks the shape of each result, not the
-    states."""
-
-    def f_rows(ys):
-        out = np.asarray(sys.rhs(ys, np.broadcast_to(u, (len(ys), u.size))), dtype=float)
-        return _check_rows("rhs", out, ys.shape)
-
-    return f_rows
-
-
 _HALVE = "halve"  # a step rule's verdict: retry the step at half its size
 _REPLAY = "replay"  # replay the step, and read one step at a time from it
 
@@ -458,11 +446,11 @@ def _guard_rule(cert, sigma, g):
         ahead = -g / rise / 2 if rise > 0.0 else _WINDOW_CAP  # may be NaN
         return max(1, int(min(_WINDOW_CAP, ahead)))
 
-    def rule(pieces, f, f_rows):
+    def rule(pieces, f):
         nonlocal g, halved, rise
         ys = _window_states(pieces)
         try:
-            batch = frozen_guard(cert, ys, f_rows(ys), sigma).tolist()
+            batch = frozen_guard(cert, ys, f(ys), sigma).tolist()
         except Exception:
             if len(pieces) == 1:
                 raise
@@ -527,11 +515,11 @@ def _check_rule(cert, policy, t_end, t_last):
         return predicate_margin(cert, policy.big_m, y, fy,
                                 policy.sigma_tilde, policy.k_big)
 
-    def first_non_negative(ys, f_rows):
-        ms = margin(ys, f_rows(ys)).tolist()
+    def first_non_negative(ys, f):
+        ms = margin(ys, f(ys)).tolist()
         return next((i for i, m in enumerate(ms) if not m < 0.0), None), ms
 
-    def judge(piece, f, f_rows):
+    def judge(piece, f):
         nonlocal k
 
         def margin_at(tt):
@@ -543,11 +531,11 @@ def _check_rule(cert, policy, t_end, t_last):
         j = None
         if j_lo <= j_hi <= j_lo + GUARD_PROBES:
             times = [check_time(i) for i in range(j_lo, j_hi + 1)]
-            i, _ = first_non_negative(piece(np.array(times)[:, None]), f_rows)
+            i, _ = first_non_negative(piece(np.array(times)[:, None]), f)
             j = None if i is None else j_lo + i
         elif j_hi > j_lo + GUARD_PROBES:
             ys = np.vstack((piece.y0, _window_states([piece])))
-            i, ms = first_non_negative(ys, f_rows)
+            i, ms = first_non_negative(ys, f)
             if i == 0:
                 j = j_lo  # the margin is non-negative from the start
             elif i is not None:
@@ -564,9 +552,9 @@ def _check_rule(cert, policy, t_end, t_last):
         k = j
         return check_time(j)
 
-    def rule(pieces, f, f_rows):
+    def rule(pieces, f):
         for i, piece in enumerate(pieces):
-            at = judge(piece, f, f_rows)
+            at = judge(piece, f)
             if at is not None:
                 return i, at, 1
         return len(pieces), None, 1
@@ -578,14 +566,14 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     towards ``t_end``, filling grid rows along the way.
 
-    ``cut(pieces, f, f_rows)``, the policy's step rule, reads a window of
-    consecutive accepted steps with the frozen field ``f`` on one state and
-    ``f_rows`` on a batch (:func:`_frozen_rows`), and judges them in order.
-    It returns ``(n, verdict, width)``: the first ``n`` steps are accepted;
-    the verdict on the next is ``None`` when there is none (all were
-    accepted), ``_HALVE`` or ``_REPLAY`` to restart the stepper at it with
-    half or all of the size the stepper gave it, or a time to cut it there;
-    ``width`` is the size of the next window.  The steps after a cut or a
+    ``cut(pieces, f)``, the policy's step rule, reads a window of
+    consecutive accepted steps with the frozen field ``f``
+    (:meth:`ControlSystem.frozen`) on one state and on a batch, and judges
+    them in order.  It returns ``(n, verdict, width)``: the first ``n``
+    steps are accepted; the verdict on the next is ``None`` when there is
+    none (all were accepted), ``_HALVE`` or ``_REPLAY`` to restart the
+    stepper at it with half or all of the size the stepper gave it, or a
+    time to cut it there; ``width`` is the size of the next window.  The steps after a cut or a
     restart are speculative, drawn ahead of the verdict, and are discarded;
     the stepper makes each step from the last alone, so a replay makes the
     same steps, and the window size never changes a result.  The stepper
@@ -598,7 +586,6 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     scans, with no rule, accept every step.
     """
     f = sys.frozen(u)
-    f_rows = None if cut is None else _frozen_rows(sys, u)
     steps = _steps(f, t, x, fx, t_end, cfg)
     width = 1 if cut is not None else _WINDOW_CAP
     cap = _WINDOW_CAP
@@ -614,7 +601,7 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
         else:
             n, at, next_width = len(pieces), None, width
             if cut is not None and pieces:
-                n, at, next_width = cut(pieces, f, f_rows)
+                n, at, next_width = cut(pieces, f)
         for piece in pieces[:n]:
             rec.fill_grid(piece.t1, piece, u, inclusive=True)
         if n:

@@ -18,8 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (EQ_ABS_FLOOR, ClfCertificate, _check_rows, _norms,
-                   velocity_ratio)
+from .core import EQ_ABS_FLOOR, ClfCertificate, _norms, velocity_ratio
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -160,12 +159,13 @@ def frozen_guard(cert: ClfCertificate, x: np.ndarray, fx: np.ndarray,
 
     Negative means the retained-decrease condition holds strictly; the event
     surface is ``g = 0``.  Only the shapes of the gradient and ``V`` are
-    checked here: the engine checks the state once per segment and the
-    shape of each batch of field values, and calls this on a step's guard
-    probes, passing the field values its stepper already has where it can.
+    checked, by :meth:`~clfetc.core.ClfCertificate.grad` and
+    :meth:`~clfetc.core.ClfCertificate.levels`: the engine checks the state
+    once per segment, and its frozen field the shape of each batch of field
+    values.  The engine calls this on a step's guard probes, passing the
+    field values its stepper already has where it can.
     """
-    g = _check_rows("gradient", cert.grad(x), x.shape)
-    return _scalar_or_rows(np.vecdot(g, fx)
+    return _scalar_or_rows(np.vecdot(cert.grad(x), fx)
                            + sigma * cert.rate.at_levels(cert.levels(x)))
 
 
@@ -199,7 +199,7 @@ def predicate_margin(cert: ClfCertificate, big_m: float, x, fx,
     where the margin allows a failure.  The maximum is Python's ``max``:
     the first term unless the second is greater.
     """
-    g = _check_rows("gradient", cert.grad(x), x.shape)
+    g = cert.grad(x)
     w = np.vecdot(g, fx)
     fn = _norms(fx)
     decrease = w + sigma_tilde * cert.rate.at_levels(cert.levels(x))

@@ -10,7 +10,8 @@ from clfetc import (CertificateConstants, ClfCertificate, ControlSystem,
                     DomainError, NonDegeneracyError, PropernessError,
                     RateFunction, bound_sublevel_box, compute_mu,
                     estimate_big_m, estimate_constants, estimate_kappa,
-                    estimate_nu, estimate_rho, sample_in_region)
+                    estimate_nu, estimate_rho, sample_in_region,
+                    verify_clf_pointwise)
 from clfetc import certificates
 from clfetc.certificates import (BOX_INFLATE, SOBOL_BITS, SOBOL_MAX_DIM,
                                  _SobolStream)
@@ -235,7 +236,7 @@ class TestEstimateNu:
             [x, np.zeros(x.shape[:-1] + (1,))], axis=-1))
         region = bound_sublevel_box(cert, np.array([1.0, 1.0]))
         pts = sample_in_region(cert, region, 64, seed=0)
-        with pytest.raises(DimensionMismatchError, match="nu"):
+        with pytest.raises(DimensionMismatchError, match="^gradient returned shape"):
             estimate_nu(cert, region, pts, seed=0)
 
     def test_quartic_against_grid_oracle(self):
@@ -421,3 +422,36 @@ class TestEstimateConstants:
         assert blob["seed"] == 2
         assert blob["n_samples"] == 64
         assert len(blob["argmax_point"]) == 2
+
+
+class TestBatchAxisContract:
+    # callables written for one state, not lifted by rowwise: on a batch each
+    # returns one result, which numpy would broadcast over every state
+    ONE_STATE = {
+        "rhs": lambda x, u: np.array([0.0, 1.0]),
+        "gradient": lambda x: np.array([1.0, -0.5]),
+        "value": lambda x: 0.5 * x[0] ** 2,
+    }
+    AUDITS = {
+        "kappa": lambda sysm, cert, region, pts: estimate_kappa(sysm, cert, region, pts),
+        "nu": lambda sysm, cert, region, pts: estimate_nu(cert, region, pts),
+        "big_m": lambda sysm, cert, region, pts: estimate_big_m(sysm, cert, region, pts),
+        "verify": lambda sysm, cert, region, pts: verify_clf_pointwise(cert, sysm, pts),
+        "sample": lambda sysm, cert, region, pts: sample_in_region(cert, region, 64),
+    }
+
+    @pytest.mark.parametrize("audit, ignores", [
+        ("kappa", "rhs"), ("nu", "gradient"), ("big_m", "gradient"),
+        ("verify", "gradient"), ("sample", "value")])
+    def test_every_audit_refuses_a_callable_that_ignores_the_batch_axis(
+            self, homog, audit, ignores):
+        region = bound_sublevel_box(homog.certificate, homog.default_x0, seed=0)
+        pts = sample_in_region(homog.certificate, region, 64, seed=0)
+        sysm, cert = homog.system, homog.certificate
+        if ignores == "rhs":
+            sysm = replace(sysm, rhs=self.ONE_STATE["rhs"])
+        else:
+            cert = replace(cert, **{ignores: self.ONE_STATE[ignores]})
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^{ignores} returned shape .*last axis.*rowwise"):
+            self.AUDITS[audit](sysm, cert, region, pts)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from clfetc import (ClfCertificate, ControlSystem, DomainError, EnergyTimeMap,
                     RateFunction, verify_clf_pointwise)
-from clfetc.core import finite_difference_jacobian, velocity_ratio
+from clfetc.core import finite_difference_jacobian, rowwise, velocity_ratio
 from clfetc.errors import DimensionMismatchError
 
 
@@ -185,6 +185,31 @@ class TestLyapunovDerivative:
     def test_dimension_mismatch(self, relay):
         with pytest.raises(DimensionMismatchError):
             _w(relay.certificate, relay.system, np.array([1.0, 2.0]), np.array([0.0]))
+
+
+class TestFrozenField:
+    @pytest.mark.parametrize("lifted", [False, True], ids=["last_axis", "rowwise"])
+    @pytest.mark.parametrize("name", ["acc", "homog", "relay", "zeno"])
+    def test_a_batch_gives_the_bits_of_each_state(self, name, lifted, request, rng):
+        model = request.getfixturevalue(name)
+        sysm = model.system
+        if lifted:
+            sysm = replace(sysm, rhs=rowwise(sysm.rhs))
+        ys = rng.uniform(-3.0, 3.0, size=(17, sysm.state_dim))
+        u = model.certificate.u(rng.uniform(-3.0, 3.0, size=sysm.state_dim))
+        f = sysm.frozen(u)
+        assert [[c.hex() for c in row] for row in f(ys).tolist()] == [
+            [c.hex() for c in f(y).tolist()] for y in ys]
+
+    def test_a_batch_result_of_the_wrong_shape_raises(self):
+        # written for one state: on a batch it returns one row, which numpy
+        # would broadcast over every state
+        sysm = ControlSystem(2, 1, rhs=lambda x, u: np.array([0.0, 1.0]))
+        f = sysm.frozen(np.zeros(1))
+        assert f(np.ones(2)).tolist() == [0.0, 1.0]  # one state: unchecked
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^rhs returned shape \(2,\), expected \(3, 2\)"):
+            f(np.ones((3, 2)))
 
 
 class TestVelocityRatio:
