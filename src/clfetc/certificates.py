@@ -217,7 +217,8 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
     The ``2d`` axis rays from the origin step in lockstep, one batch of
     ``V`` per step, each as its own search would and stopping where it
     stops: the inner end is halved until it lies in the set, the outer end
-    doubled until ``V`` exceeds the level, and the bracket then bisected.
+    doubled until ``V`` exceeds the level, and the bracket then bisected
+    until no end moves, in at most 80 rounds.
     The box is widened to cover any sublevel point it misses among up to
     three batches of ``BOX_CHECK_POINTS`` from one scrambled Sobol stream
     (seeded by ``seed``) over 1.5 times the box, and finally inflated by
@@ -265,6 +266,8 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
     for _ in range(80):
         mid = 0.5 * (r_in + r_out)
         inside = level_at(mid) <= level
+        if (np.where(inside, r_in, r_out) == mid).all():
+            break  # no end moves: every later round would repeat this one
         r_in = np.where(inside, mid, r_in)
         r_out = np.where(inside, r_out, mid)
     lo, hi = -r_out[1::2], r_out[0::2]

@@ -13,18 +13,19 @@ The self- and time-triggered policies scan to their clock instants.
 The scan hands the rule a *window* of consecutive accepted steps, drawn
 ahead before any of them is judged; the stepper makes each step from the
 previous one alone, so no verdict can change the steps before it.  The
-event rule reads the guard probes of the whole window in one batch, then
-judges its steps in order, as one at a time would.  Every rule reads one
+event rule reads the guard probes of the whole window in one batch, and
+the periodic rule the margin points of the whole window, then each judges
+its steps in order, as one at a time would.  Every rule reads one
 field, :meth:`~clfetc.core.ControlSystem.frozen`, on one state or a batch;
 it checks the shape of each batch's result.  Steps drawn after the first
 cut or restart are speculative and are discarded.  A restart starts the
 stepper again at the first step not accepted, at half its size (a retry)
 or at its own (a replay).  A window whose drawing or reading raises is
 replayed, and the scan goes on one step at a time, so that an error
-surfaces where a window of 1 meets it.  The event rule sizes its next window
-from the guard's trend, from 1 to ``_WINDOW_CAP`` steps; the periodic rule
-reads one step at a time.  The window size changes how fast a run goes,
-never what it computes.
+surfaces where a window of 1 meets it.  Each rule sizes its next window
+from the trend of what it reads, the guard or the margin, from 1 to
+``_WINDOW_CAP`` steps.  The window size changes how fast a run goes, never
+what it computes.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ BLOWUP_NORM = 1e12
 ZENO_CONSECUTIVE = 10
 GUARD_PROBES = 8  # interior guard evaluations per accepted step
 _THETAS = tuple((j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES))
-_THETA_ROW = np.array(_THETAS)  # the interior probes, as a row
-_WINDOW_CAP = 16  # most steps the event rule reads in one batch
+_PROBE_ROW = np.array((0.0, *_THETAS, 1.0))  # a step's start, probes and end
+_WINDOW_CAP = 16  # most steps a step rule reads in one batch
 _EPS = float(np.finfo(float).eps)
 ILLINOIS_MAX_ITER = 200  # far more than floating-point resolution needs
 RATE_SLACK = 1e-6  # check_rate_certificate's slack, relative to 1 + V0
@@ -403,24 +404,52 @@ def _probe_times(piece):
             + [piece.t1])
 
 
-def _window_states(pieces):
-    """The interior probe states and the end state of each step of a window,
-    ``GUARD_PROBES + 1`` rows per step, in order, from one interpolant pass:
-    each probe row has the bits of ``piece(t)`` at its time in
-    :func:`_probe_times`, and each end row is ``piece.y1``."""
-    t0 = np.array([p.t0 for p in pieces])[:, None]
-    h = np.array([p.h for p in pieces])[:, None]
-    y0, f0, y1, f1 = (np.array(a)[:, None] for a in zip(
-        *((p.y0, p.f0, p.y1, p.f1) for p in pieces)))
-    s = ((t0 + _THETA_ROW * h) - t0) / h  # each probe's time, as a fraction
-    ys = np.empty((len(pieces), GUARD_PROBES + 1, y0.shape[-1]))
-    ys[:, :-1] = _cubic(s[:, :, None], y0, f0, y1, f1, h[:, :, None])
-    ys[:, -1] = y1[:, 0]
-    return ys.reshape(-1, ys.shape[-1])
+def _window_states(pieces, times=None):
+    """The states that a window of steps reads, in order, from one
+    elementwise interpolant pass.
+
+    ``times[i]`` lists the instants read on step ``i``, at most
+    ``GUARD_PROBES + 1``, or is None for the step's probes: its start
+    ``y0``, its ``GUARD_PROBES`` interior probes at the times of
+    :func:`_probe_times` and its end ``y1``.  With no ``times`` every step
+    reads its probes without its start, which the event rule carries from
+    the step before.  Each interpolated row has the bits of ``piece(t)`` at
+    its time alone, so a single step of listed instants is read through its
+    own interpolant, without stacking the window.
+    """
+    if times is not None and len(pieces) == 1 and times[0] is not None:
+        return pieces[0](np.array(times[0])[:, None])
+    t0, h, y0, f0, y1, f1 = (np.array(a)[:, None] for a in zip(
+        *((p.t0, p.h, p.y0, p.f0, p.y1, p.f1) for p in pieces)))
+    t = t0 + _PROBE_ROW * h  # listed instants take the probes' places
+    if times is not None:
+        read = np.ones(t.shape, dtype=bool)
+        for i, ts in enumerate(times):
+            if ts is not None:
+                t[i, :len(ts)] = ts
+                read[i, len(ts):] = False
+    cols = slice(1, -1) if times is None else slice(None)
+    ys = _cubic(((t[:, cols] - t0) / h)[:, :, None], y0, f0, y1, f1,
+                h[:, :, None])
+    if times is None:
+        return np.concatenate((ys, y1), axis=1).reshape(-1, ys.shape[-1])
+    probes = [i for i, ts in enumerate(times) if ts is None]
+    if probes:
+        ys[probes, 0] = y0[probes, 0]
+        ys[probes, -1] = y1[probes, 0]
+    return ys[read]
 
 
 _HALVE = "halve"  # a step rule's verdict: retry the step at half its size
 _REPLAY = "replay"  # replay the step, and read one step at a time from it
+
+
+def _width(value, rise):
+    """The size of a step rule's next window: half the steps in which a
+    value below zero that rises by ``rise`` a step reaches zero, at least 1
+    and at most ``_WINDOW_CAP``; the cap when it does not rise."""
+    ahead = -value / rise / 2 if rise > 0.0 else _WINDOW_CAP  # NaN: the cap
+    return max(1, int(min(_WINDOW_CAP, max(ahead, 0.0))))
 
 
 def _guard_rule(cert, sigma, g):
@@ -442,10 +471,6 @@ def _guard_rule(cert, sigma, g):
     rise = 0.0  # the guard's change over the last accepted step
     rows = GUARD_PROBES + 1  # a step's rows in the batch
 
-    def width():
-        ahead = -g / rise / 2 if rise > 0.0 else _WINDOW_CAP  # may be NaN
-        return max(1, int(min(_WINDOW_CAP, ahead)))
-
     def rule(pieces, f):
         nonlocal g, halved, rise
         ys = _window_states(pieces)
@@ -465,7 +490,7 @@ def _guard_rule(cert, sigma, g):
             if crossings > 1 and halved < 60 and \
                     piece.h > 1e-13 * max(1.0, abs(piece.t0)):
                 halved += 1
-                return i, _HALVE, width()
+                return i, _HALVE, _width(g, rise)
 
             def guard_at(tt):
                 y = piece(tt)
@@ -475,7 +500,7 @@ def _guard_rule(cert, sigma, g):
             grid_t = _probe_times(piece)
             return i, locate_event(guard_at, grid_t[j], grid_t[j + 1],
                                    gs[j], gs[j + 1]), 1
-        return len(pieces), None, width()
+        return len(pieces), None, _width(g, rise)
 
     return rule
 
@@ -500,13 +525,23 @@ def _check_rule(cert, policy, t_end, t_last):
     that holds at most ``GUARD_PROBES + 1`` unchecked grid points reads the
     margin at those points; a longer one reads it at its two ends and its
     probes and takes the first grid point after the margin's first root.
-    Either reads its points in one batch, and the first non-negative
-    margin decides.  The checks passed so far carry over from one step, and
-    one update, to the next, so no point is checked twice.
+    The points a step checks depend only on those passed before it, so the
+    rule reads the margins of a whole window in one batch, then judges its
+    steps in order: the first non-negative margin decides.  The checks
+    passed so far carry over from one step, and one update, to the next, so
+    no point is checked twice.  The next window holds half the steps that
+    the margin's trend between its last two reads predicts to its zero, as
+    the event rule's does, but at least the steps that reach the next
+    unchecked grid point, since none before it can be cut, and at most
+    ``_WINDOW_CAP``.  A cut ends the scan and forgets the trend.  A read
+    that raises on a window of several steps asks for a replay, as the
+    event rule's does.
     """
     h = policy.h
     j_max = _grid_index(t_last, h)
     k = 0  # grid points passed
+    last = None  # (time, margin) of the last read since the last cut
+    slope = None  # the margin's change per unit time over its last two reads
 
     def check_time(j):
         return min(j * h, t_end)
@@ -515,49 +550,64 @@ def _check_rule(cert, policy, t_end, t_last):
         return predicate_margin(cert, policy.big_m, y, fy,
                                 policy.sigma_tilde, policy.k_big)
 
-    def first_non_negative(ys, f):
-        ms = margin(ys, f(ys)).tolist()
-        return next((i for i, m in enumerate(ms) if not m < 0.0), None), ms
+    def width(piece):
+        # no step before the next unchecked grid point can be cut
+        ahead = int((check_time(k + 1) - piece.t1) / piece.h) + 1
+        trend = 1 if slope is None else _width(last[1], slope * piece.h)
+        return min(_WINDOW_CAP, max(ahead, trend))
 
-    def judge(piece, f):
-        nonlocal k
+    def rule(pieces, f):
+        nonlocal k, last, slope
+        # the steps that hold unchecked grid points, each with its last one
+        # and its reads, as k will stand once the steps before it have passed
+        reading, j = [], k
+        for i, piece in enumerate(pieces):
+            j_hi = j_max if piece.t1 >= t_end else _grid_index(piece.t1, h)
+            if j_hi > j:
+                reading.append((i, j_hi, None if j_hi > j + 1 + GUARD_PROBES else
+                                [check_time(n) for n in range(j + 1, j_hi + 1)]))
+                j = j_hi
+        if reading:
+            ys = _window_states([pieces[i] for i, _, _ in reading],
+                                [ts for _, _, ts in reading])
+            try:
+                ms = margin(ys, f(ys)).tolist()
+            except Exception:
+                if len(pieces) == 1:
+                    raise
+                return 0, _REPLAY, 1
+        end = 0
+        for i, j_hi, ts in reading:
+            piece = pieces[i]
+            size = GUARD_PROBES + 2 if ts is None else len(ts)
+            row, end = ms[end:end + size], end + size
+            r = next((n for n, m in enumerate(row) if not m < 0.0), None)
+            j = None if r is None else k + 1 + r
+            if r and ts is None:  # after the root in (probe r - 1, probe r)
 
-        def margin_at(tt):
-            y = piece(tt)
-            return margin(y, f(y))
+                def margin_at(tt):
+                    y = piece(tt)
+                    return margin(y, f(y))
 
-        j_lo = k + 1
-        j_hi = j_max if piece.t1 >= t_end else _grid_index(piece.t1, h)
-        j = None
-        if j_lo <= j_hi <= j_lo + GUARD_PROBES:
-            times = [check_time(i) for i in range(j_lo, j_hi + 1)]
-            i, _ = first_non_negative(piece(np.array(times)[:, None]), f)
-            j = None if i is None else j_lo + i
-        elif j_hi > j_lo + GUARD_PROBES:
-            ys = np.vstack((piece.y0, _window_states([piece])))
-            i, ms = first_non_negative(ys, f)
-            if i == 0:
-                j = j_lo  # the margin is non-negative from the start
-            elif i is not None:
-                ts = _probe_times(piece)
-                root = locate_event(margin_at, ts[i - 1], ts[i], ms[i - 1], ms[i])
-                j = max(j_lo, _grid_index(root, h))
+                grid_t = _probe_times(piece)
+                root = locate_event(margin_at, grid_t[r - 1], grid_t[r],
+                                    row[r - 1], row[r])
+                j = max(k + 1, _grid_index(root, h))
                 if check_time(j) < root:
                     j += 1
                 if j > j_hi:
                     j = None  # no grid point between the root and t1
-        if j is None:
-            k = max(k, j_hi)
-            return None
-        k = j
-        return check_time(j)
-
-    def rule(pieces, f):
-        for i, piece in enumerate(pieces):
-            at = judge(piece, f)
-            if at is not None:
-                return i, at, 1
-        return len(pieces), None, 1
+            if j is not None:
+                k, last, slope = j, None, None
+                return i, check_time(j), 1
+            k = j_hi
+            ta, tb = (piece.t0, piece.t1) if ts is None else (ts[0], ts[-1])
+            if len(row) > 1:
+                last = (ta, row[0])
+            if last is not None and tb > last[0]:
+                slope = (row[-1] - last[1]) / (tb - last[0])
+            last = (tb, row[-1])
+        return len(pieces), None, width(pieces[-1])
 
     return rule
 
@@ -566,22 +616,23 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     towards ``t_end``, filling grid rows along the way.
 
-    ``cut(pieces, f)``, the policy's step rule, reads a window of
-    consecutive accepted steps with the frozen field ``f``
-    (:meth:`ControlSystem.frozen`) on one state and on a batch, and judges
-    them in order.  It returns ``(n, verdict, width)``: the first ``n``
-    steps are accepted; the verdict on the next is ``None`` when there is
-    none (all were accepted), ``_HALVE`` or ``_REPLAY`` to restart the
-    stepper at it with half or all of the size the stepper gave it, or a
-    time to cut it there; ``width`` is the size of the next window.  The steps after a cut or a
-    restart are speculative, drawn ahead of the verdict, and are discarded;
-    the stepper makes each step from the last alone, so a replay makes the
-    same steps, and the window size never changes a result.  The stepper
-    raising after it drew part of a window also replays it.  After a replay
-    the scan reads one step at a time, so that an error surfaces where a
-    window of 1 meets it; an error on a window's first step is raised.  At a
-    cut, rows fill strictly before the cut instant, and one tolerance-checked
-    corrector integration from the step start replaces the interpolant.
+    ``cut(pieces, f)``, the policy's step rule (the event rule or the
+    periodic rule), reads a window of consecutive accepted steps with the
+    frozen field ``f`` (:meth:`ControlSystem.frozen`) on one state and on a
+    batch, and judges them in order.  It returns ``(n, verdict, width)``:
+    the first ``n`` steps are accepted; the verdict on the next is ``None``
+    when there is none (all were accepted), ``_HALVE`` or ``_REPLAY`` to
+    restart the stepper at it with half or all of the size the stepper gave
+    it, or a time to cut it there; ``width`` is the size of the next window.
+    The steps after a cut or a restart are speculative, drawn ahead of the
+    verdict, and are discarded; the stepper makes each step from the last
+    alone, so a replay makes the same steps, and the window size never
+    changes a result.  The stepper raising after it drew part of a window
+    also replays it.  After a replay the scan reads one step at a time, so
+    that an error surfaces where a window of 1 meets it; an error on a
+    window's first step is raised.  At a cut, rows fill strictly before the
+    cut instant, and one tolerance-checked corrector integration from the
+    step start replaces the interpolant.
     Returns ``(t_cut, x, fx)`` at a cut, or ``(t_end, x_end, None)``.  Clock
     scans, with no rule, accept every step.
     """

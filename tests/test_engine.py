@@ -14,7 +14,7 @@ from clfetc import (BlowupError, ClfCertificate, ControlSystem,
                     estimate_constants, integrate_frozen, locate_event,
                     run_closed_loop, run_stats, write_trajectory_csv)
 from clfetc import engine
-from clfetc.cli import _model_and_x0, load_config
+from clfetc.cli import _model_and_x0, load_config, resolve_policy
 from clfetc.core import rowwise
 from clfetc.engine import (_Hermite, _probe_times, _window_states,
                            read_event_times_csv, stats_from_event_times)
@@ -143,6 +143,32 @@ class TestHermite:
             window = _window_states(pieces)
             assert window.shape == rows.shape == (width * (engine.GUARD_PROBES + 1), dim)
             assert window.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_window_pass_equals_the_listed_states(self, dim):
+        # the periodic rule reads, per step, its check times or its start,
+        # probes and end; each row must keep the bits of the step's own
+        # interpolant at its time, and each start or end row the step's own
+        rng = np.random.default_rng(10 + dim)
+        for width in range(1, engine._WINDOW_CAP + 1):
+            pieces, times, rows, t = [], [], [], float(rng.uniform(0.0, 100.0))
+            for _ in range(width):
+                h = float(10.0 ** rng.uniform(-9.0, 1.0))
+                y0, f0, y1, f1 = rng.normal(size=(4, dim)) * 10.0 ** rng.uniform(-3, 3)
+                p = _Hermite(t, y0, f0, t + h, y1, f1)
+                m = int(rng.integers(-1, engine.GUARD_PROBES + 2))
+                if m < 0:
+                    ts = None
+                    rows += [p.y0] + [p(tp) for tp in _probe_times(p)[1:-1]] + [p.y1]
+                else:  # sorted instants in the step, its end among them
+                    ts = sorted([p.t1] + list(rng.uniform(p.t0, p.t1, m)))[-m:]
+                    rows += [p(tp) for tp in ts]
+                pieces.append(p)
+                times.append(ts if ts is None else [float(tp) for tp in ts])
+                t += h
+            window = _window_states(pieces, times)
+            assert window.shape == (len(rows), dim)
+            assert window.tobytes() == np.array(rows).reshape(-1, dim).tobytes()
 
 
 class TestLocateEvent:
@@ -651,7 +677,7 @@ class TestRunClosedLoop:
 
 
 class TestWindowCap:
-    """The event rule reads the steps in windows of up to ``_WINDOW_CAP``; a
+    """Both step rules read the steps in windows of up to ``_WINDOW_CAP``; a
     cap of 1 reads them one at a time, and must give the same run."""
 
     @staticmethod
@@ -738,6 +764,78 @@ class TestWindowCap:
         assert (t + h) - t != h
         assert a.termination == "event_cap"
         assert a.events[1].state[1] == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("preset, spec, horizon, fires", [
+        ("acc_case1", {"h": 0.005}, None, True),
+        ("acc_case2", {"h": 0.005}, None, True),
+        ("homog2d", {"h": 0.01}, 5.0, True),
+        ("homog2d", {}, 0.02, False),
+    ], ids=["acc_case1-long", "acc_case2-long", "homog2d-short",
+            "homog2d-derived-short"])
+    def test_periodic_presets(self, monkeypatch, preset, spec, horizon, fires):
+        # at h 0.005 every acc step holds more than GUARD_PROBES + 1 grid
+        # points, and reads its probes; the homog2d steps read grid points.
+        # The derived h (about 8e-6) passes every check up to the horizon
+        cfg = load_config(preset)
+        cfg = replace(cfg, horizon=horizon or cfg.horizon,
+                      policy={"policy": "periodic-event", "sigma": cfg.sigma, **spec})
+        model, x0 = _model_and_x0(cfg)
+        policy, _ = resolve_policy(cfg, model, x0)
+        icfg = IntegratorConfig(horizon=cfg.horizon, **cfg.integrator)
+        a, b = self._both(monkeypatch, model.system, model.certificate,
+                          policy, x0, icfg)
+        assert _run_record(a) == _run_record(b)
+        assert (len(a.events) > 1) == fires
+
+    def test_a_fired_check_wins_over_a_later_margin_error(self, monkeypatch):
+        # the margin is -0.025 before the clock reads 2 and positive from
+        # there, so the first check there fails; the windowed run reads the
+        # margin on steps past it, where the gradient raises, and replays the
+        # window one step at a time, as the event rule does
+        sysm, cert, x0, _, cfg, errors = _guard_undefined_past_a_crossing_loop()
+        policy = PeriodicEventTriggered(sigma=0.9, sigma_tilde=0.95, k_big=2.0,
+                                        h=0.05, big_m=3.0)
+        a = run_closed_loop(sysm, cert, policy, x0, cfg)
+        assert errors
+        errors.clear()
+        monkeypatch.setattr(engine, "_WINDOW_CAP", 1)
+        b = run_closed_loop(sysm, cert, policy, x0, cfg)
+        assert not errors
+        assert _run_record(a) == _run_record(b)
+        assert a.termination == "event_cap"
+        assert a.events[1].reason == "predicate_false"
+        # the clock reads just under 2 at t = 2, so the check at 2.05 fails
+        assert a.events[1].state[1] >= 2.0
+        assert a.events[1].time == pytest.approx(2.05, abs=1e-12)
+
+    def test_a_window_reads_its_margins_in_one_batch(self, monkeypatch, acc):
+        # every step at h 0.005 reads the margin, so one batch a step would
+        # make at least as many batches as there are accepted steps
+        margin, check_rule = engine.predicate_margin, engine._check_rule
+        batches, accepted = [], []
+
+        def counted_margin(cert, big_m, x, *rest):
+            if np.ndim(x) == 2:  # not the root search's one-state reads
+                batches.append(len(x))
+            return margin(cert, big_m, x, *rest)
+
+        def counted_rule(*args):
+            rule = check_rule(*args)
+
+            def judged(pieces, f):
+                verdict = rule(pieces, f)
+                accepted.append(verdict[0])
+                return verdict
+            return judged
+
+        monkeypatch.setattr(engine, "predicate_margin", counted_margin)
+        monkeypatch.setattr(engine, "_check_rule", counted_rule)
+        x0 = np.array([10.0, 10.1, 10.201])
+        traj = run_closed_loop(acc.system, acc.certificate,
+                               _periodic(acc, x0, 0.005), x0,
+                               IntegratorConfig(horizon=60.0))
+        assert len(traj.events) > 1
+        assert len(batches) < sum(accepted)
 
 
 def _periodic(model, x0, h, k_big=2.0):
