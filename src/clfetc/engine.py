@@ -2,30 +2,32 @@
 of the frozen-input flow with cubic dense output, safeguarded Illinois event
 localization, trajectory recording and Zeno / blow-up safeguards.
 
-One scan of the frozen flow runs between updates, whatever the policy.  A
-policy's step rule reads each accepted step and accepts it, retries it at
-half size, or cuts it at an instant: the event policy's rule probes the
-guard and cuts at its first zero; the periodic policy's rule reads the
-predicate's continuous margin and cuts at the grid points ``j*h`` where the
-predicate can fail, so a run costs its steps, not its ``horizon/h`` checks.
-The self- and time-triggered policies scan to their clock instants.
+One scan of the frozen flow runs between updates, whatever the policy.  The
+event and periodic event policies share one step rule, which reads a scalar
+along each accepted step and accepts the step, retries it at half size, or
+cuts it at an instant.  Under the event policy the scalar is the frozen
+guard, read at each step's start, probes and end, and the cut is its first
+zero.  Under the periodic policy it is the predicate's continuous margin,
+read at the grid points ``j*h`` that a step holds (at its probes when it
+holds many), and the cut is the first grid point where the predicate can
+fail, so a run costs its steps, not its ``horizon/h`` checks.  The self-
+and time-triggered policies scan to their clock instants.
 
 The scan hands the rule a *window* of consecutive accepted steps, drawn
 ahead before any of them is judged; the stepper makes each step from the
-previous one alone, so no verdict can change the steps before it.  The
-event rule reads the guard probes of the whole window in one batch, and
-the periodic rule the margin points of the whole window, then each judges
-its steps in order, as one at a time would.  Every rule reads one
-field, :meth:`~clfetc.core.ControlSystem.frozen`, on one state or a batch;
-it checks the shape of each batch's result.  Steps drawn after the first
-cut or restart are speculative and are discarded.  A restart starts the
-stepper again at the first step not accepted, at half its size (a retry)
-or at its own (a replay).  A window whose drawing or reading raises is
-replayed, and the scan goes on one step at a time, so that an error
-surfaces where a window of 1 meets it.  Each rule sizes its next window
-from the trend of what it reads, the guard or the margin, from 1 to
-``_WINDOW_CAP`` steps.  The window size changes how fast a run goes, never
-what it computes.
+previous one alone, so no verdict can change the steps before it.  What a
+step reads depends on the step alone, so the rule reads the whole window in
+one batch, then judges its steps in order, as one at a time would.  It
+reads one field, :meth:`~clfetc.core.ControlSystem.frozen`, on one state or
+a batch; the field checks the shape of each batch's result.  Steps drawn
+after the first cut or restart are speculative and are discarded.  A
+restart starts the stepper again at the first step not accepted, at half
+its size (a retry) or at its own (a replay).  A window whose drawing or
+reading raises is replayed, and the scan goes on one step at a time, so
+that an error surfaces where a window of 1 meets it.  The rule sizes its
+next window from the trend of what it reads, from 1 to ``_WINDOW_CAP``
+steps.  The window size changes how fast a run goes, never what it
+computes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -404,39 +407,36 @@ def _probe_times(piece):
             + [piece.t1])
 
 
-def _window_states(pieces, times=None):
+def _window_states(pieces, times):
     """The states that a window of steps reads, in order, from one
     elementwise interpolant pass.
 
     ``times[i]`` lists the instants read on step ``i``, at most
     ``GUARD_PROBES + 1``, or is None for the step's probes: its start
     ``y0``, its ``GUARD_PROBES`` interior probes at the times of
-    :func:`_probe_times` and its end ``y1``.  With no ``times`` every step
-    reads its probes without its start, which the event rule carries from
-    the step before.  Each interpolated row has the bits of ``piece(t)`` at
-    its time alone, so a single step of listed instants is read through its
-    own interpolant, without stacking the window.
+    :func:`_probe_times` and its end ``y1``.  Each interpolated row has the
+    bits of ``piece(t)`` at its time alone, so a single step of listed
+    instants is read through its own interpolant, without stacking the
+    window.
     """
-    if times is not None and len(pieces) == 1 and times[0] is not None:
+    if len(pieces) == 1 and times[0] is not None:
         return pieces[0](np.array(times[0])[:, None])
     t0, h, y0, f0, y1, f1 = (np.array(a)[:, None] for a in zip(
         *((p.t0, p.h, p.y0, p.f0, p.y1, p.f1) for p in pieces)))
     t = t0 + _PROBE_ROW * h  # listed instants take the probes' places
-    if times is not None:
-        read = np.ones(t.shape, dtype=bool)
-        for i, ts in enumerate(times):
-            if ts is not None:
-                t[i, :len(ts)] = ts
-                read[i, len(ts):] = False
-    cols = slice(1, -1) if times is None else slice(None)
-    ys = _cubic(((t[:, cols] - t0) / h)[:, :, None], y0, f0, y1, f1,
-                h[:, :, None])
-    if times is None:
-        return np.concatenate((ys, y1), axis=1).reshape(-1, ys.shape[-1])
+    if times.count(None) == len(times):  # no mask to gather through
+        ys = _cubic(((t[:, 1:-1] - t0) / h)[:, :, None], y0, f0, y1, f1,
+                    h[:, :, None])
+        return np.concatenate((y0, ys, y1), axis=1).reshape(-1, ys.shape[-1])
+    read = np.ones(t.shape, dtype=bool)
+    for i, ts in enumerate(times):
+        if ts is not None:
+            t[i, :len(ts)] = ts
+            read[i, len(ts):] = False
+    ys = _cubic(((t - t0) / h)[:, :, None], y0, f0, y1, f1, h[:, :, None])
     probes = [i for i, ts in enumerate(times) if ts is None]
-    if probes:
-        ys[probes, 0] = y0[probes, 0]
-        ys[probes, -1] = y1[probes, 0]
+    ys[probes, 0] = y0[probes, 0]
+    ys[probes, -1] = y1[probes, 0]
     return ys[read]
 
 
@@ -452,162 +452,126 @@ def _width(value, rise):
     return max(1, int(min(_WINDOW_CAP, max(ahead, 0.0))))
 
 
-def _guard_rule(cert, sigma, g):
-    """The event policy's step rule, carrying the guard value ``g`` at the
-    step start from one step to the next.
-
-    It reads the probes and the end of every step of a window in one batch,
-    then judges the steps in order.  A step with no sign change of the guard
-    over its probes is accepted.  One with more than one is retried at half
-    size, so that the earliest root cannot be skipped.  Otherwise the step
-    is cut at the guard's first zero.  The next window holds half the steps
-    that the guard's rise over the last accepted step predicts to its zero,
-    at least 1 and at most ``_WINDOW_CAP``.  A read that raises on a window
-    of several steps judges none of them and asks for a replay, since a
-    speculative step may hold states that the model rejects; on one step
-    the error is raised.
-    """
-    halved = 0
-    rise = 0.0  # the guard's change over the last accepted step
-    rows = GUARD_PROBES + 1  # a step's rows in the batch
-
-    def rule(pieces, f):
-        nonlocal g, halved, rise
-        ys = _window_states(pieces)
-        try:
-            batch = frozen_guard(cert, ys, f(ys), sigma).tolist()
-        except Exception:
-            if len(pieces) == 1:
-                raise
-            return 0, _REPLAY, 1
-        for i, piece in enumerate(pieces):
-            gs = [g] + batch[i * rows:(i + 1) * rows]
-            crossings = sum(1 for a, b in zip(gs, gs[1:])
-                            if (a < 0.0 <= b) or (b < 0.0 <= a))
-            if crossings == 0:
-                g, halved, rise = gs[-1], 0, gs[-1] - gs[0]
-                continue
-            if crossings > 1 and halved < 60 and \
-                    piece.h > 1e-13 * max(1.0, abs(piece.t0)):
-                halved += 1
-                return i, _HALVE, _width(g, rise)
-
-            def guard_at(tt):
-                y = piece(tt)
-                return frozen_guard(cert, y, f(y), sigma)
-
-            j = next(k for k, (a, b) in enumerate(zip(gs, gs[1:])) if a < 0.0 <= b)
-            grid_t = _probe_times(piece)
-            return i, locate_event(guard_at, grid_t[j], grid_t[j + 1],
-                                   gs[j], gs[j + 1]), 1
-        return len(pieces), None, _width(g, rise)
-
-    return rule
-
-
 def _grid_index(t, h):
     """The largest ``j >= 0`` with ``j*h <= t`` (``t >= 0``, ``h > 0``),
     found without stepping through the grid: ``t // h``, the exact floor of
-    ``t/h``, already has ``j*h <= t``, but ``(j + 1)*h`` may round to ``t``."""
+    ``t/h``, already has ``j*h <= t``, but ``(j + 1)*h`` may round to ``t``;
+    ``m`` on a grid point ``m*h``."""
     j = int(t // h)
     while (j + 1) * h <= t:
         j += 1
     return j
 
 
-def _check_rule(cert, policy, t_end, t_last):
-    """The periodic policy's step rule: cut a step at the first unchecked
-    check time ``min(j*h, t_end)`` (with ``j*h <= t_last``) where the
-    predicate can fail.
+def _step_rule(scalar, grid=None):
+    """The step rule of one scan under the event policy (``grid`` None) or
+    the periodic policy (``grid = (h, t_end, t_last)``).
 
-    The predicate can fail only where its margin
-    (:func:`~clfetc.triggers.predicate_margin`) is non-negative.  A step
-    that holds at most ``GUARD_PROBES + 1`` unchecked grid points reads the
-    margin at those points; a longer one reads it at its two ends and its
-    probes and takes the first grid point after the margin's first root.
-    The points a step checks depend only on those passed before it, so the
-    rule reads the margins of a whole window in one batch, then judges its
-    steps in order: the first non-negative margin decides.  The checks
-    passed so far carry over from one step, and one update, to the next, so
-    no point is checked twice.  The next window holds half the steps that
-    the margin's trend between its last two reads predicts to its zero, as
-    the event rule's does, but at least the steps that reach the next
-    unchecked grid point, since none before it can be cut, and at most
-    ``_WINDOW_CAP``.  A cut ends the scan and forgets the trend.  A read
-    that raises on a window of several steps asks for a replay, as the
-    event rule's does.
+    ``scalar(y, fy)`` reads a state or a batch with its field values: the
+    frozen guard, or the predicate margin, which is non-negative wherever
+    the predicate can fail.  An event step reads its start, probes and end.
+    A periodic step reads the check times ``min(j*h, t_end)``, with
+    ``j*h <= t_last``, past its start's grid index: those times when there
+    are at most ``GUARD_PROBES + 1``, else its start, probes and end.  The
+    reads depend on the step alone, so the rule reads a window in
+    one batch, then judges its steps in order.  The first non-negative read
+    decides.  A check time is the cut, a start read cuts at the next grid
+    point, and otherwise the root between the probe before and the read
+    (:func:`locate_event`) is the cut, or on the grid the first grid point
+    at or after it inside the step; with none, the step is accepted.  An
+    event step whose reads change sign more than once is retried at half
+    size instead, so that the earliest root cannot be skipped.  The next
+    window holds half the steps that the trend of the last two reads
+    predicts to zero, at least 1, on the grid at least the steps that reach
+    the next grid point, since none before it can be cut, and at most
+    ``_WINDOW_CAP``.  A read that raises on a window of several steps asks
+    for a replay, since a speculative step may hold states that the model
+    rejects; on one step the error is raised.
     """
-    h = policy.h
-    j_max = _grid_index(t_last, h)
-    k = 0  # grid points passed
-    last = None  # (time, margin) of the last read since the last cut
-    slope = None  # the margin's change per unit time over its last two reads
+    if grid is not None:
+        h, t_end, t_last = grid
+        j_max = _grid_index(t_last, h)
+    halved = 0
+    last = None  # (time, value) of the last read
+    slope = None  # the value's change per unit time over its last two reads
 
     def check_time(j):
         return min(j * h, t_end)
 
-    def margin(y, fy):
-        return predicate_margin(cert, policy.big_m, y, fy,
-                                policy.sigma_tilde, policy.k_big)
-
-    def width(piece):
-        # no step before the next unchecked grid point can be cut
-        ahead = int((check_time(k + 1) - piece.t1) / piece.h) + 1
+    def width(piece, j=None):
+        ahead = 1 if j is None else int((check_time(j + 1) - piece.t1) / piece.h) + 1
         trend = 1 if slope is None else _width(last[1], slope * piece.h)
         return min(_WINDOW_CAP, max(ahead, trend))
 
+    def cut(piece, f, ts, row, r, j0, j1):
+        """The cut instant that read ``r`` of a step makes, or None."""
+        if ts is not None:
+            return ts[r]
+        if r == 0:
+            return check_time(j0 + 1)
+        probe_t = _probe_times(piece)
+
+        def scalar_at(tt):
+            y = piece(tt)
+            return scalar(y, f(y))
+
+        root = locate_event(scalar_at, probe_t[r - 1], probe_t[r],
+                            row[r - 1], row[r])
+        if grid is None:
+            return root
+        j = max(j0 + 1, _grid_index(root, h))
+        if check_time(j) < root:
+            j += 1
+        return check_time(j) if j <= j1 else None
+
     def rule(pieces, f):
-        nonlocal k, last, slope
-        # the steps that hold unchecked grid points, each with its last one
-        # and its reads, as k will stand once the steps before it have passed
-        reading, j = [], k
-        for i, piece in enumerate(pieces):
-            j_hi = j_max if piece.t1 >= t_end else _grid_index(piece.t1, h)
-            if j_hi > j:
-                reading.append((i, j_hi, None if j_hi > j + 1 + GUARD_PROBES else
-                                [check_time(n) for n in range(j + 1, j_hi + 1)]))
-                j = j_hi
+        nonlocal halved, last, slope
+        # (step, listed times or None for the probes, grid indices of its ends)
+        if grid is None:
+            reading, j = [(i, None, 0, 0) for i in range(len(pieces))], None
+        else:
+            reading, j = [], _grid_index(pieces[0].t0, h)
+            for i, piece in enumerate(pieces):
+                j1 = j_max if piece.t1 >= t_end else _grid_index(piece.t1, h)
+                if j1 > j:
+                    reading.append((i, None if j1 > j + 1 + GUARD_PROBES else
+                                    [check_time(n) for n in range(j + 1, j1 + 1)],
+                                    j, j1))
+                j = j1
         if reading:
-            ys = _window_states([pieces[i] for i, _, _ in reading],
-                                [ts for _, _, ts in reading])
+            steps, times, _, _ = zip(*reading)
+            ys = _window_states([pieces[i] for i in steps], times)
             try:
-                ms = margin(ys, f(ys)).tolist()
+                batch = scalar(ys, f(ys))
             except Exception:
                 if len(pieces) == 1:
                     raise
                 return 0, _REPLAY, 1
+            values, below = batch.tolist(), (batch < 0.0).tolist()
         end = 0
-        for i, j_hi, ts in reading:
-            piece = pieces[i]
-            size = GUARD_PROBES + 2 if ts is None else len(ts)
-            row, end = ms[end:end + size], end + size
-            r = next((n for n, m in enumerate(row) if not m < 0.0), None)
-            j = None if r is None else k + 1 + r
-            if r and ts is None:  # after the root in (probe r - 1, probe r)
-
-                def margin_at(tt):
-                    y = piece(tt)
-                    return margin(y, f(y))
-
-                grid_t = _probe_times(piece)
-                root = locate_event(margin_at, grid_t[r - 1], grid_t[r],
-                                    row[r - 1], row[r])
-                j = max(k + 1, _grid_index(root, h))
-                if check_time(j) < root:
-                    j += 1
-                if j > j_hi:
-                    j = None  # no grid point between the root and t1
-            if j is not None:
-                k, last, slope = j, None, None
-                return i, check_time(j), 1
-            k = j_hi
+        for i, ts, j0, j1 in reading:
+            piece, start = pieces[i], end
+            end += GUARD_PROBES + 2 if ts is None else len(ts)
+            if not all(below[start:end]):
+                row = values[start:end]
+                r = below.index(False, start) - start
+                if grid is None and halved < 60 and \
+                        piece.h > 1e-13 * max(1.0, abs(piece.t0)) and \
+                        sum(1 for a, b in zip(row, row[1:])
+                            if (a < 0.0 <= b) or (b < 0.0 <= a)) > 1:
+                    halved += 1
+                    return i, _HALVE, width(piece)
+                at = cut(piece, f, ts, row, r, j0, j1)
+                if at is not None:
+                    return i, at, 1
+            halved = 0
             ta, tb = (piece.t0, piece.t1) if ts is None else (ts[0], ts[-1])
-            if len(row) > 1:
-                last = (ta, row[0])
+            if end - start > 1:
+                last = (ta, values[start])
             if last is not None and tb > last[0]:
-                slope = (row[-1] - last[1]) / (tb - last[0])
-            last = (tb, row[-1])
-        return len(pieces), None, width(pieces[-1])
+                slope = (values[end - 1] - last[1]) / (tb - last[0])
+            last = (tb, values[end - 1])
+        return len(pieces), None, width(pieces[-1], j)
 
     return rule
 
@@ -616,10 +580,10 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     towards ``t_end``, filling grid rows along the way.
 
-    ``cut(pieces, f)``, the policy's step rule (the event rule or the
-    periodic rule), reads a window of consecutive accepted steps with the
-    frozen field ``f`` (:meth:`ControlSystem.frozen`) on one state and on a
-    batch, and judges them in order.  It returns ``(n, verdict, width)``:
+    ``cut(pieces, f)``, the policy's step rule (:func:`_step_rule`), reads a
+    window of consecutive accepted steps with the frozen field ``f``
+    (:meth:`ControlSystem.frozen`) on one state and on a batch, and judges
+    them in order.  It returns ``(n, verdict, width)``:
     the first ``n`` steps are accepted; the verdict on the next is ``None``
     when there is none (all were accepted), ``_HALVE`` or ``_REPLAY`` to
     restart the stepper at it with half or all of the size the stepper gave
@@ -678,12 +642,14 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     until the horizon, the equilibrium, or a safeguard ends the run.
 
     One scan of the frozen flow (:func:`_scan`) runs between updates; the
-    policies differ only in where it stops.  The event-triggered policy's
-    step rule cuts it at the guard's first zero.  The periodic policy's
-    rule cuts it at the first grid instant ``j*h`` where its predicate can
-    fail; the predicate is checked there, and the scan resumes from that
-    point while it holds.  The self- and time-triggered policies scan to
-    their clock instants with no rule.  An instant or check time at most
+    policies differ only in where it stops.  The event-triggered and the
+    periodic event-triggered policies make one step rule
+    (:func:`_step_rule`) for each scan, with their own scalar.  Under the
+    event policy it cuts the scan at the guard's first zero.  Under the
+    periodic policy it cuts it at the first grid instant ``j*h`` where the
+    predicate can fail; the predicate is checked there, and a new scan
+    starts from that point while it holds.  The self- and time-triggered
+    policies scan to their clock instants with no rule.  An instant or check time at most
     ``1e-12`` (relative) past the horizon is taken at the horizon.  The
     control is recomputed at every recorded event and is bitwise constant
     between events.  Dense rows land on the configured output grid; every
@@ -725,11 +691,13 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     push_event(0.0, x, u, frozen_guard(cert, x, fx, sigma), "init")
 
     t_last = horizon * (1.0 + 1e-12)  # an instant up to here fires at the horizon
+    grid = None  # the periodic policy's check grid
     if isinstance(policy, EventTriggered):
-        reason = "guard_zero"
+        reason, scalar = "guard_zero", partial(frozen_guard, cert, sigma=sigma)
     elif isinstance(policy, PeriodicEventTriggered):
-        reason = "predicate_false"
-        check = _check_rule(cert, policy, horizon, t_last)
+        reason, grid = "predicate_false", (policy.h, horizon, t_last)
+        scalar = partial(predicate_margin, cert, policy.big_m,
+                         sigma_tilde=policy.sigma_tilde, k_big=policy.k_big)
     else:
         reason = "clock"
     k = 0  # clock instants reached so far
@@ -738,17 +706,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         if fx is None:
             fx = sys.f(x, u)  # the segment's state and control, checked once
         try:
-            if reason == "guard_zero":
-                g = frozen_guard(cert, x, fx, sigma)
-                if not g >= 0.0:  # a guard non-negative here fires at once
-                    t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec,
-                                     _guard_rule(cert, sigma, g))
-            elif reason == "predicate_false":
-                t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec, check)
-                if fx is not None and predicate_p(cert, policy.big_m, x, fx,
-                                                  policy.sigma_tilde, policy.k_big):
-                    continue  # the check holds: scan on from its grid point
-            else:
+            if reason == "clock":
                 t_next = policy.next_instant(k, t)
                 if t_next is not None and t_next <= t_last:
                     k += 1
@@ -757,6 +715,13 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
                     fx = sys.f(x, u)
                 else:
                     t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec)
+            # a guard not below zero here, NaN included, fires at once
+            elif grid is not None or frozen_guard(cert, x, fx, sigma) < 0.0:
+                t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec,
+                                 _step_rule(scalar, grid))
+                if grid is not None and fx is not None and predicate_p(
+                        cert, policy.big_m, x, fx, policy.sigma_tilde, policy.k_big):
+                    continue  # the check holds: scan on from its grid point
         except BlowupError as exc:
             rec.add_row(exc.t, exc.state, u, 0)
             t, x = exc.t, exc.state
