@@ -4,29 +4,29 @@ localization, trajectory recording and Zeno / blow-up safeguards.
 
 One scan of the frozen flow runs between updates, whatever the policy.  The
 event and periodic event policies share one step rule, which reads a scalar
-along each accepted step and accepts the step, retries it at half size, or
-cuts it at an instant.  Under the event policy the scalar is the frozen
-guard, read at each step's start, probes and end, and the cut is its first
-zero.  Under the periodic policy it is the predicate's continuous margin,
-read at the grid points ``j*h`` that a step holds (at its probes when it
-holds many), and the cut is the first grid point where the predicate can
-fail, so a run costs its steps, not its ``horizon/h`` checks.  The self-
-and time-triggered policies scan to their clock instants.
+along each accepted step and accepts the step or cuts it at an instant.
+Under the event policy the scalar is the frozen guard, read at each step's
+start, probes and end, and more densely on the step's own interpolant where
+those reads change sign more than once; the cut is its first zero.  Under
+the periodic policy it is the predicate's continuous margin, read at the
+grid points ``j*h`` that a step holds (at its probes when it holds many),
+and the cut is the first grid point where the predicate can fail, so a run
+costs its steps, not its ``horizon/h`` checks.  The self- and
+time-triggered policies scan to their clock instants.
 
 The scan hands the rule a *window* of consecutive accepted steps, drawn
 ahead before any of them is judged; the stepper makes each step from the
-previous one alone, so no verdict can change the steps before it.  What a
-step reads depends on the step alone, so the rule reads the whole window in
-one batch, then judges its steps in order, as one at a time would.  It
-reads one field, :meth:`~clfetc.core.ControlSystem.frozen`, on one state or
-a batch; the field checks the shape of each batch's result.  Steps drawn
-after the first cut or restart are speculative and are discarded.  A
-restart starts the stepper again at the first step not accepted, at half
-its size (a retry) or at its own (a replay).  A window whose drawing or
-reading raises is replayed, and the scan goes on one step at a time, so
-that an error surfaces where a window of 1 meets it.  The rule sizes its
-next window from the trend of what it reads, from 1 to ``_WINDOW_CAP``
-steps.  The window size changes how fast a run goes, never what it
+previous one alone, so no verdict can change the steps before it, and a
+scan starts its stepper once.  What a step reads depends on the step alone,
+so the rule reads the whole window in one batch, then judges its steps in
+order, as one at a time would.  It reads one field,
+:meth:`~clfetc.core.ControlSystem.frozen`, on one state or a batch; the
+field checks the shape of each batch's result.  Steps drawn after the first
+cut are speculative and are discarded.  A window whose read raises is
+judged one step at a time, and a stepper error once the steps drawn before
+it are accepted, so that an error surfaces where a window of 1 meets it.
+The rule sizes its next window from the trend of what it reads, from 1 to
+``_WINDOW_CAP`` steps: it changes how fast a run goes, never what it
 computes.
 """
 
@@ -68,6 +68,7 @@ GUARD_PROBES = 8  # interior guard evaluations per accepted step
 _THETAS = tuple((j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES))
 _PROBE_ROW = np.array((0.0, *_THETAS, 1.0))  # a step's start, probes and end
 _WINDOW_CAP = 16  # most steps a step rule reads in one batch
+_REFINE_DOUBLINGS = 6  # most times an event step's reads are doubled
 _EPS = float(np.finfo(float).eps)
 ILLINOIS_MAX_ITER = 200  # far more than floating-point resolution needs
 RATE_SLACK = 1e-6  # check_rate_certificate's slack, relative to 1 + V0
@@ -179,16 +180,15 @@ def _cubic(s, y0, f0, y1, f1, h):
 
 class _Hermite:
     """Cubic Hermite interpolant over one accepted step, at one time or at a
-    ``(k, 1)`` column of times, elementwise alike.  ``step`` is the size the
-    stepper gave the step, from which ``t1 - t0`` may differ by rounding."""
+    ``(k, 1)`` column of times, elementwise alike: a row has the bits of the
+    interpolant at its time alone, however many rows the column holds."""
 
-    __slots__ = ("t0", "y0", "f0", "t1", "y1", "f1", "h", "step")
+    __slots__ = ("t0", "y0", "f0", "t1", "y1", "f1", "h")
 
-    def __init__(self, t0, y0, f0, t1, y1, f1, step=None):
+    def __init__(self, t0, y0, f0, t1, y1, f1):
         self.t0, self.y0, self.f0 = t0, y0, f0
         self.t1, self.y1, self.f1 = t1, y1, f1
         self.h = t1 - t0
-        self.step = step
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         if self.h == 0.0:
@@ -197,22 +197,19 @@ class _Hermite:
                       self.f1, self.h)
 
 
-def _steps(f, t, y, f0, t_end, cfg, h=None):
-    """Yield the accepted :class:`_Hermite` pieces that carry (t, y) to t_end.
-
-    The first attempt has size ``h``, or the automatic initial step when
-    ``h`` is None.  Raises :class:`BlowupError` once the state norm passes
-    the blow-up cap.
+def _steps(f, t, y, f0, t_end, cfg):
+    """Yield the accepted :class:`_Hermite` pieces that carry (t, y) to t_end,
+    each made from the one before alone.  Raises :class:`BlowupError` once
+    the state norm passes the blow-up cap.
     """
     if t_end <= t:
         return
-    if h is None:
-        h = _initial_step(f, y, f0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, t_end - t)
+    h = _initial_step(f, y, f0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, t_end - t)
     while t < t_end:
         h = min(h, cfg.max_step, t_end - t)
         if h <= 4.0 * _EPS * max(1.0, abs(t)):
             # the remaining span is below time resolution; snap to the target
-            yield _Hermite(t, y, f0, t_end, y, f0, h)
+            yield _Hermite(t, y, f0, t_end, y, f0)
             return
         attempts = 0
         while True:
@@ -226,7 +223,7 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
             if attempts > 200 or h < 1e-15 * max(1.0, abs(t)):
                 raise IntegrationError(
                     f"step size underflow at t={t} (error norm {enorm})")
-        yield _Hermite(t, y, f0, t + h, y1, f1, h)
+        yield _Hermite(t, y, f0, t + h, y1, f1)
         t, y, f0 = t + h, y1, f1
         if math.sqrt(float(y.dot(y))) > BLOWUP_NORM:  # np.linalg.norm's bits
             raise BlowupError(t, y)
@@ -440,10 +437,6 @@ def _window_states(pieces, times):
     return ys[read]
 
 
-_HALVE = "halve"  # a step rule's verdict: retry the step at half its size
-_REPLAY = "replay"  # replay the step, and read one step at a time from it
-
-
 def _width(value, rise):
     """The size of a step rule's next window: half the steps in which a
     value below zero that rises by ``rise`` a step reaches zero, at least 1
@@ -476,22 +469,23 @@ def _step_rule(scalar, grid=None):
     reads depend on the step alone, so the rule reads a window in
     one batch, then judges its steps in order.  The first non-negative read
     decides.  A check time is the cut, a start read cuts at the next grid
-    point, and otherwise the root between the probe before and the read
+    point, and otherwise the root between the read before and the read
     (:func:`locate_event`) is the cut, or on the grid the first grid point
     at or after it inside the step; with none, the step is accepted.  An
-    event step whose reads change sign more than once is retried at half
-    size instead, so that the earliest root cannot be skipped.  The next
-    window holds half the steps that the trend of the last two reads
-    predicts to zero, at least 1, on the grid at least the steps that reach
-    the next grid point, since none before it can be cut, and at most
-    ``_WINDOW_CAP``.  A read that raises on a window of several steps asks
-    for a replay, since a speculative step may hold states that the model
-    rejects; on one step the error is raised.
+    event step whose reads change sign more than once is first read again
+    at their midpoints, on its own cubic, one batch a doubling, until they
+    change sign at most once or after ``_REFINE_DOUBLINGS``, so that a root
+    between its probes shows whatever the step size.  The next window holds
+    half the steps that the trend of the last two reads predicts to zero,
+    at least 1, on the grid at least the steps that reach the next grid
+    point, since none before it can be cut, and at most ``_WINDOW_CAP``.
+    A read that raises on a window of several steps sends its steps through
+    the rule one at a time, since a speculative step may hold states that
+    the model rejects; on one step the error is raised.
     """
     if grid is not None:
         h, t_end, t_last = grid
         j_max = _grid_index(t_last, h)
-    halved = 0
     last = None  # (time, value) of the last read
     slope = None  # the value's change per unit time over its last two reads
 
@@ -503,20 +497,30 @@ def _step_rule(scalar, grid=None):
         trend = 1 if slope is None else _width(last[1], slope * piece.h)
         return min(_WINDOW_CAP, max(ahead, trend))
 
-    def cut(piece, f, ts, row, r, j0, j1):
-        """The cut instant that read ``r`` of a step makes, or None."""
+    def cut(piece, f, ts, row, j0, j1):
+        """The cut instant that a step's first non-negative read makes, or
+        None, once an event step's reads that change sign more than once
+        are refined."""
+        times = _probe_times(piece) if ts is None else ts
+        for _ in range(_REFINE_DOUBLINGS if grid is None else 0):
+            if sum((a < 0.0 <= b) or (b < 0.0 <= a) for a, b in zip(row, row[1:])) <= 1:
+                break
+            mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
+            ys = piece(np.array(mids)[:, None])
+            reads = scalar(ys, f(ys)).tolist()
+            times = [*itertools.chain(*zip(times, mids)), times[-1]]
+            row = [*itertools.chain(*zip(row, reads)), row[-1]]
+        r = next(r for r, value in enumerate(row) if not value < 0.0)
         if ts is not None:
             return ts[r]
         if r == 0:
             return check_time(j0 + 1)
-        probe_t = _probe_times(piece)
 
         def scalar_at(tt):
             y = piece(tt)
             return scalar(y, f(y))
 
-        root = locate_event(scalar_at, probe_t[r - 1], probe_t[r],
-                            row[r - 1], row[r])
+        root = locate_event(scalar_at, times[r - 1], times[r], row[r - 1], row[r])
         if grid is None:
             return root
         j = max(j0 + 1, _grid_index(root, h))
@@ -525,7 +529,7 @@ def _step_rule(scalar, grid=None):
         return check_time(j) if j <= j1 else None
 
     def rule(pieces, f):
-        nonlocal halved, last, slope
+        nonlocal last, slope
         # (step, listed times or None for the probes, grid indices of its ends)
         if grid is None:
             reading, j = [(i, None, 0, 0) for i in range(len(pieces))], None
@@ -546,25 +550,20 @@ def _step_rule(scalar, grid=None):
             except Exception:
                 if len(pieces) == 1:
                     raise
-                return 0, _REPLAY, 1
+                for n, piece in enumerate(pieces):
+                    _, at, next_width = rule([piece], f)
+                    if at is not None:
+                        return n, at, 1
+                return len(pieces), None, next_width
             values, below = batch.tolist(), (batch < 0.0).tolist()
         end = 0
         for i, ts, j0, j1 in reading:
             piece, start = pieces[i], end
             end += GUARD_PROBES + 2 if ts is None else len(ts)
             if not all(below[start:end]):
-                row = values[start:end]
-                r = below.index(False, start) - start
-                if grid is None and halved < 60 and \
-                        piece.h > 1e-13 * max(1.0, abs(piece.t0)) and \
-                        sum(1 for a, b in zip(row, row[1:])
-                            if (a < 0.0 <= b) or (b < 0.0 <= a)) > 1:
-                    halved += 1
-                    return i, _HALVE, width(piece)
-                at = cut(piece, f, ts, row, r, j0, j1)
+                at = cut(piece, f, ts, values[start:end], j0, j1)
                 if at is not None:
                     return i, at, 1
-            halved = 0
             ta, tb = (piece.t0, piece.t1) if ts is None else (ts[0], ts[-1])
             if end - start > 1:
                 last = (ta, values[start])
@@ -583,57 +582,50 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     ``cut(pieces, f)``, the policy's step rule (:func:`_step_rule`), reads a
     window of consecutive accepted steps with the frozen field ``f``
     (:meth:`ControlSystem.frozen`) on one state and on a batch, and judges
-    them in order.  It returns ``(n, verdict, width)``:
-    the first ``n`` steps are accepted; the verdict on the next is ``None``
-    when there is none (all were accepted), ``_HALVE`` or ``_REPLAY`` to
-    restart the stepper at it with half or all of the size the stepper gave
-    it, or a time to cut it there; ``width`` is the size of the next window.
-    The steps after a cut or a restart are speculative, drawn ahead of the
-    verdict, and are discarded; the stepper makes each step from the last
-    alone, so a replay makes the same steps, and the window size never
-    changes a result.  The stepper raising after it drew part of a window
-    also replays it.  After a replay the scan reads one step at a time, so
-    that an error surfaces where a window of 1 meets it; an error on a
-    window's first step is raised.  At a cut, rows fill strictly before the
-    cut instant, and one tolerance-checked corrector integration from the
-    step start replaces the interpolant.
+    them in order.  It returns ``(n, at, width)``: the first ``n`` steps
+    are accepted; ``at`` is None when all were, or else the instant at
+    which the next is cut; ``width`` is the size of the next window.  The
+    steps after a cut are speculative, drawn ahead of the verdict, and are
+    discarded.  The stepper makes each step from the last alone and a scan
+    starts it once, so the window size never changes a result.  When the
+    stepper raises after it drew part of a window, the steps it drew are
+    judged first: a cut among them wins, and the error is raised once they
+    are all accepted; an error on a window's first step is raised.  At a
+    cut, rows fill strictly before the cut instant, and one
+    tolerance-checked corrector integration from the step start replaces
+    the interpolant.
     Returns ``(t_cut, x, fx)`` at a cut, or ``(t_end, x_end, None)``.  Clock
     scans, with no rule, accept every step.
     """
     f = sys.frozen(u)
     steps = _steps(f, t, x, fx, t_end, cfg)
     width = 1 if cut is not None else _WINDOW_CAP
-    cap = _WINDOW_CAP
     while True:
-        pieces = []
+        pieces, error = [], None
         try:
             for piece in itertools.islice(steps, width):
                 pieces.append(piece)
-        except Exception:
+        except Exception as exc:
             if not pieces:
                 raise
-            n, at, next_width = 0, _REPLAY, 1
-        else:
-            n, at, next_width = len(pieces), None, width
-            if cut is not None and pieces:
-                n, at, next_width = cut(pieces, f)
+            error = exc
+        n, at, next_width = len(pieces), None, width
+        if cut is not None and pieces:
+            n, at, next_width = cut(pieces, f)
         for piece in pieces[:n]:
             rec.fill_grid(piece.t1, piece, u, inclusive=True)
-        if n:
-            t, x, fx = pieces[n - 1].t1, pieces[n - 1].y1, pieces[n - 1].f1
-        if at is _REPLAY:
-            cap = 1
-        if at is _HALVE or at is _REPLAY:
-            h = pieces[n].h / 2.0 if at is _HALVE else pieces[n].step
-            steps = _steps(f, t, x, fx, t_end, cfg, h)
-        elif at is not None:
+        if at is not None:
             piece = pieces[n]
             rec.fill_grid(at, piece, u, inclusive=False)
             sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
             return at, sub.ys[-1], sub.fs[-1]
-        elif len(pieces) < width:  # the stepper has reached t_end
+        if error is not None:
+            raise error
+        if pieces:
+            x = pieces[-1].y1
+        if len(pieces) < width:  # the stepper has reached t_end
             return t_end, x, None
-        width = min(next_width, cap)
+        width = next_width
 
 
 def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPolicy,
@@ -649,11 +641,13 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     periodic policy it cuts it at the first grid instant ``j*h`` where the
     predicate can fail; the predicate is checked there, and a new scan
     starts from that point while it holds.  The self- and time-triggered
-    policies scan to their clock instants with no rule.  An instant or check time at most
-    ``1e-12`` (relative) past the horizon is taken at the horizon.  The
-    control is recomputed at every recorded event and is bitwise constant
-    between events.  Dense rows land on the configured output grid; every
-    event instant is recorded exactly.
+    policies scan to their clock instants with no rule.  An instant or
+    check time at most ``1e-12`` (relative) past the horizon is taken at
+    the horizon.  An event guard at or above zero at an update fires at
+    once, and a NaN one raises :class:`DomainError`.  The control is
+    recomputed at every recorded event and is bitwise constant between
+    events.  Dense rows land on the configured output grid; every event
+    instant is recorded exactly.
     """
     sigma = policy.sigma
     x0 = _as_vector(x0, sys.state_dim, "state")  # before the feedback reads it
@@ -715,10 +709,13 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
                     fx = sys.f(x, u)
                 else:
                     t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec)
-            # a guard not below zero here, NaN included, fires at once
-            elif grid is not None or frozen_guard(cert, x, fx, sigma) < 0.0:
-                t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec,
-                                 _step_rule(scalar, grid))
+            else:
+                g = -1.0 if grid is not None else frozen_guard(cert, x, fx, sigma)
+                if math.isnan(g):
+                    raise DomainError(f"the event guard is NaN at t={t}, x={x.tolist()}")
+                if g < 0.0:  # a guard at zero or above fires at once
+                    t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec,
+                                     _step_rule(scalar, grid))
                 if grid is not None and fx is not None and predicate_p(
                         cert, policy.big_m, x, fx, policy.sigma_tilde, policy.k_big):
                     continue  # the check holds: scan on from its grid point

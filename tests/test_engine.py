@@ -219,8 +219,9 @@ class TestLocateEvent:
 
     @pytest.mark.parametrize("a", [2.0, 2.5, 7.0])
     def test_bump_guard_costs_at_most_twice_bisection(self, a):
-        # the half-step bracket of test_halving_finds_a_root_between_probes:
-        # probes at a + j/18, with the bump's left edge between j = 8 and 9
+        # the bracket of test_halving_finds_a_root_between_probes's step
+        # after its first doubling: reads at a + j/18, with the bump's left
+        # edge between j = 8 and 9
         bump = (a + 0.45, a + 0.53)
 
         def guard(t):
@@ -251,11 +252,12 @@ def _oscillating_loop():
             IntegratorConfig(horizon=3.0, max_step=0.5))
 
 
-def _halving_loop(later=True):
+def _halving_loop(later=True, bump=(0.45, 0.53), window=(0.73, 0.82)):
     """A unit-speed clock, so the exact steps grow to ``max_step`` and the
     frozen flow is known in closed form, under a guard that is positive on a
     bump that a full step's probes miss and, when ``later``, on a window
-    around a later probe.  Returns ``(system, certificate, x0, policy,
+    around a later probe; both are given as offsets from the start ``a`` of
+    the step [a, a + 1].  Returns ``(system, certificate, x0, policy,
     config, bump)``."""
     sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
     x0 = np.array([1.0, 0.0])
@@ -265,10 +267,10 @@ def _halving_loop(later=True):
     i = next(i for i in range(len(mesh) - 1)
              if mesh[i] > 2.0 and mesh[i + 1] - mesh[i] == 1.0)
     a = mesh[i]
-    # full-step probes sit at a + j/9: the bump lies between j = 4 and 5,
-    # the window holds j = 7 only, and a + 1/2 ends the half step
-    bump = (a + 0.45, a + 0.53)
-    window = (a + 0.73, a + 0.82) if later else bump
+    # full-step probes sit at a + j/9: the default bump lies between j = 4
+    # and 5, and the default window holds j = 7 only
+    bump = (a + bump[0], a + bump[1])
+    window = (a + window[0], a + window[1]) if later else bump
 
     def gradient(x):
         inside = bump[0] <= x[1] <= bump[1] or window[0] <= x[1] <= window[1]
@@ -523,8 +525,8 @@ class TestRunClosedLoop:
 
     def test_earliest_root_with_oscillating_guard(self):
         # the earliest crossing must match a fine-scan reference.  The guard
-        # probes resolve this oscillation in every step, so the
-        # halve-and-retry rule never fires here (see the next test)
+        # probes resolve this oscillation in every step, so no step is read
+        # again at doubled density here (see the next test)
         sysm, cert, x0, policy, cfg = _oscillating_loop()
         u0 = cert.u(x0)
 
@@ -548,9 +550,21 @@ class TestRunClosedLoop:
     def test_halving_finds_a_root_between_probes(self):
         # in one full step the guard has a positive bump between two probes,
         # which the probes miss, and a positive window around a later probe:
-        # two detected crossings.  Only a retry at half the step puts a probe
-        # inside the bump.
+        # two detected crossings.  Only reading the step again at doubled
+        # density puts a read inside the bump.
         sysm, cert, x0, policy, cfg, bump = _halving_loop()
+        traj = run_closed_loop(sysm, cert, policy, x0, cfg)
+        assert traj.termination == "event_cap"
+        assert traj.events[1].time == pytest.approx(bump[0], abs=1e-12)
+
+    @pytest.mark.parametrize("window", [(0.33, 0.35), (0.17, 0.25)],
+                             ids=["lost", "late"])
+    def test_a_narrow_bump_before_a_window_fires_at_the_bump(self, window):
+        # the probes read the window, not the bump [a + 0.01, a + 0.02],
+        # which shows only to reads 1/144 apart, four doublings of the
+        # probes; the first crossing is the bump's, not the window's
+        sysm, cert, x0, policy, cfg, bump = _halving_loop(bump=(0.01, 0.02),
+                                                          window=window)
         traj = run_closed_loop(sysm, cert, policy, x0, cfg)
         assert traj.termination == "event_cap"
         assert traj.events[1].time == pytest.approx(bump[0], abs=1e-12)
@@ -571,12 +585,27 @@ class TestRunClosedLoop:
             run_closed_loop(sysm, cert, EventTriggered(sigma=0.5),
                             np.array([1.0, 0.0]), cfg)
 
+    def test_a_guard_that_is_nan_at_an_update_is_named(self):
+        # the guard is NaN until the clock reads 2, so at t = 0 already: a
+        # guard at or above zero at an update fires at once, but a NaN one
+        # names where the run stopped
+        sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
+        cert = ClfCertificate(
+            value=rowwise(lambda x: 0.5 * x[0] ** 2),
+            gradient=rowwise(lambda x: np.array([x[0], math.nan if x[1] < 2.0 else -0.5])),
+            rate=RateFunction.linear(1.0),
+            feedback=rowwise(lambda x: np.zeros(1)))
+        cfg = IntegratorConfig(horizon=10.0, max_step=0.1)
+        with pytest.raises(DomainError, match=r"NaN at t=0\.0, x=\[1\.0, 0\.0\]"):
+            run_closed_loop(sysm, cert, EventTriggered(sigma=0.5),
+                            np.array([1.0, 0.0]), cfg)
+
     @pytest.mark.xfail(raises=AssertionError,
                        reason="ROADMAP item 6: probes miss a positive bump "
                               "between them when no other crossing shows")
     def test_a_bump_between_probes_fires(self):
-        # the bump alone: the step's probes all read -0.25, no retry puts a
-        # probe inside it, and the run reaches the horizon unfired
+        # the bump alone: the step's probes all read -0.25, so the step is
+        # not read again, and the run reaches the horizon unfired
         sysm, cert, x0, policy, cfg, bump = _halving_loop(later=False)
         traj = run_closed_loop(sysm, cert, policy, x0, cfg)
         assert traj.termination == "event_cap"
@@ -691,6 +720,34 @@ class TestRunClosedLoop:
                    for e in traj.events[1:])
 
 
+def _stepper_starts(monkeypatch):
+    """Count the stepper's starts in each scan, leaving out the corrector's
+    own integration to a cut; returns the list of counts, one per scan."""
+    scan, steps, frozen = engine._scan, engine._steps, engine.integrate_frozen
+    starts, correcting = [], []
+
+    def counted_scan(*args):
+        starts.append(0)
+        return scan(*args)
+
+    def counted_steps(*args):
+        if not correcting:
+            starts[-1] += 1
+        return steps(*args)
+
+    def corrector(*args):
+        correcting.append(True)
+        try:
+            return frozen(*args)
+        finally:
+            correcting.pop()
+
+    monkeypatch.setattr(engine, "_scan", counted_scan)
+    monkeypatch.setattr(engine, "_steps", counted_steps)
+    monkeypatch.setattr(engine, "integrate_frozen", corrector)
+    return starts
+
+
 class TestWindowCap:
     """The step rule reads the steps in windows of up to ``_WINDOW_CAP``
     under both policies; a cap of 1 reads them one at a time, and must give
@@ -724,8 +781,8 @@ class TestWindowCap:
 
     def test_a_crossing_wins_over_a_later_blowup(self, monkeypatch):
         # the stepper raises BlowupError while it fills the window that holds
-        # the crossing; the window is replayed one step at a time, and the
-        # crossing ends the scan before the error comes back
+        # the crossing; the steps drawn before it are judged first, and the
+        # crossing ends the scan before the error is raised
         sysm, cert, x0, policy, cfg, t_cross = _crossing_before_blowup_loop()
         steps, cap, raised = engine._steps, engine._WINDOW_CAP, []
 
@@ -746,8 +803,8 @@ class TestWindowCap:
 
     def test_a_crossing_wins_over_a_later_guard_error(self, monkeypatch):
         # the windowed run reads the guard on steps past the crossing, where
-        # the model raises; the window is replayed one step at a time, and
-        # the crossing ends the scan as one step at a time would
+        # the model raises; the window is judged again one step at a time,
+        # and the crossing ends the scan as one step at a time would
         sysm, cert, x0, policy, cfg, errors = _guard_undefined_past_a_crossing_loop()
         a = run_closed_loop(sysm, cert, policy, x0, cfg)
         assert errors
@@ -759,27 +816,38 @@ class TestWindowCap:
         assert a.termination == "event_cap"
         assert a.events[1].time == pytest.approx(2.0, abs=1e-12)
 
-    def test_a_replay_remakes_each_step_at_the_size_it_was_given(self, monkeypatch):
+    def test_a_failed_read_is_judged_from_the_steps_drawn(self, monkeypatch):
         # error control sets the steps of a clock of varying speed; the
-        # windowed read past the crossing raises, and the window is replayed
-        # from a step whose size ``t1 - t0`` does not give back
+        # windowed read past the crossing raises, and the steps already
+        # drawn are judged again one at a time, with no second start of the
+        # stepper
         sysm, cert, x0, policy, cfg, errors = _guard_undefined_past_a_crossing_loop(
             wobble=5.0, max_step=1.0)
-        steps, restarts = engine._steps, []
-
-        def watched(f, t, y, f0, t_end, config, h=None):
-            if h is not None:
-                restarts.append((t, h))
-            yield from steps(f, t, y, f0, t_end, config, h)
-
-        monkeypatch.setattr(engine, "_steps", watched)
+        starts = _stepper_starts(monkeypatch)
         a, b = self._both(monkeypatch, sysm, cert, policy, x0, cfg)
         assert _run_record(a) == _run_record(b)
-        assert len(restarts) == 1 and len(errors) == 1  # the windowed run's
-        t, h = restarts[0]
-        assert (t + h) - t != h
+        assert len(errors) == 1  # the windowed run's
+        assert starts == [1, 1]  # one scan in each run
         assert a.termination == "event_cap"
         assert a.events[1].state[1] == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["relay1d", "zeno_polar", "homog2d",
+                                      "acc_case1", "acc_case2", "halving", "bump"])
+    def test_a_scan_starts_its_stepper_once(self, monkeypatch, case):
+        # a step whose reads change sign more than once is read again on its
+        # own interpolant, and a window that fails is judged from the steps
+        # drawn, so nothing starts the stepper a second time in a scan
+        if case in ("halving", "bump"):
+            sysm, cert, x0, policy, cfg = _halving_loop(later=case == "halving")[:5]
+        else:
+            preset = load_config(case)
+            model, x0 = _model_and_x0(preset)
+            sysm, cert = model.system, model.certificate
+            policy = EventTriggered(sigma=preset.sigma)
+            cfg = IntegratorConfig(horizon=preset.horizon, **preset.integrator)
+        starts = _stepper_starts(monkeypatch)
+        run_closed_loop(sysm, cert, policy, x0, cfg)
+        assert starts and set(starts) == {1}
 
     @pytest.mark.parametrize("preset, spec, horizon, fires", [
         ("acc_case1", {"h": 0.005}, None, True),
@@ -806,8 +874,8 @@ class TestWindowCap:
     def test_a_fired_check_wins_over_a_later_margin_error(self, monkeypatch):
         # the margin is -0.025 before the clock reads 2 and positive from
         # there, so the first check there fails; the windowed run reads the
-        # margin on steps past it, where the gradient raises, and replays the
-        # window one step at a time, as under the event policy
+        # margin on steps past it, where the gradient raises, and judges the
+        # window again one step at a time, as under the event policy
         sysm, cert, x0, _, cfg, errors = _guard_undefined_past_a_crossing_loop()
         policy = PeriodicEventTriggered(sigma=0.9, sigma_tilde=0.95, k_big=2.0,
                                         h=0.05, big_m=3.0)

@@ -120,14 +120,16 @@ ZENO_RUNS = (
 )
 
 # a part of the set that runs in a few seconds, in the set's order: the three
-# fast presets, the periodic-event runs (explicit and derived h, and the
-# acc_policy_sweep row, which takes the periodic rule over long steps), the
-# stats commands on the presets' trajectories, and every command that must
-# exit 1
+# fast presets, two clock-policy runs that scan past t = 0 (explicit self
+# and time instants), the periodic-event runs (explicit and derived h, and
+# the acc_policy_sweep row, which takes the periodic rule over long steps),
+# the stats commands on the presets' trajectories, and every command that
+# must exit 1
 FAST = tuple(
     [f"{command}_{model}" for model in MODELS[:3]
      for command in ("simulate", "verify", "dwell")]
-    + ["simulate_homog2d_periodic", "simulate_homog2d_periodic_derived"]
+    + ["simulate_homog2d_self", "simulate_homog2d_instants",
+       "simulate_homog2d_periodic", "simulate_homog2d_periodic_derived"]
     + [f"stats{out}_{model}" for model in STATS_OF[:2] for out in ("", "_out")]
     + [f"simulate_{name}" for name, _, _ in ERROR_RUNS]
     + ["sweep_acc_policy_sweep"]
