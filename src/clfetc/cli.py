@@ -30,9 +30,9 @@ from .certificates import (estimate_big_m, estimate_kappa, estimate_nu,  # noqa:
                            estimate_rho)
 from .core import _as_vector, verify_clf_pointwise
 from .dwell import DwellInputs, admissible_period, tau_min_over_sublevel
-from .engine import (IntegratorConfig, check_rate_certificate, run_closed_loop,
-                     run_stats, read_event_times_csv, stats_from_event_times,
-                     write_trajectory_csv)
+from .engine import (MAX_OUTPUT_POINTS, IntegratorConfig, check_rate_certificate,
+                     run_closed_loop, run_stats, read_event_times_csv,
+                     stats_from_event_times, write_trajectory_csv)
 from .errors import (ClfetcError, ConfigurationError, NonDegeneracyError,
                      PropernessError)
 from .models import MODEL_NAMES, build_model, zeno_first_event_bound
@@ -171,7 +171,7 @@ _CONFIG = _object({
         "max_step": _number(gt=0),
         "max_events": _number(integer=True, ge=1),
         "zeno_floor": _number(gt=0),
-        "output_points": _number(integer=True, ge=2),
+        "output_points": _number(integer=True, ge=2, le=MAX_OUTPUT_POINTS),
     }),
     "seed": _number(integer=True, ge=0),
     "estimation": _object({

@@ -28,10 +28,17 @@ it are accepted, so that an error surfaces where a window of 1 meets it.
 The rule sizes its next window from the trend of what it reads, from 1 to
 ``_WINDOW_CAP`` steps: it changes how fast a run goes, never what it
 computes.
+
+The scan hands the recorder a window's accepted steps in one call, with the
+cut step and its cut instant, and the recorder reads all of their grid rows
+in one elementwise interpolant pass, each with the bits of its step's
+interpolant at its instant alone.  It writes the rows into arrays that
+double when full.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +48,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import ClfCertificate, ControlSystem, _as_points, _as_vector
-from .errors import BlowupError, DomainError, IntegrationError
+from .errors import (BlowupError, DimensionMismatchError, DomainError,
+                     IntegrationError)
 from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
                        equilibrium_threshold, frozen_guard, predicate_margin,
                        predicate_p)
@@ -70,6 +78,9 @@ _PROBE_ROW = np.array((0.0, *_THETAS, 1.0))  # a step's start, probes and end
 _WINDOW_CAP = 16  # most steps a step rule reads in one batch
 _REFINE_DOUBLINGS = 6  # most times an event step's reads are doubled
 _EPS = float(np.finfo(float).eps)
+# the most grid rows a run records: its recorder's arrays and grid then take
+# about 0.37 GB at d = 3 and m = 1 (80 bytes a row)
+MAX_OUTPUT_POINTS = 2**22
 ILLINOIS_MAX_ITER = 200  # far more than floating-point resolution needs
 RATE_SLACK = 1e-6  # check_rate_certificate's slack, relative to 1 + V0
 
@@ -165,16 +176,19 @@ def _initial_step(f, y0, f0, rtol, atol, max_step, span):
     return min(100 * h0, h1, span, max_step)
 
 
-def _cubic(s, y0, f0, y1, f1, h):
-    """The cubic Hermite formula at step fractions ``s``, elementwise, so an
-    array of steps and fractions gives each entry the bits of its own step
-    alone."""
+def _weights(s):
+    """The four cubic Hermite weights ``(h00, h10, h01, h11)`` at a step
+    fraction ``s``: a float, or an array of them, elementwise."""
     s2 = s * s
     s3 = s2 * s
-    h00 = 2 * s3 - 3 * s2 + 1
-    h10 = s3 - 2 * s2 + s
-    h01 = -2 * s3 + 3 * s2
-    h11 = s3 - s2
+    return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
+
+
+def _cubic(w, y0, f0, y1, f1, h):
+    """The cubic Hermite formula with weights ``w`` (:func:`_weights`),
+    elementwise, so an array of steps and weights gives each entry the bits
+    of its own step and fraction alone."""
+    h00, h10, h01, h11 = w
     return h00 * y0 + h01 * y1 + h * (h10 * f0 + h11 * f1)
 
 
@@ -193,8 +207,8 @@ class _Hermite:
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         if self.h == 0.0:
             return self.y0
-        return _cubic((t - self.t0) / self.h, self.y0, self.f0, self.y1,
-                      self.f1, self.h)
+        return _cubic(_weights((t - self.t0) / self.h), self.y0, self.f0,
+                      self.y1, self.f1, self.h)
 
 
 def _steps(f, t, y, f0, t_end, cfg):
@@ -347,51 +361,106 @@ class Trajectory:
 
 
 class _Recorder:
+    """A run's rows, in ``t``, ``x``, ``u`` and ``flag`` arrays that double
+    when full: the grid instants ``grid`` up to where the run has reached,
+    with the states its steps read there, and the event and blow-up rows.
+    A row at the last row's instant replaces it if it is an event's, with
+    flag 1, and is skipped otherwise."""
+
     def __init__(self, cert, sys, grid):
         self.cert = cert
         self.sys = sys
-        self.grid = grid
+        self.grid = grid.tolist()
         self.next_grid = 0
-        self.rows_t = []
-        self.rows_x = []
-        self.rows_u = []
-        self.rows_flag = []
+        self.n = 0
+        size = len(self.grid)
+        self.t = np.empty(size)
+        self.x = np.empty((size, sys.state_dim))
+        self.u = np.empty((size, sys.input_dim))
+        self.flag = np.empty(size, dtype=int)
+
+    def _room(self, k):
+        """Room for ``k`` more rows, at most a grid's: the arrays double."""
+        n = self.n
+        if n + k > len(self.t):
+            self.t, self.x, self.u, self.flag = (
+                np.concatenate((a, np.empty_like(a)))
+                for a in (self.t, self.x, self.u, self.flag))
 
     def add_row(self, t, x, u, flag):
-        if self.rows_t and t == self.rows_t[-1]:
+        n = self.n
+        if np.shape(u) != self.u.shape[1:]:
+            raise DimensionMismatchError(f"each control must have length "
+                                         f"{self.u.shape[1]}, got shape {np.shape(u)}")
+        if n and t == self.t[n - 1]:
             if flag:
-                self.rows_x[-1] = np.array(x, dtype=float)
-                self.rows_u[-1] = np.array(u, dtype=float)
-                self.rows_flag[-1] = 1
+                self.x[n - 1], self.u[n - 1], self.flag[n - 1] = x, u, 1
             return
-        self.rows_t.append(float(t))
-        self.rows_x.append(np.array(x, dtype=float))
-        self.rows_u.append(np.array(u, dtype=float))
-        self.rows_flag.append(int(flag))
+        self._room(1)
+        self.t[n], self.x[n], self.u[n], self.flag[n] = t, x, u, flag
+        self.n = n + 1
 
-    def fill_grid(self, t_hi, state_at, u, inclusive):
-        while self.next_grid < len(self.grid):
-            tg = self.grid[self.next_grid]
-            if tg < t_hi or (inclusive and tg == t_hi):
-                self.add_row(tg, state_at(tg), u, 0)
-                self.next_grid += 1
-            else:
-                break
+    def _first(self):
+        """The next grid row to record, once one at the last row's instant
+        is passed over."""
+        j = self.next_grid
+        if self.n and j < len(self.grid) and self.grid[j] == self.t[self.n - 1]:
+            self.next_grid = j = j + 1
+        return j
+
+    def _put(self, lo, hi, x, u):
+        """Record grid rows ``lo`` to ``hi - 1`` with states ``x``, one row
+        each or one for all, and the control ``u``."""
+        n, k = self.n, hi - lo
+        self._room(k)
+        self.t[n:n + k] = self.grid[lo:hi]
+        self.x[n:n + k] = x
+        self.u[n:n + k] = u
+        self.flag[n:n + k] = 0
+        self.n, self.next_grid = n + k, hi
+
+    def fill_grid(self, pieces, u, at=None):
+        """Record the grid rows that consecutive accepted steps reach: those
+        at or before each step's end, or, when the last step is cut at
+        ``at``, those of the last step strictly before it.  One elementwise
+        pass reads them all, each with the bits of its own step's
+        ``piece(t)``: its weights from the same float operations, then one
+        array combination over the rows."""
+        grid, lo = self.grid, self._first()
+        ends = [bisect.bisect_right(grid, piece.t1, lo) for piece in pieces]
+        if at is not None:
+            ends[-1] = bisect.bisect_left(grid, at, lo)
+        j, steps, owner, weights = lo, [], [], []
+        for piece, end in zip(pieces, ends):
+            if end > j:
+                t0, h = piece.t0, piece.h
+                weights += [(*_weights((tg - t0) / h), h) for tg in grid[j:end]]
+                owner += [len(steps)] * (end - j)
+                steps.append((piece.y0, piece.f0, piece.y1, piece.f1))
+                j = end
+        if j > lo:
+            y0, f0, y1, f1 = np.array(steps)[owner].transpose(1, 0, 2)
+            *w, h = np.array(weights).T[:, :, None]
+            self._put(lo, j, _cubic(w, y0, f0, y1, f1, h), u)
+
+    def hold(self, x, u):
+        """Record every grid row left with the state ``x``."""
+        self._put(self._first(), len(self.grid), x, u)
 
     def finalize(self, events, termination, sigma) -> Trajectory:
-        t = np.array(self.rows_t)
+        n = self.n
+        t = self.t[:n]
         # checked once here, then read in one call each, on every row
-        x = _as_points(self.rows_x, self.sys.state_dim, "state")
-        u = _as_points(self.rows_u, self.sys.input_dim, "control")
+        x = _as_points(self.x[:n], self.sys.state_dim, "state")
+        u = _as_points(self.u[:n], self.sys.input_dim, "control")
         v = self.cert.levels(x)
         w = np.vecdot(self.cert.grad(x), self.sys.f(x, u))
         v0 = float(v[0])
-        bound = np.array([self.cert.energy_map.bound_after(v0, float(ti), sigma)
-                          for ti in t])
+        bound = np.array([self.cert.energy_map.bound_after(v0, ti, sigma)
+                          for ti in t.tolist()])
         return Trajectory(t=t, x=x, u=u, v=v, w=w, bound=bound,
-                          event_flag=np.array(self.rows_flag, dtype=int),
-                          events=list(events), termination=termination,
-                          sigma=sigma)
+                          event_flag=self.flag[:n], events=list(events),
+                          termination=termination, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +491,16 @@ def _window_states(pieces, times):
         *((p.t0, p.h, p.y0, p.f0, p.y1, p.f1) for p in pieces)))
     t = t0 + _PROBE_ROW * h  # listed instants take the probes' places
     if times.count(None) == len(times):  # no mask to gather through
-        ys = _cubic(((t[:, 1:-1] - t0) / h)[:, :, None], y0, f0, y1, f1,
-                    h[:, :, None])
+        ys = _cubic(_weights(((t[:, 1:-1] - t0) / h)[:, :, None]), y0, f0, y1,
+                    f1, h[:, :, None])
         return np.concatenate((y0, ys, y1), axis=1).reshape(-1, ys.shape[-1])
     read = np.ones(t.shape, dtype=bool)
     for i, ts in enumerate(times):
         if ts is not None:
             t[i, :len(ts)] = ts
             read[i, len(ts):] = False
-    ys = _cubic(((t - t0) / h)[:, :, None], y0, f0, y1, f1, h[:, :, None])
+    ys = _cubic(_weights(((t - t0) / h)[:, :, None]), y0, f0, y1, f1,
+                h[:, :, None])
     probes = [i for i, ts in enumerate(times) if ts is None]
     ys[probes, 0] = y0[probes, 0]
     ys[probes, -1] = y1[probes, 0]
@@ -577,7 +647,8 @@ def _step_rule(scalar, grid=None):
 
 def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
-    towards ``t_end``, filling grid rows along the way.
+    towards ``t_end``, recording the grid rows of each window's accepted
+    steps in one call (:meth:`_Recorder.fill_grid`).
 
     ``cut(pieces, f)``, the policy's step rule (:func:`_step_rule`), reads a
     window of consecutive accepted steps with the frozen field ``f``
@@ -591,9 +662,9 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     stepper raises after it drew part of a window, the steps it drew are
     judged first: a cut among them wins, and the error is raised once they
     are all accepted; an error on a window's first step is raised.  At a
-    cut, rows fill strictly before the cut instant, and one
-    tolerance-checked corrector integration from the step start replaces
-    the interpolant.
+    cut, the cut step's rows fill strictly before the cut instant, in the
+    same call as the steps before it, and one tolerance-checked corrector
+    integration from the step start replaces the interpolant.
     Returns ``(t_cut, x, fx)`` at a cut, or ``(t_end, x_end, None)``.  Clock
     scans, with no rule, accept every step.
     """
@@ -612,11 +683,9 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
         n, at, next_width = len(pieces), None, width
         if cut is not None and pieces:
             n, at, next_width = cut(pieces, f)
-        for piece in pieces[:n]:
-            rec.fill_grid(piece.t1, piece, u, inclusive=True)
+        rec.fill_grid(pieces[:n + (at is not None)], u, at)
         if at is not None:
             piece = pieces[n]
-            rec.fill_grid(at, piece, u, inclusive=False)
             sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
             return at, sub.ys[-1], sub.fs[-1]
         if error is not None:
@@ -675,7 +744,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         origin's control to the horizon."""
         u = cert.u(np.zeros(sys.state_dim))
         push_event(t, x, u, gval, "equilibrium_frozen")
-        rec.fill_grid(horizon, lambda _t: x, u, inclusive=True)
+        rec.hold(x, u)
         return rec.finalize(events, "equilibrium", sigma)
 
     t = 0.0

@@ -68,3 +68,18 @@ def test_check_stops_on_other_versions(tmp_path):
     tool.MANIFEST = path
     assert tool.main(["--check", str(tmp_path / "out")]) == 3
     assert not (tmp_path / "out").exists()  # nothing ran
+
+
+def test_check_stops_on_another_blas_kernel(tmp_path):
+    # the Runge-Kutta stage sums go through BLAS, whose kernel, picked from
+    # the CPU at run time, may round them otherwise
+    tool = _load_tool()
+    manifest = tool.load_manifest()
+    assert set(manifest["blas"]) == {"name", "version", "openblas configuration"}
+    manifest = dict(manifest, blas_kernel="AnotherCore")
+    assert "kernel AnotherCore" in tool.version_mismatch(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    tool.MANIFEST = path
+    assert tool.main(["--check", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()  # nothing ran

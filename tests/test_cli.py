@@ -242,6 +242,12 @@ class TestConfigHandling:
         pytest.param(_with("estimation.n_clf_samples", 2**24 + 1),
                      f"estimation.n_clf_samples must be <= {2**24}, got {2**24 + 1}",
                      id="n-clf-samples-past-cap"),
+        # a grid the recorder could not hold: refused before anything runs
+        pytest.param(_with("integrator.output_points", 10**13),
+                     f"integrator.output_points must be <= {2**22}, got {10**13}",
+                     id="huge-output-points"),
+        pytest.param(_with("integrator.output_points", 2**22), None,
+                     id="output-points-at-cap"),
         pytest.param(_with("estimation.n_samples", 2**24), None, id="n-samples-at-cap"),
         pytest.param(_with("estimation.n_clf_samples", 2**24), None,
                      id="n-clf-samples-at-cap"),

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +157,52 @@ class TestHermite:
                 assert len(rows) == width * (engine.GUARD_PROBES + 2)
             assert window.shape == (len(rows), dim)
             assert window.tobytes() == np.array(rows).reshape(-1, dim).tobytes()
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_pass_equals_the_per_row_states(self, dim):
+        # the recorder reads the grid rows of a window's accepted steps, and
+        # of a cut last step those strictly before its cut, in one pass;
+        # each row must keep the bits of its own step's interpolant at its
+        # instant.  A row at the window's start, where an event was
+        # recorded, is passed over
+        rng = np.random.default_rng(20 + dim)
+        u = np.array([0.5])
+        for _ in range(60):
+            pieces, grid, owners = [], [], []
+            t = float(rng.uniform(0.0, 100.0))
+            for _ in range(int(rng.integers(1, engine._WINDOW_CAP + 1))):
+                h = float(10.0 ** rng.uniform(-9.0, 1.0))
+                y0, f0, y1, f1 = rng.normal(size=(4, dim)) * 10.0 ** rng.uniform(-3, 3)
+                p = _Hermite(t, y0, f0, t + h, y1, f1)
+                ts = set(rng.uniform(p.t0, p.t1, int(rng.integers(0, 41))).tolist())
+                if rng.random() < 0.3:
+                    ts.add(p.t1)
+                ts = sorted(tt for tt in ts if p.t0 < tt <= p.t1)
+                grid += ts
+                owners += [p] * len(ts)
+                pieces.append(p)
+                t = p.t1
+            last = pieces[-1]
+            at = None
+            if rng.random() < 0.5:  # a cut, on one of the last step's rows or not
+                on_rows = [tt for tt, p in zip(grid, owners) if p is last]
+                at = (on_rows[int(rng.integers(len(on_rows)))]
+                      if on_rows and rng.random() < 0.5
+                      else float(rng.uniform(last.t0, last.t1)))
+            rec = engine._Recorder(None, SimpleNamespace(state_dim=dim, input_dim=1),
+                                   np.array([pieces[0].t0] + grid))
+            rec.add_row(pieces[0].t0, pieces[0].y0, u, 1)
+            rec.fill_grid(pieces, u, at)
+            want = [(tt, p) for tt, p in zip(grid, owners)
+                    if at is None or p is not last or tt < at]
+            assert rec.n == 1 + len(want)
+            assert rec.next_grid == 1 + len(want)
+            assert rec.t[1:rec.n].tolist() == [tt for tt, _ in want]
+            assert rec.flag[:rec.n].tolist() == [1] + [0] * len(want)
+            assert rec.u[:rec.n].tobytes() == np.tile(u, (rec.n, 1)).tobytes()
+            assert rec.x[1:rec.n].tobytes() == np.array(
+                [p(tt) for tt, p in want]).reshape(-1, dim).tobytes()
 
 
 class TestLocateEvent:
@@ -746,6 +793,104 @@ def _stepper_starts(monkeypatch):
     monkeypatch.setattr(engine, "_steps", counted_steps)
     monkeypatch.setattr(engine, "integrate_frozen", corrector)
     return starts
+
+
+class TestRecorderRows:
+    """The row rules of a run's recording: grid rows, event rows and the
+    rows that a blow-up and a freeze leave."""
+
+    def test_an_event_at_a_grid_instant_replaces_its_row(self, homog):
+        # the update at a grid instant keeps one row there: flag 1, the
+        # event's state and its new control
+        cfg = IntegratorConfig(horizon=1.0, output_points=5)
+        policy = TimeTriggered(sigma=0.9, instants=(0.25, 0.5))
+        traj = run_closed_loop(homog.system, homog.certificate, policy,
+                               homog.default_x0, cfg)
+        assert traj.t.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert traj.event_flag.tolist() == [1, 1, 1, 0, 0]
+        for row, e in zip((0, 1, 2), traj.events):
+            assert traj.t[row] == e.time
+            assert traj.x[row].tobytes() == e.state.tobytes()
+            assert traj.u[row].tobytes() == e.control.tobytes()
+        assert traj.events[1].control.tolist() != traj.events[0].control.tolist()
+        assert traj.u[3:].tobytes() == np.tile(traj.events[2].control, (2, 1)).tobytes()
+
+    def test_repeated_events_at_one_instant_leave_one_row(self):
+        # a guard that no control can bring below zero fires again at once,
+        # at the same instant, until the Zeno safeguard stops the run
+        sysm = ControlSystem(1, 1, rhs=lambda x, u: x)
+        cert = ClfCertificate(value=lambda x: 0.5 * x[..., 0] ** 2,
+                              gradient=lambda x: x,
+                              rate=RateFunction.linear(1.0),
+                              feedback=lambda x: -2.0 * x)
+        cfg = IntegratorConfig(horizon=1.0, output_points=11)
+        traj = run_closed_loop(sysm, cert, EventTriggered(sigma=0.5),
+                               np.array([1.0]), cfg)
+        assert traj.termination == "zeno_abort"
+        assert len(traj.events) == engine.ZENO_CONSECUTIVE + 1
+        assert {e.time for e in traj.events} == {0.0}
+        assert traj.t.tolist() == [0.0]
+        assert traj.event_flag.tolist() == [1]
+        assert traj.u.tolist() == [traj.events[-1].control.tolist()]
+
+    def test_events_between_grid_instants_keep_the_rows_in_order(self):
+        # zeno_polar fires every 1e-5 s or so from t = 0, and its scans
+        # reach no grid instant: the grid row at t = 0, which the initial
+        # event holds, is not recorded again after them
+        from clfetc import zeno_polar
+        m = zeno_polar(r_star=0.01)
+        cfg = IntegratorConfig(horizon=1.0, zeno_floor=1e-3, output_points=11)
+        traj = run_closed_loop(m.system, m.certificate, EventTriggered(sigma=0.9),
+                               m.default_x0, cfg)
+        assert traj.termination == "zeno_abort"
+        assert traj.t.tolist() == [e.time for e in traj.events]
+        assert traj.events[-1].time < 0.1
+
+    def test_a_blowup_appends_its_row(self):
+        sysm = ControlSystem(1, 1, rhs=rowwise(lambda x, u: np.array([x[0] ** 2])))
+        cert = ClfCertificate(value=rowwise(lambda x: float(x[0] ** 2)),
+                              gradient=rowwise(lambda x: np.array([2.0 * x[0]])),
+                              rate=RateFunction.linear(1.0),
+                              feedback=rowwise(lambda x: np.zeros(1)))
+        cfg = IntegratorConfig(horizon=10.0)
+        traj = run_closed_loop(sysm, cert, TimeTriggered(sigma=0.5, period=1.0),
+                               [5.0], cfg)
+        # the scan to the first clock instant runs the stepper that
+        # integrate_frozen runs over the same span
+        with pytest.raises(BlowupError) as blowup:
+            integrate_frozen(sysm, [5.0], [0.0], (0.0, 1.0), cfg)
+        grid = np.linspace(0.0, 10.0, 1001)
+        before = grid[grid <= blowup.value.t]
+        assert traj.termination == "blowup"
+        assert traj.t.tolist() == before.tolist() + [blowup.value.t]
+        assert traj.event_flag.tolist() == [1] + [0] * len(before)
+        assert traj.x[-1].tobytes() == blowup.value.state.tobytes()
+
+    def test_a_freeze_holds_the_state_and_the_origin_control(self, relay):
+        cfg = IntegratorConfig(horizon=2.0, output_points=101)
+        traj = run_closed_loop(relay.system, relay.certificate,
+                               EventTriggered(sigma=0.9), np.array([1.0]), cfg)
+        frozen = traj.events[-1]
+        assert traj.termination == "equilibrium"
+        assert frozen.reason == "equilibrium_frozen" and 0.0 < frozen.time < 2.0
+        row = traj.t.tolist().index(frozen.time)
+        grid = np.linspace(0.0, 2.0, 101)
+        assert traj.t[row + 1:].tolist() == grid[grid > frozen.time].tolist()
+        assert traj.event_flag[row:].tolist() == [1] + [0] * (len(traj.t) - row - 1)
+        origin_u = relay.certificate.u(np.zeros(1))
+        for x, u in zip(traj.x[row:], traj.u[row:]):
+            assert x.tobytes() == frozen.state.tobytes()
+            assert u.tobytes() == origin_u.tobytes()
+
+    def test_a_freeze_with_a_control_of_the_wrong_length_fails_loudly(self, relay):
+        # the origin's control is recorded, not integrated: its length is
+        # checked where it is recorded
+        cert = replace(relay.certificate,
+                       feedback=lambda x: np.zeros(x.shape[:-1] + (2,)))
+        cfg = IntegratorConfig(horizon=1.0)
+        with pytest.raises(DimensionMismatchError, match="control"):
+            run_closed_loop(relay.system, cert, EventTriggered(sigma=0.9),
+                            np.array([0.0]), cfg)
 
 
 class TestWindowCap:

@@ -5,7 +5,7 @@ compare it with the committed manifest of its hashes.
     python3 tools/artifact_set.py --manifest OUT_DIR
     python3 tools/artifact_set.py --check OUT_DIR
 
-Runs 43 ``clfetc`` commands, one at a time, against the package in this
+Runs 46 ``clfetc`` commands, one at a time, against the package in this
 checkout's ``src`` directory:
 
 - ``simulate --plot``, ``verify`` and ``dwell`` on the relay1d, zeno_polar,
@@ -34,13 +34,17 @@ checkout's ``src`` directory:
   whose first dwell is compared with the bound at |x0| (``r_star`` only
   places the default ``x0``), and ``stats`` on a CSV with no
   ``event_flag`` column, which must exit 1 with an ``error:`` line;
-- last, ``stats`` on a CSV that is not UTF-8 and ``simulate`` on a
+- then ``stats`` on a CSV that is not UTF-8 and ``simulate`` on a
   truncated JSON config, which must each exit 1 with an ``error:`` line
-  that names the file.
+  that names the file;
+- last, ``simulate`` with ``integrator.max_step`` at the horizon, so that
+  a step holds many grid rows (every command before steps at most the grid
+  spacing): homog2d and acc_case1 under their ``event`` policy, and homog2d
+  under ``self`` (tau 0.05) at horizon 5.
 
 Each command writes into its own directory ``OUT_DIR/NN_name``.  The
-homog2d, error-path and config-check configs and the three bad input files
-go to ``OUT_DIR/configs``.
+homog2d, error-path, config-check and long-step configs and the three bad
+input files go to ``OUT_DIR/configs``.
 ``OUT_DIR/log.txt`` records each command with its exit code and printed
 lines, with ``OUT_DIR`` and this checkout's root replaced by placeholders.
 Run it at two commits and compare the two directories with ``diff -r``: the
@@ -48,25 +52,30 @@ output is empty when no artifact, exit code or printed line changed.
 
 ``--manifest`` then writes ``tools/artifact_manifest.json``: the SHA-256
 of every file under ``OUT_DIR``, ``log.txt`` included, of each command's
-lines in the log, and the Python and numpy versions the run was made with.
+lines in the log, and what the run's bits depend on: the Python and numpy
+versions, numpy's BLAS build (name, version and OpenBLAS configuration) and
+the BLAS kernel, which numpy's bundled OpenBLAS names through ``ctypes``
+(``null`` where numpy bundles none that names it).
 ``--check`` compares the run with that manifest instead, names each file
 that differs, is missing or is new, and exits 1 if any does.  Artifacts
 hold shortest round-trip floats, which another numpy build may round
-differently, so ``--check`` on other versions than the manifest's exits 3
-before it runs anything; re-record the manifest there, or check on the
-recorded versions.  The bytes also depend on the BLAS kernel, which the
-manifest does not record: the Runge-Kutta stage sums ``_A[i] @ K[:i]`` in
+differently, so ``--check`` on other versions, another BLAS build or
+another BLAS kernel than the manifest's exits 3 before it runs anything;
+re-record the manifest there, or check where it was recorded.  The kernel
+matters because the Runge-Kutta stage sums ``_A[i] @ K[:i]`` in
 ``clfetc.engine`` go through numpy's matmul into BLAS.  With numpy's
 OpenBLAS 0.3.31 (a ``DYNAMIC_ARCH`` build, which picks its kernel from the
 CPU at run time) on an Intel Xeon, at least one of the six stage sums
 differed in its bits from the left-to-right sum in 19,984 of 20,000 random
 ``(7, 3)`` stage matrices, so another kernel may give other bits.  No other
 CPU was tried.  A change that alters outputs on purpose re-records the
-manifest and names every changed file.  Uses the standard library only.
+manifest and names every changed file.  Uses the standard library, and
+numpy only to read its BLAS.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib.metadata
 import json
@@ -119,12 +128,23 @@ ZENO_RUNS = (
     ("zeno_polar_x0_half", "zeno_polar", {"x0": [0.5, 0.0], "horizon": 2.0}),
 )
 
+# runs whose steps each hold many grid rows, in the same form: every other
+# command steps at most the grid spacing, horizon/1000, so that its steps
+# hold one or two rows each
+LONG_STEP_RUNS = (
+    ("homog2d_long_steps", "homog2d", {"integrator": {"max_step": 200.0}}),
+    ("acc_case1_long_steps", "acc_case1", {"integrator": {"max_step": 60.0}}),
+    ("homog2d_self_long_steps", "homog2d",
+     {"policy": {"policy": "self", "sigma": 0.9, "tau": 0.05}, "horizon": 5.0,
+      "integrator": {"max_step": 5.0}}),
+)
+
 # a part of the set that runs in a few seconds, in the set's order: the three
 # fast presets, two clock-policy runs that scan past t = 0 (explicit self
 # and time instants), the periodic-event runs (explicit and derived h, and
 # the acc_policy_sweep row, which takes the periodic rule over long steps),
-# the stats commands on the presets' trajectories, and every command that
-# must exit 1
+# the stats commands on the presets' trajectories, every command that must
+# exit 1, and homog2d's event run over long steps
 FAST = tuple(
     [f"{command}_{model}" for model in MODELS[:3]
      for command in ("simulate", "verify", "dwell")]
@@ -135,7 +155,8 @@ FAST = tuple(
     + ["sweep_acc_policy_sweep"]
     + ["simulate_homog2d_unknown_policy_key", "simulate_homog2d_negative_horizon",
        "simulate_homog2d_model_sigma", "simulate_homog2d_region_level",
-       "stats_no_event_flag", "stats_not_utf8", "simulate_truncated_config"])
+       "stats_no_event_flag", "stats_not_utf8", "simulate_truncated_config",
+       "simulate_homog2d_long_steps"])
 
 
 def _write_config(config_dir: Path, name: str, data: dict) -> Path:
@@ -215,25 +236,55 @@ def commands(out_dir: Path) -> list:
     truncated.write_text('{"model": ')
     add("simulate_truncated_config",
         lambda d: ["simulate", "--config", str(truncated), "--out", d])
+    for name, path in preset_configs(out_dir / "configs", LONG_STEP_RUNS):
+        add(f"simulate_{name}",
+            lambda d, p=path: ["simulate", "--config", str(p), "--out", d])
     return cmds
 
 
+def blas_kernel():
+    """The kernel that numpy's bundled OpenBLAS runs on this CPU, or None
+    where numpy bundles no OpenBLAS that names it."""
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy has loaded already
+        corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def versions() -> dict:
-    """The Python and numpy versions that the commands run on."""
+    """What the commands' bits depend on: the Python and numpy versions,
+    numpy's BLAS build and the BLAS kernel it runs here."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(),
-            "numpy": importlib.metadata.version("numpy")}
+            "numpy": importlib.metadata.version("numpy"),
+            "blas": {key: blas.get(key)
+                     for key in ("name", "version", "openblas configuration")},
+            "blas_kernel": blas_kernel()}
+
+
+def _described(v: dict) -> str:
+    blas = v.get("blas") or {}
+    return (f"Python {v.get('python')} and numpy {v.get('numpy')}, BLAS "
+            f"{blas.get('name')} {blas.get('version')} on kernel "
+            f"{v.get('blas_kernel')}")
 
 
 def version_mismatch(manifest: dict):
-    """A line naming both version pairs when this interpreter differs from
-    the one the manifest was made with, else None."""
+    """A line naming both builds when this interpreter and its BLAS differ
+    from those the manifest was made with, else None."""
     here = versions()
     made = {key: manifest.get(key) for key in here}
     if made == here:
         return None
-    return (f"manifest made with Python {made['python']} and numpy "
-            f"{made['numpy']}; this is Python {here['python']} and numpy "
-            f"{here['numpy']}")
+    return f"manifest made with {_described(made)}; this is {_described(here)}"
 
 
 def run(out_dir: Path, names=None) -> dict:
