@@ -29,11 +29,13 @@ The rule sizes its next window from the trend of what it reads, from 1 to
 ``_WINDOW_CAP`` steps: it changes how fast a run goes, never what it
 computes.
 
-The scan hands the recorder a window's accepted steps in one call, with the
-cut step and its cut instant, and the recorder reads all of their grid rows
-in one elementwise interpolant pass, each with the bits of its step's
-interpolant at its instant alone.  It writes the rows into arrays that
-double when full.
+Batches of states come from two readers, each row with the bits of its
+step's interpolant at its instant alone: :func:`_probe_states` for windows
+whose steps all read their start, probes and end, as every event window
+does, and :func:`_states_at` for listed instants: the recorder's grid rows,
+check times, refinement midpoints and a window of both kinds.  The scan
+hands the recorder a window's accepted steps, with the cut step and its cut
+instant, in one call; it writes their rows into arrays that double when full.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ BLOWUP_NORM = 1e12
 ZENO_CONSECUTIVE = 10
 GUARD_PROBES = 8  # interior guard evaluations per accepted step
 _THETAS = tuple((j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES))
-_PROBE_ROW = np.array((0.0, *_THETAS, 1.0))  # a step's start, probes and end
 _WINDOW_CAP = 16  # most steps a step rule reads in one batch
 _REFINE_DOUBLINGS = 6  # most times an event step's reads are doubled
 _EPS = float(np.finfo(float).eps)
@@ -193,9 +194,9 @@ def _cubic(w, y0, f0, y1, f1, h):
 
 
 class _Hermite:
-    """Cubic Hermite interpolant over one accepted step, at one time or at a
-    ``(k, 1)`` column of times, elementwise alike: a row has the bits of the
-    interpolant at its time alone, however many rows the column holds."""
+    """Cubic Hermite interpolant over one accepted step, at one time; the
+    readers :func:`_probe_states` and :func:`_states_at` give each row of a
+    batch these bits."""
 
     __slots__ = ("t0", "y0", "f0", "t1", "y1", "f1", "h")
 
@@ -204,7 +205,7 @@ class _Hermite:
         self.t1, self.y1, self.f1 = t1, y1, f1
         self.h = t1 - t0
 
-    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+    def __call__(self, t: float) -> np.ndarray:
         if self.h == 0.0:
             return self.y0
         return _cubic(_weights((t - self.t0) / self.h), self.y0, self.f0,
@@ -422,26 +423,16 @@ class _Recorder:
     def fill_grid(self, pieces, u, at=None):
         """Record the grid rows that consecutive accepted steps reach: those
         at or before each step's end, or, when the last step is cut at
-        ``at``, those of the last step strictly before it.  One elementwise
-        pass reads them all, each with the bits of its own step's
-        ``piece(t)``: its weights from the same float operations, then one
-        array combination over the rows."""
+        ``at``, those of the last step strictly before it, all read in one
+        call of :func:`_states_at`."""
         grid, lo = self.grid, self._first()
         ends = [bisect.bisect_right(grid, piece.t1, lo) for piece in pieces]
         if at is not None:
             ends[-1] = bisect.bisect_left(grid, at, lo)
-        j, steps, owner, weights = lo, [], [], []
-        for piece, end in zip(pieces, ends):
-            if end > j:
-                t0, h = piece.t0, piece.h
-                weights += [(*_weights((tg - t0) / h), h) for tg in grid[j:end]]
-                owner += [len(steps)] * (end - j)
-                steps.append((piece.y0, piece.f0, piece.y1, piece.f1))
-                j = end
-        if j > lo:
-            y0, f0, y1, f1 = np.array(steps)[owner].transpose(1, 0, 2)
-            *w, h = np.array(weights).T[:, :, None]
-            self._put(lo, j, _cubic(w, y0, f0, y1, f1, h), u)
+        rows = [(piece, grid[a:b])
+                for piece, a, b in zip(pieces, [lo, *ends], ends) if b > a]
+        if rows:
+            self._put(lo, ends[-1], _states_at(*zip(*rows)), u)
 
     def hold(self, x, u):
         """Record every grid row left with the state ``x``."""
@@ -473,46 +464,38 @@ def _probe_times(piece):
             + [piece.t1])
 
 
-def _window_states(pieces, times):
-    """The states that a window of steps reads, in order, from one
-    elementwise interpolant pass.
-
-    ``times[i]`` lists the instants read on step ``i``, at most
-    ``GUARD_PROBES + 1``, or is None for the step's probes: its start
-    ``y0``, its ``GUARD_PROBES`` interior probes at the times of
-    :func:`_probe_times` and its end ``y1``.  Each interpolated row has the
-    bits of ``piece(t)`` at its time alone, so a single step of listed
-    instants is read through its own interpolant, without stacking the
-    window.
-    """
-    if len(pieces) == 1 and times[0] is not None:
-        return pieces[0](np.array(times[0])[:, None])
+def _probe_states(pieces):
+    """Each step's own ``y0``, its states at the interior probe times of
+    :func:`_probe_times`, each with the bits of ``piece(t)`` alone, and its
+    own ``y1``, in order, from one elementwise table over all the steps."""
     t0, h, y0, f0, y1, f1 = (np.array(a)[:, None] for a in zip(
         *((p.t0, p.h, p.y0, p.f0, p.y1, p.f1) for p in pieces)))
-    t = t0 + _PROBE_ROW * h  # listed instants take the probes' places
-    if times.count(None) == len(times):  # no mask to gather through
-        ys = _cubic(_weights(((t[:, 1:-1] - t0) / h)[:, :, None]), y0, f0, y1,
-                    f1, h[:, :, None])
-        return np.concatenate((y0, ys, y1), axis=1).reshape(-1, ys.shape[-1])
-    read = np.ones(t.shape, dtype=bool)
-    for i, ts in enumerate(times):
-        if ts is not None:
-            t[i, :len(ts)] = ts
-            read[i, len(ts):] = False
-    ys = _cubic(_weights(((t - t0) / h)[:, :, None]), y0, f0, y1, f1,
-                h[:, :, None])
-    probes = [i for i, ts in enumerate(times) if ts is None]
-    ys[probes, 0] = y0[probes, 0]
-    ys[probes, -1] = y1[probes, 0]
-    return ys[read]
+    s = (t0 + np.array(_THETAS) * h - t0) / h
+    ys = _cubic(_weights(s[:, :, None]), y0, f0, y1, f1, h[:, :, None])
+    return np.concatenate((y0, ys, y1), axis=1).reshape(-1, ys.shape[-1])
 
 
-def _width(value, rise):
-    """The size of a step rule's next window: half the steps in which a
-    value below zero that rises by ``rise`` a step reaches zero, at least 1
-    and at most ``_WINDOW_CAP``; the cap when it does not rise."""
-    ahead = -value / rise / 2 if rise > 0.0 else _WINDOW_CAP  # NaN: the cap
-    return max(1, int(min(_WINDOW_CAP, max(ahead, 0.0))))
+def _states_at(pieces, times):
+    """The states of ``pieces[i]`` at the instants ``times[i]``, in order,
+    or, where that is None, at its start, probes and end, from one gather
+    and one :func:`_cubic`: each row has the bits of its step's ``piece(t)``,
+    its weights from the same float operations, and a probe step's start
+    and end rows are its own ``y0`` and ``y1``."""
+    steps, owner, weights, ends = [], [], [], []
+    for piece, ts in zip(pieces, times):
+        if ts is None:
+            ts = _probe_times(piece)
+            ends += [(len(owner), piece.y0), (len(owner) + len(ts) - 1, piece.y1)]
+        t0, h = piece.t0, piece.h
+        weights += [(*_weights((t - t0) / h), h) for t in ts]
+        owner += [len(steps)] * len(ts)
+        steps.append((piece.y0, piece.f0, piece.y1, piece.f1))
+    y0, f0, y1, f1 = np.array(steps)[owner].transpose(1, 0, 2)
+    *w, h = np.array(weights).T[:, :, None]
+    ys = _cubic(w, y0, f0, y1, f1, h)
+    for row, y in ends:
+        ys[row] = y
+    return ys
 
 
 def _grid_index(t, h):
@@ -536,19 +519,22 @@ def _step_rule(scalar, grid=None):
     A periodic step reads the check times ``min(j*h, t_end)``, with
     ``j*h <= t_last``, past its start's grid index: those times when there
     are at most ``GUARD_PROBES + 1``, else its start, probes and end.  The
-    reads depend on the step alone, so the rule reads a window in
-    one batch, then judges its steps in order.  The first non-negative read
-    decides.  A check time is the cut, a start read cuts at the next grid
-    point, and otherwise the root between the read before and the read
-    (:func:`locate_event`) is the cut, or on the grid the first grid point
-    at or after it inside the step; with none, the step is accepted.  An
-    event step whose reads change sign more than once is first read again
-    at their midpoints, on its own cubic, one batch a doubling, until they
-    change sign at most once or after ``_REFINE_DOUBLINGS``, so that a root
-    between its probes shows whatever the step size.  The next window holds
-    half the steps that the trend of the last two reads predicts to zero,
-    at least 1, on the grid at least the steps that reach the next grid
-    point, since none before it can be cut, and at most ``_WINDOW_CAP``.
+    reads depend on the step alone, so the rule reads a window in one batch,
+    through :func:`_probe_states` when every step reads its probes and
+    :func:`_states_at` otherwise, then judges its steps in order.  The first
+    non-negative read decides.  A check time is the cut, a start read cuts
+    at the next grid point, and otherwise the root between the read before
+    and the read (:func:`locate_event`) is the cut, or on the grid the first
+    grid point at or after it inside the step; with none, the step is
+    accepted.  An event step whose reads change sign more than once is first
+    read again at their midpoints, on its own cubic (:func:`_states_at`),
+    one batch a doubling, until they change sign at most once or after
+    ``_REFINE_DOUBLINGS``, so that a root between its probes shows whatever
+    the step size.  One closure, ``width``, sizes the next window: half the
+    steps that the trend of the last two reads predicts to zero, the cap
+    where they do not rise, at least 1, on the grid at least the steps that
+    reach the next grid point, since none before it can be cut, and at most
+    ``_WINDOW_CAP``.
     A read that raises on a window of several steps sends its steps through
     the rule one at a time, since a speculative step may hold states that
     the model rejects; on one step the error is raised.
@@ -564,8 +550,11 @@ def _step_rule(scalar, grid=None):
 
     def width(piece, j=None):
         ahead = 1 if j is None else int((check_time(j + 1) - piece.t1) / piece.h) + 1
-        trend = 1 if slope is None else _width(last[1], slope * piece.h)
-        return min(_WINDOW_CAP, max(ahead, trend))
+        trend = 1.0  # before two reads
+        if slope is not None:
+            rise = slope * piece.h
+            trend = -last[1] / rise / 2 if rise > 0.0 else _WINDOW_CAP  # NaN: the cap
+        return min(_WINDOW_CAP, max(1, ahead, int(min(_WINDOW_CAP, max(trend, 0.0)))))
 
     def cut(piece, f, ts, row, j0, j1):
         """The cut instant that a step's first non-negative read makes, or
@@ -576,7 +565,7 @@ def _step_rule(scalar, grid=None):
             if sum((a < 0.0 <= b) or (b < 0.0 <= a) for a, b in zip(row, row[1:])) <= 1:
                 break
             mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
-            ys = piece(np.array(mids)[:, None])
+            ys = _states_at([piece], [mids])
             reads = scalar(ys, f(ys)).tolist()
             times = [*itertools.chain(*zip(times, mids)), times[-1]]
             row = [*itertools.chain(*zip(row, reads)), row[-1]]
@@ -614,7 +603,9 @@ def _step_rule(scalar, grid=None):
                 j = j1
         if reading:
             steps, times, _, _ = zip(*reading)
-            ys = _window_states([pieces[i] for i in steps], times)
+            window = [pieces[i] for i in steps]
+            ys = (_probe_states(window) if times.count(None) == len(times)
+                  else _states_at(window, times))
             try:
                 batch = scalar(ys, f(ys))
             except Exception:

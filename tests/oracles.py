@@ -15,7 +15,9 @@ bisection, against which the Illinois localization is compared, and
 :func:`frozen_guard_reference` and :func:`predicate_margin_reference` keep
 the one-state reads of the guard and the margin, which the batched reads
 must match bit for bit, and :func:`rate_excess_reference` the row loop of
-the rate certificate's check.
+the rate certificate's check.  :func:`ivp_event_times` is the second route
+to the event times of every model: scipy's ``solve_ivp``, which shares only
+the model and certificate code with the engine.
 """
 
 import math
@@ -29,6 +31,7 @@ from clfetc.certificates import (BOX_CHECK_POINTS, BOX_INFLATE, BOX_MAX_DOUBLING
                                  SublevelRegion, _SobolStream)
 from clfetc.core import (CLF_CHECK_REL_TOL, EQ_ABS_FLOOR, FD_SCALE, ClfCheckReport,
                          _as_points, _as_vector)
+from clfetc.engine import ZENO_CONSECUTIVE
 from clfetc.errors import DimensionMismatchError, DomainError, PropernessError
 from clfetc.triggers import equilibrium_threshold
 
@@ -187,6 +190,66 @@ def acc_event_times(model, x0, horizon, sigma, max_events=1_000_000,
         if cert.v(x) <= eps_eq:
             return times, states, "equilibrium"
         u = float(cert.u(x)[0])
+    return times, states, "event_cap" if len(times) >= max_events else "horizon"
+
+
+def ivp_event_times(model, x0, horizon, sigma, max_events=1_000_000,
+                    zeno_floor=None, rtol=1e-13, atol=1e-16):
+    """Event-triggered run on a second route: scipy's
+    ``solve_ivp(method="DOP853")`` with the guard ``W + sigma*gamma(V)``
+    under the frozen control as a terminal, rising event, restarted at each
+    event with the control there, and the engine's rules for what happens
+    at an update: a guard at or above zero fires at once, the equilibrium
+    rule, the event cap and, with ``zeno_floor``, the Zeno rule
+    (``ZENO_CONSECUTIVE`` dwells in a row below the floor abort the run).
+
+    It shares the model and certificate code with the engine, and none of
+    its stepper, interpolant, probes, localization or corrector.  It is a
+    second route, not a proof: ``solve_ivp`` also sees a sign change only
+    between the ends of its own steps, so a crossing and its return inside
+    one of them are missed.  Where the two routes disagree, a third check
+    decides: this route at tighter tolerances, or the exact flow on acc
+    (:func:`acc_event_times`).
+
+    Returns ``(times, states, termination)`` of every update, the initial
+    sample included; ``termination`` is ``"equilibrium"``, ``"event_cap"``,
+    ``"zeno_abort"`` or ``"horizon"``.
+    """
+    from scipy.integrate import solve_ivp
+
+    system, cert = model.system, model.certificate
+
+    def guard(x, u):
+        return float(cert.grad(x) @ system.f(x, u)
+                     + sigma * cert.rate.at_levels(cert.levels(x)))
+
+    x = np.asarray(x0, dtype=float)
+    eps_eq = equilibrium_threshold(cert.v(x))
+    u = cert.u(x)
+    times, states, zeno_run = [0.0], [x], 0
+    t = 0.0
+    while t < horizon and len(times) < max_events:
+        if guard(x, u) < 0.0:  # a guard at or above zero fires at once
+            def event(_, y):
+                return guard(y, u)
+
+            event.terminal, event.direction = True, 1.0
+            sol = solve_ivp(lambda _, y: system.f(y, u), (t, horizon), x,
+                            method="DOP853", rtol=rtol, atol=atol, events=event)
+            if not sol.t_events[0].size:
+                break
+            t_event = float(sol.t_events[0][0])
+            dwell, t, x = t_event - t, t_event, sol.y_events[0][0]
+        else:
+            dwell = 0.0
+        times.append(t)
+        states.append(x)
+        if cert.v(x) <= eps_eq:
+            return times, states, "equilibrium"
+        u = cert.u(x)
+        zeno_run = zeno_run + 1 if zeno_floor and dwell < zeno_floor else 0
+        if zeno_run >= ZENO_CONSECUTIVE:
+            return times, states, "zeno_abort"
     return times, states, "event_cap" if len(times) >= max_events else "horizon"
 
 
