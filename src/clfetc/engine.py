@@ -25,9 +25,10 @@ field checks the shape of each batch's result.  Steps drawn after the first
 cut are speculative and are discarded.  A window whose read raises is
 judged one step at a time, and a stepper error once the steps drawn before
 it are accepted, so that an error surfaces where a window of 1 meets it.
-The rule sizes its next window from the trend of what it reads, from 1 to
-``_WINDOW_CAP`` steps: it changes how fast a run goes, never what it
-computes.
+A scan's first window holds the smaller step count of the last two scans
+that ended in a cut, and the rule sizes each later one from the trend of
+what it reads, from 1 to ``_WINDOW_CAP`` steps: the window size changes how
+fast a run goes, never what it computes.
 
 Batches of states come from two readers, each row with the bits of its
 step's interpolant at its instant alone: :func:`_probe_states` for windows
@@ -527,10 +528,11 @@ def _step_rule(scalar, grid=None):
     and the read (:func:`locate_event`) is the cut, or on the grid the first
     grid point at or after it inside the step; with none, the step is
     accepted.  An event step whose reads change sign more than once is first
-    read again at their midpoints, on its own cubic (:func:`_states_at`),
-    one batch a doubling, until they change sign at most once or after
-    ``_REFINE_DOUBLINGS``, so that a root between its probes shows whatever
-    the step size.  One closure, ``width``, sizes the next window: half the
+    read again at the midpoints of its reads before the first non-negative
+    one, on its own cubic (:func:`_states_at`), one batch a doubling, until
+    they change sign at most once or after ``_REFINE_DOUBLINGS``, so that a
+    root between its probes shows whatever the step size.  The scan sizes
+    its first window; one closure, ``width``, sizes each next one: half the
     steps that the trend of the last two reads predicts to zero, the cap
     where they do not rise, at least 1, on the grid at least the steps that
     reach the next grid point, since none before it can be cut, and at most
@@ -561,15 +563,17 @@ def _step_rule(scalar, grid=None):
         None, once an event step's reads that change sign more than once
         are refined."""
         times = _probe_times(piece) if ts is None else ts
+        r = next(r for r, value in enumerate(row) if not value < 0.0)
         for _ in range(_REFINE_DOUBLINGS if grid is None else 0):
             if sum((a < 0.0 <= b) or (b < 0.0 <= a) for a, b in zip(row, row[1:])) <= 1:
                 break
-            mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
+            # no read past the first non-negative one can move it
+            mids = [0.5 * (a + b) for a, b in zip(times[:r], times[1:r + 1])]
             ys = _states_at([piece], [mids])
             reads = scalar(ys, f(ys)).tolist()
-            times = [*itertools.chain(*zip(times, mids)), times[-1]]
-            row = [*itertools.chain(*zip(row, reads)), row[-1]]
-        r = next(r for r, value in enumerate(row) if not value < 0.0)
+            times = [*itertools.chain(*zip(times, mids)), *times[r:]]
+            row = [*itertools.chain(*zip(row, reads)), *row[r:]]
+            r = next(r for r, value in enumerate(row) if not value < 0.0)
         if ts is not None:
             return ts[r]
         if r == 0:
@@ -636,7 +640,7 @@ def _step_rule(scalar, grid=None):
     return rule
 
 
-def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
+def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
     towards ``t_end``, recording the grid rows of each window's accepted
     steps in one call (:meth:`_Recorder.fill_grid`).
@@ -647,6 +651,7 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     them in order.  It returns ``(n, at, width)``: the first ``n`` steps
     are accepted; ``at`` is None when all were, or else the instant at
     which the next is cut; ``width`` is the size of the next window.  The
+    first window holds ``first`` steps, at most ``_WINDOW_CAP``.  The
     steps after a cut are speculative, drawn ahead of the verdict, and are
     discarded.  The stepper makes each step from the last alone and a scan
     starts it once, so the window size never changes a result.  When the
@@ -656,12 +661,14 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
     cut, the cut step's rows fill strictly before the cut instant, in the
     same call as the steps before it, and one tolerance-checked corrector
     integration from the step start replaces the interpolant.
-    Returns ``(t_cut, x, fx)`` at a cut, or ``(t_end, x_end, None)``.  Clock
-    scans, with no rule, accept every step.
+    Returns ``(t_cut, x, fx, steps)`` at a cut, with ``steps`` the accepted
+    steps and the cut step, or ``(t_end, x_end, None, steps)``.  Clock
+    scans, with no rule, accept every step, in windows of ``_WINDOW_CAP``.
     """
     f = sys.frozen(u)
     steps = _steps(f, t, x, fx, t_end, cfg)
-    width = 1 if cut is not None else _WINDOW_CAP
+    width = min(first, _WINDOW_CAP) if cut is not None else _WINDOW_CAP
+    accepted = 0
     while True:
         pieces, error = [], None
         try:
@@ -678,13 +685,14 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None):
         if at is not None:
             piece = pieces[n]
             sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
-            return at, sub.ys[-1], sub.fs[-1]
+            return at, sub.ys[-1], sub.fs[-1], accepted + n + 1
         if error is not None:
             raise error
         if pieces:
             x = pieces[-1].y1
+        accepted += n
         if len(pieces) < width:  # the stepper has reached t_end
-            return t_end, x, None
+            return t_end, x, None, accepted
         width = next_width
 
 
@@ -755,6 +763,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
     else:
         reason = "clock"
     k = 0  # clock instants reached so far
+    cuts = (1, 1)  # the step counts of the last two scans that ended in a cut
 
     while t < horizon and len(events) < config.max_events:
         if fx is None:
@@ -764,18 +773,20 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
                 t_next = policy.next_instant(k, t)
                 if t_next is not None and t_next <= t_last:
                     k += 1
-                    t, x, _ = _scan(sys, x, fx, u, t, min(t_next, horizon),
-                                    config, rec)
+                    t, x, _, _ = _scan(sys, x, fx, u, t, min(t_next, horizon),
+                                       config, rec)
                     fx = sys.f(x, u)
                 else:
-                    t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec)
+                    t, x, fx, _ = _scan(sys, x, fx, u, t, horizon, config, rec)
             else:
                 g = -1.0 if grid is not None else frozen_guard(cert, x, fx, sigma)
                 if math.isnan(g):
                     raise DomainError(f"the event guard is NaN at t={t}, x={x.tolist()}")
                 if g < 0.0:  # a guard at zero or above fires at once
-                    t, x, fx = _scan(sys, x, fx, u, t, horizon, config, rec,
-                                     _step_rule(scalar, grid))
+                    t, x, fx, steps = _scan(sys, x, fx, u, t, horizon, config, rec,
+                                            _step_rule(scalar, grid), min(cuts))
+                    if fx is not None:
+                        cuts = (cuts[1], steps)
                 if grid is not None and fx is not None and predicate_p(
                         cert, policy.big_m, x, fx, policy.sigma_tilde, policy.k_big):
                     continue  # the check holds: scan on from its grid point

@@ -318,13 +318,15 @@ def _oscillating_loop():
             IntegratorConfig(horizon=3.0, max_step=0.5))
 
 
-def _halving_loop(later=True, bump=(0.45, 0.53), window=(0.73, 0.82)):
+def _halving_loop(later=True, bump=(0.45, 0.53), window=(0.73, 0.82),
+                  on_bump=0.75):
     """A unit-speed clock, so the exact steps grow to ``max_step`` and the
     frozen flow is known in closed form, under a guard that is positive on a
     bump that a full step's probes miss and, when ``later``, on a window
     around a later probe; both are given as offsets from the start ``a`` of
-    the step [a, a + 1].  Returns ``(system, certificate, x0, policy,
-    config, bump)``."""
+    the step [a, a + 1].  The guard reads ``on_bump`` on the bump, 0.75 on
+    the window and -0.25 elsewhere.  Returns ``(system, certificate, x0,
+    policy, config, bump)``."""
     sysm = ControlSystem(2, 1, rhs=rowwise(lambda x, u: np.array([0.0, 1.0])))
     x0 = np.array([1.0, 0.0])
     cfg = IntegratorConfig(horizon=10.0, max_step=1.0, max_events=2)
@@ -339,10 +341,11 @@ def _halving_loop(later=True, bump=(0.45, 0.53), window=(0.73, 0.82)):
     window = (a + window[0], a + window[1]) if later else bump
 
     def gradient(x):
-        inside = bump[0] <= x[1] <= bump[1] or window[0] <= x[1] <= window[1]
-        return np.array([x[0], 0.5 if inside else -0.5])
+        if bump[0] <= x[1] <= bump[1]:
+            return np.array([x[0], on_bump - 0.25])
+        return np.array([x[0], 0.5 if window[0] <= x[1] <= window[1] else -0.5])
 
-    # guard = gradient . F + sigma*V = -0.25 outside both, 0.75 inside
+    # guard = gradient . F + sigma*V: the clock entry of the gradient + 0.25
     cert = ClfCertificate(value=rowwise(lambda x: 0.5 * x[0] ** 2),
                           gradient=rowwise(gradient),
                           rate=RateFunction.linear(1.0),
@@ -447,6 +450,24 @@ class TestSecondRoute:
         assert len(traj.events) == len(times) == len(exact)
         assert traj.termination == termination == exact_termination
         np.testing.assert_allclose(times, exact, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.xfail(raises=AssertionError,
+                       reason="ROADMAP item 6: the probes of steps about "
+                              "1e13 s long miss crossings")
+    def test_homog2d_at_a_horizon_of_1e16_matches_the_second_route(self):
+        # measured: the engine records 15 updates and ends at the horizon
+        # with a rate-certificate excess of 4.99e-6; the route records 18
+        # and ends at the equilibrium
+        cfg = replace(load_config("homog2d"), x0=[0.1, 0.4], horizon=1e16)
+        model, x0 = _model_and_x0(cfg)
+        icfg = integrator_from_config(cfg)
+        traj = run_closed_loop(model.system, model.certificate,
+                               EventTriggered(sigma=cfg.sigma), x0, icfg)
+        times, _, _ = ivp_event_times(model, x0, cfg.horizon, cfg.sigma,
+                                      max_events=icfg.max_events,
+                                      zeno_floor=icfg.zeno_floor)
+        assert len(traj.events) == len(times)
+        assert check_rate_certificate(traj)[0]
 
 
 class TestRunClosedLoop:
@@ -695,6 +716,39 @@ class TestRunClosedLoop:
             run_closed_loop(sysm, cert, EventTriggered(sigma=0.5),
                             np.array([1.0, 0.0]), cfg)
 
+    def test_a_nan_read_between_probes_is_not_passed_unfired(self):
+        # the guard is NaN on the bump, which only the refinement's reads
+        # reach, before the window that the probes read: the first NaN read
+        # ends the search as the first read not below zero, and the root
+        # search finds no zero between it and the read before
+        sysm, cert, x0, policy, cfg, _ = _halving_loop(on_bump=math.nan)
+        with pytest.raises(DomainError, match="does not straddle.*=nan"):
+            run_closed_loop(sysm, cert, policy, x0, cfg)
+
+    def test_refinement_reads_only_before_the_first_non_negative_read(
+            self, monkeypatch):
+        # the default loop's step reads the window at one probe, and its
+        # reads change sign twice, so every doubling runs.  Reading every
+        # midpoint of the row took 9 + 18 + ... + 288 = 567 reads; those past
+        # the first non-negative read cannot move it, and 261 were measured
+        # without them.  The steps of the windows read through the probe
+        # table, so every listed read inside the rule is the refinement's
+        states_at, reads = engine._states_at, []
+        _, judging = _watched_rule(monkeypatch)
+
+        def counted_states_at(pieces, times):
+            ys = states_at(pieces, times)
+            if judging:
+                reads.append(len(ys))
+            return ys
+
+        monkeypatch.setattr(engine, "_states_at", counted_states_at)
+        sysm, cert, x0, policy, cfg, bump = _halving_loop()
+        traj = run_closed_loop(sysm, cert, policy, x0, cfg)
+        assert traj.events[1].time == pytest.approx(bump[0], abs=1e-12)
+        assert len(reads) == engine._REFINE_DOUBLINGS
+        assert sum(reads) <= 261
+
     def test_a_guard_that_is_nan_at_an_update_is_named(self):
         # the guard is NaN until the clock reads 2, so at t = 0 already: a
         # guard at or above zero at an update fires at once, but a NaN one
@@ -828,6 +882,28 @@ class TestRunClosedLoop:
         assert float(guard.max()) <= 1e-12
         assert all(e.time / h == pytest.approx(round(e.time / h), abs=1e-9)
                    for e in traj.events[1:])
+
+
+def _watched_rule(monkeypatch):
+    """Watch every step rule a run makes; returns ``(windows, judging)``:
+    the size of each window a rule judges, and a list that is not empty
+    while one is being judged."""
+    step_rule, windows, judging = engine._step_rule, [], []
+
+    def watched_rule(scalar, grid=None):
+        rule = step_rule(scalar, grid)
+
+        def judged(pieces, f):
+            windows.append(len(pieces))
+            judging.append(True)
+            try:
+                return rule(pieces, f)
+            finally:
+                judging.pop()
+        return judged
+
+    monkeypatch.setattr(engine, "_step_rule", watched_rule)
+    return windows, judging
 
 
 def _stepper_starts(monkeypatch):
@@ -1062,12 +1138,16 @@ class TestWindowCap:
         ("acc_case2", {"h": 0.005}, None, True),
         ("homog2d", {"h": 0.01}, 5.0, True),
         ("homog2d", {}, 0.02, False),
+        ("acc_policy_sweep", {}, None, True),
     ], ids=["acc_case1-long", "acc_case2-long", "homog2d-short",
-            "homog2d-derived-short"])
+            "homog2d-derived-short", "acc_policy_sweep-derived"])
     def test_periodic_presets(self, monkeypatch, preset, spec, horizon, fires):
         # at h 0.005 every acc step holds more than GUARD_PROBES + 1 grid
         # points, and reads its probes; the homog2d steps read grid points.
-        # The derived h (about 8e-6) passes every check up to the horizon
+        # The derived h (about 8e-6) passes every check up to the horizon.
+        # acc_policy_sweep's periodic row, to its horizon of 60, alternates
+        # long scans with one-step ones, so each scan's first window, sized
+        # from the scans before it, is often too wide
         cfg = load_config(preset)
         cfg = replace(cfg, horizon=horizon or cfg.horizon,
                       policy={"policy": "periodic-event", "sigma": cfg.sigma, **spec})
@@ -1099,6 +1179,21 @@ class TestWindowCap:
         # the clock reads just under 2 at t = 2, so the check at 2.05 fails
         assert a.events[1].state[1] >= 2.0
         assert a.events[1].time == pytest.approx(2.05, abs=1e-12)
+
+    def test_a_scan_starts_from_the_scans_before_it(self, monkeypatch):
+        # acc_case1's scans mostly hold 2 to 4 steps, each about as many as
+        # the one before.  A first window of one step took 314 windows; a
+        # first window of the smaller step count of the last two cut scans
+        # took 224, and the bound leaves room for the steps of another BLAS
+        # kernel
+        windows, _ = _watched_rule(monkeypatch)
+        preset = load_config("acc_case1")
+        model, x0 = _model_and_x0(preset)
+        cfg = IntegratorConfig(horizon=preset.horizon, **preset.integrator)
+        traj = run_closed_loop(model.system, model.certificate,
+                               EventTriggered(sigma=preset.sigma), x0, cfg)
+        assert len(traj.events) == 114
+        assert len(windows) <= 240
 
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "event"])
     def test_a_window_reads_its_margins_in_one_batch(self, monkeypatch, acc,
