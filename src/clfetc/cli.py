@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -549,20 +550,9 @@ def _sweep_row(index, axis, value, data) -> dict:
     try:
         model, traj, pol_info = _simulate_once(parse_config(data))
         stats, ok, _excess, first_dwell, zeno_bound = _run_summary(model, traj)
-        row.update({
-            "model": model.name,
-            "policy": pol_info["policy"],
-            "n_events": stats.n_events,
-            "first_event_time": stats.first_event_time,
-            "min_dwell": stats.min_dwell,
-            "max_dwell": stats.max_dwell,
-            "max_dwell_post_first": stats.max_dwell_post_first,
-            "mean_event_frequency": stats.mean_event_frequency,
-            "first_dwell": first_dwell,
-            "dwell_bound": zeno_bound,
-            "termination": traj.termination,
-            "rate_certificate_ok": ok,
-        })
+        row.update(dataclasses.asdict(stats), model=model.name,
+                   policy=pol_info["policy"], first_dwell=first_dwell,
+                   dwell_bound=zeno_bound, rate_certificate_ok=ok)
     except Exception as exc:  # per-run failures stay in-row
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -591,11 +581,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             for i, v in enumerate(values)]
     label = cfg.label
     path = os.path.join(out_dir, f"{label}_sweep.csv")
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in _SWEEP_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_SWEEP_COLUMNS)
+        writer.writerows([_csv_cell(row[c]) for c in _SWEEP_COLUMNS]
+                         for row in rows)
     n_err = sum(1 for r in rows if r["error"])
     print(f"{label}: swept {axis} over {len(values)} values, {n_err} failures "
           f"-> {path}")

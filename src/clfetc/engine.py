@@ -22,9 +22,10 @@ so the rule reads the whole window in one batch, then judges its steps in
 order, as one at a time would.  It reads one field,
 :meth:`~clfetc.core.ControlSystem.frozen`, on one state or a batch; the
 field checks the shape of each batch's result.  Steps drawn after the first
-cut are speculative and are discarded.  A window whose read raises is
-judged one step at a time, and a stepper error once the steps drawn before
-it are accepted, so that an error surfaces where a window of 1 meets it.
+cut are speculative and are discarded.  A window fails in one place, the
+scan: whether the stepper or a read raises, the steps drawn are judged
+again one at a time, the first cut among them wins, and with none the error
+is raised.
 A scan's first window holds the smaller step count of the last two scans
 that ended in a cut, and the rule sizes each later one from the trend of
 what it reads, from 1 to ``_WINDOW_CAP`` steps: the window size changes how
@@ -36,7 +37,8 @@ whose steps all read their start, probes and end, as every event window
 does, and :func:`_states_at` for listed instants: the recorder's grid rows,
 check times, refinement midpoints and a window of both kinds.  The scan
 hands the recorder a window's accepted steps, with the cut step and its cut
-instant, in one call; it writes their rows into arrays that double when full.
+instant, in one call; it writes their rows into arrays that double when full,
+and resumes its grid at the first instant after its last row.
 """
 
 from __future__ import annotations
@@ -366,14 +368,14 @@ class _Recorder:
     """A run's rows, in ``t``, ``x``, ``u`` and ``flag`` arrays that double
     when full: the grid instants ``grid`` up to where the run has reached,
     with the states its steps read there, and the event and blow-up rows.
-    A row at the last row's instant replaces it if it is an event's, with
-    flag 1, and is skipped otherwise."""
+    The rows are in time order, so each fill resumes the grid at its first
+    instant after the last row.  A row at the last row's instant replaces
+    it if it is an event's, with flag 1, and is skipped otherwise."""
 
     def __init__(self, cert, sys, grid):
         self.cert = cert
         self.sys = sys
         self.grid = grid.tolist()
-        self.next_grid = 0
         self.n = 0
         size = len(self.grid)
         self.t = np.empty(size)
@@ -403,12 +405,9 @@ class _Recorder:
         self.n = n + 1
 
     def _first(self):
-        """The next grid row to record, once one at the last row's instant
-        is passed over."""
-        j = self.next_grid
-        if self.n and j < len(self.grid) and self.grid[j] == self.t[self.n - 1]:
-            self.next_grid = j = j + 1
-        return j
+        """The next grid row to record: the first after the last row (a
+        run records its update at t = 0 before any grid row)."""
+        return bisect.bisect_right(self.grid, self.t[self.n - 1])
 
     def _put(self, lo, hi, x, u):
         """Record grid rows ``lo`` to ``hi - 1`` with states ``x``, one row
@@ -419,7 +418,7 @@ class _Recorder:
         self.x[n:n + k] = x
         self.u[n:n + k] = u
         self.flag[n:n + k] = 0
-        self.n, self.next_grid = n + k, hi
+        self.n = n + k
 
     def fill_grid(self, pieces, u, at=None):
         """Record the grid rows that consecutive accepted steps reach: those
@@ -536,10 +535,8 @@ def _step_rule(scalar, grid=None):
     steps that the trend of the last two reads predicts to zero, the cap
     where they do not rise, at least 1, on the grid at least the steps that
     reach the next grid point, since none before it can be cut, and at most
-    ``_WINDOW_CAP``.
-    A read that raises on a window of several steps sends its steps through
-    the rule one at a time, since a speculative step may hold states that
-    the model rejects; on one step the error is raised.
+    ``_WINDOW_CAP``.  A read that raises propagates: the scan alone decides
+    what a failed window means.
     """
     if grid is not None:
         h, t_end, t_last = grid
@@ -610,16 +607,7 @@ def _step_rule(scalar, grid=None):
             window = [pieces[i] for i in steps]
             ys = (_probe_states(window) if times.count(None) == len(times)
                   else _states_at(window, times))
-            try:
-                batch = scalar(ys, f(ys))
-            except Exception:
-                if len(pieces) == 1:
-                    raise
-                for n, piece in enumerate(pieces):
-                    _, at, next_width = rule([piece], f)
-                    if at is not None:
-                        return n, at, 1
-                return len(pieces), None, next_width
+            batch = scalar(ys, f(ys))
             values, below = batch.tolist(), (batch < 0.0).tolist()
         end = 0
         for i, ts, j0, j1 in reading:
@@ -654,13 +642,14 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
     first window holds ``first`` steps, at most ``_WINDOW_CAP``.  The
     steps after a cut are speculative, drawn ahead of the verdict, and are
     discarded.  The stepper makes each step from the last alone and a scan
-    starts it once, so the window size never changes a result.  When the
-    stepper raises after it drew part of a window, the steps it drew are
-    judged first: a cut among them wins, and the error is raised once they
-    are all accepted; an error on a window's first step is raised.  At a
-    cut, the cut step's rows fill strictly before the cut instant, in the
-    same call as the steps before it, and one tolerance-checked corrector
-    integration from the step start replaces the interpolant.
+    starts it once, so the window size never changes a result.  A window
+    fails in one place: when drawing or judging it raises after at least
+    one step was drawn, the steps drawn are judged again one at a time, as
+    a window of 1 would judge them.  The first cut among them wins; with
+    none, they are recorded and the error is raised.  At a cut, the cut
+    step's rows fill strictly before the cut instant, in the same call as
+    the steps before it, and one tolerance-checked corrector integration
+    from the step start replaces the interpolant.
     Returns ``(t_cut, x, fx, steps)`` at a cut, with ``steps`` the accepted
     steps and the cut step, or ``(t_end, x_end, None, steps)``.  Clock
     scans, with no rule, accept every step, in windows of ``_WINDOW_CAP``.
@@ -673,14 +662,17 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
         pieces, error = [], None
         try:
             for piece in itertools.islice(steps, width):
-                pieces.append(piece)
+                pieces.append(piece)  # the steps drawn survive an error
+            n, at, next_width = len(pieces), None, width
+            if cut is not None and pieces:
+                n, at, next_width = cut(pieces, f)
         except Exception as exc:
             if not pieces:
                 raise
-            error = exc
-        n, at, next_width = len(pieces), None, width
-        if cut is not None and pieces:
-            n, at, next_width = cut(pieces, f)
+            error, n, at = exc, 0, None
+            while n < len(pieces) and at is None:  # as windows of 1
+                k, at, _ = cut([pieces[n]], f) if cut is not None else (1, None, 1)
+                n += k
         rec.fill_grid(pieces[:n + (at is not None)], u, at)
         if at is not None:
             piece = pieces[n]
@@ -771,13 +763,12 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         try:
             if reason == "clock":
                 t_next = policy.next_instant(k, t)
-                if t_next is not None and t_next <= t_last:
-                    k += 1
-                    t, x, _, _ = _scan(sys, x, fx, u, t, min(t_next, horizon),
-                                       config, rec)
-                    fx = sys.f(x, u)
-                else:
-                    t, x, fx, _ = _scan(sys, x, fx, u, t, horizon, config, rec)
+                fires = t_next is not None and t_next <= t_last
+                k += fires
+                t, x, _, _ = _scan(sys, x, fx, u, t,
+                                   min(t_next, horizon) if fires else horizon,
+                                   config, rec)
+                fx = sys.f(x, u) if fires else None
             else:
                 g = -1.0 if grid is not None else frozen_guard(cert, x, fx, sigma)
                 if math.isnan(g):

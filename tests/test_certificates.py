@@ -86,7 +86,13 @@ class TestBoundSublevelBox:
         region = bound_sublevel_box(cert, anchor)
         np.testing.assert_allclose(region.hi, 10.0 * 1.05, rtol=1e-6)
 
-    @pytest.mark.parametrize("r", [2.0, 4.0])
+    @pytest.mark.parametrize("r", [2.0, 4.0] + [
+        pytest.param(r, marks=pytest.mark.xfail(
+            raises=PropernessError,
+            reason="ROADMAP item 15 (a FOUND in CHANGES.md): the widening's "
+                   "three rounds of Sobol points miss the tips of a thin "
+                   "tilted ellipse"))
+        for r in (10.0, 30.0)])
     def test_widening_covers_a_tilted_ellipse(self, r):
         # V = x'Px/2 with P = R diag(1, r) R', R a quarter-pi rotation: the
         # axis rays meet the ellipse inside its extent along each axis, and

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import clfetc
-from clfetc import (ConfigurationError, DwellInputs, RateFunction,
-                    bound_sublevel_box, build_model, check_rate_certificate,
-                    engine, estimate_constants, estimate_rho, tau_select)
+from clfetc import (ConfigurationError, DwellInputs, PropernessError,
+                    RateFunction, bound_sublevel_box, build_model,
+                    check_rate_certificate, cli, engine, estimate_constants,
+                    estimate_rho, tau_select)
 from clfetc.core import EnergyTimeMap
 from clfetc.models import zeno_first_event_bound
 from clfetc.cli import (load_config, main, parse_config, resolve_policy,
@@ -474,6 +476,20 @@ class TestVerifyCommand:
             f"error: state must have length {dim}, got shape ({len(x0)},)\n")
         assert not list(out.glob("*.json"))
 
+    def test_a_properness_error_is_reported(self, tmp_path, capsys, monkeypatch):
+        # no shipped model has a sublevel set that the box search cannot
+        # cover, so the box search is made to fail
+        def improper(*args, **kwargs):
+            raise PropernessError("the box does not cover the sublevel set")
+
+        monkeypatch.setattr(cli, "bound_sublevel_box", improper)
+        assert run_cli("verify", "--config", "homog2d", "--out", str(tmp_path)) == 1
+        rep = json.loads((tmp_path / "homog2d_verify.json").read_text())
+        assert rep["assumptions_pass"] is False
+        assert rep["properness_error"] == "the box does not cover the sublevel set"
+        assert "estimates" not in rep
+        assert capsys.readouterr().out == "homog2d: assumptions_pass=False\n"
+
 
 class TestResolvePolicy:
     def test_derived_self_dwell_for_c1_rate(self):
@@ -709,6 +725,29 @@ class TestSweepCommand:
             assert "None" not in r.values()
             assert r["min_dwell"] == r["first_dwell"] == ""
             assert r["error"] == ""
+
+    def test_a_failed_row_keeps_its_message_in_one_cell(self, tmp_path):
+        # the error message holds a comma, so its cell is quoted: every row
+        # reads as many fields as the header
+        cfg = write_config(tmp_path, {
+            "model": {"name": "homog2d"},
+            "policy": {"policy": "event", "sigma": 0.9},
+            "x0": [0.1, 0.4],
+            "horizon": 1.0,
+            "seed": 0,
+            "sweep": {"axis": "sigma", "values": [0.5, 1.5]},
+            "label": "homog_bad_sigma",
+        })
+        assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path)) == 0
+        with open(tmp_path / "homog_bad_sigma_sweep.csv", encoding="utf-8",
+                  newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert [len(header)] + [len(r) for r in rows] == [16, 16, 16]
+        rows = [dict(zip(header, r)) for r in rows]
+        assert rows[0]["error"] == "" and rows[0]["n_events"] == "1"
+        assert rows[1]["error"] == ("ConfigurationError: invalid config: "
+                                    "policy.sigma must be < 1, got 1.5")
+        assert rows[1]["n_events"] == ""
 
     def test_axis_application(self):
         base = {"model": {"name": "zeno-polar", "params": {"r_star": 0.5}},

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,7 +217,7 @@ class TestHermite:
             want = [(tt, p) for tt, p in zip(grid, owners)
                     if at is None or p is not last or tt < at]
             assert rec.n == 1 + len(want)
-            assert rec.next_grid == 1 + len(want)
+            assert rec._first() == 1 + len(want)  # the fill resumes here
             assert rec.t[1:rec.n].tolist() == [tt for tt, _ in want]
             assert rec.flag[:rec.n].tolist() == [1] + [0] * len(want)
             assert rec.u[:rec.n].tobytes() == np.tile(u, (rec.n, 1)).tobytes()
@@ -396,6 +397,29 @@ def _guard_undefined_past_a_crossing_loop(wobble=0.0, max_step=0.1):
                           feedback=rowwise(lambda x: np.zeros(1)))
     cfg = IntegratorConfig(horizon=10.0, max_step=max_step, max_events=2)
     return sysm, cert, np.array([1.0, 0.0]), EventTriggered(sigma=0.5), cfg, errors
+
+
+def _blowup_loop():
+    """``xdot = x^2`` from 5, which escapes at t = 0.2, under a clock of
+    period 1: ``(system, certificate, x0, policy, config)``."""
+    sysm = ControlSystem(1, 1, rhs=rowwise(lambda x, u: np.array([x[0] ** 2])))
+    cert = ClfCertificate(value=rowwise(lambda x: float(x[0] ** 2)),
+                          gradient=rowwise(lambda x: np.array([2.0 * x[0]])),
+                          rate=RateFunction.linear(1.0),
+                          feedback=rowwise(lambda x: np.zeros(1)))
+    return (sysm, cert, [5.0], TimeTriggered(sigma=0.5, period=1.0),
+            IntegratorConfig(horizon=10.0))
+
+
+def _homog2d_clock(spec):
+    """The homog2d preset to a horizon of 5 under the clock policy ``spec``,
+    with the preset's sigma: ``(system, certificate, x0, policy, config)``."""
+    cfg = load_config("homog2d")
+    cfg = replace(cfg, horizon=5.0, policy=dict(spec, sigma=cfg.sigma))
+    model, x0 = _model_and_x0(cfg)
+    policy, _ = resolve_policy(cfg, model, x0)
+    return (model.system, model.certificate, x0, policy,
+            IntegratorConfig(horizon=cfg.horizon, **cfg.integrator))
 
 
 def _run_record(traj):
@@ -642,14 +666,8 @@ class TestRunClosedLoop:
         assert len(traj.events) == 20
 
     def test_blowup_termination(self):
-        sysm = ControlSystem(1, 1, rhs=rowwise(lambda x, u: np.array([x[0] ** 2])))
-        cert = ClfCertificate(value=rowwise(lambda x: float(x[0] ** 2)),
-                              gradient=rowwise(lambda x: np.array([2.0 * x[0]])),
-                              rate=RateFunction.linear(1.0),
-                              feedback=rowwise(lambda x: np.zeros(1)))
-        cfg = IntegratorConfig(horizon=10.0)
-        traj = run_closed_loop(sysm, cert, TimeTriggered(sigma=0.5, period=1.0),
-                               [5.0], cfg)
+        sysm, cert, x0, policy, cfg = _blowup_loop()
+        traj = run_closed_loop(sysm, cert, policy, x0, cfg)
         assert traj.termination == "blowup"
         # finite escape time of xdot = x^2 from 5 is 1/5
         assert traj.t[-1] == pytest.approx(0.2, abs=1e-3)
@@ -986,18 +1004,12 @@ class TestRecorderRows:
         assert traj.events[-1].time < 0.1
 
     def test_a_blowup_appends_its_row(self):
-        sysm = ControlSystem(1, 1, rhs=rowwise(lambda x, u: np.array([x[0] ** 2])))
-        cert = ClfCertificate(value=rowwise(lambda x: float(x[0] ** 2)),
-                              gradient=rowwise(lambda x: np.array([2.0 * x[0]])),
-                              rate=RateFunction.linear(1.0),
-                              feedback=rowwise(lambda x: np.zeros(1)))
-        cfg = IntegratorConfig(horizon=10.0)
-        traj = run_closed_loop(sysm, cert, TimeTriggered(sigma=0.5, period=1.0),
-                               [5.0], cfg)
+        sysm, cert, x0, policy, cfg = _blowup_loop()
+        traj = run_closed_loop(sysm, cert, policy, x0, cfg)
         # the scan to the first clock instant runs the stepper that
         # integrate_frozen runs over the same span
         with pytest.raises(BlowupError) as blowup:
-            integrate_frozen(sysm, [5.0], [0.0], (0.0, 1.0), cfg)
+            integrate_frozen(sysm, x0, [0.0], (0.0, 1.0), cfg)
         grid = np.linspace(0.0, 10.0, 1001)
         before = grid[grid <= blowup.value.t]
         assert traj.termination == "blowup"
@@ -1179,6 +1191,47 @@ class TestWindowCap:
         # the clock reads just under 2 at t = 2, so the check at 2.05 fails
         assert a.events[1].state[1] >= 2.0
         assert a.events[1].time == pytest.approx(2.05, abs=1e-12)
+
+    def test_a_window_that_fails_only_as_a_batch_raises_at_once(self):
+        # the gradient rejects any batch of more than one step's reads, so
+        # every window of two or more steps fails while each of its steps
+        # read alone passes.  The scan judges the first such window one step
+        # at a time, finds no cut, and raises the window's error; the run
+        # does not read on to the horizon and fail again when it finishes
+        cfg = load_config("homog2d")
+        model, x0 = _model_and_x0(cfg)
+        gradient, oversize = model.certificate.gradient, []
+
+        def fussy(x):
+            if np.ndim(x) == 2 and len(x) > engine.GUARD_PROBES + 2:
+                oversize.append(len(x))
+                raise ValueError("a batch of more than one step's reads")
+            return gradient(x)
+
+        cert = replace(model.certificate, gradient=fussy)
+        icfg = IntegratorConfig(horizon=cfg.horizon, **cfg.integrator)
+        with pytest.raises(ValueError, match="more than one step"):
+            run_closed_loop(model.system, cert, EventTriggered(sigma=cfg.sigma),
+                            x0, icfg)
+        assert len(oversize) == 1
+
+    @pytest.mark.parametrize("loop, termination", [
+        (partial(_homog2d_clock, {"policy": "self", "tau": 0.05}), "horizon"),
+        (partial(_homog2d_clock, {"policy": "time", "instants": [0.3, 1.0, 2.5]}),
+         "horizon"),
+        (_blowup_loop, "blowup"),
+    ], ids=["homog2d-self", "homog2d-instants", "blowup"])
+    def test_clock_policies(self, monkeypatch, loop, termination):
+        # a clock scan draws its steps in windows of the cap, with no rule;
+        # each clock segment is one scan, whose fills resume the grid after
+        # the update row at its start.  The blow-up comes inside the first
+        # segment: the steps drawn before the stepper's error are recorded,
+        # then the blow-up row
+        sysm, cert, x0, policy, cfg = loop()
+        a, b = self._both(monkeypatch, sysm, cert, policy, x0, cfg)
+        assert _run_record(a) == _run_record(b)
+        assert a.termination == termination
+        assert len(a.t) > 20
 
     def test_a_scan_starts_from_the_scans_before_it(self, monkeypatch):
         # acc_case1's scans mostly hold 2 to 4 steps, each about as many as

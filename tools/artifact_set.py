@@ -144,8 +144,9 @@ LONG_STEP_RUNS = (
 # and time instants), the periodic-event runs (explicit and derived h, and
 # the acc_policy_sweep row, which takes the periodic rule over long steps),
 # the stats commands on the presets' trajectories, every command that must
-# exit 1, and the homog2d and acc_case1 event runs over long steps (acc's
-# steps hold up to 161 grid rows of a 3-state system)
+# exit 1, the homog2d and acc_case1 event runs over long steps (acc's steps
+# hold up to 161 grid rows of a 3-state system), and the homog2d
+# self-triggered run over long steps, whose clock windows hold many grid rows
 FAST = tuple(
     [f"{command}_{model}" for model in MODELS[:3]
      for command in ("simulate", "verify", "dwell")]
@@ -157,7 +158,8 @@ FAST = tuple(
     + ["simulate_homog2d_unknown_policy_key", "simulate_homog2d_negative_horizon",
        "simulate_homog2d_model_sigma", "simulate_homog2d_region_level",
        "stats_no_event_flag", "stats_not_utf8", "simulate_truncated_config",
-       "simulate_homog2d_long_steps", "simulate_acc_case1_long_steps"])
+       "simulate_homog2d_long_steps", "simulate_acc_case1_long_steps",
+       "simulate_homog2d_self_long_steps"])
 
 
 def _write_config(config_dir: Path, name: str, data: dict) -> Path:
