@@ -214,11 +214,13 @@ class _SobolStream:
 def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> SublevelRegion:
     """Build an axis-aligned box containing ``{x : V(x) <= V(anchor)}``.
 
-    The ``2d`` axis rays from the origin step in lockstep, one batch of
-    ``V`` per step, each as its own search would and stopping where it
-    stops: the inner end is halved until it lies in the set, the outer end
-    doubled until ``V`` exceeds the level, and the bracket then bisected
-    until no end moves, in at most 80 rounds.
+    The ``2d`` axis rays from the origin step in lockstep from radius 1, one
+    batch of ``V`` per round, each as its own search would and stopping
+    where it stops: a ray whose point at radius 1 lies in the set doubles
+    until ``V`` exceeds the level, at most ``BOX_MAX_DOUBLINGS`` times, and
+    any other ray halves until its point lies in the set or its radius
+    falls below 1e-14.  Its last two radii bracket the boundary, and the
+    bracket is then bisected until no end moves, in at most 80 rounds.
     The box is widened to cover any sublevel point it misses among up to
     three batches of ``BOX_CHECK_POINTS`` from one scrambled Sobol stream
     (seeded by ``seed``) over 1.5 times the box, and finally inflated by
@@ -239,23 +241,12 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
         return cert.levels(r[:, None] * rays)
 
     r = np.ones(2 * d)
-    # make sure the inner end of each bracket is inside the set
-    active = np.ones(2 * d, dtype=bool)
-    for _ in range(200):
-        active &= ~(level_at(r) <= level)
-        if not active.any():
-            break
-        r = np.where(active, r / 2.0, r)
-        active &= ~(r < 1e-14)
-    r_in = r
-    r_out = np.full(2 * d, np.nan)
+    grow = level_at(r) <= level  # these double while in; the others halve while out
     active = np.ones(2 * d, dtype=bool)
     for _ in range(BOX_MAX_DOUBLINGS):
-        r = np.where(active, 2.0 * r, r)
-        out = active & (level_at(r) > level)
-        r_out = np.where(out, r, r_out)
-        active &= ~out
-        r_in = np.where(active, r, r_in)
+        r = np.where(active, np.where(grow, 2.0 * r, r / 2.0), r)
+        v = level_at(r)
+        active &= np.where(grow, ~(v > level), ~(v <= level) & (r >= 1e-14))
         if not active.any():
             break
     if active.any():
@@ -263,6 +254,9 @@ def bound_sublevel_box(cert: ClfCertificate, anchor, *, seed: int = 0) -> Sublev
         raise PropernessError(
             f"V did not exceed level {level} along axis {k // 2} "
             f"(direction {1 - 2 * (k % 2):+d}) within {BOX_MAX_DOUBLINGS} doublings")
+    # a ray's last two radii bracket its boundary
+    r_in = np.where(grow, r / 2.0, r)
+    r_out = np.where(grow, r, 2.0 * r)
     for _ in range(80):
         mid = 0.5 * (r_in + r_out)
         inside = level_at(mid) <= level
@@ -437,7 +431,7 @@ def estimate_big_m(sys: ControlSystem, cert: ClfCertificate, region: SublevelReg
     finite = [r for r in per_scale if math.isfinite(r) and r > 0]
     if any(not math.isfinite(r) for r in per_scale):
         diverging = True
-    elif len(finite) == len(per_scale) and len(finite) >= 2:
+    elif len(finite) == len(per_scale):
         increasing = all(b >= a for a, b in zip(finite, finite[1:]))
         if increasing and finite[-1] > DIVERGENCE_GROWTH * finite[0]:
             diverging = True

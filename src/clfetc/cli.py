@@ -594,11 +594,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_stats(csv_path: str, out_path=None) -> int:
     stats = stats_from_event_times(read_event_times_csv(csv_path))
-    text = json.dumps(_jsonable(stats), indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(out_path, stats)
+    print(json.dumps(_jsonable(stats), indent=2, sort_keys=True))
     return 0
 
 
@@ -622,38 +620,35 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run one closed-loop experiment")
     add_common(p_sim)
     p_sim.add_argument("--plot", action="store_true", help="emit SVG plots")
+    p_sim.set_defaults(run=lambda cfg, a: cmd_simulate(cfg, a.out, plot=a.plot))
 
     p_ver = sub.add_parser("verify", help="audit the assumptions on a region")
     add_common(p_ver)
+    p_ver.set_defaults(run=lambda cfg, a: cmd_verify(cfg, a.out))
 
     p_dw = sub.add_parser("dwell", help="estimate dwell-time bounds")
     add_common(p_dw)
     p_dw.add_argument("--force", action="store_true",
                       help="continue despite assumption failures")
+    p_dw.set_defaults(run=lambda cfg, a: cmd_dwell(cfg, a.out, force=a.force))
 
     p_sw = sub.add_parser("sweep", help="run a parameter sweep")
     add_common(p_sw)
+    p_sw.set_defaults(run=lambda cfg, a: cmd_sweep(cfg, a.out))
 
     p_st = sub.add_parser("stats", help="recompute stats from a trajectory CSV")
     p_st.add_argument("trajectory", help="trajectory CSV path")
     p_st.add_argument("--out", default=None, help="also write the JSON here")
+    p_st.set_defaults(config=None, run=lambda _cfg, a: cmd_stats(a.trajectory, a.out))
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "stats":
-            return cmd_stats(args.trajectory, args.out)
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = parse_config(dict(cfg.to_dict(), seed=args.seed))
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, plot=args.plot)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out)
-        if args.command == "dwell":
-            return cmd_dwell(cfg, args.out, force=args.force)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out)
-        raise ConfigurationError(f"unknown command {args.command}")
+        cfg = None
+        if args.config is not None:  # every command but stats reads one
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                cfg = parse_config(dict(cfg.to_dict(), seed=args.seed))
+        return args.run(cfg, args)
     except (ClfetcError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

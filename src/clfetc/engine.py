@@ -38,7 +38,11 @@ does, and :func:`_states_at` for listed instants: the recorder's grid rows,
 check times, refinement midpoints and a window of both kinds.  The scan
 hands the recorder a window's accepted steps, with the cut step and its cut
 instant, in one call; it writes their rows into arrays that double when full,
-and resumes its grid at the first instant after its last row.
+and resumes its grid at the first instant after its last row.  It keeps each
+row's instant and state alone: the event log holds every update's instant
+and control, so each row takes the control of the last update at or before
+its instant, and the rows at an update's instant are flagged, once the run
+ends.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import ClfCertificate, ControlSystem, _as_points, _as_vector
-from .errors import (BlowupError, DimensionMismatchError, DomainError,
-                     IntegrationError)
+from .errors import BlowupError, DomainError, IntegrationError
 from .triggers import (EventTriggered, PeriodicEventTriggered, TriggerPolicy,
                        equilibrium_threshold, frozen_guard, predicate_margin,
                        predicate_p)
@@ -365,12 +368,13 @@ class Trajectory:
 
 
 class _Recorder:
-    """A run's rows, in ``t``, ``x``, ``u`` and ``flag`` arrays that double
-    when full: the grid instants ``grid`` up to where the run has reached,
-    with the states its steps read there, and the event and blow-up rows.
-    The rows are in time order, so each fill resumes the grid at its first
-    instant after the last row.  A row at the last row's instant replaces
-    it if it is an event's, with flag 1, and is skipped otherwise."""
+    """A run's rows, in ``t`` and ``x`` arrays that double when full: the
+    grid instants ``grid`` up to where the run has reached, with the states
+    its steps read there, and the update and blow-up rows.  The rows are in
+    time order, so each fill resumes the grid at its first instant after
+    the last row.  A row at the last row's instant replaces its state if it
+    is an update's, and is skipped otherwise.  A row's control and update
+    flag come from the event log, in :meth:`finalize`."""
 
     def __init__(self, cert, sys, grid):
         self.cert = cert
@@ -380,28 +384,21 @@ class _Recorder:
         size = len(self.grid)
         self.t = np.empty(size)
         self.x = np.empty((size, sys.state_dim))
-        self.u = np.empty((size, sys.input_dim))
-        self.flag = np.empty(size, dtype=int)
 
     def _room(self, k):
         """Room for ``k`` more rows, at most a grid's: the arrays double."""
-        n = self.n
-        if n + k > len(self.t):
-            self.t, self.x, self.u, self.flag = (
-                np.concatenate((a, np.empty_like(a)))
-                for a in (self.t, self.x, self.u, self.flag))
+        if self.n + k > len(self.t):
+            self.t, self.x = (np.concatenate((a, np.empty_like(a)))
+                              for a in (self.t, self.x))
 
-    def add_row(self, t, x, u, flag):
+    def add_row(self, t, x, event):
         n = self.n
-        if np.shape(u) != self.u.shape[1:]:
-            raise DimensionMismatchError(f"each control must have length "
-                                         f"{self.u.shape[1]}, got shape {np.shape(u)}")
         if n and t == self.t[n - 1]:
-            if flag:
-                self.x[n - 1], self.u[n - 1], self.flag[n - 1] = x, u, 1
+            if event:
+                self.x[n - 1] = x
             return
         self._room(1)
-        self.t[n], self.x[n], self.u[n], self.flag[n] = t, x, u, flag
+        self.t[n], self.x[n] = t, x
         self.n = n + 1
 
     def _first(self):
@@ -409,18 +406,16 @@ class _Recorder:
         run records its update at t = 0 before any grid row)."""
         return bisect.bisect_right(self.grid, self.t[self.n - 1])
 
-    def _put(self, lo, hi, x, u):
+    def _put(self, lo, hi, x):
         """Record grid rows ``lo`` to ``hi - 1`` with states ``x``, one row
-        each or one for all, and the control ``u``."""
+        each or one for all."""
         n, k = self.n, hi - lo
         self._room(k)
         self.t[n:n + k] = self.grid[lo:hi]
         self.x[n:n + k] = x
-        self.u[n:n + k] = u
-        self.flag[n:n + k] = 0
         self.n = n + k
 
-    def fill_grid(self, pieces, u, at=None):
+    def fill_grid(self, pieces, at=None):
         """Record the grid rows that consecutive accepted steps reach: those
         at or before each step's end, or, when the last step is cut at
         ``at``, those of the last step strictly before it, all read in one
@@ -432,25 +427,32 @@ class _Recorder:
         rows = [(piece, grid[a:b])
                 for piece, a, b in zip(pieces, [lo, *ends], ends) if b > a]
         if rows:
-            self._put(lo, ends[-1], _states_at(*zip(*rows)), u)
+            self._put(lo, ends[-1], _states_at(*zip(*rows)))
 
-    def hold(self, x, u):
+    def hold(self, x):
         """Record every grid row left with the state ``x``."""
-        self._put(self._first(), len(self.grid), x, u)
+        self._put(self._first(), len(self.grid), x)
 
     def finalize(self, events, termination, sigma) -> Trajectory:
         n = self.n
         t = self.t[:n]
         # checked once here, then read in one call each, on every row
         x = _as_points(self.x[:n], self.sys.state_dim, "state")
-        u = _as_points(self.u[:n], self.sys.input_dim, "control")
+        controls = _as_points([e.control for e in events], self.sys.input_dim,
+                              "control")
+        # update times never decrease: a row takes the control of the last
+        # update at or before its instant, and the row at an update's
+        # instant is that update's
+        times = np.array([e.time for e in events])
+        last = np.searchsorted(times, t, side="right") - 1
+        u = controls[last]
         v = self.cert.levels(x)
         w = np.vecdot(self.cert.grad(x), self.sys.f(x, u))
         v0 = float(v[0])
         bound = np.array([self.cert.energy_map.bound_after(v0, ti, sigma)
                           for ti in t.tolist()])
         return Trajectory(t=t, x=x, u=u, v=v, w=w, bound=bound,
-                          event_flag=self.flag[:n], events=list(events),
+                          event_flag=(times[last] == t).astype(int), events=list(events),
                           termination=termination, sigma=sigma)
 
 
@@ -673,7 +675,7 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
             while n < len(pieces) and at is None:  # as windows of 1
                 k, at, _ = cut([pieces[n]], f) if cut is not None else (1, None, 1)
                 n += k
-        rec.fill_grid(pieces[:n + (at is not None)], u, at)
+        rec.fill_grid(pieces[:n + (at is not None)], at)
         if at is not None:
             piece = pieces[n]
             sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
@@ -728,14 +730,14 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
         events.append(EventRecord(index=len(events), time=t, state=np.array(x),
                                   control=np.array(u), guard_value=gval,
                                   dwell=dwell, reason=reason))
-        rec.add_row(t, x, u, 1)
+        rec.add_row(t, x, True)
 
     def freeze(t, x, gval):
         """Record the equilibrium update at ``t``, then hold ``x`` and the
         origin's control to the horizon."""
         u = cert.u(np.zeros(sys.state_dim))
         push_event(t, x, u, gval, "equilibrium_frozen")
-        rec.hold(x, u)
+        rec.hold(x)
         return rec.finalize(events, "equilibrium", sigma)
 
     t = 0.0
@@ -782,7 +784,7 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
                         cert, policy.big_m, x, fx, policy.sigma_tilde, policy.k_big):
                     continue  # the check holds: scan on from its grid point
         except BlowupError as exc:
-            rec.add_row(exc.t, exc.state, u, 0)
+            rec.add_row(exc.t, exc.state, False)
             t, x = exc.t, exc.state
             termination = "blowup"
             break
@@ -790,13 +792,12 @@ def run_closed_loop(sys: ControlSystem, cert: ClfCertificate, policy: TriggerPol
             continue  # the horizon, with no update
 
         g_fire = frozen_guard(cert, x, fx, sigma)
-        dwell = t - events[-1].time
-        zeno_run = zeno_run + 1 if dwell < config.zeno_floor else 0
         if cert.v(x) <= eps_eq:
             return freeze(t, x, g_fire)
         u = cert.u(x)
         fx = None
         push_event(t, x, u, g_fire, reason)
+        zeno_run = zeno_run + 1 if events[-1].dwell < config.zeno_floor else 0
         if zeno_run >= ZENO_CONSECUTIVE:
             termination = "zeno_abort"
             break

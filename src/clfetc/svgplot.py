@@ -38,8 +38,9 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def line_plot(path, xs, series, title="", xlabel="t", ylabel=""):
-    """Write a polyline plot; ``series`` is a list of ``(label, ys)``."""
+def line_plot(path, xs, series, title="", ylabel=""):
+    """Write a polyline plot against t; ``series`` is a list of
+    ``(label, ys)``."""
     xs = [float(v) for v in xs]
     x_lo, x_hi = min(xs), max(xs)
     all_y = [float(v) for _label, ys in series for v in ys if math.isfinite(v)]
@@ -82,7 +83,7 @@ def line_plot(path, xs, series, title="", xlabel="t", ylabel=""):
                      f'font-size="11">{_fmt(ty)}</text>')
     parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 10}" '
                  f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="12">{xlabel}</text>')
+                 f'font-size="12">t</text>')
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{ylabel}</text>')

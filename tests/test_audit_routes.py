@@ -10,9 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clfetc import (bound_sublevel_box, build_model, estimate_big_m,
-                    estimate_constants, estimate_kappa, estimate_nu,
-                    sample_in_region, verify_clf_pointwise, zeno_polar)
+from clfetc import (ClfCertificate, RateFunction, bound_sublevel_box,
+                    build_model, estimate_big_m, estimate_constants,
+                    estimate_kappa, estimate_nu, sample_in_region,
+                    verify_clf_pointwise, zeno_polar)
 from clfetc.cli import _model_and_x0, load_config
 from oracles import (acc_big_m_lower, acc_closed_loop_matrix, acc_frozen_matrices,
                      big_m_reference, bound_sublevel_box_reference,
@@ -63,6 +64,31 @@ def test_batched_audits_match_the_per_point_loops(name, seed, request):
         ]
         for batched, per_point in pairs:
             assert _bits(batched) == _bits(per_point), (n, batched, per_point)
+
+
+@pytest.mark.parametrize("diag", [(1.0, 100.0), (1e-4, 1.0, 1e4)])
+def test_the_box_matches_its_per_point_loop_on_an_anisotropic_ellipse(diag):
+    """V = x'Px/2 with a diagonal P, anchored on the first axis at scales
+    1e-3 to 1e3: the set's half-width along axis i is the scale times
+    sqrt(P_00/P_ii), so at some scales the rays along one axis start inside
+    radius 1 and those along another outside it.  Every shipped V reaches
+    its level at one radius on every axis ray, so no preset mixes the
+    directions in which the box's rays search."""
+    p = np.array(diag)
+    cert = ClfCertificate(value=lambda x: 0.5 * np.vecdot(x * p, x),
+                          gradient=lambda x: np.asarray(x, dtype=float) * p,
+                          rate=RateFunction.linear(1.0),
+                          feedback=lambda x: -np.asarray(x, dtype=float))
+    mixed = 0
+    for scale in (1e-3, 1e-2, 1e-1, 1.0, 3.0, 10.0, 30.0, 1e2, 1e3):
+        anchor = np.zeros(len(p))
+        anchor[0] = scale
+        inside = cert.levels(np.eye(len(p))) <= cert.v(anchor)
+        mixed += bool(inside.any() and not inside.all())
+        region = bound_sublevel_box(cert, anchor)
+        reference = bound_sublevel_box_reference(cert, anchor)
+        assert _bits(region) == _bits(reference), scale
+    assert mixed >= 2
 
 
 @pytest.mark.parametrize("preset", ["homog2d", "acc_case1", "acc_case2"])

@@ -12,6 +12,7 @@ from clfetc import (CertificateConstants, ClfCertificate, ControlSystem,
                     estimate_big_m, estimate_constants, estimate_kappa,
                     estimate_nu, estimate_rho, sample_in_region,
                     verify_clf_pointwise)
+from clfetc.core import velocity_ratio
 from clfetc import certificates
 from clfetc.certificates import (BOX_INFLATE, SOBOL_BITS, SOBOL_MAX_DIM,
                                  _SobolStream)
@@ -311,6 +312,20 @@ class TestEstimateBigM:
                 pts = sample_in_region(relay.certificate, region, n, seed=seed)
                 rep = estimate_big_m(relay.system, relay.certificate, region, pts, seed=seed)
                 assert rep.diverging, (seed, n)
+
+    def test_a_ratio_that_is_infinite_only_at_the_probes_diverges(self):
+        # the feedback -x turns to -1e200*x inside |x| = 0.03, where |F|^2
+        # overflows: no sampled point lies there, every probe point does
+        sys = ControlSystem(2, 2, rhs=lambda x, u: np.asarray(u, dtype=float))
+        cert = replace(quad_cert(), feedback=lambda x: np.where(
+            np.linalg.norm(x, axis=-1, keepdims=True) > 0.03, -x, -1e200 * x))
+        region = bound_sublevel_box(cert, np.array([1.0, 0.0]))
+        pts = sample_in_region(cert, region, 192, seed=0)
+        with np.errstate(over="ignore"):
+            ratios = velocity_ratio(cert.grad(pts), sys.f(pts, cert.u(pts)))
+            rep = estimate_big_m(sys, cert, region, pts, seed=0)
+        assert np.isfinite(ratios).all()
+        assert rep.diverging
 
     def test_acc_bounded(self, acc):
         region = bound_sublevel_box(acc.certificate, np.array([5.0, 5.0, 5.0]))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfetc import (BlowupError, ClfCertificate, ControlSystem,
-                    DimensionMismatchError, DomainError,
+                    DimensionMismatchError, DomainError, IntegrationError,
                     EventTriggered, IntegratorConfig, PeriodicEventTriggered,
                     RateFunction, TimeTriggered,
                     bound_sublevel_box, build_model, check_rate_certificate,
@@ -62,6 +62,26 @@ class TestIntegrateFrozen:
         cfg = IntegratorConfig(horizon=1.0)
         with pytest.raises(BlowupError):
             integrate_frozen(sysm, [5.0], [0.0], (0.0, 0.5), cfg)
+
+    def test_a_field_that_fails_past_a_state_underflows_the_step(self):
+        # x' = 1 until x = 1 and NaN past it: every step that reaches past
+        # t = 1 fails, and the steps shrink toward it until they underflow
+        sysm = ControlSystem(1, 1, rhs=lambda x, u: np.where(x > 1.0, np.nan, 1.0))
+        cfg = IntegratorConfig(horizon=2.0)
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            integrate_frozen(sysm, [0.0], [0.0], (0.0, 2.0), cfg)
+
+    def test_a_segment_reads_only_its_span(self, relay):
+        cfg = IntegratorConfig(horizon=1.0)
+        seg = integrate_frozen(relay.system, [1.0], [-1.0], (0.0, 0.5), cfg)
+        for t in (-1e-9, 0.5 + 1e-9):
+            with pytest.raises(DomainError, match="outside segment"):
+                seg.eval(t)
+        # a zero-length segment holds its one point, and reads it there
+        x0 = np.array([-0.0])
+        point = integrate_frozen(relay.system, x0, [-1.0], (0.25, 0.25), cfg)
+        assert point.ts.tolist() == [0.25]
+        assert point.eval(0.25).tobytes() == x0.tobytes()
 
 
 def _located(locate, guard, a, b):
@@ -187,7 +207,6 @@ class TestHermite:
         # instant.  A row at the window's start, where an event was
         # recorded, is passed over
         rng = np.random.default_rng(20 + dim)
-        u = np.array([0.5])
         for _ in range(60):
             pieces, grid, owners = [], [], []
             t = float(rng.uniform(0.0, 100.0))
@@ -210,17 +229,15 @@ class TestHermite:
                 at = (on_rows[int(rng.integers(len(on_rows)))]
                       if on_rows and rng.random() < 0.5
                       else float(rng.uniform(last.t0, last.t1)))
-            rec = engine._Recorder(None, SimpleNamespace(state_dim=dim, input_dim=1),
+            rec = engine._Recorder(None, SimpleNamespace(state_dim=dim),
                                    np.array([pieces[0].t0] + grid))
-            rec.add_row(pieces[0].t0, pieces[0].y0, u, 1)
-            rec.fill_grid(pieces, u, at)
+            rec.add_row(pieces[0].t0, pieces[0].y0, True)
+            rec.fill_grid(pieces, at)
             want = [(tt, p) for tt, p in zip(grid, owners)
                     if at is None or p is not last or tt < at]
             assert rec.n == 1 + len(want)
             assert rec._first() == 1 + len(want)  # the fill resumes here
             assert rec.t[1:rec.n].tolist() == [tt for tt, _ in want]
-            assert rec.flag[:rec.n].tolist() == [1] + [0] * len(want)
-            assert rec.u[:rec.n].tobytes() == np.tile(u, (rec.n, 1)).tobytes()
             assert rec.x[1:rec.n].tobytes() == np.array(
                 [p(tt) for tt, p in want]).reshape(-1, dim).tobytes()
 
@@ -1016,6 +1033,9 @@ class TestRecorderRows:
         assert traj.t.tolist() == before.tolist() + [blowup.value.t]
         assert traj.event_flag.tolist() == [1] + [0] * len(before)
         assert traj.x[-1].tobytes() == blowup.value.state.tobytes()
+        # every row, the blow-up row included, holds the initial control
+        assert traj.u.tobytes() == np.tile(traj.events[0].control,
+                                           (len(traj.t), 1)).tobytes()
 
     def test_a_freeze_holds_the_state_and_the_origin_control(self, relay):
         cfg = IntegratorConfig(horizon=2.0, output_points=101)
