@@ -29,7 +29,11 @@ is raised.
 A scan's first window holds the smaller step count of the last two scans
 that ended in a cut, and the rule sizes each later one from the trend of
 what it reads, from 1 to ``_WINDOW_CAP`` steps: the window size changes how
-fast a run goes, never what it computes.
+fast a run goes, never what it computes.  At a cut, the state at the cut
+instant comes from a corrector, one tolerance-checked integration from the
+cut step's start; its first step is the cut step's own size, which covers
+the span to the cut, so it takes one attempt unless the error control
+rejects it.
 
 Batches of states come from two readers, each row with the bits of its
 step's interpolant at its instant alone: :func:`_probe_states` for windows
@@ -110,7 +114,9 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 class IntegratorConfig:
     """Tolerances and safeguards for one closed-loop run.
 
-    ``max_step`` defaults to ``horizon/1000`` when left unset.
+    ``horizon``, the two tolerances, ``max_step`` and ``zeno_floor`` must be
+    positive and finite.  ``max_step`` defaults to ``horizon/1000`` when left
+    unset.
     ``output_points`` sets the dense recording grid; event instants are
     always recorded exactly, in addition.
     """
@@ -124,13 +130,10 @@ class IntegratorConfig:
     output_points: int = 1001
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise DomainError("horizon must be positive")
-        for name in ("rel_tol", "abs_tol", "zeno_floor"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        if self.max_step is not None and self.max_step <= 0:
-            raise DomainError("max_step must be positive")
+        for name in ("horizon", "rel_tol", "abs_tol", "max_step", "zeno_floor"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:  # NaN too
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if self.max_events < 1:
             raise DomainError("max_events must be at least 1")
         if self.output_points < 2:
@@ -218,14 +221,17 @@ class _Hermite:
                       self.y1, self.f1, self.h)
 
 
-def _steps(f, t, y, f0, t_end, cfg):
+def _steps(f, t, y, f0, t_end, cfg, h=None):
     """Yield the accepted :class:`_Hermite` pieces that carry (t, y) to t_end,
-    each made from the one before alone.  Raises :class:`BlowupError` once
-    the state norm passes the blow-up cap.
+    each made from the one before alone.  The first step tried is ``h``, or
+    :func:`_initial_step`'s when None; like every step, it is clamped by
+    ``max_step`` and the span left.  Raises :class:`BlowupError` once the
+    state norm passes the blow-up cap.
     """
     if t_end <= t:
         return
-    h = _initial_step(f, y, f0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, t_end - t)
+    if h is None:
+        h = _initial_step(f, y, f0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, t_end - t)
     while t < t_end:
         h = min(h, cfg.max_step, t_end - t)
         if h <= 4.0 * _EPS * max(1.0, abs(t)):
@@ -272,21 +278,26 @@ class DenseSegment:
         return piece(t)
 
 
-def integrate_frozen(sys: ControlSystem, x0, u, t_span,
-                     config: IntegratorConfig) -> DenseSegment:
+def integrate_frozen(sys: ControlSystem, x0, u, t_span, config: IntegratorConfig,
+                     first_step: Optional[float] = None) -> DenseSegment:
     """Solve ``xdot = F(x, u)`` with the control held fixed over ``t_span``.
 
+    The first step tried is ``first_step``, positive and finite, or the
+    Gladwell-Shampine-Brankin estimate when None; a closed-loop corrector
+    starts from its cut step's size, which covers the span to the cut.
     Returns a densely interpolable segment; raises :class:`BlowupError` if
     the state norm passes the blow-up cap before the span ends.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise DomainError("t_span must be increasing")
+    if first_step is not None and not 0.0 < first_step < math.inf:  # NaN too
+        raise DomainError(f"first_step must be positive and finite, got {first_step}")
     x0 = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
     ts, ys, fs = [t0], [x0], [sys.f(x0, u)]  # dimensions validated once
     f = sys.frozen(u)
-    for piece in _steps(f, t0, x0, fs[0], t1, config):
+    for piece in _steps(f, t0, x0, fs[0], t1, config, first_step):
         ts.append(piece.t1)
         ys.append(piece.y1)
         fs.append(piece.f1)
@@ -651,7 +662,9 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
     none, they are recorded and the error is raised.  At a cut, the cut
     step's rows fill strictly before the cut instant, in the same call as
     the steps before it, and one tolerance-checked corrector integration
-    from the step start replaces the interpolant.
+    from the step start replaces the interpolant.  The corrector's first
+    step is the cut step's size, never shorter than the span to the cut, so
+    it covers that span in one attempt unless the error control rejects it.
     Returns ``(t_cut, x, fx, steps)`` at a cut, with ``steps`` the accepted
     steps and the cut step, or ``(t_end, x_end, None, steps)``.  Clock
     scans, with no rule, accept every step, in windows of ``_WINDOW_CAP``.
@@ -678,7 +691,8 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
         rec.fill_grid(pieces[:n + (at is not None)], at)
         if at is not None:
             piece = pieces[n]
-            sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg)
+            sub = integrate_frozen(sys, piece.y0, u, (piece.t0, at), cfg,
+                                   first_step=piece.h)
             return at, sub.ys[-1], sub.fs[-1], accepted + n + 1
         if error is not None:
             raise error

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -82,6 +83,40 @@ class TestIntegrateFrozen:
         point = integrate_frozen(relay.system, x0, [-1.0], (0.25, 0.25), cfg)
         assert point.ts.tolist() == [0.25]
         assert point.eval(0.25).tobytes() == x0.tobytes()
+
+    @pytest.mark.parametrize("first_step", [0.0, -1.0, math.nan, math.inf])
+    def test_a_first_step_must_be_positive_and_finite(self, relay, first_step):
+        # a first step of 0 would otherwise be taken for a span below time
+        # resolution and return x0 at the span's end
+        cfg = IntegratorConfig(horizon=1.0)
+        with pytest.raises(DomainError, match="first_step must be positive and finite"):
+            integrate_frozen(relay.system, [1.0], [-1.0], (0.0, 0.5), cfg,
+                             first_step=first_step)
+
+    def test_a_first_step_longer_than_the_span_takes_one_step(self, relay):
+        cfg = IntegratorConfig(horizon=1.0, max_step=1.0)
+        seg = integrate_frozen(relay.system, [1.0], [-1.0], (0.0, 0.5), cfg,
+                               first_step=1.0)
+        assert seg.ts.tolist() == [0.0, 0.5]
+        assert seg.ys[-1][0] == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
+    def test_a_rejected_first_step_keeps_the_tolerance(self, acc, rel_tol):
+        # a first step of the whole span fails the error control and shrinks
+        # until it passes; the end state is then as close to the exact
+        # affine flow as from the initial-step estimate.  Measured error over
+        # (abs_tol + rel_tol*|exact|), per component: 0.135 and 0.168 from
+        # the first step of 1, 0.123 and 0.168 from the estimate
+        u_star = 2.0
+        a, c = acc_frozen_matrices(1.01, 0.3, u_star)
+        x0 = np.array([1.0, -2.0, 0.5])
+        cfg = IntegratorConfig(horizon=1.0, max_step=1.0, rel_tol=rel_tol)
+        seg = integrate_frozen(acc.system, x0, [u_star], (0.0, 1.0), cfg,
+                               first_step=1.0)
+        assert seg.ts[1] < 0.1  # the step of 1 was rejected
+        exact = affine_flow(a, c, x0, 1.0)
+        scale = cfg.abs_tol + cfg.rel_tol * np.abs(exact)
+        assert np.max(np.abs(seg.ys[-1] - exact) / scale) <= 0.5
 
 
 def _located(locate, guard, a, b):
@@ -951,15 +986,15 @@ def _stepper_starts(monkeypatch):
         starts.append(0)
         return scan(*args)
 
-    def counted_steps(*args):
+    def counted_steps(*args, **kwargs):
         if not correcting:
             starts[-1] += 1
-        return steps(*args)
+        return steps(*args, **kwargs)
 
-    def corrector(*args):
+    def corrector(*args, **kwargs):
         correcting.append(True)
         try:
-            return frozen(*args)
+            return frozen(*args, **kwargs)
         finally:
             correcting.pop()
 
@@ -967,6 +1002,53 @@ def _stepper_starts(monkeypatch):
     monkeypatch.setattr(engine, "_steps", counted_steps)
     monkeypatch.setattr(engine, "integrate_frozen", corrector)
     return starts
+
+
+class TestCorrector:
+    """At a cut, the state comes from one integration of the frozen flow
+    from the cut step's start to the cut instant."""
+
+    @pytest.mark.parametrize("preset, kind", [("acc_case1", "event"),
+                                              ("acc_policy_sweep", "periodic-event")])
+    def test_a_corrector_takes_the_cut_step_once(self, monkeypatch, preset, kind):
+        # the span to the cut is never longer than the cut step, which the
+        # error control has just accepted from the same state and field
+        # value: the corrector starts from that step's size, covers the span
+        # in one step and estimates no first step of its own.  The periodic
+        # row's checks fail, so its scans end in cuts too
+        frozen, initial, scan = engine.integrate_frozen, engine._initial_step, engine._scan
+        meshes, estimates, correcting = [], Counter(), []
+
+        def corrector(*args, **kwargs):
+            correcting.append(True)
+            try:
+                seg = frozen(*args, **kwargs)
+            finally:
+                correcting.pop()
+            meshes.append(len(seg.ts))
+            return seg
+
+        def counted_initial(*args):
+            estimates["corrector" if correcting else "scan"] += 1
+            return initial(*args)
+
+        def counted_scan(*args):
+            estimates["scans"] += 1
+            return scan(*args)
+
+        monkeypatch.setattr(engine, "integrate_frozen", corrector)
+        monkeypatch.setattr(engine, "_initial_step", counted_initial)
+        monkeypatch.setattr(engine, "_scan", counted_scan)
+        cfg = load_config(preset)
+        cfg = replace(cfg, policy={"policy": kind, "sigma": cfg.sigma})
+        model, x0 = _model_and_x0(cfg)
+        policy, _ = resolve_policy(cfg, model, x0)
+        icfg = IntegratorConfig(horizon=cfg.horizon, **cfg.integrator)
+        traj = run_closed_loop(model.system, model.certificate, policy, x0, icfg)
+        assert len(meshes) >= len(traj.events) - 1 > 100
+        assert set(meshes) == {2}
+        assert estimates["corrector"] == 0
+        assert estimates["scan"] == estimates["scans"]
 
 
 class TestRecorderRows:
@@ -1566,3 +1648,13 @@ class TestIntegratorConfig:
             IntegratorConfig(horizon=1.0, rel_tol=-1e-9)
         with pytest.raises(DomainError):
             IntegratorConfig(horizon=1.0, max_events=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["horizon", "rel_tol", "abs_tol", "max_step",
+                                       "zeno_floor"])
+    def test_a_field_must_be_finite(self, field, value):
+        # a NaN horizon would end the run at t = 0, a NaN step cap or Zeno
+        # floor would switch itself off, and an infinite horizon would fail
+        # deep inside the scan
+        with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+            IntegratorConfig(**{"horizon": 1.0, field: value})
