@@ -15,12 +15,17 @@ bisection, against which the Illinois localization is compared, and
 :func:`frozen_guard_reference` and :func:`predicate_margin_reference` keep
 the one-state reads of the guard and the margin, which the batched reads
 must match bit for bit, and :func:`rate_excess_reference` the row loop of
-the rate certificate's check.  :func:`ivp_event_times` is the second route
-to the event times of every model: scipy's ``solve_ivp``, which shares only
-the model and certificate code with the engine.
+the rate certificate's check.  :func:`dopri_step_reference` is one
+Dormand-Prince attempt from the published tableau, by two routes: stage
+sums in Python floats, which the engine's attempt must match bit for bit,
+and the matrix form, which it must match to a few ulps.
+:func:`ivp_event_times` is the second route to the event times of every
+model: scipy's ``solve_ivp``, which shares only the model and certificate
+code with the engine.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -251,6 +256,73 @@ def ivp_event_times(model, x0, horizon, sigma, max_events=1_000_000,
         if zeno_run >= ZENO_CONSECUTIVE:
             return times, states, "zeno_abort"
     return times, states, "event_cap" if len(times) >= max_events else "horizon"
+
+
+# Dormand & Prince (J. Comput. Appl. Math. 6, 1980), RK5(4)7M: the stage
+# matrix, the 5th-order weights and the embedded 4th-order weights, exact
+_DOPRI_A = (
+    (),
+    (Fraction(1, 5),),
+    (Fraction(3, 40), Fraction(9, 40)),
+    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
+    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
+     Fraction(-212, 729)),
+    (Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247),
+     Fraction(49, 176), Fraction(-5103, 18656)),
+    (Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192),
+     Fraction(-2187, 6784), Fraction(11, 84)),
+)
+_DOPRI_B4 = (Fraction(5179, 57600), Fraction(0), Fraction(7571, 16695),
+             Fraction(393, 640), Fraction(-92097, 339200), Fraction(187, 2100),
+             Fraction(1, 40))
+
+
+def dopri_step_reference(f, y, f0, h, rtol, atol, matmul=False):
+    """One Dormand-Prince attempt and its error norm, as lists of floats
+    ``(y1, f(y1), err)`` and a float.
+
+    The float route (the default) sums each stage coordinate by coordinate,
+    left to right, ``y + h*(a1*k1 + ... + ai*ki)``; the error estimate is
+    ``h*(e1*k1 + ... + e7*k7)`` with ``e = b5 - b4`` taken exactly, and its
+    norm the RMS of ``err / (atol + rtol*max(|y|, |y1|))``, NaN wherever
+    either state is.  ``matmul=True`` takes the matrix form instead: each
+    stage ``y + h*(A[i] @ K[:i])``, ``h*(E @ K)`` and numpy's RMS, whose
+    sums numpy and its BLAS order.  The field ``f`` is called on arrays.
+    """
+    a = [[float(c) for c in row] for row in _DOPRI_A]
+    e = [float(b5 - b4) for b5, b4 in zip(_DOPRI_A[6] + (Fraction(0),), _DOPRI_B4)]
+    y = np.asarray(y, dtype=float)
+    if matmul:
+        k = np.empty((7, y.size))
+        k[0] = f0
+        yi = y
+        for i in range(1, 7):
+            yi = y + h * (np.array(a[i]) @ k[:i])
+            k[i] = f(yi)
+        err = h * (np.array(e) @ k)
+        q = err / (atol + rtol * np.maximum(np.abs(y), np.abs(yi)))
+        return yi.tolist(), k[6].tolist(), err.tolist(), float(np.sqrt(np.mean(q ** 2)))
+    ys = y.tolist()
+    ks = [np.asarray(f0, dtype=float).tolist()]
+    for i in range(1, 7):
+        stage = []
+        for j, yj in enumerate(ys):
+            s = a[i][0] * ks[0][j]
+            for c, k in zip(a[i][1:], ks[1:]):
+                s += c * k[j]
+            stage.append(yj + h * s)
+        ks.append(np.asarray(f(np.array(stage)), dtype=float).tolist())
+    y1 = stage
+    err, total = [], 0.0
+    for j, (y0j, y1j) in enumerate(zip(ys, y1)):
+        s = e[0] * ks[0][j]
+        for c, k in zip(e[1:], ks[1:]):
+            s += c * k[j]
+        err.append(h * s)
+        big = math.nan if math.isnan(y0j) or math.isnan(y1j) else max(abs(y0j), abs(y1j))
+        q = err[-1] / (atol + rtol * big)
+        total += q * q
+    return y1, ks[6], err, math.sqrt(total / len(ys))
 
 
 def locate_event_reference(guard, a, b, ga=None, gb=None):

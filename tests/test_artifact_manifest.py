@@ -71,8 +71,9 @@ def test_check_stops_on_other_versions(tmp_path):
 
 
 def test_check_stops_on_another_blas_kernel(tmp_path):
-    # the Runge-Kutta stage sums go through BLAS, whose kernel, picked from
-    # the CPU at run time, may round them otherwise
+    # np.vecdot and @ go through BLAS, whose kernel, picked from the CPU at
+    # run time, may round them otherwise: V, the guard, the recorder's W
+    # and verify_clf_pointwise read them
     tool = _load_tool()
     manifest = tool.load_manifest()
     assert set(manifest["blas"]) == {"name", "version", "openblas configuration"}

@@ -62,15 +62,15 @@ hold shortest round-trip floats, which another numpy build may round
 differently, so ``--check`` on other versions, another BLAS build or
 another BLAS kernel than the manifest's exits 3 before it runs anything;
 re-record the manifest there, or check where it was recorded.  The kernel
-matters because the Runge-Kutta stage sums ``_A[i] @ K[:i]`` in
-``clfetc.engine`` go through numpy's matmul into BLAS.  With numpy's
-OpenBLAS 0.3.31 (a ``DYNAMIC_ARCH`` build, which picks its kernel from the
-CPU at run time) on an Intel Xeon, at least one of the six stage sums
-differed in its bits from the left-to-right sum in 19,984 of 20,000 random
-``(7, 3)`` stage matrices, so another kernel may give other bits.  No other
-CPU was tried.  A change that alters outputs on purpose re-records the
-manifest and names every changed file.  Uses the standard library, and
-numpy only to read its BLAS.
+matters because ``np.vecdot`` and ``@`` on 3-vectors go through BLAS: the
+quadratic V, the guard's and the recorder's W, ``verify_clf_pointwise``
+and the stepper's blow-up norm, though not its stage sums, which are
+Python floats.  With numpy's OpenBLAS 0.3.31 (a ``DYNAMIC_ARCH`` build,
+which picks its kernel from the CPU at run time) on an Intel Xeon, 42 of
+the 90 files differ between its own ``SkylakeX`` kernel and
+``OPENBLAS_CORETYPE=Haswell``.  No other CPU was tried.  A change that
+alters outputs on purpose re-records the manifest and names every changed
+file.  Uses the standard library, and numpy only to read its BLAS.
 """
 
 from __future__ import annotations
