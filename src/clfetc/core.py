@@ -110,6 +110,14 @@ class ControlSystem:
     result's shape on a batch and nothing on one state.  A pass checks each
     point, or each held control, once where it enters, and its loops then
     evaluate the frozen field.
+
+    ``rhs`` may carry a float form, ``rhs.point(Y, U)``: ``F`` on a list of
+    ``d`` floats and one of ``m``, returning ``d`` floats with the bits of
+    ``rhs`` on that state.  The stepper calls it through
+    ``frozen(u).point``; the shipped models make both forms from one
+    definition.  It travels on the callable, so :func:`rowwise` and any
+    ``functools.wraps`` wrapper keep it, and a replaced ``rhs`` drops it.
+    Without one, ``frozen(u).point`` calls ``rhs`` on an array.
     """
 
     state_dim: int
@@ -131,9 +139,15 @@ class ControlSystem:
 
     def frozen(self, u) -> Callable[[np.ndarray], np.ndarray]:
         """The field ``y -> F(y, u)`` with the control ``u`` held.  On one
-        state ``(d,)`` it checks nothing: it is the stepper's hot path.  On
-        an ``(n, d)`` batch it repeats ``u`` on every row and checks the
-        result's shape."""
+        state ``(d,)`` it checks nothing.  On an ``(n, d)`` batch it repeats
+        ``u`` on every row and checks the result's shape.
+
+        The field carries its float form, ``field.point``: ``Y -> F(Y, u)``
+        on a list of ``d`` floats, returning ``d`` floats, unchecked; it is
+        the stepper's hot path.  It is ``rhs.point(Y, U)`` with the control
+        held, when ``rhs`` has one, or else an adapter that calls ``rhs``
+        on ``np.array(Y)``; both give the bits of ``field`` on that state.
+        """
         rhs, u = self.rhs, np.asarray(u, dtype=float)
         row = u[None, :]
 
@@ -143,6 +157,11 @@ class ControlSystem:
             return _check_rows("rhs", np.asarray(rhs(y, row.repeat(len(y), 0)),
                                                  dtype=float), y.shape)
 
+        point, U = getattr(rhs, "point", None), u.tolist()
+        if point is None:
+            field.point = lambda Y: np.asarray(rhs(np.array(Y), u), dtype=float).tolist()
+        else:
+            field.point = lambda Y: point(Y, U)
         return field
 
 

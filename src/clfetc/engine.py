@@ -50,9 +50,14 @@ ends.
 
 Each Dormand-Prince attempt (:func:`_rk_step`) forms its stages, its error
 estimate and its error norm in Python floats, coordinate by coordinate and
-left to right, and calls only the field on arrays: on the shipped models'
-one to three states that is about a third cheaper than a numpy call per
-sum, and no stage sum goes through BLAS.
+left to right, and calls the frozen field's float form, ``frozen(u).point``,
+on lists of floats: a shipped model's ``rhs`` carries one written with it,
+and any other system goes through an adapter that calls its ``rhs`` on an
+array, with the same bits.  On the shipped models' one to three states an
+attempt costs about half of what it does with the field called on arrays,
+and no stage sum goes through BLAS.  Each accepted state and field value
+becomes an array once, for its step's interpolant; the step rule's probes,
+guards and margins, and the recorder, read the field on arrays.
 """
 
 from __future__ import annotations
@@ -157,62 +162,70 @@ class IntegratorConfig:
 # low-level stepping
 
 
-def _rk_step(f, y, f0, h):
-    """One Dormand-Prince attempt from ``y``, with field value ``f0``, over
-    ``h``; returns ``(y1, f(y1), err)``: the 5th-order state and its field
-    value as arrays, and the error estimate as a list of floats.
+def _rk_step(f, Y, K1, h):
+    """One Dormand-Prince attempt from the state ``Y``, with field value
+    ``K1``, over ``h``; returns ``(y1, f(y1), err)``: the 5th-order state,
+    its field value and the error estimate.  States, field values and the
+    estimate are sequences of floats, and ``f`` is the frozen field's float
+    form (:meth:`~clfetc.core.ControlSystem.frozen`).
 
     The stage sums run over Python floats, coordinate by coordinate, each
-    ``y + h*(a1*k1 + ... + ai*ki)`` summed left to right; only the field
-    is called on arrays.  On the shipped models (d <= 3) an attempt and
-    its error norm take 11-22 us, six field calls included, against 22-32
-    us with a numpy call per stage sum (2 vCPU Xeon, Python 3.11).  The
-    cost grows with d: on a linear field the two forms cross near d = 9,
-    and at d = 20 it is 44 us against 27 us.  The zero weights stay in the
-    sums, so that a non-finite value in any stage makes the error estimate
+    ``y + h*(a1*k1 + ... + ai*ki)`` summed left to right.  On the shipped
+    models (d <= 3), whose fields have a float form, an attempt and its
+    error norm take 7-12 us, six field calls included, against 11-24 us
+    with the field called on arrays (2 vCPU Xeon, Python 3.11).  A system
+    with no float form goes through the adapter, which calls its ``rhs`` on
+    an array; the cost then grows with d: on a linear field these float
+    sums and a numpy call per stage sum cross near d = 9, and at d = 20 it
+    is about 50 us against 32 us.  The zero weights stay in the sums, so
+    that a non-finite value in any stage makes the error estimate
     non-finite.
     """
-    Y, K1 = y.tolist(), f0.tolist()
-    K2 = f(np.array([y + h * (_A21 * k1) for y, k1 in zip(Y, K1)])).tolist()
-    K3 = f(np.array([y + h * (_A31 * k1 + _A32 * k2)
-                     for y, k1, k2 in zip(Y, K1, K2)])).tolist()
-    K4 = f(np.array([y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-                     for y, k1, k2, k3 in zip(Y, K1, K2, K3)])).tolist()
-    K5 = f(np.array([y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-                     for y, k1, k2, k3, k4 in zip(Y, K1, K2, K3, K4)])).tolist()
-    K6 = f(np.array([y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                              + _A65 * k5)
-                     for y, k1, k2, k3, k4, k5 in zip(Y, K1, K2, K3, K4, K5)])).tolist()
-    y1 = np.array([y + h * (_A71 * k1 + _A72 * k2 + _A73 * k3 + _A74 * k4
-                            + _A75 * k5 + _A76 * k6)
-                   for y, k1, k2, k3, k4, k5, k6 in zip(Y, K1, K2, K3, K4, K5, K6)])
+    K2 = f([y + h * (_A21 * k1) for y, k1 in zip(Y, K1)])
+    K3 = f([y + h * (_A31 * k1 + _A32 * k2) for y, k1, k2 in zip(Y, K1, K2)])
+    K4 = f([y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+            for y, k1, k2, k3 in zip(Y, K1, K2, K3)])
+    K5 = f([y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+            for y, k1, k2, k3, k4 in zip(Y, K1, K2, K3, K4)])
+    K6 = f([y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+            for y, k1, k2, k3, k4, k5 in zip(Y, K1, K2, K3, K4, K5)])
+    y1 = [y + h * (_A71 * k1 + _A72 * k2 + _A73 * k3 + _A74 * k4 + _A75 * k5
+                   + _A76 * k6)
+          for y, k1, k2, k3, k4, k5, k6 in zip(Y, K1, K2, K3, K4, K5, K6)]
     f1 = f(y1)
     err = [h * (_E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
                 + _E7 * k7)
-           for k1, k2, k3, k4, k5, k6, k7 in zip(K1, K2, K3, K4, K5, K6, f1.tolist())]
+           for k1, k2, k3, k4, k5, k6, k7 in zip(K1, K2, K3, K4, K5, K6, f1)]
     return y1, f1, err
+
+
+def _sum_squares(q):
+    """The sum of the squares of a sequence of floats, left to right."""
+    s = 0.0
+    for x in q:
+        s += x * x
+    return s
 
 
 def _rms(q):
     """The root mean square of a list of floats, summed left to right, as
     numpy's pairwise sum does below eight terms."""
-    s = 0.0
-    for x in q:
-        s += x * x
-    return math.sqrt(s / len(q))
+    return math.sqrt(_sum_squares(q) / len(q))
 
 
 def _error_norm(err, y0, y1, rtol, atol):
     """The RMS of ``err`` over ``atol + rtol*max(|y0|, |y1|)``, coordinate
-    by coordinate.  ``y1`` goes first in ``max``, which keeps its first
-    argument against a NaN, so a NaN in ``y1`` makes the norm NaN, as
-    ``np.maximum`` would; ``y0``, an accepted state, is finite."""
+    by coordinate, all sequences of floats.  ``y1`` goes first in ``max``,
+    which keeps its first argument against a NaN, so a NaN in ``y1`` makes
+    the norm NaN, as ``np.maximum`` would; ``y0``, an accepted state, is
+    finite."""
     return _rms([e / (atol + rtol * max(abs(b), abs(a)))
-                 for e, a, b in zip(err, y0.tolist(), y1.tolist())])
+                 for e, a, b in zip(err, y0, y1)])
 
 
-def _initial_step(f, y0, f0, rtol, atol, max_step, span):
-    Y, F0 = y0.tolist(), f0.tolist()
+def _initial_step(f, Y, F0, rtol, atol, max_step, span):
+    """The Gladwell-Shampine-Brankin first step from the state ``Y`` with
+    field value ``F0``, sequences of floats, for the float field ``f``."""
     scale = [atol + rtol * abs(y) for y in Y]
     d0 = _rms([y / s for y, s in zip(Y, scale)])
     d1 = _rms([k / s for k, s in zip(F0, scale)])
@@ -220,7 +233,7 @@ def _initial_step(f, y0, f0, rtol, atol, max_step, span):
     h0 = min(h0, span, max_step)
     if h0 <= 0:
         return min(span, max_step)
-    f1 = f(np.array([y + h0 * k for y, k in zip(Y, F0)])).tolist()
+    f1 = f([y + h0 * k for y, k in zip(Y, F0)])
     d2 = _rms([(b - a) / s for a, b, s in zip(F0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -266,15 +279,19 @@ class _Hermite:
 
 def _steps(f, t, y, f0, t_end, cfg, h=None):
     """Yield the accepted :class:`_Hermite` pieces that carry (t, y) to t_end,
-    each made from the one before alone.  The first step tried is ``h``, or
+    each made from the one before alone, with the frozen field's float form
+    ``f``; ``y`` and ``f0`` are arrays.  The attempts run on lists of
+    floats, and each accepted state and field value becomes an array once,
+    for its piece.  The first step tried is ``h``, or
     :func:`_initial_step`'s when None; like every step, it is clamped by
     ``max_step`` and the span left.  Raises :class:`BlowupError` once the
-    state norm passes the blow-up cap.
+    state norm (squares summed left to right) passes the blow-up cap.
     """
     if t_end <= t:
         return
+    Y, F0 = y.tolist(), f0.tolist()
     if h is None:
-        h = _initial_step(f, y, f0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, t_end - t)
+        h = _initial_step(f, Y, F0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, t_end - t)
     while t < t_end:
         h = min(h, cfg.max_step, t_end - t)
         if h <= 4.0 * _EPS * max(1.0, abs(t)):
@@ -283,8 +300,8 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
             return
         attempts = 0
         while True:
-            y1, f1, err = _rk_step(f, y, f0, h)
-            enorm = _error_norm(err, y, y1, cfg.rel_tol, cfg.abs_tol)
+            Y1, F1, err = _rk_step(f, Y, F0, h)
+            enorm = _error_norm(err, Y, Y1, cfg.rel_tol, cfg.abs_tol)
             if math.isfinite(enorm) and enorm <= 1.0:
                 break
             # at most 0.9: the error norm here is above 1
@@ -293,9 +310,10 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
             if attempts > 200 or h < 1e-15 * max(1.0, abs(t)):
                 raise IntegrationError(
                     f"step size underflow at t={t} (error norm {enorm})")
+        y1, f1 = np.array(Y1), np.array(F1)
         yield _Hermite(t, y, f0, t + h, y1, f1)
-        t, y, f0 = t + h, y1, f1
-        if math.sqrt(float(y.dot(y))) > BLOWUP_NORM:  # np.linalg.norm's bits
+        t, y, f0, Y, F0 = t + h, y1, f1, Y1, F1
+        if math.sqrt(_sum_squares(Y)) > BLOWUP_NORM:
             raise BlowupError(t, y)
         if enorm == 0.0:
             h *= 5.0
@@ -341,7 +359,7 @@ def integrate_frozen(sys: ControlSystem, x0, u, t_span, config: IntegratorConfig
     u = np.asarray(u, dtype=float)
     ts, ys, fs = [t0], [x0], [sys.f(x0, u)]  # dimensions validated once
     f = sys.frozen(u)
-    for piece in _steps(f, t0, x0, fs[0], t1, config, first_step):
+    for piece in _steps(f.point, t0, x0, fs[0], t1, config, first_step):
         ts.append(piece.t1)
         ys.append(piece.y1)
         fs.append(piece.f1)
@@ -714,7 +732,7 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
     scans, with no rule, accept every step, in windows of ``_WINDOW_CAP``.
     """
     f = sys.frozen(u)
-    steps = _steps(f, t, x, fx, t_end, cfg)
+    steps = _steps(f.point, t, x, fx, t_end, cfg)
     width = min(first, _WINDOW_CAP) if cut is not None else _WINDOW_CAP
     accepted = 0
     while True:

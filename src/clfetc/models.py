@@ -20,9 +20,13 @@ Every ``rhs``, ``value``, ``gradient`` and ``feedback`` acts on the last
 axis (see :class:`~clfetc.core.ControlSystem`): ``x.T[i]`` is coordinate
 ``i`` of one state as a scalar, or of a batch as a column, and
 ``np.array([...]).T`` stacks the results back.  (Indexing ``x.T`` is
-cheaper than unpacking an array.)  A batch row gets the bits of the same
-state alone: powers go through the C library's ``pow`` (:func:`_power`),
-and zeno-polar's radius through ``math.hypot`` (:func:`_radius`).
+cheaper than unpacking an array.)  Each field is written once, as a
+function of its coordinates that works element by element, and
+:func:`_field` makes both the last-axis ``rhs`` and its float form
+``rhs.point`` from it.  A batch row, and the float form, get the bits of
+the same state alone: powers go through the C library's ``pow``
+(:func:`_power`), and zeno-polar's radius through ``math.hypot``
+(:func:`_radius`).
 """
 
 from __future__ import annotations
@@ -62,13 +66,35 @@ class Model:
     expected_assumption_status: str  # 'satisfies_all' | 'violates_nondegeneracy'
 
 
+def _field(fn):
+    """The last-axis ``rhs`` of the field ``fn(x1, ..., xd, u1, ..., um)``,
+    which returns a tuple of the ``d`` rates and works element by element:
+    ``np.array(fn(*x.T, *u.T)).T`` on a state or a batch.  Its float form,
+    ``rhs.point(Y, U)``, calls ``fn`` on lists of floats and returns floats,
+    with the bits of ``rhs`` on the same state.  Python's float arithmetic
+    raises where numpy's gives an infinity (``pow`` past the largest float);
+    ``point`` then takes that state through ``rhs``."""
+
+    def rhs(x, u):
+        return np.array(fn(*x.T, *u.T)).T
+
+    def point(Y, U):
+        try:
+            return fn(*Y, *U)
+        except ArithmeticError:
+            return rhs(np.array(Y), np.array(U)).tolist()
+
+    rhs.point = point
+    return rhs
+
+
 def _power(x):
-    """The power function for the coordinates of ``x``, with the bits of
-    Python's ``**`` on one state: the builtin ``pow`` on the scalars of a
-    state ``(d,)``, ``np.float_power`` on the columns of a batch.  numpy's
-    array power rounds differently on some inputs (it squares, or uses SIMD
+    """The power function for a coordinate ``x``, with the bits of the C
+    library's ``pow``: the builtin ``pow`` on a float (``np.float64``
+    included), ``np.float_power`` on the entries of an array.  numpy's array
+    power rounds differently on some inputs (it squares, or uses SIMD
     routines)."""
-    return pow if x.ndim == 1 else np.float_power
+    return np.float_power if isinstance(x, np.ndarray) else pow
 
 
 def _quadratic_certificate(rate: RateFunction, feedback) -> ClfCertificate:
@@ -121,16 +147,10 @@ def acc_backstepping(k: float = 1.01, tau_lag: float = 0.3) -> Model:
     tl = float(tau_lag)
     ae = 2.0 * (kk - 1.0)
 
-    def rhs(x, u):
-        xt = x.T
-        x1, x2, x3 = xt[0], xt[1], xt[2]
+    def field(x1, x2, x3, u1):
         z = 2.0 * kk * x2 - kk * kk * x1 - x3  # the (negated) acceleration
         e1 = x2 - kk * x1
-        return np.array([
-            e1,
-            x3 - kk * x2,
-            kk * kk * e1 + (1.0 / tl - 2.0 * kk) * z - u.T[0] / tl,
-        ]).T
+        return e1, x3 - kk * x2, kk * kk * e1 + (1.0 / tl - 2.0 * kk) * z - u1 / tl
 
     def feedback(x):
         xt = x.T
@@ -139,7 +159,7 @@ def acc_backstepping(k: float = 1.01, tau_lag: float = 0.3) -> Model:
         return np.array([tl * kk * kk * (x2 - kk * x1)
                          + (1.0 - 2.0 * kk * tl) * z - tl * (x1 - kk * x3)]).T
 
-    system = ControlSystem(state_dim=3, input_dim=1, rhs=rhs)
+    system = ControlSystem(state_dim=3, input_dim=1, rhs=_field(field))
     cert = _quadratic_certificate(RateFunction.linear(ae), feedback)
     params = {"k": kk, "tau_lag": tau_lag}
     x0 = np.array([10.0, 10.0 * kk, 10.0 * kk * kk])  # close a 10 m gap
@@ -161,20 +181,18 @@ def homogeneous_planar(rate_scale: float = 1.0) -> Model:
     if rate_scale not in (1.0, 0.5):
         raise DomainError("rate_scale must be 1.0 or 0.5")
 
-    def rhs(x, u):
-        pw = _power(x)
-        xt = x.T
-        x1, x2 = xt[0], xt[1]
+    def field(x1, x2, u1):
+        pw = _power(x1)
         q = x1 * pw(x2, 2)
-        return np.array([-pw(x1, 3) + q, q + u.T[0] - pw(x1, 2) * x2]).T
+        return -pw(x1, 3) + q, q + u1 - pw(x1, 2) * x2
 
     def feedback(x):
-        pw = _power(x)
         xt = x.T
         x1, x2 = xt[0], xt[1]
+        pw = _power(x1)
         return np.array([-pw(x2, 3) - x1 * pw(x2, 2)]).T
 
-    system = ControlSystem(state_dim=2, input_dim=1, rhs=rhs)
+    system = ControlSystem(state_dim=2, input_dim=1, rhs=_field(field))
     cert = _quadratic_certificate(RateFunction.power(rate_scale, 2.0), feedback)
     return Model(name="homog2d", system=system, certificate=cert,
                  params={"rate_scale": rate_scale},
@@ -219,9 +237,8 @@ def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0) -> Model:
     if not 0.0 < r_star < 1.0:
         raise DomainError(f"r_star must lie in (0, 1), got {r_star}")
 
-    def rhs(x, u):
-        xt, ut = x.T, u.T
-        return np.array([xt[1] + ut[0], -xt[0] + ut[1]]).T
+    def field(x1, x2, u1, u2):
+        return x2 + u1, -x1 + u2
 
     def feedback(x):
         xt = x.T
@@ -232,7 +249,7 @@ def zeno_polar(r_star: float = 0.01, phi_star: float = 0.0) -> Model:
         # neither sum is -0.0, so + 0.0 changes no bit.
         return np.array([-x1 + x2 / r + 0.0, -x2 - x1 / r + 0.0]).T
 
-    system = ControlSystem(state_dim=2, input_dim=2, rhs=rhs)
+    system = ControlSystem(state_dim=2, input_dim=2, rhs=_field(field))
     cert = _quadratic_certificate(RateFunction.linear(2.0), feedback)
     x0 = r_star * np.array([math.cos(phi_star), math.sin(phi_star)])
     return Model(name="zeno-polar", system=system, certificate=cert,
@@ -253,14 +270,11 @@ def relay_1d() -> Model:
     finite-time design, it fails non-degeneracy near the origin.
     """
 
-    def rhs(x, u):
-        return np.array(u, dtype=float)
-
     def value(x):
         x1 = x.T[0]
         return x1 * x1
 
-    system = ControlSystem(state_dim=1, input_dim=1, rhs=rhs)
+    system = ControlSystem(state_dim=1, input_dim=1, rhs=_field(lambda x1, u1: (u1,)))
     cert = ClfCertificate(
         value=value,
         gradient=lambda x: x + x,  # 2x, exactly

@@ -10,6 +10,7 @@ from clfetc import (ClfCertificate, ControlSystem, DomainError, EnergyTimeMap,
                     RateFunction, verify_clf_pointwise)
 from clfetc.core import finite_difference_jacobian, rowwise, velocity_ratio
 from clfetc.errors import DimensionMismatchError
+from clfetc.models import MODEL_NAMES, build_model
 
 
 def emap(rate):
@@ -200,6 +201,33 @@ class TestFrozenField:
         f = sysm.frozen(u)
         assert [[c.hex() for c in row] for row in f(ys).tolist()] == [
             [c.hex() for c in f(y).tolist()] for y in ys]
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(MODEL_NAMES), data=st.data())
+    def test_the_float_form_has_the_bits_of_rhs(self, name, data):
+        # on one state and on each row of a batch, over the whole float
+        # range with signed zeros and infinities: where Python's pow
+        # overflows, the float form takes the state through rhs
+        sysm = build_model(name).system
+        coords = st.floats(allow_nan=False)
+        ys = np.array(data.draw(st.lists(
+            st.lists(coords, min_size=sysm.state_dim, max_size=sysm.state_dim),
+            min_size=1, max_size=4)))
+        u = np.array(data.draw(st.lists(coords, min_size=sysm.input_dim,
+                                        max_size=sysm.input_dim)))
+        f = sysm.frozen(u)
+        with np.errstate(all="ignore"):
+            batch = sysm.rhs(ys, np.tile(u, (len(ys), 1))).tolist()
+            for y, row in zip(ys, batch):
+                want = [c.hex() for c in sysm.rhs(y, u).tolist()]
+                assert [c.hex() for c in row] == want
+                assert [c.hex() for c in sysm.rhs.point(y.tolist(), u.tolist())] == want
+                assert [c.hex() for c in f.point(y.tolist())] == want
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_every_model_has_a_float_form(self, name):
+        # a model without one would run through the adapter, unnoticed
+        assert callable(build_model(name).system.rhs.point)
 
     def test_a_batch_result_of_the_wrong_shape_raises(self):
         # written for one state: on a batch it returns one row, which numpy

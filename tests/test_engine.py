@@ -65,6 +65,19 @@ class TestIntegrateFrozen:
         with pytest.raises(BlowupError):
             integrate_frozen(sysm, [5.0], [0.0], (0.0, 0.5), cfg)
 
+    def test_a_constant_field_blows_up_after_the_step_that_crosses_the_cap(self):
+        # the state moves at speed 1.3e11 and passes the cap of 1e12 near
+        # t = 7.69, inside a step of max_step = 0.01; the stepper raises at
+        # that step's end.  The time and state are the bits that the
+        # stepper gave when it tested the norm with numpy's dot product
+        sysm = ControlSystem(3, 1, rhs=lambda x, u: np.zeros_like(x) + [3e10, 4e10, 1.2e11])
+        cfg = IntegratorConfig(horizon=10.0)
+        with pytest.raises(BlowupError) as blowup:
+            integrate_frozen(sysm, [0.0, 0.0, 0.0], [0.0], (0.0, 10.0), cfg)
+        assert blowup.value.t.hex() == "0x1.ec53dc6e3b81fp+2"
+        assert [v.hex() for v in blowup.value.state.tolist()] == [
+            "0x1.addbca3a2c60ep+37", "0x1.1e9286d172eb4p+38", "0x1.addbca3a2c60ep+39"]
+
     def test_a_field_that_fails_past_a_state_underflows_the_step(self):
         # x' = 1 until x = 1 and NaN past it: every step that reaches past
         # t = 1 fails, and the steps shrink toward it until they underflow
@@ -153,20 +166,23 @@ class TestRkStep:
     def test_an_attempt_matches_both_routes(self, acc, homog, relay, zeno, which, data):
         # one Dormand-Prince attempt on a model's frozen field (d = 3, 2, 1
         # and 2), from a state in [-2, 2]^d under the model's own feedback,
-        # over a step up to 0.1.  The engine's attempt and error norm have
-        # the bits of the oracle's float route, whose tableau is written out
-        # apart from the engine's
+        # over a step up to 0.1.  The engine's attempt, which calls the
+        # field's float form on lists, and its error norm have the bits of
+        # the oracle's float route, whose tableau is written out apart from
+        # the engine's and which calls the array field: the two field forms
+        # agree at every stage
         model = (acc, homog, relay, zeno)[which]
         d = model.system.state_dim
         y = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
         h = data.draw(st.floats(1e-6, 0.1))
         u = model.certificate.u(y)
         f, f0 = model.system.frozen(u), model.system.f(y, u)
-        y1, f1, err = engine._rk_step(f, y, f0, h)
-        norm = engine._error_norm(err, y, y1, 1e-9, 1e-11)
+        y1, f1, err = engine._rk_step(f.point, y.tolist(), f0.tolist(), h)
+        norm = engine._error_norm(err, y.tolist(), y1, 1e-9, 1e-11)
         ref_y1, ref_f1, ref_err, ref_norm = dopri_step_reference(f, y, f0, h, 1e-9, 1e-11)
-        assert ([v.hex() for v in [*y1.tolist(), *f1.tolist(), *err, norm]]
+        assert ([v.hex() for v in [*y1, *f1, *err, norm]]
                 == [v.hex() for v in [*ref_y1, *ref_f1, *ref_err, ref_norm]])
+        y1, f1 = np.array(y1), np.array(f1)
         # the matrix form sums in numpy's and BLAS's order.  Measured on
         # 120,000 random attempts of this kind, in ulps of the state scale
         # |y| + h*max(|f0|, |f1|) (max norms): y1 at most 2.5 apart, the
@@ -964,6 +980,30 @@ class TestRunClosedLoop:
         icfg = IntegratorConfig(horizon=horizon, output_points=201, **cfg.integrator)
         runs = [run_closed_loop(s, c, policy, x0, icfg)
                 for s, c in ((sysm, cert), (lifted_sys, lifted_cert))]
+        assert _run_record(runs[0]) == _run_record(runs[1])
+        assert len(runs[0].events) > 1
+
+    @pytest.mark.parametrize("preset, horizon, periodic", [
+        ("acc_case1", 15.0, False), ("homog2d", 10.0, True)],
+        ids=["acc-event", "homog2d-periodic"])
+    def test_a_field_with_no_float_form_runs_as_the_model(self, preset, horizon,
+                                                          periodic):
+        # a plain lambda around the shipped rhs has no float form: the
+        # stepper calls it through the adapter, on arrays, and must give
+        # every array and event of the model's own float form, bit for bit
+        cfg = load_config(preset)
+        model, x0 = _model_and_x0(cfg)
+        sysm, cert = model.system, model.certificate
+        plain = replace(sysm, rhs=lambda x, u: sysm.rhs(x, u))
+        assert hasattr(sysm.rhs, "point") and not hasattr(plain.rhs, "point")
+        if periodic:
+            policy = PeriodicEventTriggered(sigma=cfg.sigma,
+                                            sigma_tilde=(1.0 + cfg.sigma) / 2.0,
+                                            k_big=2.0, h=0.05, big_m=10.0)
+        else:
+            policy = EventTriggered(sigma=cfg.sigma)
+        icfg = IntegratorConfig(horizon=horizon, output_points=201, **cfg.integrator)
+        runs = [run_closed_loop(s, cert, policy, x0, icfg) for s in (sysm, plain)]
         assert _run_record(runs[0]) == _run_record(runs[1])
         assert len(runs[0].events) > 1
 

@@ -63,9 +63,9 @@ differently, so ``--check`` on other versions, another BLAS build or
 another BLAS kernel than the manifest's exits 3 before it runs anything;
 re-record the manifest there, or check where it was recorded.  The kernel
 matters because ``np.vecdot`` and ``@`` on 3-vectors go through BLAS: the
-quadratic V, the guard's and the recorder's W, ``verify_clf_pointwise``
-and the stepper's blow-up norm, though not its stage sums, which are
-Python floats.  With numpy's OpenBLAS 0.3.31 (a ``DYNAMIC_ARCH`` build,
+quadratic V, the guard's and the recorder's W and
+``verify_clf_pointwise``, though not the stepper's stage sums or its
+blow-up norm, which are Python floats.  With numpy's OpenBLAS 0.3.31 (a ``DYNAMIC_ARCH`` build,
 which picks its kernel from the CPU at run time) on an Intel Xeon, 42 of
 the 90 files differ between its own ``SkylakeX`` kernel and
 ``OPENBLAS_CORETYPE=Haswell``.  No other CPU was tried.  A change that
