@@ -28,8 +28,10 @@ again one at a time, the first cut among them wins, and with none the error
 is raised.
 A scan's first window holds the smaller step count of the last two scans
 that ended in a cut, and the rule sizes each later one from the trend of
-what it reads, from 1 to ``_WINDOW_CAP`` steps: the window size changes how
-fast a run goes, never what it computes.  At a cut, the state at the cut
+what it reads, from 1 to ``_WINDOW_CAP`` steps: under the event policy all
+the steps that the trend predicts to the guard's zero, under the periodic
+policy half of them.  The window size changes how fast a run goes, never
+what it computes.  At a cut, the state at the cut
 instant comes from a corrector, one tolerance-checked integration from the
 cut step's start; its first step is the cut step's own size, which covers
 the span to the cut, so it takes one attempt unless the error control
@@ -39,14 +41,19 @@ Batches of states come from two readers, each row with the bits of its
 step's interpolant at its instant alone: :func:`_probe_states` for windows
 whose steps all read their start, probes and end, as every event window
 does, and :func:`_states_at` for listed instants: the recorder's grid rows,
-check times, refinement midpoints and a window of both kinds.  The scan
-hands the recorder a window's accepted steps, with the cut step and its cut
-instant, in one call; it writes their rows into arrays that double when full,
-and resumes its grid at the first instant after its last row.  It keeps each
-row's instant and state alone: the event log holds every update's instant
-and control, so each row takes the control of the last update at or before
-its instant, and the rows at an update's instant are flagged, once the run
-ends.
+check times, refinement midpoints and a window of both kinds.  Event
+localization reads one instant at a time, in floats (:meth:`_Hermite.at`,
+:func:`_read`), with the same bits.  The scan hands the recorder a window's
+accepted steps, with the cut step and its cut instant, in one call; it
+writes their rows' instants into arrays that double when full, notes each
+row's step, and resumes its grid at the first instant after its last row.
+The noted rows' states come from one :func:`_states_at` pass once
+``_GRID_CHUNK`` of them wait, and when the run ends, so the steps held for
+them never pass that count, whatever ``output_points``.  The recorder keeps
+each row's instant and state alone: the event log holds every update's
+instant and control, so each row takes the control of the last update at or
+before its instant, and the rows at an update's instant are flagged, once
+the run ends.
 
 Each Dormand-Prince attempt (:func:`_rk_step`) forms its stages, its error
 estimate and its error norm in Python floats, coordinate by coordinate and
@@ -55,9 +62,12 @@ on lists of floats: a shipped model's ``rhs`` carries one written with it,
 and any other system goes through an adapter that calls its ``rhs`` on an
 array, with the same bits.  On the shipped models' one to three states an
 attempt costs about half of what it does with the field called on arrays,
-and no stage sum goes through BLAS.  Each accepted state and field value
-becomes an array once, for its step's interpolant; the step rule's probes,
-guards and margins, and the recorder, read the field on arrays.
+and no stage sum goes through BLAS.  Each step's interpolant carries its
+accepted states and field values as these lists; batch reads build their
+tables from them, and a state becomes an array where it leaves the scan.
+The step rule's batches and the recorder read the field on arrays, event
+localization its float form; the guard and the margin always run on
+arrays.
 """
 
 from __future__ import annotations
@@ -98,6 +108,7 @@ ZENO_CONSECUTIVE = 10
 GUARD_PROBES = 8  # interior guard evaluations per accepted step
 _THETAS = tuple((j + 1) / (GUARD_PROBES + 1) for j in range(GUARD_PROBES))
 _WINDOW_CAP = 16  # most steps a step rule reads in one batch
+_GRID_CHUNK = 256  # most grid rows a recorder notes before it reads them
 _REFINE_DOUBLINGS = 6  # most times an event step's reads are doubled
 _EPS = float(np.finfo(float).eps)
 # the most grid rows a run records: its recorder's arrays and grid then take
@@ -259,7 +270,9 @@ def _cubic(w, y0, f0, y1, f1, h):
 
 
 class _Hermite:
-    """Cubic Hermite interpolant over one accepted step, at one time; the
+    """Cubic Hermite interpolant over one accepted step, whose ends' states
+    and field values are the stepper's float lists.  :meth:`at` reads it at
+    one time in floats, and ``piece(t)`` makes that read an array; the
     readers :func:`_probe_states` and :func:`_states_at` give each row of a
     batch these bits."""
 
@@ -270,22 +283,30 @@ class _Hermite:
         self.t1, self.y1, self.f1 = t1, y1, f1
         self.h = t1 - t0
 
+    def at(self, t: float) -> list:
+        """The state at ``t``, coordinate by coordinate, with the float
+        operations of :func:`_weights` and :func:`_cubic`."""
+        h = self.h
+        if h == 0.0:
+            return list(self.y0)
+        h00, h10, h01, h11 = _weights((t - self.t0) / h)
+        return [h00 * a + h01 * b + h * (h10 * fa + h11 * fb)
+                for a, fa, b, fb in zip(self.y0, self.f0, self.y1, self.f1)]
+
     def __call__(self, t: float) -> np.ndarray:
-        if self.h == 0.0:
-            return self.y0
-        return _cubic(_weights((t - self.t0) / self.h), self.y0, self.f0,
-                      self.y1, self.f1, self.h)
+        return np.array(self.at(t))
 
 
 def _steps(f, t, y, f0, t_end, cfg, h=None):
     """Yield the accepted :class:`_Hermite` pieces that carry (t, y) to t_end,
     each made from the one before alone, with the frozen field's float form
     ``f``; ``y`` and ``f0`` are arrays.  The attempts run on lists of
-    floats, and each accepted state and field value becomes an array once,
-    for its piece.  The first step tried is ``h``, or
-    :func:`_initial_step`'s when None; like every step, it is clamped by
-    ``max_step`` and the span left.  Raises :class:`BlowupError` once the
-    state norm (squares summed left to right) passes the blow-up cap.
+    floats, and each piece carries the lists of its ends.  The first step
+    tried is ``h``, or :func:`_initial_step`'s when None; like every step,
+    it is clamped by ``max_step`` and the span left.  When the span left is
+    below time resolution, a last piece holds the last state and field
+    value to ``t_end``.  Raises :class:`BlowupError` once the state norm
+    (squares summed left to right) passes the blow-up cap.
     """
     if t_end <= t:
         return
@@ -296,7 +317,7 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
         h = min(h, cfg.max_step, t_end - t)
         if h <= 4.0 * _EPS * max(1.0, abs(t)):
             # the remaining span is below time resolution; snap to the target
-            yield _Hermite(t, y, f0, t_end, y, f0)
+            yield _Hermite(t, Y, F0, t_end, Y, F0)
             return
         attempts = 0
         while True:
@@ -310,11 +331,10 @@ def _steps(f, t, y, f0, t_end, cfg, h=None):
             if attempts > 200 or h < 1e-15 * max(1.0, abs(t)):
                 raise IntegrationError(
                     f"step size underflow at t={t} (error norm {enorm})")
-        y1, f1 = np.array(Y1), np.array(F1)
-        yield _Hermite(t, y, f0, t + h, y1, f1)
-        t, y, f0, Y, F0 = t + h, y1, f1, Y1, F1
+        yield _Hermite(t, Y, F0, t + h, Y1, F1)
+        t, Y, F0 = t + h, Y1, F1
         if math.sqrt(_sum_squares(Y)) > BLOWUP_NORM:
-            raise BlowupError(t, y)
+            raise BlowupError(t, np.array(Y))
         if enorm == 0.0:
             h *= 5.0
         else:
@@ -445,9 +465,12 @@ class _Recorder:
     grid instants ``grid`` up to where the run has reached, with the states
     its steps read there, and the update and blow-up rows.  The rows are in
     time order, so each fill resumes the grid at its first instant after
-    the last row.  A row at the last row's instant replaces its state if it
-    is an update's, and is skipped otherwise.  A row's control and update
-    flag come from the event log, in :meth:`finalize`."""
+    the last row.  A grid row's state is read later: a fill notes each
+    row's step, and :meth:`flush` reads the noted rows in one pass of
+    :func:`_states_at` once ``_GRID_CHUNK`` of them wait, and when the run
+    ends.  A row at the last row's instant replaces its state if it is an
+    update's, after that pass, and is skipped otherwise.  A row's control
+    and update flag come from the event log, in :meth:`finalize`."""
 
     def __init__(self, cert, sys, grid):
         self.cert = cert
@@ -457,6 +480,8 @@ class _Recorder:
         size = len(self.grid)
         self.t = np.empty(size)
         self.x = np.empty((size, sys.state_dim))
+        # the noted grid rows, their steps, and each step's row instants
+        self.rows, self.pieces, self.times = [], [], []
 
     def _room(self, k):
         """Room for ``k`` more rows, at most a grid's: the arrays double."""
@@ -468,6 +493,7 @@ class _Recorder:
         n = self.n
         if n and t == self.t[n - 1]:
             if event:
+                self.flush()
                 self.x[n - 1] = x
             return
         self._room(1)
@@ -479,34 +505,49 @@ class _Recorder:
         run records its update at t = 0 before any grid row)."""
         return bisect.bisect_right(self.grid, self.t[self.n - 1])
 
-    def _put(self, lo, hi, x):
-        """Record grid rows ``lo`` to ``hi - 1`` with states ``x``, one row
-        each or one for all."""
+    def _put(self, lo, hi):
+        """Record the instants of grid rows ``lo`` to ``hi - 1``; returns
+        the first's row."""
         n, k = self.n, hi - lo
         self._room(k)
         self.t[n:n + k] = self.grid[lo:hi]
-        self.x[n:n + k] = x
         self.n = n + k
+        return n
 
     def fill_grid(self, pieces, at=None):
-        """Record the grid rows that consecutive accepted steps reach: those
+        """Note the grid rows that consecutive accepted steps reach: those
         at or before each step's end, or, when the last step is cut at
-        ``at``, those of the last step strictly before it, all read in one
-        call of :func:`_states_at`."""
+        ``at``, those of the last step strictly before it."""
         grid, lo = self.grid, self._first()
         ends = [bisect.bisect_right(grid, piece.t1, lo) for piece in pieces]
         if at is not None:
             ends[-1] = bisect.bisect_left(grid, at, lo)
-        rows = [(piece, grid[a:b])
-                for piece, a, b in zip(pieces, [lo, *ends], ends) if b > a]
-        if rows:
-            self._put(lo, ends[-1], _states_at(*zip(*rows)))
+        if not ends or ends[-1] <= lo:
+            return
+        row = self._put(lo, ends[-1]) - lo  # grid row j goes to row + j
+        for piece, a, b in zip(pieces, [lo, *ends], ends):
+            while a < b:
+                k = min(b - a, _GRID_CHUNK - len(self.rows))
+                self.rows += range(row + a, row + a + k)
+                self.pieces.append(piece)
+                self.times.append(grid[a:a + k])
+                a += k
+                if len(self.rows) == _GRID_CHUNK:
+                    self.flush()
+
+    def flush(self):
+        """Read the states of the noted grid rows, in one pass."""
+        if self.rows:
+            self.x[self.rows] = _states_at(self.pieces, self.times)
+            self.rows, self.pieces, self.times = [], [], []
 
     def hold(self, x):
         """Record every grid row left with the state ``x``."""
-        self._put(self._first(), len(self.grid), x)
+        row = self._put(self._first(), len(self.grid))
+        self.x[row:self.n] = x
 
     def finalize(self, events, termination, sigma) -> Trajectory:
+        self.flush()
         n = self.n
         t = self.t[:n]
         # checked once here, then read in one call each, on every row
@@ -539,12 +580,24 @@ def _probe_times(piece):
             + [piece.t1])
 
 
+def _table(pieces, counts=None):
+    """The steps' ``t0`` and ``h``, as columns, and ``y0``, ``f0``, ``y1``
+    and ``f1``, as rows, from one table of their floats; with ``counts``,
+    each step's row is repeated that many times."""
+    table = np.array([(p.t0, p.h, *p.y0, *p.f0, *p.y1, *p.f1) for p in pieces])
+    if counts is not None:
+        table = table.repeat(counts, axis=0)
+    d = (table.shape[1] - 2) // 4
+    return (table[:, :1], table[:, 1:2],
+            *(table[:, 2 + i * d:2 + (i + 1) * d] for i in range(4)))
+
+
 def _probe_states(pieces):
     """Each step's own ``y0``, its states at the interior probe times of
     :func:`_probe_times`, each with the bits of ``piece(t)`` alone, and its
     own ``y1``, in order, from one elementwise table over all the steps."""
-    t0, h, y0, f0, y1, f1 = (np.array(a)[:, None] for a in zip(
-        *((p.t0, p.h, p.y0, p.f0, p.y1, p.f1) for p in pieces)))
+    t0, h, *ends = _table(pieces)
+    y0, f0, y1, f1 = (a[:, None] for a in ends)
     s = (t0 + np.array(_THETAS) * h - t0) / h
     ys = _cubic(_weights(s[:, :, None]), y0, f0, y1, f1, h[:, :, None])
     return np.concatenate((y0, ys, y1), axis=1).reshape(-1, ys.shape[-1])
@@ -552,25 +605,31 @@ def _probe_states(pieces):
 
 def _states_at(pieces, times):
     """The states of ``pieces[i]`` at the instants ``times[i]``, in order,
-    or, where that is None, at its start, probes and end, from one gather
+    or, where that is None, at its start, probes and end, from one table
     and one :func:`_cubic`: each row has the bits of its step's ``piece(t)``,
     its weights from the same float operations, and a probe step's start
     and end rows are its own ``y0`` and ``y1``."""
-    steps, owner, weights, ends = [], [], [], []
+    flat, counts, ends = [], [], []
     for piece, ts in zip(pieces, times):
         if ts is None:
             ts = _probe_times(piece)
-            ends += [(len(owner), piece.y0), (len(owner) + len(ts) - 1, piece.y1)]
-        t0, h = piece.t0, piece.h
-        weights += [(*_weights((t - t0) / h), h) for t in ts]
-        owner += [len(steps)] * len(ts)
-        steps.append((piece.y0, piece.f0, piece.y1, piece.f1))
-    y0, f0, y1, f1 = np.array(steps)[owner].transpose(1, 0, 2)
-    *w, h = np.array(weights).T[:, :, None]
-    ys = _cubic(w, y0, f0, y1, f1, h)
+            ends += [(len(flat), piece.y0), (len(flat) + len(ts) - 1, piece.y1)]
+        flat += ts
+        counts.append(len(ts))
+    t0, h, y0, f0, y1, f1 = _table(pieces, counts)
+    ys = _cubic(_weights((np.array(flat)[:, None] - t0) / h), y0, f0, y1, f1, h)
     for row, y in ends:
         ys[row] = y
     return ys
+
+
+def _read(scalar, point, piece, t):
+    """``scalar`` at one time of a step, with the bits of the batch reads:
+    the state read in floats (:meth:`_Hermite.at`) and its field value from
+    the frozen field's float form ``point``, both made arrays for
+    ``scalar``."""
+    y = piece.at(t)
+    return scalar(np.array(y), np.asarray(point(y), dtype=float))
 
 
 def _grid_index(t, h):
@@ -605,19 +664,23 @@ def _step_rule(scalar, grid=None):
     read again at the midpoints of its reads before the first non-negative
     one, on its own cubic (:func:`_states_at`), one batch a doubling, until
     they change sign at most once or after ``_REFINE_DOUBLINGS``, so that a
-    root between its probes shows whatever the step size.  The scan sizes
-    its first window; one closure, ``width``, sizes each next one: half the
-    steps that the trend of the last two reads predicts to zero, the cap
-    where they do not rise, at least 1, on the grid at least the steps that
-    reach the next grid point, since none before it can be cut, and at most
-    ``_WINDOW_CAP``.  A read that raises propagates: the scan alone decides
-    what a failed window means.
+    root between its probes shows whatever the step size.  Localization
+    reads the step's cubic one instant at a time in floats (:func:`_read`).
+    The scan sizes its first window; one closure, ``width``, sizes each next
+    one: the steps that the trend of the last two reads predicts to zero,
+    half of them on the grid, the cap where the reads do not rise, at least
+    1, on the grid at least the steps that reach the next grid point, since
+    none before it can be cut, and at most ``_WINDOW_CAP``.  A read that
+    raises propagates: the scan alone decides what a failed window means.
     """
     if grid is not None:
         h, t_end, t_last = grid
         j_max = _grid_index(t_last, h)
     last = None  # (time, value) of the last read
     slope = None  # the value's change per unit time over its last two reads
+    # the share of the predicted steps a window holds: the periodic margin
+    # speeds up towards a failing check, so its windows hold half of them
+    share = 1.0 if grid is None else 0.5
 
     def check_time(j):
         return min(j * h, t_end)
@@ -627,7 +690,7 @@ def _step_rule(scalar, grid=None):
         trend = 1.0  # before two reads
         if slope is not None:
             rise = slope * piece.h
-            trend = -last[1] / rise / 2 if rise > 0.0 else _WINDOW_CAP  # NaN: the cap
+            trend = -last[1] / rise * share if rise > 0.0 else _WINDOW_CAP  # NaN: the cap
         return min(_WINDOW_CAP, max(1, ahead, int(min(_WINDOW_CAP, max(trend, 0.0)))))
 
     def cut(piece, f, ts, row, j0, j1):
@@ -651,11 +714,8 @@ def _step_rule(scalar, grid=None):
         if r == 0:
             return check_time(j0 + 1)
 
-        def scalar_at(tt):
-            y = piece(tt)
-            return scalar(y, f(y))
-
-        root = locate_event(scalar_at, times[r - 1], times[r], row[r - 1], row[r])
+        root = locate_event(partial(_read, scalar, f.point, piece),
+                            times[r - 1], times[r], row[r - 1], row[r])
         if grid is None:
             return root
         j = max(j0 + 1, _grid_index(root, h))
@@ -705,8 +765,8 @@ def _step_rule(scalar, grid=None):
 
 def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
     """Integrate the frozen loop from ``x``, with checked field value ``fx``,
-    towards ``t_end``, recording the grid rows of each window's accepted
-    steps in one call (:meth:`_Recorder.fill_grid`).
+    towards ``t_end``, noting the grid rows of each window's accepted steps
+    in one call (:meth:`_Recorder.fill_grid`).
 
     ``cut(pieces, f)``, the policy's step rule (:func:`_step_rule`), reads a
     window of consecutive accepted steps with the frozen field ``f``
@@ -721,7 +781,7 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
     fails in one place: when drawing or judging it raises after at least
     one step was drawn, the steps drawn are judged again one at a time, as
     a window of 1 would judge them.  The first cut among them wins; with
-    none, they are recorded and the error is raised.  At a cut, the cut
+    none, they are noted and the error is raised.  At a cut, the cut
     step's rows fill strictly before the cut instant, in the same call as
     the steps before it, and one tolerance-checked corrector integration
     from the step start replaces the interpolant.  The corrector's first
@@ -762,7 +822,7 @@ def _scan(sys, x, fx, u, t, t_end, cfg, rec, cut=None, first=1):
             x = pieces[-1].y1
         accepted += n
         if len(pieces) < width:  # the stepper has reached t_end
-            return t_end, x, None, accepted
+            return t_end, np.asarray(x), None, accepted
         width = next_width
 
 

@@ -22,7 +22,8 @@ from clfetc.cli import (_model_and_x0, integrator_from_config, load_config,
 from clfetc.core import rowwise
 from clfetc.engine import (_Hermite, _probe_states, _probe_times, _states_at,
                            read_event_times_csv, stats_from_event_times)
-from clfetc.triggers import predicate_margin
+from clfetc.models import MODEL_NAMES
+from clfetc.triggers import frozen_guard, predicate_margin
 from oracles import (acc_event_times, acc_frozen_matrices, acc_periodic_checks,
                      affine_flow, dopri_step_reference, ivp_event_times,
                      locate_event_reference, periodic_checks_reference,
@@ -58,6 +59,22 @@ class TestIntegrateFrozen:
         for t in np.linspace(0.0, 2 * math.pi, 17):
             r = np.linalg.norm(seg.eval(float(t)))
             assert r == pytest.approx(0.5, abs=1e-9)
+
+    def test_a_span_below_time_resolution_snaps_from_the_last_step(self):
+        # the first step stops one ulp short of the target, and the span left
+        # is below time resolution: the last piece must hold the state and
+        # field value of the step before it to the target, not the start's
+        cfg = IntegratorConfig(horizon=2.0, max_step=1.0)
+        t_end = math.nextafter(1.0, 2.0)
+        pieces = list(engine._steps(lambda y: [1.0, y[0]], 0.0, np.zeros(2),
+                                    np.array([1.0, 0.0]), t_end, cfg, h=1.0))
+        assert len(pieces) == 2
+        step, snap = pieces
+        assert (step.t1, snap.t0, snap.t1) == (1.0, 1.0, t_end)
+        assert step.y1 != [0.0, 0.0] and step.f1 != [1.0, 0.0]  # it moved
+        for got, want in ((snap.y0, step.y1), (snap.y1, step.y1),
+                          (snap.f0, step.f1), (snap.f1, step.f1)):
+            assert [c.hex() for c in got] == [c.hex() for c in want]
 
     def test_blowup_raises(self):
         sysm = ControlSystem(1, 1, rhs=lambda x, u: np.array([x[0] ** 2]))
@@ -316,6 +333,55 @@ class TestHermite:
         assert np.signbit(start[0]) and np.signbit(end[1])
         assert start.tobytes() == y0.tobytes() and end.tobytes() == y1.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_the_float_read_has_the_bits_of_the_batch_reader(self, dim, data):
+        # localization reads a step's cubic at one instant in floats, on the
+        # stepper's lists; it must give the bits of piece(t) and of the
+        # gather's row there, at the step's ends too, with signed zeros
+        vec = st.lists(st.floats(-1e6, 1e6) | st.just(-0.0),
+                       min_size=dim, max_size=dim)
+        y0, f0, y1, f1 = (data.draw(vec) for _ in range(4))
+        t0 = data.draw(st.floats(-100.0, 100.0))
+        piece = _Hermite(t0, y0, f0, t0 + data.draw(st.floats(1e-9, 10.0)), y1, f1)
+        t = data.draw(st.sampled_from([piece.t0, piece.t1])
+                      | st.floats(piece.t0, piece.t1))
+        want = [c.hex() for c in _states_at([piece], [[t]])[0].tolist()]
+        assert [c.hex() for c in piece.at(t)] == want
+        assert [c.hex() for c in piece(t).tolist()] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(MODEL_NAMES), data=st.data())
+    def test_the_localization_read_has_the_bits_of_the_guard(self, name, data):
+        # the read takes the state in floats and its field value from the
+        # float form, then the guard on arrays: the bits of frozen_guard on
+        # the gather's row and the array field's value there, or the same
+        # error where V is so small that the rate underflows to zero
+        def outcome(read):
+            try:
+                return float(read()).hex()
+            except DomainError as exc:
+                return str(exc)
+
+        model = build_model(name)
+        sysm, cert = model.system, model.certificate
+        vec = st.lists(st.floats(-10.0, 10.0) | st.just(-0.0),
+                       min_size=sysm.state_dim, max_size=sysm.state_dim)
+        y0, y1 = data.draw(vec), data.draw(vec)
+        sigma = data.draw(st.floats(0.05, 0.95))
+        t0 = data.draw(st.floats(-100.0, 100.0))
+        with np.errstate(all="ignore"):
+            f = sysm.frozen(cert.u(np.array(y0)))
+            piece = _Hermite(t0, y0, f.point(y0),
+                             t0 + data.draw(st.floats(1e-9, 10.0)), y1, f.point(y1))
+            t = data.draw(st.sampled_from([piece.t0, piece.t1])
+                          | st.floats(piece.t0, piece.t1))
+            y = _states_at([piece], [[t]])[0]
+            want = outcome(lambda: frozen_guard(cert, y, f(y), sigma))
+            got = outcome(lambda: engine._read(
+                partial(frozen_guard, cert, sigma=sigma), f.point, piece, t))
+        assert got == want
+
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_grid_pass_equals_the_per_row_states(self, dim):
@@ -351,6 +417,7 @@ class TestHermite:
                                    np.array([pieces[0].t0] + grid))
             rec.add_row(pieces[0].t0, pieces[0].y0, True)
             rec.fill_grid(pieces, at)
+            rec.flush()  # the states of the noted rows are read here
             want = [(tt, p) for tt, p in zip(grid, owners)
                     if at is None or p is not last or tt < at]
             assert rec.n == 1 + len(want)
@@ -358,6 +425,49 @@ class TestHermite:
             assert rec.t[1:rec.n].tolist() == [tt for tt, _ in want]
             assert rec.x[1:rec.n].tobytes() == np.array(
                 [p(tt) for tt, p in want]).reshape(-1, dim).tobytes()
+
+    def test_a_run_of_several_chunks_equals_the_per_row_states(
+            self, homog, monkeypatch):
+        # homog2d over long steps, each of which holds many grid rows: the
+        # recorder reads its noted rows in four full passes and a last one
+        # when the run ends, and never holds more than a chunk of them.
+        # Every row must keep the bits of its own step's piece(t), as a
+        # recorder that reads each row alone gives them
+        chunk = engine._GRID_CHUNK
+        cfg = IntegratorConfig(horizon=200.0, max_step=200.0,
+                               output_points=4 * chunk + 3)
+        args = (homog.system, homog.certificate, EventTriggered(sigma=0.9),
+                homog.default_x0, cfg)
+        fill, flush, waiting, passes = (engine._Recorder.fill_grid,
+                                        engine._Recorder.flush, [], [])
+
+        def per_row(rec, pieces, at=None):
+            for piece in pieces:
+                last = at if at is not None and piece is pieces[-1] else None
+                for t in rec.grid[rec._first():]:
+                    if t > piece.t1 or (last is not None and t >= last):
+                        break
+                    rec.add_row(t, piece(t), False)
+
+        monkeypatch.setattr(engine._Recorder, "fill_grid", per_row)
+        want = run_closed_loop(*args)
+
+        def watched_fill(rec, pieces, at=None):
+            fill(rec, pieces, at)
+            waiting.append(len(rec.rows))
+
+        def watched_flush(rec):
+            passes.append(len(rec.rows))
+            flush(rec)
+
+        monkeypatch.setattr(engine._Recorder, "fill_grid", watched_fill)
+        monkeypatch.setattr(engine._Recorder, "flush", watched_flush)
+        traj = run_closed_loop(*args)
+        assert len(traj.t) > 4 * chunk
+        assert traj.t.tobytes() == want.t.tobytes()
+        assert traj.x.tobytes() == want.x.tobytes()
+        assert max(waiting) < chunk
+        assert passes.count(chunk) == 4 and max(passes) == chunk
 
 
 class TestLocateEvent:

@@ -140,7 +140,8 @@ LONG_STEP_RUNS = (
 )
 
 # a part of the set that runs in a few seconds, in the set's order: the three
-# fast presets, two clock-policy runs that scan past t = 0 (explicit self
+# fast presets, the acc_case1 event run at its default steps, whose scans are
+# a few steps each, two clock-policy runs that scan past t = 0 (explicit self
 # and time instants), the periodic-event runs (explicit and derived h, and
 # the acc_policy_sweep row, which takes the periodic rule over long steps),
 # the stats commands on the presets' trajectories, every command that must
@@ -150,6 +151,7 @@ LONG_STEP_RUNS = (
 FAST = tuple(
     [f"{command}_{model}" for model in MODELS[:3]
      for command in ("simulate", "verify", "dwell")]
+    + ["simulate_acc_case1"]
     + ["simulate_homog2d_self", "simulate_homog2d_instants",
        "simulate_homog2d_periodic", "simulate_homog2d_periodic_derived"]
     + [f"stats{out}_{model}" for model in STATS_OF[:2] for out in ("", "_out")]
